@@ -97,10 +97,13 @@ func measureBenchSections() []benchRecord {
 		}
 	})
 
-	// Ingest sections: the encoding/csv materialising reader against the
-	// zero-alloc streaming scanner on the same in-memory Mobike CSV. The
-	// scan section is pinned to one worker so the tracked ratio is the
-	// single-thread speedup, independent of the runner's core count.
+	// Ingest sections on the same in-memory Mobike CSV: ReadCSV (the
+	// scanner materialising every []Trip, the price of holding a whole
+	// history) against the bare zero-alloc scan and the streaming demand
+	// pipeline. The scan section is pinned to one worker; ReadCSV and the
+	// demand pipeline defer to parallel.Default, so `compare
+	// -parallelism 1` pins them too. The encoding/csv baseline is the
+	// test oracle that BenchmarkReadCSV in internal/dataset times.
 	data, rows := benchCSV()
 	perRow := float64(rows)
 	add(fmt.Sprintf("ingest/readcsv/rows=%d", rows), func(b *testing.B) {
@@ -112,9 +115,9 @@ func measureBenchSections() []benchRecord {
 		}
 		b.ReportMetric(perRow*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})
-	// Workers and geohash handling match the readcsv baseline (ReadCSV
-	// with a nil projector validates but does not decode geohashes), so
-	// the ns ratio between the two sections is the single-thread speedup.
+	// Geohash handling matches the readcsv section (ReadCSV with a nil
+	// projector validates but does not decode geohashes), so the ns gap
+	// between the two sections is the cost of materialising []Trip.
 	add(fmt.Sprintf("ingest/scan/rows=%d", rows), func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		opts := dataset.ScanOptions{Workers: 1}

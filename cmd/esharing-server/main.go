@@ -8,11 +8,14 @@
 //	GET  /v1/stats                               -> counters + similarity
 //	GET  /healthz                                -> liveness
 //
+// A -trips-csv history of any size is streamed in two bounded-memory
+// passes and kept only as projected destinations, never as trips.
+//
 // Usage:
 //
 //	esharing-server [-addr :8080] [-algorithm e-sharing|meyerson|online-kmeans]
 //	                [-opening 10000] [-seed 1] [-trips-csv history.csv]
-//	                [-stream-ingest] [-max-inflight 256] [-pprof-addr :6060]
+//	                [-max-inflight 256] [-pprof-addr :6060]
 //	                [-shards 4] [-shard-precision 4]
 //	                [-read-timeout 10s] [-write-timeout 30s] [-idle-timeout 2m]
 //	                [-wal-dir /var/lib/esharing] [-wal-sync 1] [-wal-snapshot-every 4096]
@@ -52,7 +55,6 @@ func run(args []string) error {
 	opening := fs.Float64("opening", 10000, "space-occupation cost per station (metres)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	tripsCSV := fs.String("trips-csv", "", "optional Mobike-schema CSV with historical trips; synthetic history is generated when empty")
-	streamIngest := fs.Bool("stream-ingest", false, "force the bounded-memory streaming CSV ingester; files over the size threshold stream automatically")
 	historyDays := fs.Int("history-days", 7, "days of synthetic history when no CSV is given")
 	fleetSize := fs.Int("fleet", 0, "register this many bikes at the planned stations and enable the tier-2 endpoints")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInFlight, "placement requests allowed to hold or queue for the decision locks (divided across shards); beyond this the server sheds with 429 + Retry-After")
@@ -69,7 +71,7 @@ func run(args []string) error {
 		return err
 	}
 
-	history, err := loadHistory(*tripsCSV, *historyDays, *seed, *streamIngest)
+	history, err := loadHistory(*tripsCSV, *historyDays, *seed)
 	if err != nil {
 		return fmt.Errorf("load history: %w", err)
 	}
@@ -166,23 +168,16 @@ func run(args []string) error {
 	}
 }
 
-// beijingCenter is the projection origin for synthetic history (the
-// paper's dataset is Beijing) and the fallback when a CSV carries no
-// decodable geohashes.
-var beijingCenter = geo.LatLng{Lat: 39.9042, Lng: 116.4074}
-
-// streamIngestThreshold is the CSV size above which loadHistory switches
-// to the streaming ingester even without -stream-ingest: past this the
-// materialise-everything path's memory cost dominates the two-pass I/O.
-const streamIngestThreshold = 256 << 20
-
 // loadHistory returns the planar end point of every historical trip —
 // the only piece of a trip the offline plan and the placers consume.
-// Both CSV paths derive the projection centre from the data's own
-// geohash bounding box: hard-coding Beijing would project any other
-// city's trips hundreds of kilometres from the planar origin, far
-// outside the tangent-plane regime.
-func loadHistory(csvPath string, days int, seed uint64, streamIngest bool) ([]geo.Point, error) {
+// A CSV is streamed twice and never materialised as []dataset.Trip:
+// pass 1 reduces it to its geohash bounding boxes and row count, pass 2
+// streams the projected end points. Peak memory is the scanner's
+// O(ChunkSize × Workers) plus the end-point slice. The projection
+// centre comes from the data's own geohash bounding box: hard-coding
+// Beijing would project any other city's trips hundreds of kilometres
+// from the planar origin, far outside the tangent-plane regime.
+func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if csvPath == "" {
 		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
 		if err != nil {
@@ -190,47 +185,6 @@ func loadHistory(csvPath string, days int, seed uint64, streamIngest bool) ([]ge
 		}
 		return dataset.EndPoints(trips), nil
 	}
-	if !streamIngest {
-		if info, err := os.Stat(csvPath); err == nil && info.Size() >= streamIngestThreshold {
-			log.Printf("trips CSV is %d MiB; switching to streaming ingestion", info.Size()>>20)
-			streamIngest = true
-		}
-	}
-	if streamIngest {
-		return loadHistoryStreaming(csvPath)
-	}
-	f, err := os.Open(csvPath)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	trips, err := dataset.ReadCSV(f, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(trips) == 0 {
-		return nil, nil
-	}
-	center, err := dataset.GeohashCenter(trips)
-	if err != nil {
-		if !errors.Is(err, dataset.ErrNoGeohashes) {
-			return nil, err
-		}
-		center = beijingCenter
-	}
-	if err := dataset.ProjectTrips(trips, geo.NewProjector(center)); err != nil {
-		return nil, err
-	}
-	return dataset.EndPoints(trips), nil
-}
-
-// loadHistoryStreaming is the bounded-memory path: pass 1 reduces the
-// CSV to its geohash bounding boxes and row count, pass 2 streams the
-// projected end points. It never materialises a []dataset.Trip, so peak
-// memory is the scanner's O(chunk × workers) plus the end-point slice —
-// bit-identical output to the materialising path by the differential
-// tests in internal/dataset and TestLoadHistoryStreamingMatches.
-func loadHistoryStreaming(csvPath string) ([]geo.Point, error) {
 	f, err := os.Open(csvPath)
 	if err != nil {
 		return nil, err
@@ -246,12 +200,11 @@ func loadHistoryStreaming(csvPath string) ([]geo.Point, error) {
 	if sum.Trips == 0 {
 		return nil, nil
 	}
+	// Every geohash empty: ErrNoGeohashes, since pass 2 would reject the
+	// first row anyway.
 	center, err := sum.Center()
 	if err != nil {
-		if !errors.Is(err, dataset.ErrNoGeohashes) {
-			return nil, err
-		}
-		center = beijingCenter
+		return nil, err
 	}
 	f, err = os.Open(csvPath)
 	if err != nil {

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
+	"repro/internal/parallel"
 )
 
 func testHistory(t *testing.T) []dataset.Trip {
@@ -56,7 +63,7 @@ func TestBuildPlacerESharingHasLandmarks(t *testing.T) {
 }
 
 func TestLoadHistorySynthetic(t *testing.T) {
-	ends, err := loadHistory("", 2, 5, false)
+	ends, err := loadHistory("", 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +72,11 @@ func TestLoadHistorySynthetic(t *testing.T) {
 	}
 }
 
-func TestLoadHistoryCSV(t *testing.T) {
-	trips := testHistory(t)[:40]
-	path := filepath.Join(t.TempDir(), "h.csv")
+// writeTripsCSV writes trips in the Mobike schema to a temp file and
+// returns its path.
+func writeTripsCSV(t *testing.T, trips []dataset.Trip) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trips.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -78,63 +87,13 @@ func TestLoadHistoryCSV(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadHistory(path, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(trips) {
-		t.Errorf("loaded %d destinations, want %d", len(got), len(trips))
-	}
-	if _, err := loadHistory(filepath.Join(t.TempDir(), "missing.csv"), 0, 0, false); err == nil {
-		t.Error("missing file should error")
-	}
-	if _, err := loadHistory(filepath.Join(t.TempDir(), "missing.csv"), 0, 0, true); err == nil {
-		t.Error("missing file should error on the streaming path too")
-	}
+	return path
 }
 
-// TestLoadHistoryStreamingMatches pins the -stream-ingest wiring: the
-// two-pass streaming loader must produce bit-identical destination
-// points to the materialising loader, since both derive the projection
-// centre from the same geohash bounding box and decode the same ends.
-func TestLoadHistoryStreamingMatches(t *testing.T) {
-	trips := testHistory(t)
-	path := filepath.Join(t.TempDir(), "stream.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.WriteCSV(f, trips); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := loadHistory(path, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadHistory(path, 0, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streaming loaded %d destinations, materialising %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("destination %d: streaming %v, materialising %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestLoadHistoryNonBeijingCSV is the regression test for the
-// hard-coded projection centre: loadHistory used to project every CSV
-// around Beijing, so a New York dataset landed ~11,000 km from the
-// planar origin where the tangent-plane approximation is meaningless.
-// The centre must now come from the data's own geohash bounding box,
-// and the planned landmarks must sit inside the dataset's geography.
-func TestLoadHistoryNonBeijingCSV(t *testing.T) {
+// nycTrips is a small New York history, far from the Beijing origin of
+// the synthetic generator.
+func nycTrips(t *testing.T) []dataset.Trip {
+	t.Helper()
 	nyc := geo.LatLng{Lat: 40.7128, Lng: -74.0060}
 	var trips []dataset.Trip
 	for i := 0; i < 30; i++ {
@@ -153,19 +112,178 @@ func TestLoadHistoryNonBeijingCSV(t *testing.T) {
 			StartGeohash: start, EndGeohash: end,
 		})
 	}
-	path := filepath.Join(t.TempDir(), "nyc.csv")
+	return trips
+}
+
+func TestLoadHistoryCSV(t *testing.T) {
+	trips := testHistory(t)[:40]
+	got, err := loadHistory(writeTripsCSV(t, trips), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(trips) {
+		t.Errorf("loaded %d destinations, want %d", len(got), len(trips))
+	}
+}
+
+// TestLoadHistoryErrors covers the CSV loader's failure modes. A history
+// whose geohashes are all empty has no projection centre and fails with
+// dataset.ErrNoGeohashes instead of falling back to a default city.
+func TestLoadHistoryErrors(t *testing.T) {
+	dir := t.TempDir()
+	hdr := "orderid,userid,bikeid,biketype,starttime,geohashed_start_loc,geohashed_end_loc\n"
+	cases := []struct {
+		name    string
+		content string // "" leaves the file missing
+		want    error
+	}{
+		{"missing file", "", fs.ErrNotExist},
+		{"all empty geohashes", hdr + "1,2,3,1,2017-05-10 08:00:00,,\n2,2,3,1,2017-05-10 08:01:00,,\n", dataset.ErrNoGeohashes},
+		{"bad header", "orderid,userid\n1,2\n", dataset.ErrBadHeader},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, fmt.Sprintf("case%d.csv", i))
+			if tc.content != "" {
+				if err := os.WriteFile(path, []byte(tc.content), 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := loadHistory(path, 0, 0); !errors.Is(err, tc.want) {
+				t.Fatalf("loadHistory error %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// oracleEnds is the materialising pipeline the streaming loader
+// replaced, read through encoding/csv independently of the scanner:
+// every trip in memory, then GeohashCenter → ProjectTrips → EndPoints.
+// Only the geohash columns feed the end points.
+func oracleEnds(t *testing.T, path string) []geo.Point {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trips []dataset.Trip
+	for _, rec := range recs[1:] {
+		trips = append(trips, dataset.Trip{StartGeohash: rec[5], EndGeohash: rec[6]})
+	}
+	center, err := dataset.GeohashCenter(trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.ProjectTrips(trips, geo.NewProjector(center)); err != nil {
+		t.Fatal(err)
+	}
+	return dataset.EndPoints(trips)
+}
+
+// TestLoadHistoryMatchesOracle pins the two-pass streaming loader to the
+// materialising pipeline bit for bit: both derive the projection centre
+// from the same geohash bounding box and project the same ends.
+func TestLoadHistoryMatchesOracle(t *testing.T) {
+	for name, trips := range map[string][]dataset.Trip{
+		"synthetic": testHistory(t),
+		"nyc":       nycTrips(t),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := writeTripsCSV(t, trips)
+			want := oracleEnds(t, path)
+			got, err := loadHistory(path, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("loaded %d destinations, oracle %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("destination %d: loaded %v, oracle %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLoadHistoryMemoryBound states the startup memory bound of a CSV
+// history and checks it. loadHistory may allocate 16 B per row for the
+// end-point slice, a fixed scanner term per pass, and slack — nothing
+// else that grows with the row count. Per pass the scanner holds one
+// ChunkSize header buffer and, per worker, a ChunkSize read buffer and a
+// RawTrip batch presized at ChunkSize/32 slots. Materialising every
+// dataset.Trip instead costs ~780 B per row and breaks the bound.
+func TestLoadHistoryMemoryBound(t *testing.T) {
+	const (
+		chunkSize = 1 << 20 // the ScanOptions default
+		workers   = 2
+		slack     = 4 << 20 // per-batch point slices and file state
+	)
+	prev := parallel.Default()
+	parallel.SetDefault(workers)
+	t.Cleanup(func() { parallel.SetDefault(prev) })
+
+	path := filepath.Join(t.TempDir(), "big.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteCSV(f, trips); err != nil {
+	cw := dataset.NewCSVWriter(f)
+	if err := cw.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	if err := dataset.GenerateStream(dataset.Config{
+		Days: 5, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
+	}, func(_ int, trips []dataset.Trip) error {
+		rows += len(trips)
+		return cw.WriteTrips(trips)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	history, err := loadHistory(path, 0, 0, false)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ends, err := loadHistory(path, 0, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) != rows {
+		t.Fatalf("loaded %d destinations, want %d", len(ends), rows)
+	}
+	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(dataset.RawTrip{})))
+	bound := uint64(16*rows + 2*perPass + slack)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rows: allocated %.1f MiB (%.0f B/row), bound %.1f MiB",
+		rows, float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
+	if got > bound {
+		t.Fatalf("loadHistory allocated %d B for %d rows, bound %d B", got, rows, bound)
+	}
+}
+
+// TestLoadHistoryNonBeijingCSV is the regression test for the
+// hard-coded projection centre: loadHistory used to project every CSV
+// around Beijing, so a New York dataset landed ~11,000 km from the
+// planar origin where the tangent-plane approximation is meaningless.
+// The centre must now come from the data's own geohash bounding box,
+// and the planned landmarks must sit inside the dataset's geography.
+func TestLoadHistoryNonBeijingCSV(t *testing.T) {
+	trips := nycTrips(t)
+	history, err := loadHistory(writeTripsCSV(t, trips), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +327,7 @@ func TestPlanLandmarks(t *testing.T) {
 // geo.NewGrid, so the server died at startup. The whole startup path —
 // CSV load, landmark planning, placer construction — must now succeed.
 func TestStartupFromOneTripCSV(t *testing.T) {
-	trips := testHistory(t)[:1]
-	path := filepath.Join(t.TempDir(), "one.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.WriteCSV(f, trips); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	history, err := loadHistory(path, 0, 0, false)
+	history, err := loadHistory(writeTripsCSV(t, testHistory(t)[:1]), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // SolveOffline runs the paper's Algorithm 1: the Jain–Mahdian–Markakis–
 // Saberi–Vazirani greedy (JACM 2003), a 1.61-approximation for metric
@@ -25,19 +20,13 @@ import (
 // §13): candidate selection goes through a lazy priority queue keyed by
 // admissible lower bounds, and a candidate is only re-scored when a
 // client inside its kd-tree neighbourhood connects. The result is
-// bit-identical to SolveOfflineExact — same stations in the same order,
-// same assignment, bit-identical costs — at a fraction of the work;
-// differential tests enforce the identity at every worker count.
+// bit-identical to the exact sweep that re-scores every candidate each
+// iteration — same stations in the same order, same assignment,
+// bit-identical costs — at a fraction of the work. That sweep is kept
+// as a test oracle (offline_exact_test.go), and differential tests
+// enforce the identity at every worker count.
 func SolveOffline(p *Problem) (*Solution, error) {
 	return SolveOfflineWorkers(p, parallel.Default())
-}
-
-// SolveOfflineExact is the exact reference sweep: every iteration
-// re-scores every candidate against the full unconnected set. It is the
-// oracle the incremental SolveOffline must match bit for bit, and the
-// baseline the EXPERIMENTS.md speedup table measures against.
-func SolveOfflineExact(p *Problem) (*Solution, error) {
-	return SolveOfflineExactWorkers(p, parallel.Default())
 }
 
 // unassigned marks a demand not yet connected to any candidate.
@@ -65,8 +54,8 @@ func (s *offlineScratch) Len() int { return len(s.idx) }
 // The tie-break makes the permutation a total order determined by the
 // data alone: which clients a tie-straddling prefix connects no longer
 // depends on the sort algorithm's internal tie handling, so any correct
-// sort — sort.Sort here, the stable radix sort on the incremental hot
-// path — produces the identical array.
+// sort — the stable radix sort on the hot path, or sort.Sort in its
+// fallback and in the exact test oracle — produces the identical array.
 func (s *offlineScratch) Less(a, b int) bool {
 	if s.cost[a] < s.cost[b] {
 		return true
@@ -80,160 +69,6 @@ func (s *offlineScratch) Less(a, b int) bool {
 func (s *offlineScratch) Swap(a, b int) {
 	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
 	s.cost[a], s.cost[b] = s.cost[b], s.cost[a]
-}
-
-// sortUnconnByCost loads the unconnected clients into s (ascending
-// client index) and sorts them by connection cost to candidate i, exact
-// cost ties by client index — the documented total order every solver
-// path shares.
-func sortUnconnByCost(p *Problem, i int, unconn []int, s *offlineScratch) {
-	s.idx = s.idx[:0]
-	s.cost = s.cost[:0]
-	for _, j := range unconn {
-		s.idx = append(s.idx, j)
-		s.cost = append(s.cost, p.Walk(i, j))
-	}
-	sort.Sort(s)
-}
-
-// evalCandidate scores candidate i for the current iteration: switch
-// savings over connected clients (ascending j, fixed summation order),
-// then the minimum prefix ratio over unconnected clients sorted by
-// cost. Reads shared state only; all writes happen between sweeps.
-func evalCandidate(p *Problem, i int, assign []int, curCost []float64, openCost float64, unconn []int, s *offlineScratch) candEval {
-	n := len(p.Demands)
-	var savings float64
-	for j := 0; j < n; j++ {
-		if assign[j] == unassigned {
-			continue
-		}
-		if c := p.Walk(i, j); c < curCost[j] {
-			savings += curCost[j] - c
-		}
-	}
-	sortUnconnByCost(p, i, unconn, s)
-	base := openCost - savings
-	best := candEval{ratio: math.Inf(1)}
-	var acc float64
-	for k, c := range s.cost {
-		acc += c
-		ratio := (base + acc) / float64(k+1)
-		if ratio < best.ratio {
-			best = candEval{ratio: ratio, prefix: k + 1}
-		}
-	}
-	return best
-}
-
-// SolveOfflineExactWorkers is SolveOfflineExact with an explicit worker
-// count: the per-iteration candidate sweep — the O(N²) inner double
-// loop — fans out across the workers.
-//
-// Determinism contract: the solution is bit-identical for every workers
-// value, and workers == 1 reproduces the sequential algorithm exactly —
-// same stations in the same order, same assignment, bit-identical
-// costs. This holds because each candidate's evaluation is self-
-// contained (per-worker scratch, fixed summation and sort order) and
-// the winner is reduced over the evals slice in ascending candidate
-// index with a strict comparison — exactly the sequential scan's
-// first-minimum tie-break. Differential tests pin this at parallelism
-// 1, 2, 4 and 7 against a copy of the seed implementation.
-func SolveOfflineExactWorkers(p *Problem, workers int) (*Solution, error) {
-	n := len(p.Demands)
-	if n == 0 {
-		return nil, ErrEmptyProblem
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-
-	assign := make([]int, n)
-	curCost := make([]float64, n)
-	for j := range assign {
-		assign[j] = unassigned
-		curCost[j] = math.Inf(1)
-	}
-	opened := make([]bool, n)
-	openCost := append([]float64(nil), p.Opening...)
-	var openOrder []int
-	remaining := n
-
-	unconn := make([]int, 0, n)
-	evals := make([]candEval, n)
-	scratch := make([]offlineScratch, workers)
-	for w := range scratch {
-		scratch[w].idx = make([]int, 0, n)
-		scratch[w].cost = make([]float64, 0, n)
-	}
-
-	for remaining > 0 {
-		// The unconnected set is shared by every candidate this
-		// iteration; build it once, ascending.
-		unconn = unconn[:0]
-		for j := 0; j < n; j++ {
-			if assign[j] == unassigned {
-				unconn = append(unconn, j)
-			}
-		}
-		// Phase 1: score every candidate, fanned out over contiguous
-		// chunks with per-worker scratch.
-		parallel.ForChunks(workers, n, func(w, lo, hi int) {
-			s := &scratch[w]
-			for i := lo; i < hi; i++ {
-				evals[i] = evalCandidate(p, i, assign, curCost, openCost[i], unconn, s)
-			}
-		})
-		// Reduce in candidate order with strict <: the first (i, prefix)
-		// attaining the global minimum, as in the sequential scan.
-		best, bestRatio := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if evals[i].ratio < bestRatio {
-				best, bestRatio = i, evals[i].ratio
-			}
-		}
-		if best == -1 {
-			// Unreachable for valid instances: every candidate can always
-			// connect at least one client.
-			return nil, ErrEmptyProblem
-		}
-		i := best
-		if !opened[i] {
-			opened[i] = true
-			openOrder = append(openOrder, i)
-		}
-		openCost[i] = 0
-		// Phase 2: re-derive the winner's sorted order (deterministic,
-		// O(n log n)) and connect the chosen prefix.
-		s := &scratch[0]
-		sortUnconnByCost(p, i, unconn, s)
-		for k := 0; k < evals[i].prefix; k++ {
-			j := s.idx[k]
-			assign[j] = i
-			curCost[j] = s.cost[k]
-			remaining--
-		}
-		// Switch connected clients that save.
-		for j := 0; j < n; j++ {
-			if assign[j] == unassigned || assign[j] == i {
-				continue
-			}
-			if c := p.Walk(i, j); c < curCost[j] {
-				assign[j] = i
-				curCost[j] = c
-			}
-		}
-	}
-
-	sol := &Solution{Open: openOrder, Assign: assign}
-	// Final clean-up: nearest reassignment can only help.
-	if err := p.ReassignNearest(sol); err != nil {
-		return nil, err
-	}
-	dropUnusedStations(p, sol)
-	return sol, nil
 }
 
 // dropUnusedStations removes opened candidates that serve no demand after

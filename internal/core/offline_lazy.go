@@ -9,11 +9,12 @@ import (
 )
 
 // This file is the geometry-aware incremental JMS engine behind
-// SolveOffline (DESIGN.md §13). The exact sweep (offline.go) re-scores
-// every candidate against every unconnected client on every iteration;
-// at city scale that quadratic-per-iteration cost is hopeless. The
-// incremental engine keeps the same winners — bit for bit — while doing
-// a fraction of the scoring, by combining two ideas:
+// SolveOffline (DESIGN.md §13). The exact sweep (offline_exact_test.go,
+// now the test oracle) re-scores every candidate against every
+// unconnected client on every iteration; at city scale that
+// quadratic-per-iteration cost is hopeless. The incremental engine
+// keeps the same winners — bit for bit — while doing a fraction of the
+// scoring, by combining two ideas:
 //
 //  1. Neighbourhood invalidation. Between two evaluations of a fixed
 //     candidate i, its Eq. 5 ratio can only DECREASE through two events:
@@ -179,11 +180,11 @@ type lazySolver struct {
 // neighbourhood invalidation fanned out across the workers.
 //
 // Determinism contract: the solution is bit-identical for every workers
-// value and bit-identical to SolveOfflineExactWorkers — the accepted
-// winner of every iteration is the lexicographic minimum of
-// (ratio, candidate index) regardless of which stale entries a given
-// worker count happens to re-score (see the file comment for the
-// argument). Differential tests pin both identities at parallelism 1,
+// value and bit-identical to the exact sweep kept as the test oracle
+// (offline_exact_test.go) — the accepted winner of every iteration is
+// the lexicographic minimum of (ratio, candidate index) regardless of
+// which stale entries a given worker count happens to re-score (see the
+// file comment for the argument). Differential tests pin both identities at parallelism 1,
 // 2, 4 and 7, on random and adversarially tied instances.
 //
 //esharing:deterministic
@@ -316,10 +317,10 @@ func (s *lazySolver) curveHeadOf(i int32) []float64 {
 	return s.curveHead[lo : lo+lazyCurveK-1 : lo+lazyCurveK-1]
 }
 
-// evalRatioCurve scores candidate i exactly like evalCandidate — same
-// switch savings in the same ascending-client order, same minimum prefix
-// ratio over the unconnected clients in ascending cost order — while
-// touching only what the ratio needs. The client permutation that
+// evalRatioCurve scores candidate i exactly like the exact oracle's
+// evalCandidate — same switch savings in the same ascending-client
+// order, same minimum prefix ratio over the unconnected clients in
+// ascending cost order — while touching only what the ratio needs. The client permutation that
 // evalCandidate's paired sort also fixes is irrelevant here: exact cost
 // ties contribute bitwise-equal values to every prefix sum in either
 // order, so the sorted value sequence, and with it every computed

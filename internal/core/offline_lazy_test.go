@@ -124,7 +124,7 @@ func differentialCases() []diffCase {
 // (tied, colinear, duplicate-point) instances.
 func TestSolveOfflineIncrementalMatchesExact(t *testing.T) {
 	for _, tc := range differentialCases() {
-		want, err := SolveOfflineExactWorkers(tc.p, 1)
+		want, err := solveOfflineExact(tc.p)
 		if err != nil {
 			t.Fatalf("%s: exact: %v", tc.name, err)
 		}
@@ -148,7 +148,7 @@ func TestSolveOfflineIncrementalMatchesExactLarge(t *testing.T) {
 		t.Skip("exact oracle at N=2000 is expensive; skipped under -short")
 	}
 	p := randomOfflineProblem(9001, 2000)
-	want, err := SolveOfflineExactWorkers(p, 1)
+	want, err := solveOfflineExact(p)
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}

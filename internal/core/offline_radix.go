@@ -96,8 +96,8 @@ func (r *radixScratch) sortAsc(cost []float64) {
 
 // sortPairsAsc sorts sc's (idx, cost) pairs by cost ascending, exact
 // cost ties by ascending idx — offlineScratch.Less's total order. LSD
-// radix passes are stable and sortUnconnByCost loads clients in
-// ascending index order, so ties fall out in index order with no
+// radix passes are stable and the caller loads clients in ascending
+// index order, so ties fall out in index order with no
 // comparisons at all; the same bit-pattern screen as sortAsc routes
 // negative, infinite or NaN costs (impossible for walk costs) to the
 // comparison sort instead.

@@ -35,8 +35,8 @@ func FuzzReadCSV(f *testing.F) {
 }
 
 // FuzzScanCSV is the differential target for the streaming scanner: for
-// any input, chunk size and worker count, the streaming codec and
-// sequential ReadCSV must either both error or produce bit-identical
+// any input, chunk size and worker count, ReadCSV and the sequential
+// encoding/csv oracle must either both error or produce bit-identical
 // trips, with and without a projector.
 func FuzzScanCSV(f *testing.F) {
 	header := strings.Join(csvHeader, ",")
@@ -55,10 +55,10 @@ func FuzzScanCSV(f *testing.F) {
 			Workers:   1 + int(workers%8),
 		}
 		for _, proj := range []*geo.Projector{nil, projector} {
-			want, wantErr := ReadCSV(strings.NewReader(input), proj)
-			got, gotErr := ReadCSVStreaming(strings.NewReader(input), proj, opts)
+			want, wantErr := readCSVReference(strings.NewReader(input), proj)
+			got, gotErr := readCSV(strings.NewReader(input), proj, opts)
 			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("chunk=%d workers=%d: ReadCSV err=%v, streaming err=%v",
+				t.Fatalf("chunk=%d workers=%d: oracle err=%v, streaming err=%v",
 					opts.ChunkSize, opts.Workers, wantErr, gotErr)
 			}
 			if wantErr != nil {

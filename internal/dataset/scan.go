@@ -16,11 +16,12 @@ import (
 
 // Streaming Mobike-scale ingestion (DESIGN.md §14).
 //
-// ReadCSV materialises every trip through encoding/csv — two string
-// allocations and a reflective time.Parse per row, and the whole []Trip
-// in memory. At the reference workload's scale (the Wuhan Mobike study
-// ingests 100,342,626 GPS points) that is two orders of magnitude past
-// feasible. This file is the streaming path:
+// A reader built on encoding/csv costs two string allocations and a
+// reflective time.Parse per row, and materialises the whole []Trip. At
+// the reference workload's scale (the Wuhan Mobike study ingests
+// 100,342,626 GPS points) that is two orders of magnitude past feasible.
+// This file is the only CSV reader (an encoding/csv one survives only
+// as the test oracle in csv_reference_test.go):
 //
 //   - IngestCSV reads fixed-size chunks, aligns each chunk on a record
 //     boundary (the last '\n' outside a quoted field), and parses chunks
@@ -30,9 +31,9 @@ import (
 //     fall back to a per-record encoding/csv parse, so quoting semantics
 //     are inherited rather than re-implemented.
 //   - Chunk index = task index and the fold over parsed batches runs in
-//     chunk order, so output is bit-identical to sequential ReadCSV at
-//     any worker count (FuzzScanCSV and the differential tests enforce
-//     this).
+//     chunk order, so output is bit-identical to the sequential
+//     encoding/csv oracle at any worker count (FuzzScanCSV and the
+//     differential tests enforce this).
 //   - Peak memory is O(ChunkSize × Workers) regardless of file size: the
 //     coordinator owns one buffer per worker and batches are only valid
 //     for the duration of the emit callback.
@@ -56,14 +57,15 @@ type ScanOptions struct {
 	// Workers bounds the parallel parse fan-out (default
 	// parallel.Default()). Output is bit-identical for every value.
 	Workers int
-	// DecodeGeohashes decodes the start/end geohash fields into LatLng
-	// centres during the parallel parse. Consumers (ReadCSVStreaming,
-	// ScanSummarize, ScanEndPoints) set this themselves.
-	DecodeGeohashes bool
-	// AllowEmptyGeohash, with DecodeGeohashes, skips empty geohash
+
+	// decodeGeohashes decodes the start/end geohash fields into LatLng
+	// centres during the parallel parse. Each consumer (ReadCSV,
+	// ScanSummarize, ScanEndPoints) sets it for itself.
+	decodeGeohashes bool
+	// allowEmptyGeohash, with decodeGeohashes, skips empty geohash
 	// fields (Has*LL stays false) instead of failing — GeohashCenter
 	// semantics rather than ProjectTrips semantics.
-	AllowEmptyGeohash bool
+	allowEmptyGeohash bool
 }
 
 func (o ScanOptions) withDefaults() ScanOptions {
@@ -89,9 +91,9 @@ type RawTrip struct {
 	StartGeohash []byte
 	EndGeohash   []byte
 
-	// Decoded geohash cell centres, when ScanOptions.DecodeGeohashes is
-	// set. Has*LL is false only under AllowEmptyGeohash for an empty
-	// field.
+	// Decoded geohash cell centres, when the consumer asked for them
+	// (ReadCSV with a projector, ScanSummarize, ScanEndPoints). Has*LL
+	// is false only for an empty field under ScanSummarize.
 	StartLL    geo.LatLng
 	EndLL      geo.LatLng
 	HasStartLL bool
@@ -184,7 +186,7 @@ type scanState struct {
 }
 
 // readHeader consumes leading blank lines and the header record,
-// validating it against csvHeader exactly as ReadCSV does.
+// validating it against csvHeader exactly as encoding/csv would.
 func (s *scanState) readHeader() error {
 	buf := make([]byte, 0, s.chunkSize)
 	for {
@@ -515,17 +517,17 @@ func decodeGeohashFields(opts *ScanOptions, rt *RawTrip) error {
 	// skip-decode paths below must not leak a previous record's values.
 	rt.StartLL, rt.EndLL = geo.LatLng{}, geo.LatLng{}
 	rt.HasStartLL, rt.HasEndLL = false, false
-	if !opts.DecodeGeohashes {
+	if !opts.decodeGeohashes {
 		return nil
 	}
-	if len(rt.StartGeohash) > 0 || !opts.AllowEmptyGeohash {
+	if len(rt.StartGeohash) > 0 || !opts.allowEmptyGeohash {
 		ll, _, _, err := geo.DecodeGeohashBytes(rt.StartGeohash)
 		if err != nil {
 			return fmt.Errorf("start geohash: %w", err)
 		}
 		rt.StartLL, rt.HasStartLL = ll, true
 	}
-	if len(rt.EndGeohash) > 0 || !opts.AllowEmptyGeohash {
+	if len(rt.EndGeohash) > 0 || !opts.allowEmptyGeohash {
 		ll, _, _, err := geo.DecodeGeohashBytes(rt.EndGeohash)
 		if err != nil {
 			return fmt.Errorf("end geohash: %w", err)
@@ -646,39 +648,6 @@ func daysIn(month, year int) int {
 	}
 }
 
-// ReadCSVStreaming is ReadCSV through the streaming scanner: identical
-// trips (bit-for-bit, including projected coordinates) for any chunk
-// size and worker count, enforced by differential tests and FuzzScanCSV.
-func ReadCSVStreaming(r io.Reader, projector *geo.Projector, opts ScanOptions) ([]Trip, error) {
-	opts.DecodeGeohashes = projector != nil
-	opts.AllowEmptyGeohash = false
-	var trips []Trip
-	err := IngestCSV(r, opts, func(batch []RawTrip) error {
-		for i := range batch {
-			rt := &batch[i]
-			t := Trip{
-				OrderID:      rt.OrderID,
-				UserID:       rt.UserID,
-				BikeID:       rt.BikeID,
-				BikeType:     rt.BikeType,
-				StartTime:    rt.StartTime,
-				StartGeohash: string(rt.StartGeohash),
-				EndGeohash:   string(rt.EndGeohash),
-			}
-			if projector != nil {
-				t.Start = projector.ToPlane(rt.StartLL)
-				t.End = projector.ToPlane(rt.EndLL)
-			}
-			trips = append(trips, t)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return trips, nil
-}
-
 // ScanSummary is the single-pass reduction over a trip CSV: the row
 // count and the geodetic extrema of the geohash cell centres — combined
 // start+end (the projection-centre bounding box GeohashCenter computes
@@ -722,8 +691,8 @@ func (s ScanSummary) EndBounds(projector *geo.Projector) (geo.BBox, bool) {
 // Empty geohash fields are skipped (GeohashCenter semantics); invalid
 // ones fail the scan.
 func ScanSummarize(r io.Reader, opts ScanOptions) (ScanSummary, error) {
-	opts.DecodeGeohashes = true
-	opts.AllowEmptyGeohash = true
+	opts.decodeGeohashes = true
+	opts.allowEmptyGeohash = true
 	sum := ScanSummary{
 		MinLat: 91, MinLng: 181, MaxLat: -91, MaxLng: -181,
 		EndMinLat: 91, EndMinLng: 181, EndMaxLat: -91, EndMaxLng: -181,
@@ -762,8 +731,8 @@ func ScanEndPoints(r io.Reader, projector *geo.Projector, opts ScanOptions, visi
 	if projector == nil {
 		return 0, errors.New("dataset: nil projector")
 	}
-	opts.DecodeGeohashes = true
-	opts.AllowEmptyGeohash = false
+	opts.decodeGeohashes = true
+	opts.allowEmptyGeohash = false
 	var pts []geo.Point
 	var total int64
 	err := IngestCSV(r, opts, func(batch []RawTrip) error {

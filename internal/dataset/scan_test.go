@@ -15,8 +15,8 @@ import (
 	"repro/internal/geo"
 )
 
-// The differential matrix: every input is parsed by sequential ReadCSV
-// and by the streaming scanner at several worker counts and chunk sizes
+// The differential matrix: every input is parsed by the sequential
+// encoding/csv oracle and by the streaming scanner at several worker counts and chunk sizes
 // (including sizes small enough to force chunk boundaries mid-record and
 // mid-quoted-field), with and without a projector. Both codecs must
 // agree: same error-or-not, and bit-identical trips on success.
@@ -28,13 +28,13 @@ func diffCodecs(t *testing.T, input string) {
 	t.Helper()
 	projectors := []*geo.Projector{nil, geo.NewProjector(geo.LatLng{Lat: 39.9, Lng: 116.4})}
 	for pi, projector := range projectors {
-		want, wantErr := ReadCSV(strings.NewReader(input), projector)
+		want, wantErr := readCSVReference(strings.NewReader(input), projector)
 		for _, workers := range diffWorkers {
 			for _, chunk := range diffChunks {
 				opts := ScanOptions{ChunkSize: chunk, Workers: workers}
-				got, gotErr := ReadCSVStreaming(strings.NewReader(input), projector, opts)
+				got, gotErr := readCSV(strings.NewReader(input), projector, opts)
 				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("projector=%d workers=%d chunk=%d: ReadCSV err=%v, streaming err=%v\ninput: %q",
+					t.Fatalf("projector=%d workers=%d chunk=%d: oracle err=%v, streaming err=%v\ninput: %q",
 						pi, workers, chunk, wantErr, gotErr, input)
 				}
 				if wantErr != nil {
@@ -145,14 +145,14 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadCSV(strings.NewReader(tc.input), nil)
+			_, err := readCSVReference(strings.NewReader(tc.input), nil)
 			if err == nil {
-				t.Fatalf("ReadCSV accepted %q", tc.input)
+				t.Fatalf("oracle accepted %q", tc.input)
 			}
 			if want := fmt.Sprintf("line %d", tc.line); !strings.Contains(err.Error(), want) {
-				t.Fatalf("ReadCSV error %q does not name %q", err, want)
+				t.Fatalf("oracle error %q does not name %q", err, want)
 			}
-			_, err = ReadCSVStreaming(strings.NewReader(tc.input), nil, ScanOptions{ChunkSize: 16, Workers: 3})
+			_, err = readCSV(strings.NewReader(tc.input), nil, ScanOptions{ChunkSize: 16, Workers: 3})
 			if err == nil {
 				t.Fatalf("streaming accepted %q", tc.input)
 			}
@@ -183,7 +183,7 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	}
 	input := sb.String()
 
-	raw, err := ReadCSV(strings.NewReader(input), nil)
+	raw, err := readCSVReference(strings.NewReader(input), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestStreamingDemandMatchesAggregate(t *testing.T) {
 	}
 	input := sb.String()
 
-	raw, err := ReadCSV(strings.NewReader(input), nil)
+	raw, err := readCSVReference(strings.NewReader(input), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestIngestCSVAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte(sb.String())
-	opts := ScanOptions{Workers: 1, DecodeGeohashes: true}
+	opts := ScanOptions{Workers: 1, decodeGeohashes: true}
 	rows := 0
 	allocs := testing.AllocsPerRun(3, func() {
 		rows = 0
@@ -521,11 +521,11 @@ func TestScanRecordLargerThanChunk(t *testing.T) {
 	hdr := strings.Join(csvHeader, ",")
 	long := "1,2,3,1,2017-05-10 08:30:00,wx4g0bm," + strings.Repeat("w", 4096) + "\n"
 	input := hdr + "\n" + long + goodRow
-	want, err := ReadCSV(strings.NewReader(input), nil)
+	want, err := readCSVReference(strings.NewReader(input), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSVStreaming(strings.NewReader(input), nil, ScanOptions{ChunkSize: 32, Workers: 4})
+	got, err := readCSV(strings.NewReader(input), nil, ScanOptions{ChunkSize: 32, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
