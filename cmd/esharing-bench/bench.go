@@ -87,6 +87,22 @@ func measureBenchSections() []benchRecord {
 		})
 	}
 
+	// The drift test Algorithm 2 runs every TestEvery requests: a
+	// 100-point window from a shifted box against a uniform history, at
+	// the server's default 7-day history size and at Mobike scale.
+	for _, h := range []int{12800, 1000000} {
+		rng := stats.NewRNG(uint64(h))
+		hist := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, h)
+		window := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(1000, 1000), 5000)}, 100)
+		add(fmt.Sprintf("ks/online/H=%d", h), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := stats.Peacock2DFast(hist, window); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	train, test := benchSeries()
 	specs := benchGridSpecs()
 	add("grid/forecast", func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Package detcallback enforces purity of the closures handed to the
 // deterministic fork-join engine. A callback passed to
-// parallel.For/ForChunks/Map/MapReduce/MinIndex/MaxFloat executes on an
+// parallel.For/ForChunks/Map/MapReduce/MinIndex executes on an
 // arbitrary worker in an arbitrary interleaving; the engine's
 // bit-identical-at-any-worker-count guarantee (DESIGN.md §9) holds only
 // if the callback is a pure function of its index and captured inputs.
@@ -43,7 +43,6 @@ var entryPoints = map[string]bool{
 	"Map":       true,
 	"MapReduce": true,
 	"MinIndex":  true,
-	"MaxFloat":  true,
 }
 
 // clockFuncs are the time functions that read the wall clock.

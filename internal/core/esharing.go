@@ -106,7 +106,8 @@ var _ OnlinePlacer = (*ESharing)(nil)
 // offline is the landmark station set P from Algorithm 1 (at least one);
 // baseOpening is the real space-occupation cost f charged per station;
 // hist is the historical destination sample H backing the KS test (may be
-// empty when cfg.TestEvery is 0).
+// empty when cfg.TestEvery is 0; every point must be finite, or the error
+// wraps stats.ErrNonFiniteSample).
 func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg ESharingConfig) (*ESharing, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -119,6 +120,11 @@ func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg
 	}
 	if cfg.TestEvery > 0 && len(hist) == 0 {
 		return nil, fmt.Errorf("core: KS testing enabled but historical sample is empty")
+	}
+	for i, p := range hist {
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("core: historical sample point %d %v: %w", i, p, stats.ErrNonFiniteSample)
+		}
 	}
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = cfg.TestEvery

@@ -45,6 +45,10 @@ func TestNewESharingValidation(t *testing.T) {
 		{"no landmarks", nil, 5000, hist, nil},
 		{"zero opening", landmark, 0, hist, nil},
 		{"test enabled without history", landmark, 5000, nil, nil},
+		{"NaN history point", landmark, 5000, []geo.Point{geo.Pt(0, 0), geo.Pt(math.NaN(), 1)}, nil},
+		{"infinite history point", landmark, 5000, []geo.Point{geo.Pt(0, math.Inf(-1)), geo.Pt(1, 1)}, nil},
+		{"non-finite history with test off", landmark, 5000, []geo.Point{geo.Pt(math.Inf(1), 0)},
+			func(c *ESharingConfig) { c.TestEvery = 0 }},
 		{"beta below one", landmark, 5000, hist, func(c *ESharingConfig) { c.Beta = 0.5 }},
 		{"bad tolerance", landmark, 5000, hist, func(c *ESharingConfig) { c.Tolerance = 0 }},
 		{"negative interval", landmark, 5000, hist, func(c *ESharingConfig) { c.TestEvery = -1 }},

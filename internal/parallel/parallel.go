@@ -1,10 +1,9 @@
 // Package parallel is the repository's deterministic fork–join engine.
 //
 // Every compute path in this codebase — the offline facility-location
-// greedy, the Peacock 2-D KS statistic, the forecasting grids and the
-// experiment sweeps — must produce bit-identical output for a given seed
-// regardless of how many cores it runs on. This package makes that
-// tractable by construction:
+// greedy, the forecasting grids and the experiment sweeps — must
+// produce bit-identical output for a given seed regardless of how many
+// cores it runs on. This package makes that tractable by construction:
 //
 //   - Work is split over index ranges into at most `workers` contiguous
 //     chunks; each chunk is processed by one goroutine in ascending index
@@ -20,7 +19,7 @@
 // With those three rules, workers=1 and workers=N run the same
 // floating-point operations in the same order per item and combine them
 // identically, so output bits cannot depend on the worker count. The
-// differential tests in this package and in core/stats/experiments
+// differential tests in this package and in core/forecast/experiments
 // enforce that at parallelism 1, 2, 4 and 7.
 //
 // The process-wide default worker count comes from the
@@ -218,39 +217,4 @@ func MinIndex(workers, n int, key func(i int) float64) (int, float64) {
 		}
 	}
 	return best.idx, best.val
-}
-
-// MaxFloat returns the maximum of f(0..n-1) under strict > with NaN
-// values ignored, folding chunk maxima in chunk order; -Inf when n == 0
-// or every value is NaN. The maximum of a set is permutation-invariant,
-// but the fixed fold order keeps the implementation auditable against
-// the sequential loop it replaces.
-func MaxFloat(workers, n int, f func(i int) float64) float64 {
-	scan := func(lo, hi int) float64 {
-		best := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			if v := f(i); v > best {
-				best = v
-			}
-		}
-		return best
-	}
-	if n <= 0 {
-		return math.Inf(-1)
-	}
-	workers = clamp(workers, n)
-	if workers == 1 {
-		return scan(0, n)
-	}
-	chunks := make([]float64, workers)
-	ForChunks(workers, n, func(w, lo, hi int) {
-		chunks[w] = scan(lo, hi)
-	})
-	best := math.Inf(-1)
-	for _, v := range chunks {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }

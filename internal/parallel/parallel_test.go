@@ -96,33 +96,6 @@ func TestMinIndexEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMaxFloatMatchesSequentialScan(t *testing.T) {
-	rng := stats.NewRNG(31)
-	for trial := 0; trial < 50; trial++ {
-		n := rng.IntN(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			if rng.IntN(8) == 0 {
-				vals[i] = math.NaN()
-			} else {
-				vals[i] = rng.Float64()*100 - 50
-			}
-		}
-		want := math.Inf(-1)
-		for _, v := range vals {
-			if v > want {
-				want = v
-			}
-		}
-		for _, workers := range workerCounts {
-			got := parallel.MaxFloat(workers, n, func(i int) float64 { return vals[i] })
-			if got != want {
-				t.Fatalf("trial %d workers=%d: max %v, want %v", trial, workers, got, want)
-			}
-		}
-	}
-}
-
 func TestForChunksCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7, 16, 100} {
 		for _, n := range []int{0, 1, 2, 7, 64, 101} {

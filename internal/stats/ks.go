@@ -1,15 +1,20 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
-	"repro/internal/parallel"
 )
 
 // ErrEmptySample is returned by the KS tests when either sample is empty.
 var ErrEmptySample = errors.New("stats: empty sample")
+
+// ErrNonFiniteSample is returned by Peacock2DFast when a sample point has
+// a NaN or infinite coordinate.
+var ErrNonFiniteSample = errors.New("stats: non-finite sample point")
 
 // KS1D computes the two-sample one-dimensional Kolmogorov–Smirnov statistic
 // D = sup_x |F_a(x) - F_b(x)| between the empirical CDFs of a and b.
@@ -78,40 +83,122 @@ func Peacock2D(a, b []geo.Point) (float64, error) {
 
 // Peacock2DFast computes the same statistic but restricts quadrant origins
 // to the observed sample points instead of the full O(n²) coordinate grid
-// (the standard practical variant, e.g. Press et al.). It costs O(n²) and
-// is a lower bound on Peacock2D that closely tracks it; the online
-// placement loop uses this version, while tests verify its agreement with
-// the brute-force reference.
+// (the standard practical variant, e.g. Press et al.). It is a lower bound
+// on Peacock2D that closely tracks it; the online placement loop uses this
+// version, while tests verify its agreement with the brute-force
+// reference.
+//
+// Counting each origin's quadrants point by point would cost O(n²). An
+// exact sweep replaces that recount (DESIGN.md §15): the pooled origins
+// are visited in descending x while a Fenwick tree per sample, keyed by
+// y rank, holds the points with x at or right of the sweep line. The
+// four quadrant counts at every origin then follow from three prefix
+// counts, so the whole statistic costs O(n log n) on one goroutine. The
+// counts are the integers quadrantMaxDiff would produce, and each
+// quadrant's difference is the same float expression, so the result is
+// bit-identical to the per-origin loop kept as the test oracle.
+//
+// Every coordinate must be finite: a NaN or ±Inf returns
+// ErrNonFiniteSample, because the sweep's sort and rank order need a
+// total order on the coordinates.
 func Peacock2DFast(a, b []geo.Point) (float64, error) {
-	return Peacock2DFastWorkers(a, b, parallel.Default())
-}
-
-// Peacock2DFastWorkers is Peacock2DFast with an explicit worker count.
-// The per-origin quadrant statistic maps over the pooled origins (a's
-// points first, then b's — the sequential visiting order) and reduces by
-// max. Each origin's O(n) count is independent of every other and the
-// max of a set is permutation-invariant, so the result is bit-identical
-// at any worker count; workers == 1 runs the sequential seed loop.
-func Peacock2DFastWorkers(a, b []geo.Point, workers int) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, ErrEmptySample
 	}
-	origin := func(i int) geo.Point {
-		if i < len(a) {
-			return a[i]
+	ys := pooledCoords(a, b, func(p geo.Point) float64 { return p.Y })
+	m := len(ys)
+	n := len(a) + len(b)
+	pts := make([]sweepPoint, 0, n)
+	for s, sample := range [2][]geo.Point{a, b} {
+		for _, p := range sample {
+			if !p.IsFinite() {
+				return 0, ErrNonFiniteSample
+			}
+			// Ranks are equality classes under ==, so rank >= r is
+			// exactly y >= ys[r].
+			r, _ := slices.BinarySearch(ys, p.Y)
+			pts = append(pts, sweepPoint{x: p.X, rank: int32(r), sample: uint8(s)})
 		}
-		return b[i-len(a)]
 	}
-	d := parallel.MaxFloat(workers, len(a)+len(b), func(i int) float64 {
-		o := origin(i)
-		return quadrantMaxDiff(a, b, o.X, o.Y)
-	})
-	// quadrantMaxDiff is always >= 0, so the -Inf identity never escapes;
-	// guard anyway to keep the documented [0, 1] range unconditional.
-	if d < 0 {
-		d = 0
+
+	// aboveY[s][r] = #(sample s points with y rank >= r): the y-only
+	// marginal of the quadrant counts.
+	var aboveY [2][]int32
+	for s := range aboveY {
+		aboveY[s] = make([]int32, m+1)
+	}
+	for _, p := range pts {
+		aboveY[p.sample][p.rank]++
+	}
+	for s := range aboveY {
+		for r := m - 1; r >= 0; r-- {
+			aboveY[s][r] += aboveY[s][r+1]
+		}
+	}
+
+	slices.SortFunc(pts, func(p, q sweepPoint) int { return cmp.Compare(q.x, p.x) })
+	trees := [2]fenwick{make(fenwick, m), make(fenwick, m)}
+	sizes := [2]int{len(a), len(b)}
+	na, nb := float64(len(a)), float64(len(b))
+	var inserted [2]int
+	var d float64
+	for lo := 0; lo < n; {
+		// One equal-x group: every point with x == X must be inserted
+		// before any origin at X is queried, since quadrantOf files a
+		// point on the origin's own vertical line under x >= X.
+		hi := lo + 1
+		for hi < n && pts[hi].x == pts[lo].x {
+			hi++
+		}
+		for _, p := range pts[lo:hi] {
+			trees[p.sample].add(int(p.rank))
+			inserted[p.sample]++
+		}
+		for _, p := range pts[lo:hi] {
+			var c [2][4]int
+			for s := range c {
+				both := trees[s].atLeast(int(p.rank)) // #(x >= X, y >= Y)
+				right := inserted[s]                  // #(x >= X)
+				above := int(aboveY[s][p.rank])       // #(y >= Y)
+				c[s] = [4]int{sizes[s] - right - above + both, above - both, right - both, both}
+			}
+			for q := 0; q < 4; q++ {
+				if diff := abs(float64(c[0][q])/na - float64(c[1][q])/nb); diff > d {
+					d = diff
+				}
+			}
+		}
+		lo = hi
 	}
 	return d, nil
+}
+
+// sweepPoint is one pooled origin of the Peacock2DFast sweep: its x
+// coordinate, the rank of its y among the pooled distinct y values, and
+// the sample it came from (0 for a, 1 for b).
+type sweepPoint struct {
+	x      float64
+	rank   int32
+	sample uint8
+}
+
+// fenwick is a binary indexed tree over y ranks answering "how many
+// inserted points have rank >= r". Rank r lives at 1-based position
+// len(f)-r, so the suffix count is a prefix sum.
+type fenwick []int32
+
+func (f fenwick) add(r int) {
+	for i := len(f) - r; i <= len(f); i += i & -i {
+		f[i-1]++
+	}
+}
+
+func (f fenwick) atLeast(r int) int {
+	var sum int32
+	for i := len(f) - r; i > 0; i -= i & -i {
+		sum += f[i-1]
+	}
+	return int(sum)
 }
 
 // Similarity converts a KS statistic into the paper's similarity
