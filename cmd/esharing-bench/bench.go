@@ -90,6 +90,9 @@ func measureBenchSections() []benchRecord {
 	// The drift test Algorithm 2 runs every TestEvery requests: a
 	// 100-point window from a shifted box against a uniform history, at
 	// the server's default 7-day history size and at Mobike scale.
+	// ks/online is the uncached sweep over H and W; ks/reference is the
+	// per-test query the placer runs on a prebuilt KSReference, and
+	// ks/reference-build the one-off build it pays on its first test.
 	for _, h := range []int{12800, 1000000} {
 		rng := stats.NewRNG(uint64(h))
 		hist := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, h)
@@ -101,6 +104,26 @@ func measureBenchSections() []benchRecord {
 				}
 			}
 		})
+		ref, err := stats.NewKSReference(hist)
+		if err != nil {
+			panic(err)
+		}
+		add(fmt.Sprintf("ks/reference/H=%d", h), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ref.Statistic(window); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if h == 12800 {
+			add(fmt.Sprintf("ks/reference-build/H=%d", h), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := stats.NewKSReference(hist); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 
 	train, test := benchSeries()

@@ -82,7 +82,11 @@ type ESharing struct {
 	landmarks   int               // stations[:landmarks] came from the offline solution
 	index       *geo.DynamicIndex // established stations, in insertion order
 	penalty     Penalty
+	// hist is the caller's history H, held without a copy until the
+	// first KS test builds ks from it and drops it (nil when TestEvery
+	// is 0, since no test ever runs).
 	hist        []geo.Point
+	ks          ksStatistic
 	window      []geo.Point
 	requests    int
 	opensSince  int // online openings since last doubling
@@ -101,13 +105,22 @@ type ESharing struct {
 
 var _ OnlinePlacer = (*ESharing)(nil)
 
+// ksStatistic answers the drift test: the Peacock statistic between H
+// and a window. Production uses *stats.KSReference; tests substitute a
+// direct stats.Peacock2DFast oracle.
+type ksStatistic interface {
+	Statistic(window []geo.Point) (float64, error)
+}
+
 // NewESharing builds the placer.
 //
 // offline is the landmark station set P from Algorithm 1 (at least one);
 // baseOpening is the real space-occupation cost f charged per station;
 // hist is the historical destination sample H backing the KS test (may be
 // empty when cfg.TestEvery is 0; every point must be finite, or the error
-// wraps stats.ErrNonFiniteSample).
+// wraps stats.ErrNonFiniteSample). The placer keeps hist without copying
+// it and builds its KS reference from it on the first test, so the
+// caller must not modify hist after this call.
 func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg ESharingConfig) (*ESharing, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -133,6 +146,10 @@ func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg
 		cfg.WindowSize = 8
 	}
 
+	digest := esharingConfigDigest(offline, baseOpening, hist, cfg)
+	if cfg.TestEvery == 0 {
+		hist = nil
+	}
 	k := len(offline)
 	pen, err := NewPenalty(cfg.InitialPenalty, cfg.Tolerance)
 	if err != nil {
@@ -152,10 +169,10 @@ func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg
 		landmarks:    k,
 		index:        geo.NewDynamicIndex(offline),
 		penalty:      pen,
-		hist:         append([]geo.Point(nil), hist...),
+		hist:         hist,
 		lastSim:      100,
 		rng:          stats.NewSnapshotRNGStream(cfg.Seed, stats.StreamESharing),
-		configDigest: esharingConfigDigest(offline, baseOpening, hist, cfg),
+		configDigest: digest,
 	}, nil
 }
 
@@ -230,9 +247,17 @@ func (e *ESharing) pushWindow(dest geo.Point) {
 
 // runTest performs the Peacock 2-D KS test (Eq. 9) between the historical
 // sample and the recent window and switches the penalty function per the
-// Section V-C bands.
+// Section V-C bands. The first test builds the KS reference from H
+// (DESIGN.md §15); a placer that never tests never pays for it.
 func (e *ESharing) runTest() {
-	d, err := stats.Peacock2DFast(e.hist, e.window)
+	if e.ks == nil {
+		ks, err := stats.NewKSReference(e.hist)
+		if err != nil {
+			return // unreachable: NewESharing validated H
+		}
+		e.ks, e.hist = ks, nil
+	}
+	d, err := e.ks.Statistic(e.window)
 	if err != nil {
 		return // window too small; keep the current regime
 	}

@@ -15,8 +15,8 @@ import (
 type Table4Config struct {
 	TripsWeekday, TripsWeekend int
 	Seed                       uint64
-	// SamplePerDay caps the per-day destination sample for the O(n²) KS
-	// test (0 means all).
+	// SamplePerDay caps the per-day destination sample for the
+	// O(n log n) KS test (0 means all).
 	SamplePerDay int
 	// PerHour follows the paper's protocol exactly: compare the same hour
 	// interval across days and average the similarity over the 24 hours

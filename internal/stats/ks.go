@@ -3,6 +3,7 @@ package stats
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
 	"sort"
 
@@ -43,7 +44,7 @@ func KS1D(a, b []float64) (float64, error) {
 		}
 		fa := float64(i) / float64(len(as))
 		fb := float64(j) / float64(len(bs))
-		if diff := abs(fa - fb); diff > d {
+		if diff := math.Abs(fa - fb); diff > d {
 			d = diff
 		}
 	}
@@ -121,27 +122,48 @@ func Peacock2DFast(a, b []geo.Point) (float64, error) {
 		}
 	}
 
+	na, nb := float64(len(a)), float64(len(b))
+	var d float64
+	quadrantSweep(pts, m, [2]int{len(a), len(b)}, func(_ int, c [2][4]int) {
+		for q := 0; q < 4; q++ {
+			if diff := math.Abs(float64(c[0][q])/na - float64(c[1][q])/nb); diff > d {
+				d = diff
+			}
+		}
+	})
+	return d, nil
+}
+
+// quadrantSweep is the exact counting sweep behind Peacock2DFast and the
+// KSReference build (DESIGN.md §15). Every point of pts is a quadrant
+// origin; sizes[s] is the number of pts from sample s, and every rank
+// lies in [0, ranks). Ranks must be ordered like y and equal exactly
+// when the y values are equal, so rank >= r is y >= Y.
+//
+// pts is sorted in place by descending x, and visit(k, c) is called once
+// for each origin pts[k] in that order, with c[s] holding sample s's
+// counts in quadrantOf's four quadrants.
+func quadrantSweep(pts []sweepPoint, ranks int, sizes [2]int, visit func(k int, c [2][4]int)) {
 	// aboveY[s][r] = #(sample s points with y rank >= r): the y-only
 	// marginal of the quadrant counts.
 	var aboveY [2][]int32
 	for s := range aboveY {
-		aboveY[s] = make([]int32, m+1)
+		aboveY[s] = make([]int32, ranks+1)
 	}
 	for _, p := range pts {
 		aboveY[p.sample][p.rank]++
 	}
 	for s := range aboveY {
-		for r := m - 1; r >= 0; r-- {
+		for r := ranks - 1; r >= 0; r-- {
 			aboveY[s][r] += aboveY[s][r+1]
 		}
 	}
 
 	slices.SortFunc(pts, func(p, q sweepPoint) int { return cmp.Compare(q.x, p.x) })
-	trees := [2]fenwick{make(fenwick, m), make(fenwick, m)}
-	sizes := [2]int{len(a), len(b)}
-	na, nb := float64(len(a)), float64(len(b))
+	trees := [2]fenwick{make(fenwick, ranks), make(fenwick, ranks)}
 	var inserted [2]int
-	var d float64
+	var c [2][4]int
+	n := len(pts)
 	for lo := 0; lo < n; {
 		// One equal-x group: every point with x == X must be inserted
 		// before any origin at X is queried, since quadrantOf files a
@@ -154,28 +176,22 @@ func Peacock2DFast(a, b []geo.Point) (float64, error) {
 			trees[p.sample].add(int(p.rank))
 			inserted[p.sample]++
 		}
-		for _, p := range pts[lo:hi] {
-			var c [2][4]int
+		for k := lo; k < hi; k++ {
+			r := int(pts[k].rank)
 			for s := range c {
-				both := trees[s].atLeast(int(p.rank)) // #(x >= X, y >= Y)
-				right := inserted[s]                  // #(x >= X)
-				above := int(aboveY[s][p.rank])       // #(y >= Y)
+				both := trees[s].atLeast(r) // #(x >= X, y >= Y)
+				right := inserted[s]        // #(x >= X)
+				above := int(aboveY[s][r])  // #(y >= Y)
 				c[s] = [4]int{sizes[s] - right - above + both, above - both, right - both, both}
 			}
-			for q := 0; q < 4; q++ {
-				if diff := abs(float64(c[0][q])/na - float64(c[1][q])/nb); diff > d {
-					d = diff
-				}
-			}
+			visit(k, c)
 		}
 		lo = hi
 	}
-	return d, nil
 }
 
-// sweepPoint is one pooled origin of the Peacock2DFast sweep: its x
-// coordinate, the rank of its y among the pooled distinct y values, and
-// the sample it came from (0 for a, 1 for b).
+// sweepPoint is one origin of quadrantSweep: its x coordinate, the rank
+// of its y, and the sample it came from (0 for a, 1 for b).
 type sweepPoint struct {
 	x      float64
 	rank   int32
@@ -288,7 +304,7 @@ func quadrantMaxDiff(a, b []geo.Point, x, y float64) float64 {
 	na, nb := float64(len(a)), float64(len(b))
 	var d float64
 	for q := 0; q < 4; q++ {
-		if diff := abs(float64(ca[q])/na - float64(cb[q])/nb); diff > d {
+		if diff := math.Abs(float64(ca[q])/na - float64(cb[q])/nb); diff > d {
 			d = diff
 		}
 	}
@@ -304,11 +320,4 @@ func quadrantOf(p geo.Point, x, y float64) int {
 		q |= 1
 	}
 	return q
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -15,7 +15,8 @@ import (
 // permutation is the standard distribution-free answer and stays exact
 // under the null.
 //
-// The test uses the O(n²) sample-origin statistic for tractability.
+// The test uses the sample-origin statistic, Peacock2DFast, whose exact
+// sweep costs O(n log n) per round.
 func PermutationPValue(a, b []geo.Point, rounds int, seed uint64) (observed, pValue float64, err error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0, ErrEmptySample

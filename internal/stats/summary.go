@@ -33,7 +33,7 @@ func MAE(predicted, actual []float64) (float64, error) {
 	}
 	var sum float64
 	for i := range predicted {
-		sum += abs(predicted[i] - actual[i])
+		sum += math.Abs(predicted[i] - actual[i])
 	}
 	return sum / float64(len(predicted)), nil
 }
