@@ -8,8 +8,10 @@
 //	GET  /v1/stats                               -> counters + similarity
 //	GET  /healthz                                -> liveness
 //
-// A -trips-csv history of any size is streamed in two bounded-memory
-// passes and kept only as projected destinations, never as trips.
+// A -trips-csv history of any size is streamed in one bounded-memory
+// pass and kept only as projected destinations, never as trips; with
+// several shards it is split into one exact-size array of per-shard
+// histories.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -170,13 +173,21 @@ func run(args []string) error {
 
 // loadHistory returns the planar end point of every historical trip —
 // the only piece of a trip the offline plan and the placers consume.
-// A CSV is streamed twice and never materialised as []dataset.Trip:
-// pass 1 reduces it to its geohash bounding boxes and row count, pass 2
-// streams the projected end points. Peak memory is the scanner's
-// O(ChunkSize × Workers) plus the end-point slice. The projection
-// centre comes from the data's own geohash bounding box: hard-coding
-// Beijing would project any other city's trips hundreds of kilometres
-// from the planar origin, far outside the tangent-plane regime.
+// A CSV is streamed once and never materialised as []dataset.Trip: the
+// pass folds the geohash bounding box and keeps each row's decoded end
+// centre, then projects those ends in place once the box gives the
+// projection centre. Peak memory is the scanner's O(ChunkSize × Workers)
+// plus 16 B per row. The centre comes from the data's own geohash
+// bounding box: hard-coding Beijing would project any other city's
+// trips hundreds of kilometres from the planar origin, far outside the
+// tangent-plane regime.
+//
+// A malformed row or an invalid geohash fails the load at its row. An
+// empty geohash fails it too, but ranks below both: the first one is
+// held and reported, with its row's line, only once the scan has
+// succeeded and some geohash gave a centre. With no geohash at all the
+// error is dataset.ErrNoGeohashes, and a header-only CSV is an empty
+// history.
 func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if csvPath == "" {
 		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
@@ -189,8 +200,28 @@ func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts dataset.ScanOptions
-	sum, err := dataset.ScanSummarize(f, opts)
+	// Until the centre is known each end is held geodetically, as
+	// Point{X: Lng, Y: Lat}, in the slot its projection will take.
+	ends := make([]geo.Point, 0, estimateRows(f))
+	var pending error
+	sum, err := dataset.ScanSummarizeVisit(f, dataset.ScanOptions{}, func(batch []dataset.RawTrip) error {
+		if pending != nil {
+			return nil
+		}
+		for i := range batch {
+			rt := &batch[i]
+			if !rt.HasStartLL || !rt.HasEndLL {
+				side := "end"
+				if !rt.HasStartLL {
+					side = "start"
+				}
+				pending = &dataset.RowError{Line: rt.Line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
+				return nil
+			}
+			ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
+		}
+		return nil
+	})
 	if closeErr := f.Close(); err == nil {
 		err = closeErr
 	}
@@ -200,25 +231,39 @@ func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if sum.Trips == 0 {
 		return nil, nil
 	}
-	// Every geohash empty: ErrNoGeohashes, since pass 2 would reject the
-	// first row anyway.
 	center, err := sum.Center()
 	if err != nil {
 		return nil, err
 	}
-	f, err = os.Open(csvPath)
-	if err != nil {
-		return nil, err
+	if pending != nil {
+		return nil, pending
 	}
-	defer func() { _ = f.Close() }()
-	ends := make([]geo.Point, 0, sum.Trips)
-	if _, err := dataset.ScanEndPoints(f, geo.NewProjector(center), opts, func(pts []geo.Point) error {
-		ends = append(ends, pts...)
-		return nil
-	}); err != nil {
-		return nil, err
+	projector := geo.NewProjector(center)
+	for i, ll := range ends {
+		ends[i] = projector.ToPlane(geo.LatLng{Lat: ll.Y, Lng: ll.X})
 	}
 	return ends, nil
+}
+
+// estimateRows guesses a CSV's row count from its size and the line
+// density of its first 64 KiB, with 1/32 headroom, so the end-point
+// slice is allocated once: growing it by doubling would copy the whole
+// history and raise peak memory by up to half again. A short guess
+// costs only that growth; capacity past the last row is never touched.
+func estimateRows(f *os.File) int {
+	st, err := f.Stat()
+	if err != nil || st.Size() <= 0 {
+		return 0
+	}
+	head := make([]byte, min(st.Size(), 64<<10))
+	// A failed read only loses the estimate; the scan reports it.
+	n, _ := f.ReadAt(head, 0)
+	lines := bytes.Count(head[:n], []byte{'\n'})
+	if lines == 0 {
+		return 0
+	}
+	rows := st.Size() * int64(lines) / int64(n)
+	return int(rows + rows/32 + 1)
 }
 
 // buildPlacers builds one placer per shard. The historical trip
@@ -237,11 +282,7 @@ func buildPlacers(algorithm string, history []geo.Point, opening float64, seed u
 		}
 		return []core.OnlinePlacer{p}, nil
 	}
-	parts := make([][]geo.Point, shards)
-	for _, end := range history {
-		i := geo.ShardOf(end, precision, shards)
-		parts[i] = append(parts[i], end)
-	}
+	parts := partitionByShard(history, precision, shards)
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
 		part := parts[i]
@@ -255,6 +296,44 @@ func buildPlacers(algorithm string, history []geo.Point, opening float64, seed u
 		placers[i] = p
 	}
 	return placers, nil
+}
+
+// partitionByShard splits history by geo.ShardOf into parts that keep
+// history's order, so each shard's history — and with it the shard's
+// config digest in the decision log — is independent of how the split is
+// done. One pass counts the parts and records each point's shard in a
+// 1 B index; the second scatters into a single backing array cut to the
+// counts. That is 17 B per point, where appending into per-shard slices
+// re-copies each part as it grows.
+func partitionByShard(history []geo.Point, precision, shards int) [][]geo.Point {
+	if shards <= 1<<8 {
+		return partitionBy[uint8](history, precision, shards)
+	}
+	return partitionBy[uint32](history, precision, shards)
+}
+
+func partitionBy[I uint8 | uint32](history []geo.Point, precision, shards int) [][]geo.Point {
+	shardOf := make([]I, len(history))
+	counts := make([]int, shards)
+	for i, p := range history {
+		s := geo.ShardOf(p, precision, shards)
+		shardOf[i] = I(s)
+		counts[s]++
+	}
+	backing := make([]geo.Point, len(history))
+	parts := make([][]geo.Point, shards)
+	off := 0
+	for s, n := range counts {
+		// Capacity is exactly the count, so the appends below fill the
+		// part in place and never spill into its neighbour.
+		parts[s] = backing[off : off : off+n]
+		off += n
+	}
+	for i, p := range history {
+		s := shardOf[i]
+		parts[s] = append(parts[s], p)
+	}
+	return parts
 }
 
 // allStations concatenates the shards' initial stations in shard-index

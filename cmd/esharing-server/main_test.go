@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -129,17 +131,51 @@ func TestLoadHistoryCSV(t *testing.T) {
 // TestLoadHistoryErrors covers the CSV loader's failure modes. A history
 // whose geohashes are all empty has no projection centre and fails with
 // dataset.ErrNoGeohashes instead of falling back to a default city.
+//
+// The one-pass loader must report exactly what the two-pass loader it
+// replaced did (a summary pass skipping empty geohashes, then a
+// projection pass requiring them): a malformed row or an invalid
+// geohash fails at its own line even after an empty geohash, and an
+// empty geohash is reported at its line only when nothing else failed.
 func TestLoadHistoryErrors(t *testing.T) {
 	dir := t.TempDir()
 	hdr := "orderid,userid,bikeid,biketype,starttime,geohashed_start_loc,geohashed_end_loc\n"
+	row := func(id int, start, end string) string {
+		return fmt.Sprintf("%d,2,3,1,2017-05-10 08:00:00,%s,%s\n", id, start, end)
+	}
+	valid := func(id int) string { return row(id, "wx4g0bm", "wx4g0bn") }
 	cases := []struct {
 		name    string
 		content string // "" leaves the file missing
 		want    error
+		text    string // exact error text, when set
 	}{
-		{"missing file", "", fs.ErrNotExist},
-		{"all empty geohashes", hdr + "1,2,3,1,2017-05-10 08:00:00,,\n2,2,3,1,2017-05-10 08:01:00,,\n", dataset.ErrNoGeohashes},
-		{"bad header", "orderid,userid\n1,2\n", dataset.ErrBadHeader},
+		{name: "missing file", want: fs.ErrNotExist},
+		{name: "all empty geohashes", content: hdr + row(1, "", "") + row(2, "", ""), want: dataset.ErrNoGeohashes},
+		{name: "bad header", content: "orderid,userid\n1,2\n", want: dataset.ErrBadHeader},
+		{
+			name:    "empty end then invalid geohash",
+			content: hdr + valid(1) + row(2, "wx4g0bm", "") + valid(3) + valid(4) + row(5, "wx4g0bm", "wx4I0bn"),
+			want:    geo.ErrInvalidGeohash,
+			text:    "line 6: end geohash: geo: invalid geohash: byte 'I' at 3",
+		},
+		{
+			name:    "single empty start geohash",
+			content: hdr + valid(1) + valid(2) + row(3, "", "wx4g0bn") + valid(4),
+			want:    geo.ErrInvalidGeohash,
+			text:    "line 4: start geohash: geo: invalid geohash",
+		},
+		{
+			name:    "empty geohash then bad orderid",
+			content: hdr + valid(1) + row(2, "wx4g0bm", "") + valid(3) + "x4,2,3,1,2017-05-10 08:00:00,wx4g0bm,wx4g0bn\n",
+			text:    `line 5: orderid: invalid integer`,
+		},
+		{
+			name:    "first empty geohash wins",
+			content: hdr + valid(1) + row(2, "", "") + row(3, "wx4g0bm", ""),
+			want:    geo.ErrInvalidGeohash,
+			text:    "line 3: start geohash: geo: invalid geohash",
+		},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,10 +185,32 @@ func TestLoadHistoryErrors(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := loadHistory(path, 0, 0); !errors.Is(err, tc.want) {
+			ends, err := loadHistory(path, 0, 0)
+			if err == nil {
+				t.Fatalf("loadHistory returned %d destinations, want an error", len(ends))
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("loadHistory error %v, want %v", err, tc.want)
 			}
+			if tc.text != "" {
+				var rowErr *dataset.RowError
+				if !errors.As(err, &rowErr) {
+					t.Fatalf("loadHistory error %v is not a *dataset.RowError", err)
+				}
+				if err.Error() != tc.text {
+					t.Fatalf("loadHistory error %q, want %q", err, tc.text)
+				}
+			}
 		})
+	}
+
+	// A header-only file is an empty history, not an error.
+	path := filepath.Join(dir, "header-only.csv")
+	if err := os.WriteFile(path, []byte(hdr), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if ends, err := loadHistory(path, 0, 0); ends != nil || err != nil {
+		t.Fatalf("header-only CSV: loadHistory = %v, %v; want nil, nil", ends, err)
 	}
 }
 
@@ -185,9 +243,13 @@ func oracleEnds(t *testing.T, path string) []geo.Point {
 	return dataset.EndPoints(trips)
 }
 
-// TestLoadHistoryMatchesOracle pins the two-pass streaming loader to the
+// TestLoadHistoryMatchesOracle pins the one-pass streaming loader to the
 // materialising pipeline bit for bit: both derive the projection centre
-// from the same geohash bounding box and project the same ends.
+// from the same geohash bounding box and project the same ends. It pins
+// the loader's fold, in-place projection and row order. The geohash
+// decode itself is not under test here: GeohashCenter and ProjectTrips
+// go through the same production decoder, which the geo package's
+// exhaustive and fuzz differentials pin to the bisection oracle.
 func TestLoadHistoryMatchesOracle(t *testing.T) {
 	for name, trips := range map[string][]dataset.Trip{
 		"synthetic": testHistory(t),
@@ -214,16 +276,17 @@ func TestLoadHistoryMatchesOracle(t *testing.T) {
 
 // TestLoadHistoryMemoryBound states the startup memory bound of a CSV
 // history and checks it. loadHistory may allocate 16 B per row for the
-// end-point slice, a fixed scanner term per pass, and slack — nothing
-// else that grows with the row count. Per pass the scanner holds one
-// ChunkSize header buffer and, per worker, a ChunkSize read buffer and a
-// RawTrip batch presized at ChunkSize/32 slots. Materialising every
-// dataset.Trip instead costs ~780 B per row and breaks the bound.
+// end-point slice, one fixed scanner term for its single pass, and
+// slack — nothing else that grows with the row count. The scanner holds
+// one ChunkSize header buffer and, per worker, a ChunkSize read buffer
+// and a RawTrip batch presized at ChunkSize/32 slots. Materialising
+// every dataset.Trip instead costs ~780 B per row and breaks the bound,
+// and so does a second pass over the file.
 func TestLoadHistoryMemoryBound(t *testing.T) {
 	const (
 		chunkSize = 1 << 20 // the ScanOptions default
 		workers   = 2
-		slack     = 4 << 20 // per-batch point slices and file state
+		slack     = 4 << 20 // the row estimate's headroom and file state
 	)
 	prev := parallel.Default()
 	parallel.SetDefault(workers)
@@ -266,7 +329,7 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 		t.Fatalf("loaded %d destinations, want %d", len(ends), rows)
 	}
 	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(dataset.RawTrip{})))
-	bound := uint64(16*rows + 2*perPass + slack)
+	bound := uint64(16*rows + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d rows: allocated %.1f MiB (%.0f B/row), bound %.1f MiB",
 		rows, float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
@@ -436,6 +499,86 @@ func TestBuildPlacersSharded(t *testing.T) {
 
 	if _, err := buildPlacers("nope", history, 10000, 1, 3, 4); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+}
+
+// appendPartition is the shard partition buildPlacers used to run,
+// appending each point to its shard's growing slice. It is the oracle
+// for partitionByShard.
+func appendPartition(history []geo.Point, precision, shards int) [][]geo.Point {
+	parts := make([][]geo.Point, shards)
+	for _, end := range history {
+		i := geo.ShardOf(end, precision, shards)
+		parts[i] = append(parts[i], end)
+	}
+	return parts
+}
+
+// TestBuildPlacersPartitionAlloc checks the cold-start shard partition:
+// each part equals the append-based oracle bit for bit (the order a
+// shard's history has, and so its config digest, is unchanged), and the
+// whole partition allocates one exact-size backing array and a 1 B
+// shard index — 17 B per point plus slack. Growing per-shard slices
+// costs about twice the history in copies, and a full-size slice per
+// shard costs shards × |H|; both break the bound.
+func TestBuildPlacersPartitionAlloc(t *testing.T) {
+	const (
+		n      = 100_000
+		shards = 4
+		prec   = 6
+		slack  = 64 << 10
+	)
+	rng := rand.New(rand.NewPCG(5, 6))
+	history := make([]geo.Point, n)
+	for i := range history {
+		history[i] = geo.Pt(rng.Float64()*40_000-20_000, rng.Float64()*40_000-20_000)
+	}
+	want := appendPartition(history, prec, shards)
+	for s, part := range want {
+		if len(part) < n/(4*shards) {
+			t.Fatalf("oracle shard %d holds %d of %d points: the fixture does not spread", s, len(part), n)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got := partitionByShard(history, prec, shards)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(17*n + slack)
+	t.Logf("%d points over %d shards: allocated %d B (%.1f B/point), bound %d B", n, shards, alloc, float64(alloc)/n, bound)
+	if alloc > bound {
+		t.Fatalf("partition allocated %d B for %d points, bound %d B", alloc, n, bound)
+	}
+
+	if len(got) != shards {
+		t.Fatalf("%d parts, want %d", len(got), shards)
+	}
+	for s := range want {
+		if len(got[s]) != len(want[s]) {
+			t.Fatalf("shard %d: %d points, oracle %d", s, len(got[s]), len(want[s]))
+		}
+		for i := range want[s] {
+			if math.Float64bits(got[s][i].X) != math.Float64bits(want[s][i].X) ||
+				math.Float64bits(got[s][i].Y) != math.Float64bits(want[s][i].Y) {
+				t.Fatalf("shard %d point %d: %v, oracle %v", s, i, got[s][i], want[s][i])
+			}
+		}
+	}
+
+	// Past 256 shards the index widens; the parts must not change.
+	wide := partitionByShard(history, prec, 300)
+	oracle := appendPartition(history, prec, 300)
+	for s := range oracle {
+		if len(wide[s]) != len(oracle[s]) {
+			t.Fatalf("300 shards, shard %d: %d points, oracle %d", s, len(wide[s]), len(oracle[s]))
+		}
+		for i := range oracle[s] {
+			if wide[s][i] != oracle[s][i] {
+				t.Fatalf("300 shards, shard %d point %d: %v, oracle %v", s, i, wide[s][i], oracle[s][i])
+			}
+		}
 	}
 }
 

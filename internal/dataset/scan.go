@@ -82,6 +82,10 @@ func (o ScanOptions) withDefaults() ScanOptions {
 // the scanner's chunk buffer and are only valid during the emit callback;
 // copy (or string()) them to retain.
 type RawTrip struct {
+	// Line is the 1-based file line the record starts on (the header is
+	// line 1), the line a RowError about this record would carry.
+	Line int
+
 	OrderID   int64
 	UserID    int64
 	BikeID    int64
@@ -136,7 +140,8 @@ func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) 
 	po := &opts
 	for {
 		// Fill up to `workers` record-aligned chunks, tracking the
-		// newline count preceding each so errors carry file lines.
+		// newline count preceding each so rows and errors carry file
+		// lines.
 		n := 0
 		for w := 0; w < workers; w++ {
 			chunk, err := s.nextChunk(&bufs[w])
@@ -156,13 +161,12 @@ func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) 
 		}
 		// Deterministic parallel parse: chunk index = task index.
 		parallel.For(workers, n, func(_, i int) {
-			parseChunk(chunks[i], po, &parses[i])
+			parseChunk(chunks[i], bases[i], po, &parses[i])
 		})
 		// In-order fold.
 		for i := 0; i < n; i++ {
 			p := &parses[i]
 			if p.err != nil {
-				p.err.Line += 1 + bases[i]
 				return p.err
 			}
 			if len(p.trips) > 0 {
@@ -371,14 +375,15 @@ func cutRecord(b []byte, final bool) (rec []byte, n int, ok bool) {
 // chunkParse is one worker's reusable parse output.
 type chunkParse struct {
 	trips []RawTrip
-	err   *RowError // Line is chunk-relative until the fold rebases it
+	err   *RowError
 }
 
-// parseChunk parses every record in a record-aligned chunk. It runs
-// inside parallel.For: it only touches its own chunk and output slot.
-// Records parse directly into their output slot (every RawTrip field is
-// written on success) so the hot loop never zeroes or copies a struct.
-func parseChunk(chunk []byte, opts *ScanOptions, out *chunkParse) {
+// parseChunk parses every record in a record-aligned chunk that follows
+// base newlines of the file. It runs inside parallel.For: it only
+// touches its own chunk and output slot. Records parse directly into
+// their output slot (every RawTrip field is written on success) so the
+// hot loop never zeroes or copies a struct.
+func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 	if cap(out.trips) == 0 && len(chunk) > 0 {
 		// Reserve for the shortest plausible Mobike record up front:
 		// growing by doubling would repeatedly allocate and zero
@@ -387,7 +392,7 @@ func parseChunk(chunk []byte, opts *ScanOptions, out *chunkParse) {
 	}
 	out.trips = out.trips[:0]
 	out.err = nil
-	lines := 0
+	lines := base + 1 // file line of the next record
 	pos := 0
 	for pos < len(chunk) {
 		rest := chunk[pos:]
@@ -424,6 +429,7 @@ func parseChunk(chunk []byte, opts *ScanOptions, out *chunkParse) {
 			out.trips = append(out.trips, RawTrip{})
 		}
 		rt := &out.trips[len(out.trips)-1]
+		rt.Line = recLine
 		var err error
 		if quoted {
 			// Only quoted records can span lines.
@@ -691,6 +697,16 @@ func (s ScanSummary) EndBounds(projector *geo.Projector) (geo.BBox, bool) {
 // Empty geohash fields are skipped (GeohashCenter semantics); invalid
 // ones fail the scan.
 func ScanSummarize(r io.Reader, opts ScanOptions) (ScanSummary, error) {
+	return ScanSummarizeVisit(r, opts, nil)
+}
+
+// ScanSummarizeVisit is ScanSummarize that also hands every batch, its
+// geohashes decoded as ScanSummarize decodes them, to visit after
+// folding it. A consumer that needs both the rows and the summary — the
+// server's loader keeps the end points and projects them once the
+// centre is known — reads the file once. A nil visit is ScanSummarize;
+// a visit error aborts the scan and is returned verbatim.
+func ScanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTrip) error) (ScanSummary, error) {
 	opts.decodeGeohashes = true
 	opts.allowEmptyGeohash = true
 	sum := ScanSummary{
@@ -714,6 +730,9 @@ func ScanSummarize(r io.Reader, opts ScanOptions) (ScanSummary, error) {
 				sum.EndMinLat, sum.EndMaxLat = min(sum.EndMinLat, rt.EndLL.Lat), max(sum.EndMaxLat, rt.EndLL.Lat)
 				sum.EndMinLng, sum.EndMaxLng = min(sum.EndMinLng, rt.EndLL.Lng), max(sum.EndMaxLng, rt.EndLL.Lng)
 			}
+		}
+		if visit != nil {
+			return visit(batch)
 		}
 		return nil
 	})

@@ -24,6 +24,25 @@ import (
 var diffWorkers = []int{1, 2, 4, 7}
 var diffChunks = []int{3, 7, 53, 1 << 12, 1 << 20}
 
+// referenceLines is the 1-based file line each record of a valid input
+// starts on, as encoding/csv's FieldPos reports it.
+func referenceLines(t *testing.T, input string) []int {
+	t.Helper()
+	cr := csv.NewReader(strings.NewReader(input))
+	cr.FieldsPerRecord = len(csvHeader)
+	var lines []int
+	for {
+		if _, err := cr.Read(); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatalf("reference read of a valid input: %v", err)
+		}
+		line, _ := cr.FieldPos(0)
+		lines = append(lines, line)
+	}
+	return lines[1:] // the header
+}
+
 func diffCodecs(t *testing.T, input string) {
 	t.Helper()
 	projectors := []*geo.Projector{nil, geo.NewProjector(geo.LatLng{Lat: 39.9, Lng: 116.4})}
@@ -49,6 +68,23 @@ func diffCodecs(t *testing.T, input string) {
 						t.Fatalf("projector=%d workers=%d chunk=%d: trip %d = %+v, want %+v",
 							pi, workers, chunk, i, got[i], want[i])
 					}
+				}
+				if pi > 0 {
+					continue
+				}
+				// RawTrip.Line is the line a RowError for the row would carry.
+				wantLines := referenceLines(t, input)
+				var gotLines []int
+				if err := IngestCSV(strings.NewReader(input), opts, func(batch []RawTrip) error {
+					for i := range batch {
+						gotLines = append(gotLines, batch[i].Line)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(gotLines) != fmt.Sprint(wantLines) {
+					t.Fatalf("workers=%d chunk=%d: row lines %v, want %v\ninput: %q", workers, chunk, gotLines, wantLines, input)
 				}
 			}
 		}
@@ -235,6 +271,29 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 		for i := range ends {
 			if got[i] != ends[i] {
 				t.Fatalf("workers=%d: end point %d = %v, want %v", workers, i, got[i], ends[i])
+			}
+		}
+		// The visiting form folds the same summary in the same single
+		// pass and hands over the same decoded ends.
+		var visited []geo.Point
+		vsum, err := ScanSummarizeVisit(strings.NewReader(input), opts, func(batch []RawTrip) error {
+			for i := range batch {
+				visited = append(visited, projector.ToPlane(batch[i].EndLL))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vsum != sum {
+			t.Fatalf("workers=%d: visiting summary %+v, want %+v", workers, vsum, sum)
+		}
+		if len(visited) != len(ends) {
+			t.Fatalf("workers=%d: visited %d ends, want %d", workers, len(visited), len(ends))
+		}
+		for i := range ends {
+			if visited[i] != ends[i] {
+				t.Fatalf("workers=%d: visited end %d = %v, want %v", workers, i, visited[i], ends[i])
 			}
 		}
 	}
@@ -496,6 +555,26 @@ func TestIngestCSVEmitError(t *testing.T) {
 		func([]RawTrip) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
+	}
+}
+
+// TestScanSummarizeVisitError: a visit error aborts the scan and
+// surfaces verbatim.
+func TestScanSummarizeVisitError(t *testing.T) {
+	hdr := strings.Join(csvHeader, ",")
+	input := hdr + "\n" + strings.Repeat(goodRow, 50)
+	sentinel := errors.New("stop visit")
+	calls := 0
+	_, err := ScanSummarizeVisit(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
+		func([]RawTrip) error {
+			calls++
+			return sentinel
+		})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if calls != 1 {
+		t.Fatalf("visit called %d times after error, want 1", calls)
 	}
 }
 

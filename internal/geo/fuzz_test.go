@@ -4,13 +4,21 @@ import (
 	"testing"
 )
 
-// FuzzDecodeGeohash checks that arbitrary input never panics and that
-// valid decodes re-encode into a prefix-compatible hash.
+// FuzzDecodeGeohash checks that arbitrary input never panics, that both
+// entry points decode bit for bit as the bisection oracle does (centre,
+// half-extents, and the error text naming byte and index), and that
+// valid decodes re-encode into a prefix-compatible hash. The seeds
+// include hashes at the closed form's exactness limit and one past it.
 func FuzzDecodeGeohash(f *testing.F) {
-	for _, seed := range []string{"", "wx4g0bm", "ezs42", "0", "zzzzzzzzzzzz", "wx4\xff", "WX4"} {
+	for _, seed := range []string{
+		"", "wx4g0bm", "ezs42", "0", "zzzzzzzzzzzz", "wx4\xff", "WX4",
+		"wx4g0bmzzzzzzzzzzz", "wx4g0bmzzzzzzzzzzzz", "000000000000000000", "zzzzzzzzzzzzzzzzzzz",
+		"wx4g0bmzzzzzzzzzza", "wx4g0bmzzzzzzzzzzza",
+	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, h string) {
+		checkAgainstReference(t, h)
 		center, latErr, lngErr, err := DecodeGeohash(h)
 		if err != nil {
 			return
