@@ -62,16 +62,22 @@ func measureBenchSections() []benchRecord {
 	// N=200/500 predate the incremental engine; N=2000/10000 exist
 	// because the engine made them feasible — the committed baseline is
 	// the proof the repository stays at city scale.
-	for _, n := range []int{200, 500, 2000, 10000} {
-		p := benchProblem(uint64(n), n)
-		add(fmt.Sprintf("solver/offline/N=%d", n), func(b *testing.B) {
+	solve := func(p *core.Problem) func(b *testing.B) {
+		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.SolveOffline(p); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	for _, n := range []int{200, 500, 2000, 10000} {
+		add(fmt.Sprintf("solver/offline/N=%d", n), solve(benchProblem(uint64(n), n)))
+	}
+	// The instance esharing-server plans at every start with its default
+	// flags. Its clustered demand makes it slower per demand than the
+	// uniform rows, and it is the solve a restart waits for.
+	add("solver/offline/history=7d", solve(historyProblem()))
 
 	for _, n := range []int{100, 500} {
 		rng := stats.NewRNG(uint64(n))
@@ -274,6 +280,29 @@ func benchProblem(seed uint64, n int) *core.Problem {
 	opening := make([]float64, n)
 	for i := range opening {
 		opening[i] = 1000 + rng.Float64()*4000
+	}
+	p, err := core.NewProblem(demands, opening)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// historyProblem is esharing-server's start-up instance at its default
+// flags: the 7-day synthetic history at seed 1, aggregated into 100 m
+// cells, every station costing 10000.
+func historyProblem() *core.Problem {
+	trips, err := dataset.Generate(dataset.Config{Days: 7, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	demands, err := core.AggregateDemand(dataset.EndPoints(trips), 100)
+	if err != nil {
+		panic(err)
+	}
+	opening := make([]float64, len(demands))
+	for i := range opening {
+		opening[i] = 10000
 	}
 	p, err := core.NewProblem(demands, opening)
 	if err != nil {

@@ -33,10 +33,12 @@ func SolveOffline(p *Problem) (*Solution, error) {
 const unassigned = -1
 
 // candEval is one candidate's best Eq. 5 outcome within an iteration:
-// the minimum prefix ratio and the prefix length attaining it first.
+// the minimum prefix ratio, the prefix length attaining it first and the
+// connection cost of that prefix's last client.
 type candEval struct {
 	ratio  float64
 	prefix int
+	last   float64
 }
 
 // offlineScratch is one worker's reusable buffer for the candidate
@@ -54,8 +56,8 @@ func (s *offlineScratch) Len() int { return len(s.idx) }
 // The tie-break makes the permutation a total order determined by the
 // data alone: which clients a tie-straddling prefix connects no longer
 // depends on the sort algorithm's internal tie handling, so any correct
-// sort — the stable radix sort on the hot path, or sort.Sort in its
-// fallback and in the exact test oracle — produces the identical array.
+// sort — the engine's sort of a winner's cheapest clients, or the exact
+// test oracle's sort of all of them — produces the same order.
 func (s *offlineScratch) Less(a, b int) bool {
 	if s.cost[a] < s.cost[b] {
 		return true

@@ -13,7 +13,8 @@ import (
 // same stations in the same order, same assignment, bit-identical costs
 // (TestSolveOfflineIncrementalMatchesExact[Large]). It shares the
 // engine's documented total order on cost ties (offlineScratch.Less) but
-// none of its bounds, queue or radix sort.
+// none of its bounds, queue or selective prefix scan: every evaluation
+// sorts every unconnected client.
 func solveOfflineExact(p *Problem) (*Solution, error) {
 	n := len(p.Demands)
 	if n == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
@@ -153,7 +154,6 @@ type lazySolver struct {
 	heap    []lazyHeapEntry
 	batch   []int32
 	scratch []offlineScratch
-	radix   []radixScratch
 
 	// Invalidation fan-out buffers.
 	events   []connectEvent
@@ -229,7 +229,6 @@ func solveOfflineLazy(p *Problem, workers int, acceptHook func(s *lazySolver, it
 		gainSince:  make([]float64, n),
 		heap:       make([]lazyHeapEntry, 0, n),
 		scratch:    make([]offlineScratch, workers),
-		radix:      make([]radixScratch, workers),
 		evOut:      make([]lazyEventScratch, workers),
 		seenIter:   make([]int32, n),
 		gainAcc:    make([]float64, n),
@@ -250,7 +249,7 @@ func solveOfflineLazy(p *Problem, workers int, acceptHook func(s *lazySolver, it
 		for k := lo; k < hi; k++ {
 			i := s.batch[k]
 			s.eval[i], s.curveTail[i] = evalRatioCurve(
-				s.p, int(i), s.curCost, s.openCost[i], s.conn, s.unconn, sc, &s.radix[w], s.curveHeadOf(i))
+				s.p, int(i), s.curCost, s.openCost[i], s.conn, s.unconn, sc, s.curveHeadOf(i))
 		}
 	}
 	s.eventBody = func(w, lo, hi int) {
@@ -320,18 +319,14 @@ func (s *lazySolver) curveHeadOf(i int32) []float64 {
 // evalRatioCurve scores candidate i exactly like the exact oracle's
 // evalCandidate — same switch savings in the same ascending-client
 // order, same minimum prefix ratio over the unconnected clients in
-// ascending cost order — while touching only what the ratio needs. The client permutation that
-// evalCandidate's paired sort also fixes is irrelevant here: exact cost
-// ties contribute bitwise-equal values to every prefix sum in either
-// order, so the sorted value sequence, and with it every computed
-// (ratio, prefix), is bit-identical. That frees the hot path to sort a
-// bare float64 slice (no interface dispatch, no paired swaps) and to
-// walk the connected list instead of scanning all clients — the two
-// costs the profile put at >90% of solve time. Alongside the best
-// (ratio, prefix) it records the truncated ratio curve into head
-// (prefixes 1..K-1, +Inf-padded) and returns the minimum tail ratio
-// (prefixes >= K, +Inf when none).
-func evalRatioCurve(p *Problem, i int, curCost []float64, openCost float64, conn, unconn []int, sc *offlineScratch, rs *radixScratch, head []float64) (candEval, float64) {
+// ascending cost order — while touching only what the ratio needs: it
+// walks the connected list for savings instead of scanning all clients,
+// and hands the bare unconnected costs to minRatioCurve, which finds the
+// minimum prefix without sorting them all. Alongside the best (ratio,
+// prefix, last cost) it records the truncated ratio curve into head
+// (prefixes 1..K-1, +Inf-padded) and returns an admissible tail value
+// (at most the minimum ratio over prefixes >= K, +Inf when none).
+func evalRatioCurve(p *Problem, i int, curCost []float64, openCost float64, conn, unconn []int, sc *offlineScratch, head []float64) (candEval, float64) {
 	var savings float64
 	for _, j := range conn {
 		if c := p.Walk(i, j); c < curCost[j] {
@@ -343,27 +338,140 @@ func evalRatioCurve(p *Problem, i int, curCost []float64, openCost float64, conn
 		cost = append(cost, p.Walk(i, j))
 	}
 	sc.cost = cost
-	rs.sortAsc(cost)
+	return minRatioCurve(openCost-savings, cost, head)
+}
+
+// minRatioCurve returns the first strict minimum of the Eq. 5 prefix
+// ratios (base + S_k)/k over cost in ascending order, bit for bit what
+// sorting all of cost and scanning it gives, but it sorts only the part
+// that can matter and falls back to the full sort when it cannot certify
+// the result (DESIGN.md §13, "Hot-path mechanics"). The client
+// permutation evalCandidate's paired sort also fixes is irrelevant:
+// exact cost ties contribute bitwise-equal values to every prefix sum in
+// either order, so only the sorted value sequence counts. cost is
+// reordered in place.
+func minRatioCurve(base float64, cost, head []float64) (candEval, float64) {
+	rc := newRatioCurve(base, head)
+	if rc.selective(cost) {
+		return rc.best, rc.tail
+	}
+	slices.Sort(cost)
+	rc = newRatioCurve(base, head)
+	rc.extend(cost)
+	return rc.best, rc.tail
+}
+
+// ratioCurve is the running state of one prefix-ratio scan: the float
+// prefix sum, the number of prefixes scored, the first strict minimum,
+// the curve slots (head for prefixes < lazyCurveK, the tail minimum for
+// the rest) and the base the ratios are taken over.
+type ratioCurve struct {
+	base float64
+	acc  float64
+	n    int
+	best candEval
+	tail float64
+	head []float64
+}
+
+// newRatioCurve starts a scan with every curve slot and the minimum at
+// +Inf.
+func newRatioCurve(base float64, head []float64) ratioCurve {
 	for k := range head {
 		head[k] = math.Inf(1)
 	}
-	base := openCost - savings
-	best := candEval{ratio: math.Inf(1)}
-	tail := math.Inf(1)
-	var acc float64
-	for k, c := range cost {
-		acc += c
-		ratio := (base + acc) / float64(k+1)
-		if k+1 < lazyCurveK {
-			head[k] = ratio
-		} else if ratio < tail {
-			tail = ratio
+	return ratioCurve{base: base, head: head, best: candEval{ratio: math.Inf(1)}, tail: math.Inf(1)}
+}
+
+// extend scores the prefixes that end in sorted, which must continue
+// the ascending sequence already scanned.
+func (rc *ratioCurve) extend(sorted []float64) {
+	for _, c := range sorted {
+		rc.acc += c
+		rc.n++
+		ratio := (rc.base + rc.acc) / float64(rc.n)
+		if rc.n < lazyCurveK {
+			rc.head[rc.n-1] = ratio
+		} else if ratio < rc.tail {
+			rc.tail = ratio
 		}
-		if ratio < best.ratio {
-			best = candEval{ratio: ratio, prefix: k + 1}
+		if ratio < rc.best.ratio {
+			rc.best = candEval{ratio: ratio, prefix: rc.n, last: c}
 		}
 	}
-	return best, tail
+}
+
+// selective scores the lazyCurveK smallest costs and, if the next
+// smallest is at most the best ratio so far, every cost <= best,
+// partitioned to the front of cost and sorted: in exact arithmetic the
+// last cost of a minimising prefix never exceeds its ratio, or dropping
+// it would lower the ratio. It reports whether certify then holds; on
+// false the caller must rescan a full sort.
+func (rc *ratioCurve) selective(cost []float64) bool {
+	// The lazyCurveK+1 smallest costs, ascending, by insertion: the
+	// first lazyCurveK are scored and the last is the smallest left out.
+	var buf [lazyCurveK + 1]float64
+	nb := 0
+	for _, c := range cost {
+		if nb == len(buf) {
+			if c >= buf[nb-1] {
+				continue
+			}
+			nb--
+		}
+		k := nb
+		for k > 0 && buf[k-1] > c {
+			buf[k] = buf[k-1]
+			k--
+		}
+		buf[k] = c
+		nb++
+	}
+	if nb <= lazyCurveK {
+		rc.extend(buf[:nb])
+		return true
+	}
+	rc.extend(buf[:lazyCurveK])
+	rest := buf[lazyCurveK]
+	if thr := rc.best.ratio; rest <= thr {
+		lo := 0
+		rest = math.Inf(1)
+		for k, c := range cost {
+			if c <= thr {
+				cost[lo], cost[k] = c, cost[lo]
+				lo++
+			} else if c < rest {
+				rest = c
+			}
+		}
+		slices.Sort(cost[:lo])
+		// The first lazyCurveK sorted values are buf's: the smallest.
+		rc.extend(cost[lazyCurveK:lo])
+	}
+	return rc.certify(rest, len(cost))
+}
+
+// certify extends the scan from rc.n to total prefixes as if every
+// remaining cost were m, the smallest cost left out of the sorted part.
+// The full sort's later costs are all >= m, and float + and / are
+// monotone, so each extended ratio is at most the one the full sort
+// computes at the same position: if none is strictly below best, best
+// stays the full sort's first strict minimum, bit for bit. The extended
+// ratios also fill the tail slot, where a lower value stays admissible.
+func (rc *ratioCurve) certify(m float64, total int) bool {
+	acc, tail := rc.acc, rc.tail
+	for k := rc.n + 1; k <= total; k++ {
+		acc += m
+		lb := (rc.base + acc) / float64(k)
+		if lb < rc.best.ratio {
+			return false
+		}
+		if lb < tail {
+			tail = lb
+		}
+	}
+	rc.tail = tail
+	return true
 }
 
 // boundKey turns candidate i's cached ratio curve and accrued base
@@ -516,7 +624,7 @@ func (s *lazySolver) selectWinner(iter int32) int32 {
 			s.batch = append(s.batch, e2.idx)
 		}
 		// Fan the batch out only when each evaluation is heavy enough
-		// to amortise the fork-join: a re-score costs O(n + U log U),
+		// to amortise the fork-join: a re-score walks all n clients,
 		// so small instances run the batch inline regardless of the
 		// worker count. Either path produces the same bits — the
 		// evaluations are independent and exact.
@@ -551,18 +659,22 @@ func (s *lazySolver) applyWinner(iter int32, w int32) {
 	openCostPre := s.openCost[i]
 	s.openCost[i] = 0
 
-	// Re-derive the winner's sorted order — ascending cost, ties by
-	// client index, via the stable pair radix sort — and connect the
-	// chosen prefix, recording one invalidation event per connected
-	// client.
+	// Re-derive the head of the winner's sorted order — ascending cost,
+	// ties by client index — and connect the chosen prefix, recording one
+	// invalidation event per connected client. Only clients costing at
+	// most the prefix's last cost can be in the prefix, and sorting just
+	// them by the same total order puts them in the full sort's order.
 	sc := &s.scratch[0]
 	sc.idx = sc.idx[:0]
 	sc.cost = sc.cost[:0]
+	last := s.eval[i].last
 	for _, j := range s.unconn {
-		sc.idx = append(sc.idx, j)
-		sc.cost = append(sc.cost, p.Walk(i, j))
+		if c := p.Walk(i, j); c <= last {
+			sc.idx = append(sc.idx, j)
+			sc.cost = append(sc.cost, c)
+		}
 	}
-	s.radix[0].sortPairsAsc(sc)
+	sort.Sort(sc)
 	wLoc := p.Demands[i].Loc
 	s.events = s.events[:0]
 	for k := 0; k < s.eval[i].prefix; k++ {

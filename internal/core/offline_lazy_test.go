@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/stats"
 )
@@ -95,6 +96,38 @@ func duplicatePointsProblem(n int) *Problem {
 	return p
 }
 
+// serverProblem builds the instance esharing-server plans at start-up
+// with its default flags: the 7-day synthetic history at seed 1,
+// aggregated into 100 m cells, every station costing 10000. With
+// shards > 1 it is shard's part of the history split the way the
+// server splits it at -shard-precision 7: by geo.ShardOf, in history
+// order.
+func serverProblem(shard, shards int) *Problem {
+	trips, err := dataset.Generate(dataset.Config{Days: 7, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	var dests []geo.Point
+	for _, pt := range dataset.EndPoints(trips) {
+		if geo.ShardOf(pt, 7, shards) == shard {
+			dests = append(dests, pt)
+		}
+	}
+	demands, err := AggregateDemand(dests, 100)
+	if err != nil {
+		panic(err)
+	}
+	opening := make([]float64, len(demands))
+	for i := range opening {
+		opening[i] = 10000
+	}
+	p, err := NewProblem(demands, opening)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // diffCase is one named instance for the incremental-vs-exact matrix.
 type diffCase struct {
 	name string
@@ -107,6 +140,9 @@ func differentialCases() []diffCase {
 		{"ties/grid-130", tiedGridProblem(130)},
 		{"colinear-90", colinearProblem(90)},
 		{"duplicates-120", duplicatePointsProblem(120)},
+		{"server/history=7d", serverProblem(0, 1)},
+		{"server/history=7d/shard=0of2", serverProblem(0, 2)},
+		{"server/history=7d/shard=1of2", serverProblem(1, 2)},
 	}
 	for _, n := range []int{1, 2, 17, 60, 140, 400} {
 		cases = append(cases, diffCase{
@@ -121,7 +157,8 @@ func differentialCases() []diffCase {
 // the incremental engine reproduces the exact sweep bit for bit — same
 // stations in the same order, same assignment, bit-identical evaluated
 // cost — at parallelism 1, 2, 4 and 7, across random and adversarial
-// (tied, colinear, duplicate-point) instances.
+// (tied, colinear, duplicate-point) instances and the server's own
+// start-up instance, whole and split into two shards.
 func TestSolveOfflineIncrementalMatchesExact(t *testing.T) {
 	for _, tc := range differentialCases() {
 		want, err := solveOfflineExact(tc.p)
@@ -139,8 +176,9 @@ func TestSolveOfflineIncrementalMatchesExact(t *testing.T) {
 }
 
 // TestSolveOfflineIncrementalMatchesExactLarge runs the same identity at
-// N=2000 — large enough that the lazy queue, curve bounds, radix paths
-// and seed bounds are all fully exercised. The exact oracle is quadratic
+// N=2000 — large enough that the lazy queue, curve bounds, the
+// partition path of the selective prefix scan and the seed bounds are
+// all fully exercised. The exact oracle is quadratic
 // per iteration, so the test is skipped under -short (CI runs the
 // differential suite with -short; the full run covers this locally).
 func TestSolveOfflineIncrementalMatchesExactLarge(t *testing.T) {

@@ -40,7 +40,9 @@ var (
 )
 
 // NewProblem validates and builds an instance. Arrivals must be positive
-// and opening costs non-negative.
+// and finite, locations finite and opening costs non-negative and finite,
+// and the demands close enough together that walk costs and their sums
+// stay finite.
 func NewProblem(demands []Demand, opening []float64) (*Problem, error) {
 	if len(demands) == 0 {
 		return nil, ErrEmptyProblem
@@ -48,18 +50,36 @@ func NewProblem(demands []Demand, opening []float64) (*Problem, error) {
 	if len(demands) != len(opening) {
 		return nil, fmt.Errorf("core: %d demands but %d opening costs", len(demands), len(opening))
 	}
+	lo, hi := demands[0].Loc, demands[0].Loc
+	maxArrivals := 0.0
 	for i, d := range demands {
-		if d.Arrivals <= 0 {
-			return nil, fmt.Errorf("core: demand %d has non-positive arrivals %v", i, d.Arrivals)
+		if !(d.Arrivals > 0) || math.IsInf(d.Arrivals, 1) {
+			return nil, fmt.Errorf("core: demand %d has arrivals %v, want positive and finite", i, d.Arrivals)
 		}
 		if !d.Loc.IsFinite() {
 			return nil, fmt.Errorf("core: demand %d has non-finite location", i)
 		}
+		lo = geo.Pt(min(lo.X, d.Loc.X), min(lo.Y, d.Loc.Y))
+		hi = geo.Pt(max(hi.X, d.Loc.X), max(hi.Y, d.Loc.Y))
+		maxArrivals = max(maxArrivals, d.Arrivals)
 	}
+	maxOpening := 0.0
 	for i, f := range opening {
 		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("core: opening cost %d is %v", i, f)
 		}
+		maxOpening = max(maxOpening, f)
+	}
+	// Float subtraction, squaring, sqrt and product are monotone, so no
+	// walk cost exceeds the heaviest demand times the bounding-box
+	// diagonal. The offline greedy adds an opening cost to sums of up to n
+	// of them, less savings bounded the same way; the factor 4 covers
+	// that and the rounding of the sums. An overflow there would turn a
+	// ratio into NaN, which never wins a comparison, and the greedy would
+	// never connect another client.
+	maxWalk := maxArrivals * lo.Dist(hi)
+	if math.IsInf(4*float64(len(demands))*maxWalk+maxOpening, 0) {
+		return nil, fmt.Errorf("core: demands span %v m: walk costs overflow float64", lo.Dist(hi))
 	}
 	return &Problem{
 		Demands: append([]Demand(nil), demands...),

@@ -21,6 +21,11 @@ func TestNewProblemValidation(t *testing.T) {
 		{"length mismatch", valid, []float64{1, 2}, true},
 		{"zero arrivals", []Demand{{Loc: geo.Pt(0, 0)}}, []float64{1}, true},
 		{"negative arrivals", []Demand{{Loc: geo.Pt(0, 0), Arrivals: -2}}, []float64{1}, true},
+		{"nan arrivals", []Demand{{Loc: geo.Pt(0, 0), Arrivals: math.NaN()}}, []float64{1}, true},
+		{"inf arrivals", []Demand{{Loc: geo.Pt(0, 0), Arrivals: math.Inf(1)}}, []float64{1}, true},
+		{"walk overflow", []Demand{{Loc: geo.Pt(0, 0), Arrivals: 1}, {Loc: geo.Pt(1e200, 0), Arrivals: 1}}, []float64{1, 1}, true},
+		{"walk sum overflow", []Demand{{Loc: geo.Pt(0, 0), Arrivals: 1e158}, {Loc: geo.Pt(1e150, 1e150), Arrivals: 1}}, []float64{1, 1}, true},
+		{"far but finite", []Demand{{Loc: geo.Pt(-1e100, 0), Arrivals: 1}, {Loc: geo.Pt(1e100, 0), Arrivals: 1e100}}, []float64{1, 1}, false},
 		{"non-finite loc", []Demand{{Loc: geo.Pt(math.NaN(), 0), Arrivals: 1}}, []float64{1}, true},
 		{"negative opening", valid, []float64{-1}, true},
 		{"nan opening", valid, []float64{math.NaN()}, true},
