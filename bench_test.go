@@ -5,15 +5,8 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -21,7 +14,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/geo"
 	"repro/internal/routing"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -239,155 +231,6 @@ func BenchmarkPlace(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkServerMixedLoad drives the HTTP layer with a realistic mix —
-// placements interleaved with /v1/stats, /v1/stations and /metrics reads
-// — from parallel goroutines, measuring aggregate handler throughput.
-func BenchmarkServerMixedLoad(b *testing.B) {
-	landmarks := benchPoints(1000)
-	queries := stats.SamplePoints(stats.NewRNG(13),
-		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 1024)
-	cfg := core.DefaultESharingConfig()
-	cfg.TestEvery = 0
-	placer, err := core.NewESharing(landmarks, 1e12, nil, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(placer)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bodies := make([][]byte, len(queries))
-	for i, q := range queries {
-		bodies[i] = []byte(fmt.Sprintf(`{"dest":{"x":%g,"y":%g}}`, q.X, q.Y))
-	}
-	var seq atomic.Int64
-	var latMu sync.Mutex
-	var latencies []time.Duration
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		local := make([]time.Duration, 0, 4096)
-		for pb.Next() {
-			i := int(seq.Add(1))
-			var req *http.Request
-			switch i % 4 {
-			case 0:
-				req = httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-			case 1:
-				req = httptest.NewRequest(http.MethodGet, "/metrics", nil)
-			case 2:
-				req = httptest.NewRequest(http.MethodGet, "/v1/stations", nil)
-			default:
-				req = httptest.NewRequest(http.MethodPost, "/v1/requests",
-					bytes.NewReader(bodies[i%len(bodies)]))
-			}
-			rec := httptest.NewRecorder()
-			start := time.Now()
-			srv.ServeHTTP(rec, req)
-			local = append(local, time.Since(start))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-			}
-		}
-		latMu.Lock()
-		latencies = append(latencies, local...)
-		latMu.Unlock()
-	})
-	b.StopTimer()
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(latencies)-1))
-			return float64(latencies[idx])
-		}
-		b.ReportMetric(pct(0.50), "p50-ns")
-		b.ReportMetric(pct(0.99), "p99-ns")
-		b.ReportMetric(pct(0.999), "p999-ns")
-	}
-}
-
-// spinPlacer burns a fixed slug of deterministic CPU per decision,
-// standing in for Algorithm 2 on a large station set. Serialised under
-// a shard's decision lock, it makes the lock the bottleneck, so the
-// sharded benchmark measures lock scaling rather than handler overhead.
-type spinPlacer struct {
-	station []geo.Point
-	state   uint64
-	stall   time.Duration // blocking stage under the lock (0 = pure CPU)
-}
-
-func (p *spinPlacer) Place(dest geo.Point) (core.Decision, error) {
-	x := p.state
-	for i := 0; i < 4096; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	p.state = x
-	if p.stall > 0 {
-		time.Sleep(p.stall)
-	}
-	return core.Decision{Station: p.station[0], Walk: dest.Dist(p.station[0])}, nil
-}
-
-func (p *spinPlacer) Stations() []geo.Point { return p.station }
-func (p *spinPlacer) Name() string          { return "spin" }
-
-// BenchmarkShardedPlacement measures placement throughput against the
-// shard count. The "stall" variants hold each decision lock through a
-// 50µs blocking stage — the shape of a per-decision WAL fsync or a
-// remote feature lookup — which independent shards overlap even on one
-// core; the "spin" variants are pure CPU and additionally scale with
-// cores on multi-core hosts. Destinations spread across planar cells at
-// precision 7 so routing distributes load over every shard.
-func BenchmarkShardedPlacement(b *testing.B) {
-	queries := stats.SamplePoints(stats.NewRNG(13),
-		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 1024)
-	bodies := make([][]byte, len(queries))
-	for i, q := range queries {
-		bodies[i] = []byte(fmt.Sprintf(`{"dest":{"x":%g,"y":%g}}`, q.X, q.Y))
-	}
-	for _, mode := range []struct {
-		name  string
-		stall time.Duration
-	}{
-		{"stall50us", 50 * time.Microsecond},
-		{"spin", 0},
-	} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", mode.name, shards), func(b *testing.B) {
-				placers := make([]core.OnlinePlacer, shards)
-				for i := range placers {
-					placers[i] = &spinPlacer{
-						station: []geo.Point{geo.Pt(0, 0)},
-						state:   uint64(i) + 1,
-						stall:   mode.stall,
-					}
-				}
-				srv, err := server.NewSharded(placers,
-					server.WithShardPrecision(7), server.WithMaxInFlight(4096))
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Enough goroutines to keep every shard's lock busy even
-				// when GOMAXPROCS is small.
-				b.SetParallelism(16)
-				var seq atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := int(seq.Add(1))
-						req := httptest.NewRequest(http.MethodPost, "/v1/requests",
-							bytes.NewReader(bodies[i%len(bodies)]))
-						rec := httptest.NewRecorder()
-						srv.ServeHTTP(rec, req)
-						if rec.Code != http.StatusOK {
-							b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-						}
-					}
-				})
-			})
-		}
 	}
 }
 

@@ -218,40 +218,19 @@ func benchCSV() ([]byte, int) {
 	return buf.Bytes(), rows
 }
 
-// benchIngestDemand is the full bounded-memory aggregation pipeline:
-// summarize for the projection centre and end bounds, then a second
-// streaming pass folding ends into the demand grid. Workers: 0 defers
-// to parallel.Default so `compare -parallelism 1` pins it.
+// benchIngestDemand is the server's CSV start-up path up to the
+// offline instance: one streamed pass to planar end points, then the
+// demand grid. ReadEndPoints' scan defers its worker count to
+// parallel.Default, so `compare -parallelism 1` pins it.
 func benchIngestDemand(data []byte, rows int) error {
-	opts := dataset.ScanOptions{}
-	sum, err := dataset.ScanSummarize(bytes.NewReader(data), opts)
+	ends, err := dataset.ReadEndPoints(bytes.NewReader(data), rows)
 	if err != nil {
 		return err
 	}
-	center, err := sum.Center()
-	if err != nil {
-		return err
+	if len(ends) != rows {
+		return fmt.Errorf("read %d end points, want %d", len(ends), rows)
 	}
-	projector := geo.NewProjector(center)
-	box, ok := sum.EndBounds(projector)
-	if !ok {
-		return fmt.Errorf("no end bounds")
-	}
-	acc, err := core.NewDemandAccumulator(box, 100)
-	if err != nil {
-		return err
-	}
-	n, err := dataset.ScanEndPoints(bytes.NewReader(data), projector, opts, func(pts []geo.Point) error {
-		acc.AddAll(pts)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if n != int64(rows) {
-		return fmt.Errorf("aggregated %d rows, want %d", n, rows)
-	}
-	demands, err := acc.Demands()
+	demands, err := core.AggregateDemand(ends, 100)
 	if err != nil {
 		return err
 	}
@@ -296,15 +275,7 @@ func historyProblem() *core.Problem {
 	if err != nil {
 		panic(err)
 	}
-	demands, err := core.AggregateDemand(dataset.EndPoints(trips), 100)
-	if err != nil {
-		panic(err)
-	}
-	opening := make([]float64, len(demands))
-	for i := range opening {
-		opening[i] = 10000
-	}
-	p, err := core.NewProblem(demands, opening)
+	p, err := core.HistoryProblem(dataset.EndPoints(trips), 100, 10000)
 	if err != nil {
 		panic(err)
 	}

@@ -172,22 +172,13 @@ func run(args []string) error {
 }
 
 // loadHistory returns the planar end point of every historical trip —
-// the only piece of a trip the offline plan and the placers consume.
-// A CSV is streamed once and never materialised as []dataset.Trip: the
-// pass folds the geohash bounding box and keeps each row's decoded end
-// centre, then projects those ends in place once the box gives the
-// projection centre. Peak memory is the scanner's O(ChunkSize × Workers)
-// plus 16 B per row. The centre comes from the data's own geohash
-// bounding box: hard-coding Beijing would project any other city's
-// trips hundreds of kilometres from the planar origin, far outside the
-// tangent-plane regime.
-//
-// A malformed row or an invalid geohash fails the load at its row. An
-// empty geohash fails it too, but ranks below both: the first one is
-// held and reported, with its row's line, only once the scan has
-// succeeded and some geohash gave a centre. With no geohash at all the
-// error is dataset.ErrNoGeohashes, and a header-only CSV is an empty
-// history.
+// the only piece of a trip the offline plan and the placers consume. A
+// CSV goes through dataset.ReadEndPoints: one streamed pass, never
+// materialised as []dataset.Trip, projected around the data's own
+// geohash bounding box (hard-coding Beijing would project any other
+// city's trips hundreds of kilometres from the planar origin, far
+// outside the tangent-plane regime). Peak memory is the scanner's
+// O(ChunkSize × Workers) plus 16 B per row.
 func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if csvPath == "" {
 		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
@@ -200,47 +191,12 @@ func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Until the centre is known each end is held geodetically, as
-	// Point{X: Lng, Y: Lat}, in the slot its projection will take.
-	ends := make([]geo.Point, 0, estimateRows(f))
-	var pending error
-	sum, err := dataset.ScanSummarizeVisit(f, dataset.ScanOptions{}, func(batch []dataset.RawTrip) error {
-		if pending != nil {
-			return nil
-		}
-		for i := range batch {
-			rt := &batch[i]
-			if !rt.HasStartLL || !rt.HasEndLL {
-				side := "end"
-				if !rt.HasStartLL {
-					side = "start"
-				}
-				pending = &dataset.RowError{Line: rt.Line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
-				return nil
-			}
-			ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
-		}
-		return nil
-	})
+	ends, err := dataset.ReadEndPoints(f, estimateRows(f))
 	if closeErr := f.Close(); err == nil {
 		err = closeErr
 	}
 	if err != nil {
 		return nil, err
-	}
-	if sum.Trips == 0 {
-		return nil, nil
-	}
-	center, err := sum.Center()
-	if err != nil {
-		return nil, err
-	}
-	if pending != nil {
-		return nil, pending
-	}
-	projector := geo.NewProjector(center)
-	for i, ll := range ends {
-		ends[i] = projector.ToPlane(geo.LatLng{Lat: ll.Y, Lng: ll.X})
 	}
 	return ends, nil
 }
@@ -389,17 +345,10 @@ func buildFleet(stations []geo.Point, size int, seed uint64) (*energy.Fleet, err
 }
 
 func planLandmarks(dests []geo.Point, opening float64) ([]geo.Point, error) {
-	// core.AggregateDemand pads degenerate bounding boxes, so a one-trip
-	// or collinear history plans fine instead of failing grid validation.
-	demands, err := core.AggregateDemand(dests, 100)
-	if err != nil {
-		return nil, err
-	}
-	openingCosts := make([]float64, len(demands))
-	for i := range openingCosts {
-		openingCosts[i] = opening
-	}
-	problem, err := core.NewProblem(demands, openingCosts)
+	// core.HistoryProblem's aggregation pads degenerate bounding boxes, so
+	// a one-trip or collinear history plans fine instead of failing grid
+	// validation.
+	problem, err := core.HistoryProblem(dests, 100, opening)
 	if err != nil {
 		return nil, err
 	}

@@ -187,11 +187,7 @@ func (s *System) PlanOffline(history []Point) (PlanSummary, error) {
 	if err != nil {
 		return PlanSummary{}, fmt.Errorf("aggregate demand: %w", err)
 	}
-	opening := make([]float64, len(demands))
-	for i := range opening {
-		opening[i] = s.cfg.OpeningCost
-	}
-	problem, err := core.NewProblem(demands, opening)
+	problem, err := core.UniformDemandProblem(demands, s.cfg.OpeningCost)
 	if err != nil {
 		return PlanSummary{}, fmt.Errorf("build problem: %w", err)
 	}

@@ -5,41 +5,19 @@ import (
 )
 
 // AggregateDemand bins destination points into square grid cells of the
-// given side length (metres), returning one Demand per non-empty cell,
-// located at the cell centroid with arrivals equal to the point count —
-// the paper's offline demand aggregation (Section IV-A).
+// given side length (metres), returning one Demand per non-empty cell in
+// row-major order, located at the cell centroid with arrivals equal to
+// the point count — the paper's offline demand aggregation (Section
+// IV-A). Points on the grid's outer edge clamp into the last cell.
 //
 // Degenerate inputs are handled: when the points' bounding box has zero
 // width or height (a single destination, or collinear destinations along
 // an axis), the box is padded by one cell on every side so the grid is
-// always valid. Callers planning landmarks from arbitrary trip histories
-// must use this rather than building the grid themselves.
+// always valid. A box needing more than geo.MaxGridCells cells — a
+// history spanning continents — fails with geo.ErrGridTooLarge instead
+// of allocating the dense count grid.
 func AggregateDemand(pts []geo.Point, cell float64) ([]Demand, error) {
-	acc, err := NewDemandAccumulator(geo.Bound(pts), cell)
-	if err != nil {
-		return nil, err
-	}
-	acc.AddAll(pts)
-	return acc.Demands()
-}
-
-// DemandAccumulator builds the same demand grid as AggregateDemand one
-// point at a time, so streaming ingestion can aggregate city-scale trip
-// histories without ever materialising the point slice. The bounding box
-// must be known up front (the streaming scanner derives it from geohash
-// extrema in its summary pass); the box is padded exactly as
-// AggregateDemand pads degenerate inputs, so for equal boxes and points
-// Demands() is bit-identical to AggregateDemand.
-type DemandAccumulator struct {
-	grid   *geo.Grid
-	counts []int
-}
-
-// NewDemandAccumulator builds an accumulator over box with square cells of
-// the given side length (metres). Degenerate boxes — zero width or height,
-// including the zero box of an empty point set — are padded by one cell on
-// every side, mirroring AggregateDemand.
-func NewDemandAccumulator(box geo.BBox, cell float64) (*DemandAccumulator, error) {
+	box := geo.Bound(pts)
 	if box.Width() <= 0 || box.Height() <= 0 {
 		box = geo.NewBBox(
 			geo.Pt(box.MinX-cell, box.MinY-cell),
@@ -50,43 +28,25 @@ func NewDemandAccumulator(box geo.BBox, cell float64) (*DemandAccumulator, error
 	if err != nil {
 		return nil, err
 	}
-	return &DemandAccumulator{grid: grid, counts: make([]int, grid.NumCells())}, nil
-}
-
-// Grid returns the accumulator's grid.
-func (a *DemandAccumulator) Grid() *geo.Grid { return a.grid }
-
-// Counts returns the per-cell counts in row-major order. The slice is the
-// accumulator's own backing store; callers must not retain it across Add
-// calls.
-func (a *DemandAccumulator) Counts() []int { return a.counts }
-
-// Add bins one point, clamping strays onto the grid boundary exactly as
-// Grid.Histogram does.
-func (a *DemandAccumulator) Add(p geo.Point) {
-	a.counts[a.grid.Index(a.grid.ClampedCellOf(p))]++
-}
-
-// AddAll bins a batch of points.
-func (a *DemandAccumulator) AddAll(pts []geo.Point) {
-	for _, p := range pts {
-		a.Add(p)
-	}
-}
-
-// Demands emits one Demand per non-empty cell in row-major order, located
-// at the cell centroid with arrivals equal to the point count.
-func (a *DemandAccumulator) Demands() ([]Demand, error) {
 	var demands []Demand
-	for idx, n := range a.counts {
+	for idx, n := range grid.Histogram(pts) {
 		if n == 0 {
 			continue
 		}
-		c, err := a.grid.CellAt(idx)
-		if err != nil {
-			return nil, err
-		}
-		demands = append(demands, Demand{Loc: a.grid.Centroid(c), Arrivals: float64(n)})
+		c := geo.Cell{Col: idx % grid.Cols(), Row: idx / grid.Cols()}
+		demands = append(demands, Demand{Loc: grid.Centroid(c), Arrivals: float64(n)})
 	}
 	return demands, nil
+}
+
+// HistoryProblem is the offline instance planned from a trip history:
+// the destinations aggregated into cells of the given side (metres),
+// every candidate costing opening. It is the one path from historical
+// destinations to Algorithm 1's input.
+func HistoryProblem(dests []geo.Point, cell, opening float64) (*Problem, error) {
+	demands, err := AggregateDemand(dests, cell)
+	if err != nil {
+		return nil, err
+	}
+	return UniformDemandProblem(demands, opening)
 }

@@ -113,15 +113,7 @@ func serverProblem(shard, shards int) *Problem {
 			dests = append(dests, pt)
 		}
 	}
-	demands, err := AggregateDemand(dests, 100)
-	if err != nil {
-		panic(err)
-	}
-	opening := make([]float64, len(demands))
-	for i := range opening {
-		opening[i] = 10000
-	}
-	p, err := NewProblem(demands, opening)
+	p, err := HistoryProblem(dests, 100, 10000)
 	if err != nil {
 		panic(err)
 	}

@@ -91,9 +91,18 @@ func NewProblem(demands []Demand, opening []float64) (*Problem, error) {
 // the same opening cost — the setting of the Fig. 4/6 examples.
 func UniformProblem(points []geo.Point, openingCost float64) (*Problem, error) {
 	demands := make([]Demand, len(points))
-	opening := make([]float64, len(points))
 	for i, p := range points {
 		demands[i] = Demand{Loc: p, Arrivals: 1}
+	}
+	return UniformDemandProblem(demands, openingCost)
+}
+
+// UniformDemandProblem builds an instance over demands where every
+// candidate costs the same to open — the paper's setting, and the only
+// one the server, the public API and the experiments plan in.
+func UniformDemandProblem(demands []Demand, openingCost float64) (*Problem, error) {
+	opening := make([]float64, len(demands))
+	for i := range opening {
 		opening[i] = openingCost
 	}
 	return NewProblem(demands, opening)

@@ -60,7 +60,7 @@ type ScanOptions struct {
 
 	// decodeGeohashes decodes the start/end geohash fields into LatLng
 	// centres during the parallel parse. Each consumer (ReadCSV,
-	// ScanSummarize, ScanEndPoints) sets it for itself.
+	// ScanSummarize, ReadEndPoints) sets it for itself.
 	decodeGeohashes bool
 	// allowEmptyGeohash, with decodeGeohashes, skips empty geohash
 	// fields (Has*LL stays false) instead of failing — GeohashCenter
@@ -96,7 +96,7 @@ type RawTrip struct {
 	EndGeohash   []byte
 
 	// Decoded geohash cell centres, when the consumer asked for them
-	// (ReadCSV with a projector, ScanSummarize, ScanEndPoints). Has*LL
+	// (ReadCSV with a projector, ScanSummarize, ReadEndPoints). Has*LL
 	// is false only for an empty field under ScanSummarize.
 	StartLL    geo.LatLng
 	EndLL      geo.LatLng
@@ -655,17 +655,14 @@ func daysIn(month, year int) int {
 }
 
 // ScanSummary is the single-pass reduction over a trip CSV: the row
-// count and the geodetic extrema of the geohash cell centres — combined
-// start+end (the projection-centre bounding box GeohashCenter computes
-// from materialised trips) and end-only (the demand-grid bounding box).
+// count and the geodetic extrema of the start and end geohash cell
+// centres (the projection-centre bounding box GeohashCenter computes
+// from materialised trips).
 type ScanSummary struct {
 	Trips int64
 
 	Seen                           bool
 	MinLat, MinLng, MaxLat, MaxLng float64
-
-	EndSeen                                    bool
-	EndMinLat, EndMinLng, EndMaxLat, EndMaxLng float64
 }
 
 // Center returns the centre of the combined bounding box, bit-identical
@@ -678,41 +675,22 @@ func (s ScanSummary) Center() (geo.LatLng, error) {
 	return geo.LatLng{Lat: (s.MinLat + s.MaxLat) / 2, Lng: (s.MinLng + s.MaxLng) / 2}, nil
 }
 
-// EndBounds returns the planar bounding box of the projected end points,
-// or false when no trip had an end geohash. It is bit-identical to
-// geo.Bound over the projected points because the equirectangular
-// projection is separable and monotone: X depends only on longitude and
-// Y only on latitude, each through the same float operations min/max
-// would see.
-func (s ScanSummary) EndBounds(projector *geo.Projector) (geo.BBox, bool) {
-	if !s.EndSeen {
-		return geo.BBox{}, false
-	}
-	lo := projector.ToPlane(geo.LatLng{Lat: s.EndMinLat, Lng: s.EndMinLng})
-	hi := projector.ToPlane(geo.LatLng{Lat: s.EndMaxLat, Lng: s.EndMaxLng})
-	return geo.NewBBox(lo, hi), true
-}
-
 // ScanSummarize streams the CSV once and reduces it to a ScanSummary.
 // Empty geohash fields are skipped (GeohashCenter semantics); invalid
 // ones fail the scan.
 func ScanSummarize(r io.Reader, opts ScanOptions) (ScanSummary, error) {
-	return ScanSummarizeVisit(r, opts, nil)
+	return scanSummarizeVisit(r, opts, nil)
 }
 
-// ScanSummarizeVisit is ScanSummarize that also hands every batch, its
+// scanSummarizeVisit is ScanSummarize that also hands every batch, its
 // geohashes decoded as ScanSummarize decodes them, to visit after
-// folding it. A consumer that needs both the rows and the summary — the
-// server's loader keeps the end points and projects them once the
-// centre is known — reads the file once. A nil visit is ScanSummarize;
-// a visit error aborts the scan and is returned verbatim.
-func ScanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTrip) error) (ScanSummary, error) {
+// folding it, so a consumer that needs both the rows and the summary
+// reads the file once. A nil visit is ScanSummarize; a visit error
+// aborts the scan and is returned verbatim.
+func scanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTrip) error) (ScanSummary, error) {
 	opts.decodeGeohashes = true
 	opts.allowEmptyGeohash = true
-	sum := ScanSummary{
-		MinLat: 91, MinLng: 181, MaxLat: -91, MaxLng: -181,
-		EndMinLat: 91, EndMinLng: 181, EndMaxLat: -91, EndMaxLng: -181,
-	}
+	sum := ScanSummary{MinLat: 91, MinLng: 181, MaxLat: -91, MaxLng: -181}
 	err := IngestCSV(r, opts, func(batch []RawTrip) error {
 		for i := range batch {
 			rt := &batch[i]
@@ -726,9 +704,6 @@ func ScanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTri
 				sum.Seen = true
 				sum.MinLat, sum.MaxLat = min(sum.MinLat, rt.EndLL.Lat), max(sum.MaxLat, rt.EndLL.Lat)
 				sum.MinLng, sum.MaxLng = min(sum.MinLng, rt.EndLL.Lng), max(sum.MaxLng, rt.EndLL.Lng)
-				sum.EndSeen = true
-				sum.EndMinLat, sum.EndMaxLat = min(sum.EndMinLat, rt.EndLL.Lat), max(sum.EndMaxLat, rt.EndLL.Lat)
-				sum.EndMinLng, sum.EndMaxLng = min(sum.EndMinLng, rt.EndLL.Lng), max(sum.EndMaxLng, rt.EndLL.Lng)
 			}
 		}
 		if visit != nil {
@@ -742,25 +717,62 @@ func ScanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTri
 	return sum, nil
 }
 
-// ScanEndPoints streams the projected end point of every trip through
-// visit in file order — the demand-aggregation feed. Like ProjectTrips
-// it requires every geohash (start and end) to decode; the visited
-// slice is reused between calls. It returns the number of trips.
-func ScanEndPoints(r io.Reader, projector *geo.Projector, opts ScanOptions, visit func(pts []geo.Point) error) (int64, error) {
-	if projector == nil {
-		return 0, errors.New("dataset: nil projector")
-	}
-	opts.decodeGeohashes = true
-	opts.allowEmptyGeohash = false
-	var pts []geo.Point
-	var total int64
-	err := IngestCSV(r, opts, func(batch []RawTrip) error {
-		pts = pts[:0]
-		for i := range batch {
-			pts = append(pts, projector.ToPlane(batch[i].EndLL))
+// ReadEndPoints returns the planar end point of every trip in a Mobike
+// CSV, projected around the centre of the data's own start+end geohash
+// bounding box — exactly EndPoints after GeohashCenter and ProjectTrips,
+// without materialising a []Trip. The file is read once: each row's
+// decoded end centre is held geodetically, as Point{X: Lng, Y: Lat}, in
+// the slot its projection takes once the scan has given the centre.
+// Peak memory is the scanner's O(ChunkSize × Workers) plus 16 B per row;
+// capHint presizes the slice (a short hint costs only its growth).
+//
+// A malformed row or an invalid geohash fails the read at its row. An
+// empty geohash fails it too, but ranks below both: the first one is
+// held and reported, with its row's line, only once the scan has
+// succeeded and some geohash gave a centre. With no geohash at all the
+// error is ErrNoGeohashes, and a header-only CSV has no end points.
+func ReadEndPoints(r io.Reader, capHint int) ([]geo.Point, error) {
+	return readEndPoints(r, capHint, ScanOptions{})
+}
+
+// readEndPoints is ReadEndPoints with explicit chunk and worker settings.
+func readEndPoints(r io.Reader, capHint int, opts ScanOptions) ([]geo.Point, error) {
+	ends := make([]geo.Point, 0, capHint)
+	var pending error
+	sum, err := scanSummarizeVisit(r, opts, func(batch []RawTrip) error {
+		if pending != nil {
+			return nil
 		}
-		total += int64(len(batch))
-		return visit(pts)
+		for i := range batch {
+			rt := &batch[i]
+			if !rt.HasStartLL || !rt.HasEndLL {
+				side := "end"
+				if !rt.HasStartLL {
+					side = "start"
+				}
+				pending = &RowError{Line: rt.Line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
+				return nil
+			}
+			ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
+		}
+		return nil
 	})
-	return total, err
+	if err != nil {
+		return nil, err
+	}
+	if sum.Trips == 0 {
+		return nil, nil
+	}
+	center, err := sum.Center()
+	if err != nil {
+		return nil, err
+	}
+	if pending != nil {
+		return nil, pending
+	}
+	projector := geo.NewProjector(center)
+	for i, ll := range ends {
+		ends[i] = projector.ToPlane(geo.LatLng{Lat: ll.Y, Lng: ll.X})
+	}
+	return ends, nil
 }

@@ -3,8 +3,6 @@ package dataset
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/geo"
 )
 
 // benchCSVData renders a synthetic multi-day Mobike CSV once per
@@ -138,37 +136,6 @@ func BenchmarkScanSummarize(b *testing.B) {
 		}
 		if sum.Trips != int64(rows) {
 			b.Fatalf("summarized %d rows, want %d", sum.Trips, rows)
-		}
-	}
-}
-
-// BenchmarkScanEndPoints is the pass-2 reducer: decode, project and
-// visit every destination without materializing trips.
-func BenchmarkScanEndPoints(b *testing.B) {
-	data, rows := benchCSV(b)
-	sum, err := ScanSummarize(bytes.NewReader(data), ScanOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	center, err := sum.Center()
-	if err != nil {
-		b.Fatal(err)
-	}
-	projector := geo.NewProjector(center)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int
-		total, err := ScanEndPoints(bytes.NewReader(data), projector, ScanOptions{}, func(pts []geo.Point) error {
-			n += len(pts)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if total != int64(rows) || n != rows {
-			b.Fatalf("visited %d/%d points, want %d", n, total, rows)
 		}
 	}
 }

@@ -8,18 +8,23 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/parallel"
 )
 
-// TestIngestBoundedMemory is the Mobike-scale acceptance check: a
-// multi-million-row CSV is aggregated into a demand grid through the
-// two-pass streaming pipeline without ever materializing a []Trip, and
-// the heap stays O(chunk x workers) rather than O(rows). The row count
-// defaults to 2M so plain `go test ./...` stays fast; set
-// ESHARING_INGEST_ROWS=10000000 to reproduce the 10M-row run recorded
-// in EXPERIMENTS.md.
+// TestIngestBoundedMemory is the Mobike-scale acceptance check for the
+// server's CSV start-up path: a multi-million-row CSV goes through
+// ReadEndPoints and AggregateDemand without ever materialising a
+// []Trip. Everything allocated must fit TestLoadHistoryMemoryBound's
+// formula: 16 B per row for the end points, one scanner term for the
+// single pass (one ChunkSize header buffer plus, per worker, a
+// ChunkSize read buffer and a RawTrip batch of ChunkSize/32 slots), and
+// slack for the demand grid. The row count defaults to 2M so plain
+// `go test ./...` stays fast; set ESHARING_INGEST_ROWS=10000000 for the
+// 10M-row run.
 func TestIngestBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-row fixture; skipped with -short")
@@ -39,59 +44,28 @@ func TestIngestBoundedMemory(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	opts := ScanOptions{}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ScanSummarize(f, opts)
+	ends, err := ReadEndPoints(f, rows)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Trips != int64(rows) {
-		t.Fatalf("summarized %d rows, want %d", sum.Trips, rows)
+	if len(ends) != rows {
+		t.Fatalf("read %d end points, want %d", len(ends), rows)
 	}
-	center, err := sum.Center()
+	demands, err := core.AggregateDemand(ends, 100)
 	if err != nil {
 		t.Fatal(err)
-	}
-	projector := geo.NewProjector(center)
-	box, ok := sum.EndBounds(projector)
-	if !ok {
-		t.Fatal("no end bounds")
-	}
-	acc, err := core.NewDemandAccumulator(box, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ScanEndPoints(f, projector, opts, func(pts []geo.Point) error {
-		acc.AddAll(pts)
-		return nil
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(rows) {
-		t.Fatalf("aggregated %d rows, want %d", n, rows)
 	}
 
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	demands, err := acc.Demands()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(demands) == 0 {
 		t.Fatal("empty demand grid")
 	}
@@ -103,22 +77,19 @@ func TestIngestBoundedMemory(t *testing.T) {
 		t.Fatalf("demand grid holds %.0f arrivals, want %d", arrivals, rows)
 	}
 
-	// Materializing []Trip for this fixture would allocate >150 bytes per
-	// row (plus two geohash strings); the streaming pipeline must stay
-	// independent of the row count. TotalAlloc covers everything the two
-	// passes allocated, even if it was collected mid-run.
-	allocated := after.TotalAlloc - before.TotalAlloc
-	const allocBudget = 128 << 20
-	if allocated > allocBudget {
-		t.Errorf("streaming passes allocated %d MiB total, budget %d MiB",
-			allocated>>20, allocBudget>>20)
+	const (
+		chunkSize = 1 << 20 // the ScanOptions default
+		slack     = 4 << 20 // the demand grid and file state
+	)
+	workers := parallel.Default()
+	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(RawTrip{})))
+	bound := uint64(16*rows + perPass + slack)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rows=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
+		rows, len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
+	if got > bound {
+		t.Errorf("ReadEndPoints + AggregateDemand allocated %d B for %d rows, bound %d B", got, rows, bound)
 	}
-	if after.HeapAlloc > 256<<20 {
-		t.Errorf("heap is %d MiB after streaming aggregation, want < 256 MiB",
-			after.HeapAlloc>>20)
-	}
-	t.Logf("rows=%d demandCells=%d totalAlloc=%dMiB heap=%dMiB",
-		rows, len(demands), allocated>>20, after.HeapAlloc>>20)
 }
 
 // writeBigFixture streams a synthetic Mobike CSV of the given row count

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/geo"
 )
 
@@ -204,10 +203,10 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 	}
 }
 
-// TestScanSummaryMatchesMaterialized pins the tentpole reductions to
+// TestScanSummaryMatchesMaterialized pins the streaming reductions to
 // their materialised counterparts, bit for bit: Center to GeohashCenter,
-// EndBounds to geo.Bound over the projected end points, and the
-// ScanEndPoints stream to EndPoints(ProjectTrips(...)).
+// and ReadEndPoints to EndPoints(ProjectTrips(...)) around that centre,
+// at every worker count and chunk size.
 func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	trips, err := Generate(Config{Days: 2, Seed: 5, TripsWeekday: 150, TripsWeekend: 100, Bikes: 30})
 	if err != nil {
@@ -227,16 +226,13 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	projector := geo.NewProjector(wantCenter)
-	if err := ProjectTrips(raw, projector); err != nil {
+	if err := ProjectTrips(raw, geo.NewProjector(wantCenter)); err != nil {
 		t.Fatal(err)
 	}
 	ends := EndPoints(raw)
-	wantBox := geo.Bound(ends)
 
 	for _, workers := range diffWorkers {
-		opts := ScanOptions{ChunkSize: 97, Workers: workers}
-		sum, err := ScanSummarize(strings.NewReader(input), opts)
+		sum, err := ScanSummarize(strings.NewReader(input), ScanOptions{ChunkSize: 97, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,125 +246,19 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 		if center != wantCenter {
 			t.Fatalf("workers=%d: centre %v, want %v", workers, center, wantCenter)
 		}
-		box, ok := sum.EndBounds(projector)
-		if !ok {
-			t.Fatal("EndBounds reported no end geohashes")
-		}
-		if box != wantBox {
-			t.Fatalf("workers=%d: end bounds %v, want %v", workers, box, wantBox)
-		}
-		var got []geo.Point
-		n, err := ScanEndPoints(strings.NewReader(input), projector, opts, func(pts []geo.Point) error {
-			got = append(got, pts...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(ends)) || len(got) != len(ends) {
-			t.Fatalf("workers=%d: streamed %d/%d end points, want %d", workers, n, len(got), len(ends))
-		}
-		for i := range ends {
-			if got[i] != ends[i] {
-				t.Fatalf("workers=%d: end point %d = %v, want %v", workers, i, got[i], ends[i])
+		for _, chunk := range diffChunks {
+			// A zero hint exercises the slice growing past its capacity.
+			got, err := readEndPoints(strings.NewReader(input), 0, ScanOptions{ChunkSize: chunk, Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
 			}
-		}
-		// The visiting form folds the same summary in the same single
-		// pass and hands over the same decoded ends.
-		var visited []geo.Point
-		vsum, err := ScanSummarizeVisit(strings.NewReader(input), opts, func(batch []RawTrip) error {
-			for i := range batch {
-				visited = append(visited, projector.ToPlane(batch[i].EndLL))
+			if len(got) != len(ends) {
+				t.Fatalf("workers=%d chunk=%d: read %d end points, want %d", workers, chunk, len(got), len(ends))
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vsum != sum {
-			t.Fatalf("workers=%d: visiting summary %+v, want %+v", workers, vsum, sum)
-		}
-		if len(visited) != len(ends) {
-			t.Fatalf("workers=%d: visited %d ends, want %d", workers, len(visited), len(ends))
-		}
-		for i := range ends {
-			if visited[i] != ends[i] {
-				t.Fatalf("workers=%d: visited end %d = %v, want %v", workers, i, visited[i], ends[i])
-			}
-		}
-	}
-}
-
-// TestStreamingDemandMatchesAggregate builds a demand grid through the
-// streaming accumulator — never materialising the point slice — and
-// requires bit-identity with core.AggregateDemand over the materialised
-// points, at every worker count.
-func TestStreamingDemandMatchesAggregate(t *testing.T) {
-	trips, err := Generate(Config{Days: 2, Seed: 9, TripsWeekday: 200, TripsWeekend: 140, Bikes: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteCSV(&sb, trips); err != nil {
-		t.Fatal(err)
-	}
-	input := sb.String()
-
-	raw, err := readCSVReference(strings.NewReader(input), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center, err := GeohashCenter(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	projector := geo.NewProjector(center)
-	if err := ProjectTrips(raw, projector); err != nil {
-		t.Fatal(err)
-	}
-	const cell = 100.0
-	want, err := core.AggregateDemand(EndPoints(raw), cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range diffWorkers {
-		opts := ScanOptions{ChunkSize: 211, Workers: workers}
-		sum, err := ScanSummarize(strings.NewReader(input), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanCenter, err := sum.Center()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scanCenter != center {
-			t.Fatalf("workers=%d: centre %v, want %v", workers, scanCenter, center)
-		}
-		box, ok := sum.EndBounds(projector)
-		if !ok {
-			t.Fatal("no end bounds")
-		}
-		acc, err := core.NewDemandAccumulator(box, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ScanEndPoints(strings.NewReader(input), projector, opts, func(pts []geo.Point) error {
-			acc.AddAll(pts)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := acc.Demands()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d demand cells, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: demand %d = %+v, want %+v", workers, i, got[i], want[i])
+			for i := range ends {
+				if got[i] != ends[i] {
+					t.Fatalf("workers=%d chunk=%d: end point %d = %v, want %v", workers, chunk, i, got[i], ends[i])
+				}
 			}
 		}
 	}
@@ -565,7 +455,7 @@ func TestScanSummarizeVisitError(t *testing.T) {
 	input := hdr + "\n" + strings.Repeat(goodRow, 50)
 	sentinel := errors.New("stop visit")
 	calls := 0
-	_, err := ScanSummarizeVisit(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
+	_, err := scanSummarizeVisit(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
 		func([]RawTrip) error {
 			calls++
 			return sentinel

@@ -326,15 +326,7 @@ func RunAblationLocalSearch(cfg AblationConfig) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		demands, err := gridDemands(hist, 100)
-		if err != nil {
-			return nil, err
-		}
-		opening := make([]float64, len(demands))
-		for i := range opening {
-			opening[i] = cfg.OpeningCost
-		}
-		problem, err := core.NewProblem(demands, opening)
+		problem, err := core.HistoryProblem(hist, 100, cfg.OpeningCost)
 		if err != nil {
 			return nil, err
 		}

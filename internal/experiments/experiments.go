@@ -47,15 +47,7 @@ var workloadStart = time.Date(2017, time.May, 10, 0, 0, 0, 0, time.UTC)
 // solveOfflineOn aggregates destination points onto a grid and solves the
 // offline PLP, returning the landmark stations and the Eq. 1 cost.
 func solveOfflineOn(dests []geo.Point, cellMeters, openingCost float64) ([]geo.Point, core.Cost, error) {
-	demands, err := gridDemands(dests, cellMeters)
-	if err != nil {
-		return nil, core.Cost{}, err
-	}
-	opening := make([]float64, len(demands))
-	for i := range opening {
-		opening[i] = openingCost
-	}
-	problem, err := core.NewProblem(demands, opening)
+	problem, err := core.HistoryProblem(dests, cellMeters, openingCost)
 	if err != nil {
 		return nil, core.Cost{}, err
 	}
@@ -68,35 +60,6 @@ func solveOfflineOn(dests []geo.Point, cellMeters, openingCost float64) ([]geo.P
 		return nil, core.Cost{}, err
 	}
 	return problem.Stations(sol), cost, nil
-}
-
-// gridDemands bins points into cells of the given size; one demand per
-// non-empty cell.
-func gridDemands(pts []geo.Point, cellMeters float64) ([]core.Demand, error) {
-	box := geo.Bound(pts)
-	if box.Width() <= 0 || box.Height() <= 0 {
-		box = geo.NewBBox(
-			geo.Pt(box.MinX-cellMeters, box.MinY-cellMeters),
-			geo.Pt(box.MaxX+cellMeters, box.MaxY+cellMeters),
-		)
-	}
-	grid, err := geo.NewGrid(box, cellMeters)
-	if err != nil {
-		return nil, err
-	}
-	counts := grid.Histogram(pts)
-	var demands []core.Demand
-	for idx, n := range counts {
-		if n == 0 {
-			continue
-		}
-		cell, err := grid.CellAt(idx)
-		if err != nil {
-			return nil, err
-		}
-		demands = append(demands, core.Demand{Loc: grid.Centroid(cell), Arrivals: float64(n)})
-	}
-	return demands, nil
 }
 
 // evaluateOnDemands measures the Eq. 1 cost of a fixed station set

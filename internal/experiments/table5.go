@@ -305,7 +305,7 @@ func destsIn(trips []dataset.Trip, box geo.BBox) []geo.Point {
 }
 
 func histDemandsOrNil(pts []geo.Point, cell float64) []core.Demand {
-	demands, err := gridDemands(pts, cell)
+	demands, err := core.AggregateDemand(pts, cell)
 	if err != nil {
 		return nil
 	}
@@ -327,11 +327,7 @@ func solveOnDemands(demands []core.Demand, openingCost float64) ([]geo.Point, er
 	if len(demands) == 0 {
 		return nil, fmt.Errorf("experiments: no demand to plan on")
 	}
-	opening := make([]float64, len(demands))
-	for i := range opening {
-		opening[i] = openingCost
-	}
-	problem, err := core.NewProblem(demands, opening)
+	problem, err := core.UniformDemandProblem(demands, openingCost)
 	if err != nil {
 		return nil, err
 	}

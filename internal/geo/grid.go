@@ -3,11 +3,22 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrOutsideGrid is returned when a point falls outside a Grid's bounding
 // box and clamping was not requested.
 var ErrOutsideGrid = errors.New("geo: point outside grid")
+
+// ErrGridTooLarge is returned by NewGrid when the box would need more
+// than MaxGridCells cells.
+var ErrGridTooLarge = errors.New("geo: grid too large")
+
+// MaxGridCells caps a Grid's cell count. Histogram allocates 8 B per
+// cell however few points there are, so the cap bounds that dense
+// array at 512 MiB. A city at 100 m cells needs well under a million
+// cells; two points 10,000 × 1,000 km apart would need 10^9.
+const MaxGridCells = 1 << 26
 
 // Cell identifies a grid cell by column (X direction) and row (Y direction).
 type Cell struct {
@@ -30,7 +41,9 @@ type Grid struct {
 
 // NewGrid builds a grid over box with the given cell side in metres. The
 // rightmost column and topmost row may be partial; points on the outer edge
-// map into the last full index.
+// map into the last full index. A grid of more than MaxGridCells cells
+// fails with ErrGridTooLarge; the count is taken in float64, so a box too
+// wide for an int column count fails the same way.
 func NewGrid(box BBox, cellSize float64) (*Grid, error) {
 	if cellSize <= 0 {
 		return nil, fmt.Errorf("geo: cell size must be positive, got %v", cellSize)
@@ -38,15 +51,13 @@ func NewGrid(box BBox, cellSize float64) (*Grid, error) {
 	if box.Width() <= 0 || box.Height() <= 0 {
 		return nil, fmt.Errorf("geo: degenerate grid box %v", box)
 	}
-	cols := int(box.Width()/cellSize + 0.999999)
-	rows := int(box.Height()/cellSize + 0.999999)
-	if cols < 1 {
-		cols = 1
+	cols := max(1, math.Floor(box.Width()/cellSize+0.999999))
+	rows := max(1, math.Floor(box.Height()/cellSize+0.999999))
+	if cells := cols * rows; !(cells <= MaxGridCells) {
+		return nil, fmt.Errorf("%w: %v at %v m cells needs %.4g cells, cap %d",
+			ErrGridTooLarge, box, cellSize, cells, MaxGridCells)
 	}
-	if rows < 1 {
-		rows = 1
-	}
-	return &Grid{box: box, cellSize: cellSize, cols: cols, rows: rows}, nil
+	return &Grid{box: box, cellSize: cellSize, cols: int(cols), rows: int(rows)}, nil
 }
 
 // MustGrid is NewGrid that panics on invalid input; intended for tests and

@@ -38,6 +38,42 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
+// TestNewGridCellCap: a box needing more than MaxGridCells cells is
+// refused before any allocation, including boxes whose column count
+// would overflow an int; a box exactly at the cap is still a grid.
+func TestNewGridCellCap(t *testing.T) {
+	tests := []struct {
+		name    string
+		box     BBox
+		wantErr bool
+	}{
+		// Two destinations 10,000 × 1,000 km apart: 10^9 cells of 100 m.
+		{"continent-wide pair", NewBBox(Pt(0, 0), Pt(1e7, 1e6)), true},
+		// 10^300 / 100 columns is far past math.MaxInt.
+		{"int overflow", NewBBox(Pt(0, 0), Pt(1e300, 1e300)), true},
+		{"overflow in one axis", NewBBox(Pt(0, 0), Pt(1e300, 100)), true},
+		{"at the cap", NewBBox(Pt(0, 0), Pt(1<<13*100, 1<<13*100)), false},
+		{"one row past the cap", NewBBox(Pt(0, 0), Pt(1<<13*100, (1<<13+1)*100)), true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g, err := NewGrid(tt.box, 100)
+			if !tt.wantErr {
+				if err != nil {
+					t.Fatalf("NewGrid: %v", err)
+				}
+				if g.NumCells() != MaxGridCells {
+					t.Fatalf("NumCells=%d, want %d", g.NumCells(), MaxGridCells)
+				}
+				return
+			}
+			if !errors.Is(err, ErrGridTooLarge) {
+				t.Fatalf("err=%v, want ErrGridTooLarge", err)
+			}
+		})
+	}
+}
+
 func TestGridDimensions(t *testing.T) {
 	g := testGrid(t)
 	if g.Cols() != 30 || g.Rows() != 30 {
