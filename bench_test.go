@@ -1,13 +1,17 @@
-// Package repro benchmarks every experiment of the paper's evaluation —
-// one benchmark per table and figure (quick configurations; use
-// cmd/esharing-bench for full-size runs) plus the ablation studies from
-// DESIGN.md §5 and micro-benchmarks of the core algorithms.
+// Package repro benchmarks the paper's evaluation and the gated compute
+// sections from their registries, plus micro-benchmarks of what no
+// section covers. BenchmarkExperiment runs every catalog experiment of
+// internal/experiments at its quick configuration (the one
+// `esharing-bench -quick` runs; use cmd/esharing-bench for full-size
+// runs), one sub-benchmark per ablation study. BenchmarkSection runs the
+// internal/benchsuite sections that `esharing-bench compare` gates.
 package repro
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/experiments"
@@ -18,141 +22,32 @@ import (
 	"repro/internal/stats"
 )
 
-// --- One benchmark per paper table/figure ------------------------------
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Catalog() {
+		b.Run(e.Name, func(b *testing.B) {
+			if len(e.Studies) == 1 {
+				benchStudy(b, e.Studies[0])
+				return
+			}
+			for _, s := range e.Studies {
+				b.Run(s.Name, func(b *testing.B) { benchStudy(b, s) })
+			}
+		})
+	}
+}
 
-func BenchmarkFig4OfflineVsMeyerson(b *testing.B) {
+func benchStudy(b *testing.B, s experiments.Study) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig4(experiments.DefaultFig4Config()); err != nil {
+		if _, err := s.Run(true); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig5PenaltyCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5(experiments.DefaultFig5Config()); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkSection(b *testing.B) {
+	for _, s := range benchsuite.Sections() {
+		b.Run(s.Name, s.Bench)
 	}
-}
-
-func BenchmarkFig6DeviationPenalty(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6(experiments.DefaultFig6Config()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7SavingRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig7(experiments.DefaultFig7Config()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8ActualVsPredicted(b *testing.B) {
-	cfg := experiments.Fig8Config{Table2: experiments.QuickTable2Config()}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2PredictionRMSE(b *testing.B) {
-	cfg := experiments.QuickTable2Config()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable2(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9Table3Penalties covers both Fig. 9 and Table III (the
-// paper derives the figure from the same runs).
-func BenchmarkFig9Table3Penalties(b *testing.B) {
-	cfg := experiments.QuickTable3Config()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable3(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4KSSimilarity(b *testing.B) {
-	cfg := experiments.DefaultTable4Config()
-	cfg.SamplePerDay = 120
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable4(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10Table5Comparison covers Fig. 10 and Table V.
-func BenchmarkFig10Table5Comparison(b *testing.B) {
-	cfg := experiments.QuickTable5Config()
-	cfg.Regions = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable5(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig11Fig12Table6Incentives covers Figs. 11–12 and Table VI.
-func BenchmarkFig11Fig12Table6Incentives(b *testing.B) {
-	cfg := experiments.DefaultTable6Config()
-	cfg.Bikes = 200
-	cfg.QValues = []float64{2, 10}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable6(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §5) ------------------------------------------
-
-func benchAblation(b *testing.B, runner func(experiments.AblationConfig) (*experiments.AblationResult, error)) {
-	b.Helper()
-	cfg := experiments.DefaultAblationConfig()
-	cfg.Trials = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := runner(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationBeta(b *testing.B) {
-	benchAblation(b, experiments.RunAblationBeta)
-}
-
-func BenchmarkAblationPenaltySwitch(b *testing.B) {
-	benchAblation(b, experiments.RunAblationPenaltySwitch)
-}
-
-func BenchmarkAblationGuidance(b *testing.B) {
-	benchAblation(b, experiments.RunAblationGuidance)
-}
-
-func BenchmarkAblationPolyPenalty(b *testing.B) {
-	benchAblation(b, experiments.RunAblationPolyPenalty)
-}
-
-func BenchmarkAblationLocalSearch(b *testing.B) {
-	benchAblation(b, experiments.RunAblationLocalSearch)
-}
-
-func BenchmarkAblationTSP(b *testing.B) {
-	benchAblation(b, experiments.RunAblationTSP)
-}
-
-func BenchmarkAblationKS(b *testing.B) {
-	benchAblation(b, experiments.RunAblationKS)
 }
 
 // --- Micro-benchmarks of the core algorithms ---------------------------
@@ -160,20 +55,6 @@ func BenchmarkAblationKS(b *testing.B) {
 func benchPoints(n int) []geo.Point {
 	return stats.SamplePoints(stats.NewRNG(7),
 		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, n)
-}
-
-func BenchmarkOfflineSolver100(b *testing.B) {
-	pts := benchPoints(100)
-	problem, err := core.UniformProblem(pts, 5000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveOffline(problem); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkMeyersonStream1000(b *testing.B) {
@@ -246,18 +127,6 @@ func BenchmarkPeacockKSBrute60(b *testing.B) {
 	}
 }
 
-func BenchmarkPeacockKSFast60(b *testing.B) {
-	a := benchPoints(60)
-	c := stats.SamplePoints(stats.NewRNG(8),
-		stats.NormalDist{Center: geo.Pt(1000, 1000), StdDev: 300}, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.Peacock2DFast(a, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTSPHeldKarp12(b *testing.B) {
 	pts := benchPoints(12)
 	b.ResetTimer()
@@ -277,20 +146,6 @@ func BenchmarkTSPTwoOpt60(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		routing.TwoOpt(pts, nn)
-	}
-}
-
-func BenchmarkOfflineSolver300(b *testing.B) {
-	pts := benchPoints(300)
-	problem, err := core.UniformProblem(pts, 5000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveOffline(problem); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

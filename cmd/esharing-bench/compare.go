@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/benchsuite"
 	"repro/internal/parallel"
 )
 
-// runCompare implements the `compare` subcommand: re-measure the tracked
-// hot sections and diff them against a committed benchjson baseline.
+// runCompare implements the `compare` subcommand: re-measure the gated
+// sections of internal/benchsuite and diff them against a committed
+// benchjson baseline.
 //
 //	esharing-bench compare -baseline BENCH_compute.json [-tolerance 0.25] [-out fresh.json]
 //
@@ -21,7 +23,8 @@ import (
 // warned about but do not fail, so adding a section and regenerating the
 // baseline can land in the same change. Improvements never fail: the
 // gate is one-sided by design, catching "the solver got slower" without
-// punishing noise in the fast direction.
+// punishing noise in the fast direction. A section that fails to run
+// fails the comparison.
 func runCompare(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("esharing-bench compare", flag.ContinueOnError)
 	baselinePath := fs.String("baseline", "BENCH_compute.json", "committed benchjson baseline to diff against")
@@ -47,14 +50,17 @@ func runCompare(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("compare: read baseline: %w", err)
 	}
-	var baseline []benchRecord
+	var baseline []benchsuite.Record
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("compare: parse baseline %s: %w", *baselinePath, err)
 	}
 
 	fmt.Fprintf(out, "compare: measuring %s sections at parallelism %d (tolerance %.0f%%)\n",
 		*baselinePath, parallel.Default(), *tolerance*100)
-	fresh := measureBenchSections()
+	fresh, err := benchsuite.Measure(benchsuite.Sections())
+	if err != nil {
+		return fmt.Errorf("compare: %w", err)
+	}
 
 	if *outPath != "" {
 		f, err := os.Create(*outPath)

@@ -4,15 +4,17 @@
 //
 //	esharing-bench [-quick] [-json] [-parallelism N] <experiment ...>
 //
-// Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// table2 table3 table4 table5 table6 ablations all
+// Experiment names come from the catalog in internal/experiments:
+// fig4 fig5 fig6 fig7 fig8 table2 table3 table4 table5 table6 ablations,
+// and `all` runs them in that order. fig9 is an alias of table3 (same
+// study), fig10 of table5, and fig11/fig12 of table6 — the paper derives
+// those figures from the same runs. -quick runs each experiment at its
+// quick configuration, the one the repository benchmarks
+// (BenchmarkExperiment) time.
 //
-// fig9 is an alias of table3 (same study), fig10 of table5, and
-// fig11/fig12 of table6 — the paper derives those figures from the same
-// runs.
-//
-// The benchjson pseudo-experiment emits a machine-readable {section, ns,
-// allocs} baseline for the solver, KS and forecasting-grid hot sections
+// The benchjson pseudo-experiment measures the gated compute sections
+// registered in internal/benchsuite — offline solver, KS, forecasting
+// grid and CSV ingest — and emits {section, ns, allocs} records
 // (committed as BENCH_compute.json and uploaded by CI).
 //
 // The compare subcommand re-measures those sections and diffs them
@@ -20,8 +22,9 @@
 //
 //	esharing-bench compare -baseline BENCH_compute.json [-tolerance 0.25] [-out fresh.json]
 //
-// CI runs it as a required step of the test job; see README.md for the
-// bench-gate workflow.
+// A section that fails to run makes benchjson and compare exit non-zero.
+// CI runs compare as a required step of the test job; see README.md for
+// the bench-gate workflow.
 //
 // -parallelism N bounds the deterministic compute fan-out (default: the
 // ESHARING_PARALLELISM environment variable, else GOMAXPROCS). Output is
@@ -36,6 +39,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/parallel"
 )
 
@@ -72,34 +76,52 @@ func run(args []string, out io.Writer) error {
 		return runBenchJSON(out)
 	}
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{
-			"fig4", "fig5", "fig6", "fig7", "fig8",
-			"table2", "table3", "table4", "table5", "table6", "ablations",
+		names = nil
+		for _, e := range experiments.Catalog() {
+			names = append(names, e.Name)
 		}
+	}
+	exps := make([]experiments.Experiment, len(names))
+	for i, name := range names {
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+		exps[i] = e
 	}
 	fmt.Fprintf(out, "[parallelism %d]\n\n", parallel.Default())
 	total := time.Now()
-	for _, name := range names {
+	for i, e := range exps {
 		start := time.Now()
-		if err := runOne(name, *quick, *asJSON, out); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if err := runExperiment(e, *quick, *asJSON, out); err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
-		fmt.Fprintf(out, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[%s completed in %v]\n\n", names[i], time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Fprintf(out, "[%d section(s) completed in %v]\n", len(names), time.Since(total).Round(time.Millisecond))
 	return nil
 }
 
-type renderable interface {
-	Render(io.Writer)
-}
-
-func emit(out io.Writer, asJSON bool, r renderable) error {
-	if asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(r)
+// runExperiment renders every study of e; the studies of a multi-study
+// experiment (the ablations) are separated by blank lines.
+func runExperiment(e experiments.Experiment, quick, asJSON bool, out io.Writer) error {
+	for _, s := range e.Studies {
+		res, err := s.Run(quick)
+		if err != nil {
+			return err
+		}
+		if asJSON {
+			enc := json.NewEncoder(out)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(res); err != nil {
+				return err
+			}
+		} else {
+			res.Render(out)
+		}
+		if len(e.Studies) > 1 {
+			fmt.Fprintln(out)
+		}
 	}
-	r.Render(out)
 	return nil
 }

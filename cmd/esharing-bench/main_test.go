@@ -47,6 +47,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"nonsense"}, &buf); err == nil {
 		t.Error("unknown experiment should error")
 	}
+	// Names resolve before anything runs.
+	buf.Reset()
+	if err := run([]string{"fig4", "nonsense"}, &buf); err == nil || strings.Contains(buf.String(), "Fig. 4") {
+		t.Errorf("unknown experiment after fig4: err %v, output:\n%s", err, buf.String())
+	}
 }
 
 func TestRunCompareErrors(t *testing.T) {

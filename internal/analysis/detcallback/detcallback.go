@@ -1,6 +1,6 @@
 // Package detcallback enforces purity of the closures handed to the
 // deterministic fork-join engine. A callback passed to
-// parallel.For/ForChunks/Map/MapReduce/MinIndex executes on an
+// parallel.For/ForChunks/Map executes on an
 // arbitrary worker in an arbitrary interleaving; the engine's
 // bit-identical-at-any-worker-count guarantee (DESIGN.md §9) holds only
 // if the callback is a pure function of its index and captured inputs.
@@ -41,8 +41,6 @@ var entryPoints = map[string]bool{
 	"For":       true,
 	"ForChunks": true,
 	"Map":       true,
-	"MapReduce": true,
-	"MinIndex":  true,
 }
 
 // clockFuncs are the time functions that read the wall clock.
@@ -51,7 +49,7 @@ var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // Analyzer is the detcallback check.
 var Analyzer = &lintkit.Analyzer{
 	Name: "detcallback",
-	Doc: "closures passed to parallel.For/Map/MapReduce/MinIndex (and functions marked " +
+	Doc: "closures passed to parallel.For/ForChunks/Map (and functions marked " +
 		"//esharing:deterministic) must be transitively free of wall-clock reads, global " +
 		"math/rand draws, and order-escaping map iterations",
 	Run: run,

@@ -37,8 +37,9 @@ func benchCSV(b *testing.B) ([]byte, int) {
 
 // BenchmarkReadCSV times the encoding/csv test oracle, the materialising
 // baseline the streaming scanner is measured against (EXPERIMENTS.md's
-// ingest throughput table). The scanner-backed ReadCSV is tracked as
-// ingest/readcsv in BENCH_compute.json.
+// ingest throughput table). The scanner-backed ReadCSV and the bare scan
+// at one worker are the ingest/readcsv and ingest/scan sections of
+// internal/benchsuite, on the same CSV.
 func BenchmarkReadCSV(b *testing.B) {
 	data, _ := benchCSV(b)
 	b.SetBytes(int64(len(data)))
@@ -51,32 +52,9 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestCSV is the zero-alloc streaming scanner at one worker,
-// semantics-matched to BenchmarkReadCSV (geohashes kept as bytes, not
-// decoded). The ns ratio between the two is the single-thread speedup.
-func BenchmarkIngestCSV(b *testing.B) {
-	data, rows := benchCSV(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	opts := ScanOptions{Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int
-		err := IngestCSV(bytes.NewReader(data), opts, func(batch []RawTrip) error {
-			n += len(batch)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != rows {
-			b.Fatalf("scanned %d rows, want %d", n, rows)
-		}
-	}
-}
-
-// BenchmarkIngestCSVDecode adds geohash decoding, the configuration the
-// bounded-memory demand pipeline runs with.
+// BenchmarkIngestCSVDecode is the ingest/scan section plus geohash
+// decoding, the configuration the bounded-memory demand pipeline runs
+// with.
 func BenchmarkIngestCSVDecode(b *testing.B) {
 	data, rows := benchCSV(b)
 	b.SetBytes(int64(len(data)))

@@ -24,6 +24,13 @@ func DefaultAblationConfig() AblationConfig {
 	return AblationConfig{Requests: 250, OpeningCost: 5000, Seed: 21, Trials: 5}
 }
 
+// QuickAblationConfig averages two trials instead of five.
+func QuickAblationConfig() AblationConfig {
+	cfg := DefaultAblationConfig()
+	cfg.Trials = 2
+	return cfg
+}
+
 // AblationRow is one variant's averaged outcome.
 type AblationRow struct {
 	Variant  string  `json:"variant"`

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -13,13 +12,9 @@ import (
 // catches whatever they cannot name — and, run under -race in CI with
 // Workers > 1, it doubles as a data-race probe on the fork-join paths.
 
-type renderable interface {
-	Render(w io.Writer)
-}
-
 // renderTwice runs the experiment twice from identical configs and
 // fails on the first byte that differs.
-func renderTwice(t *testing.T, name string, run func() (renderable, error)) {
+func renderTwice(t *testing.T, name string, run func() (Renderable, error)) {
 	t.Helper()
 	render := func() []byte {
 		t.Helper()
@@ -40,7 +35,7 @@ func renderTwice(t *testing.T, name string, run func() (renderable, error)) {
 func TestTable3RendersIdenticalTwice(t *testing.T) {
 	cfg := QuickTable3Config()
 	cfg.Workers = 4
-	renderTwice(t, "table3", func() (renderable, error) { return RunTable3(cfg) })
+	renderTwice(t, "table3", func() (Renderable, error) { return RunTable3(cfg) })
 }
 
 func TestTable4RendersIdenticalTwice(t *testing.T) {
@@ -48,12 +43,12 @@ func TestTable4RendersIdenticalTwice(t *testing.T) {
 	cfg.TripsWeekday, cfg.TripsWeekend = 700, 500
 	cfg.SamplePerDay = 120
 	cfg.Workers = 4
-	renderTwice(t, "table4", func() (renderable, error) { return RunTable4(cfg) })
+	renderTwice(t, "table4", func() (Renderable, error) { return RunTable4(cfg) })
 }
 
 func TestFig4RendersIdenticalTwice(t *testing.T) {
 	cfg := DefaultFig4Config()
-	renderTwice(t, "fig4", func() (renderable, error) { return RunFig4(cfg) })
+	renderTwice(t, "fig4", func() (Renderable, error) { return RunFig4(cfg) })
 }
 
 func TestTable2RendersIdenticalTwice(t *testing.T) {
@@ -62,7 +57,7 @@ func TestTable2RendersIdenticalTwice(t *testing.T) {
 	}
 	cfg := QuickTable2Config()
 	cfg.Workers = 4
-	renderTwice(t, "table2", func() (renderable, error) { return RunTable2(cfg) })
+	renderTwice(t, "table2", func() (Renderable, error) { return RunTable2(cfg) })
 }
 
 func TestTable5RendersIdenticalTwice(t *testing.T) {
@@ -70,8 +65,9 @@ func TestTable5RendersIdenticalTwice(t *testing.T) {
 		t.Skip("table5 sweeps regions and trains an LSTM")
 	}
 	cfg := QuickTable5Config()
+	cfg.Regions = 4
 	cfg.TripsWeekday, cfg.TripsWeekend = 1200, 900
 	cfg.Epochs = 5
 	cfg.Workers = 4
-	renderTwice(t, "table5", func() (renderable, error) { return RunTable5(cfg) })
+	renderTwice(t, "table5", func() (Renderable, error) { return RunTable5(cfg) })
 }

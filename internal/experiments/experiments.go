@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V). Each RunX function is deterministic for a given
 // configuration, returns a structured result, and renders the same
-// rows/series the paper reports. The cmd/esharing-bench binary and the
-// repository's benchmarks drive these runners.
+// rows/series the paper reports. Catalog lists every runner with its
+// names and its default and quick configurations; the cmd/esharing-bench
+// binary and the repository's benchmarks read it.
 package experiments
 
 import (

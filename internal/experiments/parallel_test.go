@@ -81,9 +81,10 @@ func TestTable5WorkersBitIdentical(t *testing.T) {
 		t.Skip("table5 sweeps regions and trains an LSTM")
 	}
 	cfg := QuickTable5Config()
-	// Shrink the workload below the quick benchmark size: the differential
-	// runs RunTable5 four times, and region count, not volume, is what the
-	// parallel fan-out keys on.
+	// Shrink the workload below the quick size: the differential runs
+	// RunTable5 four times, and region count, not volume, is what the
+	// parallel fan-out keys on, so it keeps four regions.
+	cfg.Regions = 4
 	cfg.TripsWeekday, cfg.TripsWeekend = 1200, 900
 	cfg.Epochs = 5
 	cfg.Workers = 1

@@ -50,7 +50,7 @@ func DefaultTable2Config() Table2Config {
 	}
 }
 
-// QuickTable2Config shrinks the grid for fast benchmarking.
+// QuickTable2Config shrinks the grid for a fast pass.
 func QuickTable2Config() Table2Config {
 	cfg := DefaultTable2Config()
 	cfg.Layers = []int{1, 2}
@@ -275,6 +275,11 @@ type Fig8Config struct {
 // DefaultFig8Config uses the Table II workload with the best LSTM shape.
 func DefaultFig8Config() Fig8Config {
 	return Fig8Config{Table2: DefaultTable2Config()}
+}
+
+// QuickFig8Config trains on the quick Table II workload.
+func QuickFig8Config() Fig8Config {
+	return Fig8Config{Table2: QuickTable2Config()}
 }
 
 // Fig8Result carries one weekday and one weekend day of hourly actual and

@@ -41,7 +41,7 @@ func DefaultTable3Config() Table3Config {
 	}
 }
 
-// QuickTable3Config shrinks the trial count for benchmarks.
+// QuickTable3Config shrinks the trial count for a fast pass.
 func QuickTable3Config() Table3Config {
 	cfg := DefaultTable3Config()
 	cfg.Trials = 10

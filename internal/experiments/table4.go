@@ -37,6 +37,13 @@ func DefaultTable4Config() Table4Config {
 	return Table4Config{TripsWeekday: 1500, TripsWeekend: 1100, Seed: 14, SamplePerDay: 250}
 }
 
+// QuickTable4Config halves the per-day sample for a fast pass.
+func QuickTable4Config() Table4Config {
+	cfg := DefaultTable4Config()
+	cfg.SamplePerDay = 120
+	return cfg
+}
+
 // PaperProtocolTable4Config enables the per-hour comparison at a volume
 // where hourly samples are meaningful.
 func PaperProtocolTable4Config() Table4Config {

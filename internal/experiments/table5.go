@@ -53,10 +53,10 @@ func DefaultTable5Config() Table5Config {
 	}
 }
 
-// QuickTable5Config shrinks the study for benchmarks.
+// QuickTable5Config shrinks the study for a fast pass.
 func QuickTable5Config() Table5Config {
 	cfg := DefaultTable5Config()
-	cfg.Regions = 4
+	cfg.Regions = 2
 	cfg.Hidden = 10
 	cfg.Epochs = 8
 	return cfg

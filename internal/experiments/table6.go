@@ -43,6 +43,14 @@ func DefaultTable6Config() Table6Config {
 	}
 }
 
+// QuickTable6Config halves the fleet and sweeps two service costs.
+func QuickTable6Config() Table6Config {
+	cfg := DefaultTable6Config()
+	cfg.Bikes = 200
+	cfg.QValues = []float64{2, 10}
+	return cfg
+}
+
 // Fig11Result captures the low-energy distributions before and after
 // incentivising — the heatmap pair plus tour lengths.
 type Fig11Result struct {

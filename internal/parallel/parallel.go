@@ -29,7 +29,6 @@
 package parallel
 
 import (
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -156,65 +155,4 @@ func Map[T any](workers, n int, f func(worker, i int) T) []T {
 		out[i] = f(w, i)
 	})
 	return out
-}
-
-// MapReduce maps every index through mapf and folds the results in
-// index order: reduce(...reduce(reduce(init, m(0)), m(1))..., m(n-1)).
-// The fold order is fixed, so non-commutative reductions (floating-point
-// sums, first-wins tie-breaks) behave exactly like the sequential loop.
-func MapReduce[T, R any](workers, n int, mapf func(worker, i int) T, reduce func(acc R, v T) R, init R) R {
-	vals := Map(workers, n, mapf)
-	acc := init
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc
-}
-
-// MinIndex returns the index and value of the minimum of key(0..n-1),
-// with the exact semantics of the sequential scan
-//
-//	best, bestVal := -1, +Inf
-//	for i := 0; i < n; i++ { if key(i) < bestVal { best, bestVal = i, key(i) } }
-//
-// Ties keep the lowest index (strict <), and NaN keys never win (any
-// comparison with NaN is false) — so (-1, +Inf) comes back when n == 0
-// or every key is NaN. Each chunk scans ascending and chunk winners fold
-// in chunk order with the same strict comparison, which makes the result
-// independent of the worker count.
-func MinIndex(workers, n int, key func(i int) float64) (int, float64) {
-	type minAt struct {
-		idx int
-		val float64
-	}
-	scan := func(lo, hi int) minAt {
-		best := minAt{idx: -1, val: math.Inf(1)}
-		for i := lo; i < hi; i++ {
-			if v := key(i); v < best.val {
-				best = minAt{idx: i, val: v}
-			}
-		}
-		return best
-	}
-	if n <= 0 {
-		return -1, math.Inf(1)
-	}
-	workers = clamp(workers, n)
-	if workers == 1 {
-		b := scan(0, n)
-		return b.idx, b.val
-	}
-	chunks := make([]minAt, workers)
-	ForChunks(workers, n, func(w, lo, hi int) {
-		chunks[w] = scan(lo, hi)
-	})
-	best := minAt{idx: -1, val: math.Inf(1)}
-	for _, c := range chunks {
-		// Strict < in chunk order keeps the lowest winning index: an
-		// equal value in a later chunk never displaces an earlier one.
-		if c.idx >= 0 && c.val < best.val {
-			best = c
-		}
-	}
-	return best.idx, best.val
 }

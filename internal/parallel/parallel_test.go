@@ -1,12 +1,8 @@
-// External test package: stats imports parallel (the KS statistic fans
-// out through it), so an in-package test importing stats would cycle.
 package parallel_test
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -16,85 +12,6 @@ import (
 // in this repository runs at: sequential, even splits, and a prime that
 // never divides the input sizes evenly.
 var workerCounts = []int{1, 2, 4, 7}
-
-// seqMinIndex is the reference semantics MinIndex must reproduce bit for
-// bit: first strict minimum, NaN never wins.
-func seqMinIndex(keys []float64) (int, float64) {
-	best, bestVal := -1, math.Inf(1)
-	for i, v := range keys {
-		if v < bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best, bestVal
-}
-
-func TestMinIndexMatchesSequentialScan(t *testing.T) {
-	// quick.Check-style property: on random inputs laced with NaNs, +Inf
-	// and deliberate ties, MinIndex at every worker count returns exactly
-	// the sequential scan's (index, value).
-	cfg := &quick.Config{MaxCount: 300}
-	seedCounter := uint64(0)
-	property := func(n uint8, rawSeed uint64) bool {
-		seedCounter++
-		rng := stats.NewWorkerRNG(rawSeed, stats.StreamDefault, seedCounter)
-		keys := make([]float64, int(n))
-		for i := range keys {
-			switch rng.IntN(6) {
-			case 0:
-				keys[i] = math.NaN()
-			case 1:
-				keys[i] = math.Inf(1)
-			case 2:
-				keys[i] = 0 // mass ties at zero
-			case 3:
-				keys[i] = float64(rng.IntN(4)) // small tied integers
-			default:
-				keys[i] = rng.Float64()*200 - 100
-			}
-		}
-		wantIdx, wantVal := seqMinIndex(keys)
-		for _, workers := range workerCounts {
-			gotIdx, gotVal := parallel.MinIndex(workers, len(keys), func(i int) float64 { return keys[i] })
-			if gotIdx != wantIdx {
-				t.Logf("workers=%d: index %d, want %d (keys=%v)", workers, gotIdx, wantIdx, keys)
-				return false
-			}
-			if gotVal != wantVal && !(math.IsNaN(gotVal) && math.IsNaN(wantVal)) {
-				t.Logf("workers=%d: value %v, want %v", workers, gotVal, wantVal)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinIndexEdgeCases(t *testing.T) {
-	tests := []struct {
-		name    string
-		keys    []float64
-		wantIdx int
-	}{
-		{"empty", nil, -1},
-		{"all NaN", []float64{math.NaN(), math.NaN(), math.NaN()}, -1},
-		{"all +Inf", []float64{math.Inf(1), math.Inf(1)}, -1},
-		{"tie keeps lowest index", []float64{3, 1, 1, 1, 2}, 1},
-		{"NaN before min", []float64{math.NaN(), 5, 2}, 2},
-		{"-Inf wins", []float64{1, math.Inf(-1), math.Inf(-1)}, 1},
-		{"single", []float64{4}, 0},
-	}
-	for _, tc := range tests {
-		for _, workers := range append(workerCounts, 16) {
-			gotIdx, _ := parallel.MinIndex(workers, len(tc.keys), func(i int) float64 { return tc.keys[i] })
-			if gotIdx != tc.wantIdx {
-				t.Errorf("%s workers=%d: index %d, want %d", tc.name, workers, gotIdx, tc.wantIdx)
-			}
-		}
-	}
-}
 
 func TestForChunksCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7, 16, 100} {
@@ -153,45 +70,6 @@ func TestMapPreservesIndexOrder(t *testing.T) {
 	}
 	if out := parallel.Map(4, 0, func(w, i int) int { return i }); out != nil {
 		t.Errorf("n=0 should map to nil, got %v", out)
-	}
-}
-
-func TestMapReduceFoldsInIndexOrder(t *testing.T) {
-	// A non-commutative reduction (string concatenation) exposes any
-	// fold-order drift immediately.
-	want := ""
-	for i := 0; i < 26; i++ {
-		want += string(rune('a' + i))
-	}
-	for _, workers := range workerCounts {
-		got := parallel.MapReduce(workers, 26,
-			func(w, i int) string { return string(rune('a' + i)) },
-			func(acc, v string) string { return acc + v },
-			"")
-		if got != want {
-			t.Fatalf("workers=%d: %q, want %q", workers, got, want)
-		}
-	}
-}
-
-func TestMapReduceFloatSumBitIdentical(t *testing.T) {
-	// Floating-point summation is order-sensitive; the index-order fold
-	// must make the sum bit-identical across worker counts.
-	rng := stats.NewRNG(99)
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(12)))
-	}
-	ref := parallel.MapReduce(1, len(vals),
-		func(w, i int) float64 { return vals[i] },
-		func(acc, v float64) float64 { return acc + v }, 0.0)
-	for _, workers := range workerCounts[1:] {
-		got := parallel.MapReduce(workers, len(vals),
-			func(w, i int) float64 { return vals[i] },
-			func(acc, v float64) float64 { return acc + v }, 0.0)
-		if math.Float64bits(got) != math.Float64bits(ref) {
-			t.Fatalf("workers=%d: sum %x, want %x", workers, math.Float64bits(got), math.Float64bits(ref))
-		}
 	}
 }
 

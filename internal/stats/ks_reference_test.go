@@ -180,9 +180,8 @@ func FuzzPeacock2DFast(f *testing.F) {
 	})
 }
 
-// BenchmarkPeacock2DFastReference times the per-origin recount on the
-// same samples as BenchmarkPeacock2DFast for like-for-like speedup
-// numbers.
+// BenchmarkPeacock2DFastReference times the per-origin recount at the
+// sizes of the ks/peacock2dfast sections in internal/benchsuite.
 func BenchmarkPeacock2DFastReference(b *testing.B) {
 	for _, n := range []int{100, 500} {
 		pa, pb := ksSamplePair(uint64(n), n, n)
@@ -190,20 +189,6 @@ func BenchmarkPeacock2DFastReference(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := peacock2DFastReference(pa, pb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkPeacock2DFast(b *testing.B) {
-	for _, n := range []int{100, 500} {
-		pa, pb := ksSamplePair(uint64(n), n, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Peacock2DFast(pa, pb); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -223,7 +223,7 @@ func FuzzKSReference(f *testing.F) {
 }
 
 // BenchmarkKSReference times one drift test against a prebuilt reference
-// on the samples BenchmarkPeacock2DFast uses, plus one build.
+// on ksSamplePair samples, plus one build.
 func BenchmarkKSReference(b *testing.B) {
 	for _, n := range []int{100, 500, 12800} {
 		h, w := ksSamplePair(uint64(n), n, 100)
