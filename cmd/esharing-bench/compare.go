@@ -31,7 +31,7 @@ func runCompare(args []string, out io.Writer) error {
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op regression per section")
 	outPath := fs.String("out", "", "also write the fresh benchjson records to this file")
 	parallelism := fs.Int("parallelism", 0,
-		"worker count for the deterministic compute engine; 0 keeps the "+parallel.EnvVar+"/GOMAXPROCS default")
+		"worker count for the deterministic compute engine; 0 keeps the GOMAXPROCS default")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -26,9 +26,9 @@
 // CI runs compare as a required step of the test job; see README.md for
 // the bench-gate workflow.
 //
-// -parallelism N bounds the deterministic compute fan-out (default: the
-// ESHARING_PARALLELISM environment variable, else GOMAXPROCS). Output is
-// bit-identical for every value; 1 runs fully sequentially.
+// -parallelism N bounds the deterministic compute fan-out (default:
+// GOMAXPROCS). Output is bit-identical for every value; 1 runs fully
+// sequentially.
 package main
 
 import (
@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "shrink grids and trial counts for a fast pass")
 	asJSON := fs.Bool("json", false, "emit structured JSON instead of rendered tables")
 	parallelism := fs.Int("parallelism", 0,
-		"worker count for the deterministic compute engine; 0 keeps the "+parallel.EnvVar+"/GOMAXPROCS default, 1 is fully sequential")
+		"worker count for the deterministic compute engine; 0 keeps the GOMAXPROCS default, 1 is fully sequential")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err

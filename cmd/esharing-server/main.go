@@ -98,25 +98,22 @@ func run(args []string) error {
 	if *walDir != "" {
 		opts = append(opts, server.WithWAL(*walDir, *walSync, *walSnapshotEvery))
 	}
-	var handler *server.Server
 	if *fleetSize > 0 {
 		fleet, err := buildFleet(allStations(placers), *fleetSize, *seed)
 		if err != nil {
 			return fmt.Errorf("build fleet: %w", err)
 		}
-		handler, err = server.NewShardedWithFleet(placers, fleet, opts...)
-		if err != nil {
-			return err
-		}
-		log.Printf("fleet of %d bikes registered; tier-2 endpoints enabled", *fleetSize)
-	} else {
-		handler, err = server.NewSharded(placers, opts...)
-		if err != nil {
-			return err
-		}
+		opts = append(opts, server.WithFleet(fleet))
+		log.Printf("fleet of %d bikes built for the tier-2 endpoints", *fleetSize)
+	}
+	handler, err := server.NewSharded(placers, opts...)
+	if err != nil {
+		return err
 	}
 	if *walDir != "" {
-		log.Printf("decision log at %s (%d records recovered)", *walDir, handler.WALRecords())
+		replayed, restored := handler.WALRecovery()
+		log.Printf("decision log at %s (%d records replayed; %d of %d shard(s) restored from a snapshot)",
+			*walDir, replayed, restored, len(placers))
 	}
 	srv := &http.Server{
 		Addr:              *addr,

@@ -90,7 +90,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	coreSys := newCorePlacer(t, history)
-	handler, err := server.New(coreSys)
+	handler, err := server.NewSharded([]core.OnlinePlacer{coreSys})
 	if err != nil {
 		t.Fatal(err)
 	}

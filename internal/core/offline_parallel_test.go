@@ -188,7 +188,7 @@ func TestSolveOfflineWorkersMatchesReference(t *testing.T) {
 
 func TestSolveOfflineDefaultMatchesReference(t *testing.T) {
 	// SolveOffline (the parallel.Default() path, whatever the ambient
-	// GOMAXPROCS/ESHARING_PARALLELISM) must agree with the seed too.
+	// GOMAXPROCS) must agree with the seed too.
 	p := randomOfflineProblem(7, 90)
 	want, err := solveOfflineReference(p)
 	if err != nil {

@@ -147,29 +147,14 @@ func (t *KDTree) search(node int32, q Point, best *int32, bestD2 *float64) {
 	}
 }
 
-// Within appends to dst the indices of every indexed point strictly
-// closer to q than r (Euclidean distance < r) and returns the extended
-// slice. Passing a reused dst[:0] makes repeated queries allocation-free
-// once the slice has grown to its working size.
-//
-// The comparison is performed on squared distances (Dist2(q, p) < r*r);
-// callers whose membership condition is natively a squared-distance
-// comparison — like the offline solver's neighbourhood invalidation —
-// should use WithinDist2 directly and avoid the square-root/re-square
-// rounding round-trip. Results come back in the tree's deterministic
-// traversal order (node, left, right), which depends only on the
-// indexed points; r <= 0, NaN radii and empty trees yield no results.
-func (t *KDTree) Within(q Point, r float64, dst []int32) []int32 {
-	if !(r > 0) {
-		return dst
-	}
-	return t.WithinDist2(q, r*r, dst)
-}
-
-// WithinDist2 is Within with the radius given in squared form: it
-// appends the indices of every indexed point p with Dist2(q, p) < r2,
-// exactly as the caller's own squared-distance comparisons would
-// classify them.
+// WithinDist2 appends to dst the indices of every indexed point p with
+// Dist2(q, p) < r2 and returns the extended slice, exactly as the
+// caller's own squared-distance comparisons would classify them (the
+// offline solver's neighbourhood invalidation is one). Passing a reused
+// dst[:0] makes repeated queries allocation-free once the slice has
+// grown to its working size. Results come back in the tree's
+// deterministic traversal order (node, left, right), which depends only
+// on the indexed points; r2 <= 0, NaN and empty trees yield no results.
 func (t *KDTree) WithinDist2(q Point, r2 float64, dst []int32) []int32 {
 	if !(r2 > 0) {
 		return dst

@@ -211,14 +211,13 @@ func TestDynamicIndexDifferential10k(t *testing.T) {
 	check("after reinserts")
 }
 
-// linearWithin is the oracle for KDTree.Within: ascending-index scan
-// with the same strict squared-distance membership test.
-func linearWithin(q Point, r float64, pts []Point) []int32 {
+// linearWithin is the oracle for KDTree.WithinDist2: ascending-index
+// scan with the same strict squared-distance membership test.
+func linearWithin(q Point, r2 float64, pts []Point) []int32 {
 	var out []int32
-	if !(r > 0) {
+	if !(r2 > 0) {
 		return out
 	}
-	r2 := r * r
 	for i, p := range pts {
 		if q.Dist2(p) < r2 {
 			out = append(out, int32(i))
@@ -253,8 +252,8 @@ func TestKDTreeWithinMatchesLinear(t *testing.T) {
 	tr := BuildKDTree(pts)
 	for qi, q := range randomPts(22, 200) {
 		for _, r := range []float64{0, 1, 50, 400, 2500, 10000} {
-			got := tr.Within(q, r, nil)
-			want := linearWithin(q, r, pts)
+			got := tr.WithinDist2(q, r*r, nil)
+			want := linearWithin(q, r*r, pts)
 			sameIndexSet(t, "query", got, want)
 			_ = qi
 		}
@@ -262,23 +261,23 @@ func TestKDTreeWithinMatchesLinear(t *testing.T) {
 }
 
 func TestKDTreeWithinEdgeCases(t *testing.T) {
-	if got := BuildKDTree(nil).Within(Pt(0, 0), 100, nil); len(got) != 0 {
+	if got := BuildKDTree(nil).WithinDist2(Pt(0, 0), 100, nil); len(got) != 0 {
 		t.Errorf("empty tree: %v", got)
 	}
 	pts := []Point{Pt(0, 0), Pt(3, 4), Pt(0, 0)}
 	tr := BuildKDTree(pts)
-	// r <= 0 and NaN radii are empty by definition (strict inequality).
-	for _, r := range []float64{0, -1, math.NaN()} {
-		if got := tr.Within(Pt(0, 0), r, nil); len(got) != 0 {
-			t.Errorf("r=%v: %v", r, got)
+	// r2 <= 0 and NaN are empty by definition (strict inequality).
+	for _, r2 := range []float64{0, -1, math.NaN()} {
+		if got := tr.WithinDist2(Pt(0, 0), r2, nil); len(got) != 0 {
+			t.Errorf("r2=%v: %v", r2, got)
 		}
 	}
-	// Strictness: a point at exactly distance r is not a member.
-	sameIndexSet(t, "r=5 exact boundary", tr.Within(Pt(0, 0), 5, nil), []int32{0, 2})
-	sameIndexSet(t, "r just above", tr.Within(Pt(0, 0), math.Nextafter(5, 6), nil), []int32{0, 1, 2})
+	// Strictness: a point at exactly squared distance r2 is not a member.
+	sameIndexSet(t, "r2=25 exact boundary", tr.WithinDist2(Pt(0, 0), 25, nil), []int32{0, 2})
+	sameIndexSet(t, "r2 just above", tr.WithinDist2(Pt(0, 0), math.Nextafter(25, 26), nil), []int32{0, 1, 2})
 	// dst is appended to, preserving existing contents.
 	dst := []int32{99}
-	dst = tr.Within(Pt(3, 4), 1, dst)
+	dst = tr.WithinDist2(Pt(3, 4), 1, dst)
 	sameIndexSet(t, "append to dst", dst, []int32{99, 1})
 }
 
@@ -286,9 +285,9 @@ func TestKDTreeWithinDeterministicOrder(t *testing.T) {
 	pts := randomPts(23, 300)
 	tr := BuildKDTree(pts)
 	q := Pt(2500, 2500)
-	first := tr.Within(q, 1500, nil)
+	first := tr.WithinDist2(q, 1500*1500, nil)
 	for run := 0; run < 5; run++ {
-		again := tr.Within(q, 1500, nil)
+		again := tr.WithinDist2(q, 1500*1500, nil)
 		if len(again) != len(first) {
 			t.Fatalf("run %d: %d members, want %d", run, len(again), len(first))
 		}
@@ -313,8 +312,8 @@ func TestQuickKDTreeWithinAgreesWithLinear(t *testing.T) {
 		tr := BuildKDTree(pts)
 		q := Pt(float64(qx%50), float64(qy%50))
 		radius := float64(rr % 80)
-		got := tr.Within(q, radius, nil)
-		want := linearWithin(q, radius, pts)
+		got := tr.WithinDist2(q, radius*radius, nil)
+		want := linearWithin(q, radius*radius, pts)
 		if len(got) != len(want) {
 			return false
 		}
@@ -341,7 +340,7 @@ func BenchmarkKDTreeWithin10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tr.Within(q, 250, dst[:0])
+		dst = tr.WithinDist2(q, 250*250, dst[:0])
 	}
 }
 

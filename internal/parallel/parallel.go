@@ -22,23 +22,15 @@
 // differential tests in this package and in core/forecast/experiments
 // enforce that at parallelism 1, 2, 4 and 7.
 //
-// The process-wide default worker count comes from the
-// ESHARING_PARALLELISM environment variable when set (a positive
-// integer), otherwise GOMAXPROCS; binaries expose it as a -parallelism
-// flag via SetDefault.
+// The process-wide default worker count is GOMAXPROCS; binaries expose
+// it as a -parallelism flag via SetDefault.
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
-
-// EnvVar names the environment variable consulted for the default
-// worker count.
-const EnvVar = "ESHARING_PARALLELISM"
 
 // defaultWorkers holds the process-wide default parallelism. It is only
 // read through Default and written through SetDefault (both atomic), so
@@ -46,16 +38,7 @@ const EnvVar = "ESHARING_PARALLELISM"
 var defaultWorkers atomic.Int64
 
 func init() {
-	defaultWorkers.Store(int64(initialWorkers()))
-}
-
-func initialWorkers() int {
-	if s := os.Getenv(EnvVar); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
+	defaultWorkers.Store(int64(runtime.GOMAXPROCS(0)))
 }
 
 // Default returns the process-wide default worker count (≥ 1).
@@ -64,11 +47,11 @@ func Default() int {
 }
 
 // SetDefault sets the process-wide default worker count. Values below 1
-// reset to the environment/GOMAXPROCS-derived initial value; SetDefault(1)
-// forces every default-parallelism compute path to run sequentially.
+// reset to GOMAXPROCS; SetDefault(1) forces every default-parallelism
+// compute path to run sequentially.
 func SetDefault(n int) {
 	if n < 1 {
-		n = initialWorkers()
+		n = runtime.GOMAXPROCS(0)
 	}
 	defaultWorkers.Store(int64(n))
 }

@@ -1,6 +1,7 @@
 package parallel_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -80,9 +81,9 @@ func TestSetDefaultClampsAndRestores(t *testing.T) {
 	if got := parallel.Default(); got != 7 {
 		t.Fatalf("parallel.Default()=%d after parallel.SetDefault(7)", got)
 	}
-	parallel.SetDefault(0) // resets to the environment/GOMAXPROCS default
-	if got := parallel.Default(); got < 1 {
-		t.Fatalf("parallel.Default()=%d after reset, want >= 1", got)
+	parallel.SetDefault(0) // resets to the GOMAXPROCS default
+	if got, want := parallel.Default(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("parallel.Default()=%d after reset, want GOMAXPROCS=%d", got, want)
 	}
 }
 

@@ -4,15 +4,13 @@ import (
 	"errors"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/geo"
 	"repro/internal/sim"
 )
 
-// Tier-2 endpoints: when the server is built with a fleet
-// (NewWithFleet / NewShardedWithFleet), it additionally exposes bike
-// registration, rides and charging rounds.
+// Tier-2 endpoints: when the server is built with a fleet (WithFleet),
+// it additionally exposes bike registration, rides and charging rounds.
 //
 //	GET  /v1/bikes           -> fleet snapshot
 //	POST /v1/bikes           -> register a bike
@@ -47,36 +45,18 @@ type ChargingRequest struct {
 	Seed  *uint64 `json:"seed,omitempty"`
 }
 
-// NewWithFleet builds a single-shard Server that also manages a fleet
-// for tier-2 operations.
-func NewWithFleet(placer core.OnlinePlacer, fleet *energy.Fleet, opts ...Option) (*Server, error) {
-	if placer == nil {
-		return nil, errors.New("server: nil placer")
+// WithFleet attaches a fleet for tier-2 operations, which enables the
+// fleet endpoints. The fleet is global — one lock, independent of every
+// decision loop — since bikes move between regions. A nil fleet leaves
+// the tier-2 endpoints off, as if the option were not given.
+func WithFleet(fleet *energy.Fleet) Option {
+	return func(s *Server) {
+		if fleet == nil {
+			return
+		}
+		s.fleet = fleet //esharing:allow guardedby -- construction-time write; no handler can run yet
+		s.getBike = fleet.Get
 	}
-	return NewShardedWithFleet([]core.OnlinePlacer{placer}, fleet, opts...)
-}
-
-// NewShardedWithFleet builds a geo-sharded Server (see NewSharded) that
-// also manages a fleet for tier-2 operations. The fleet is global — one
-// lock, independent of every decision loop — since bikes move between
-// regions.
-func NewShardedWithFleet(placers []core.OnlinePlacer, fleet *energy.Fleet, opts ...Option) (*Server, error) {
-	if fleet == nil {
-		return nil, errors.New("server: nil fleet")
-	}
-	s, err := NewSharded(placers, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Construction-time write: no handler can observe s until
-	// NewShardedWithFleet returns, so the lock is not needed yet.
-	s.fleet = fleet //esharing:allow guardedby -- construction-time write; no handler can run yet
-	s.getBike = fleet.Get
-	s.mux.HandleFunc("GET /v1/bikes", s.instrument(epBikes, s.handleBikes))
-	s.mux.HandleFunc("POST /v1/bikes", s.instrument(epAddBike, s.handleAddBike))
-	s.mux.HandleFunc("POST /v1/rides", s.instrument(epRide, s.handleRide))
-	s.mux.HandleFunc("POST /v1/charging-round", s.instrument(epCharging, s.handleChargingRound))
-	return s, nil
 }
 
 func (s *Server) handleBikes(w http.ResponseWriter, _ *http.Request) {

@@ -30,7 +30,7 @@ func newFleetServer(t *testing.T) (*httptest.Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithFleet(placer, fleet)
+	srv, err := newSingle(placer, WithFleet(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,19 +43,25 @@ func newFleetServer(t *testing.T) (*httptest.Server, *Client) {
 	return ts, client
 }
 
-func TestNewWithFleetValidation(t *testing.T) {
+// TestWithFleetValidation: a nil fleet is no fleet — the tier-2 routes
+// stay unregistered — and the placer checks still apply with a fleet.
+func TestWithFleetValidation(t *testing.T) {
 	placer, err := core.NewMeyerson(5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWithFleet(placer, nil); err == nil {
-		t.Error("nil fleet should error")
+	srv, err := newSingle(placer, WithFleet(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := do(t, srv, http.MethodGet, "/v1/bikes", ""); code != http.StatusNotFound {
+		t.Errorf("GET /v1/bikes with a nil fleet = %d, want 404", code)
 	}
 	fleet, err := energy.NewFleet(energy.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWithFleet(nil, fleet); err == nil {
+	if _, err := newSingle(nil, WithFleet(fleet)); err == nil {
 		t.Error("nil placer should error")
 	}
 }
@@ -132,12 +138,12 @@ func TestChargingRoundBadAlpha(t *testing.T) {
 }
 
 func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
-	// A server built with New must not expose tier-2 routes.
+	// A server built without WithFleet must not expose tier-2 routes.
 	placer, err := core.NewMeyerson(5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(placer)
+	srv, err := newSingle(placer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +199,7 @@ func TestRideStateReadFailureIs500(t *testing.T) {
 	if err := fleet.Add(energy.Bike{ID: 7, Loc: geo.Pt(0, 0), Level: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithFleet(placer, fleet)
+	srv, err := newSingle(placer, WithFleet(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func FuzzPlaceRequestDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv, err := New(placer)
+	srv, err := newSingle(placer)
 	if err != nil {
 		f.Fatal(err)
 	}

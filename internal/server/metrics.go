@@ -22,7 +22,7 @@ import (
 // Endpoint indices for the instrumented routes. epOther catches
 // requests no registered route matches (the mux's 404/405 responses),
 // which would otherwise bypass instrumentation and leave client-visible
-// errors uncounted. Fleet endpoints are registered only by NewWithFleet
+// errors uncounted. Fleet endpoints are registered only with WithFleet
 // but always have slots so the arrays stay fixed-size.
 const (
 	epPlace = iota
@@ -228,7 +228,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var requests, opened, shed int64
 	var walk float64
 	var queueDepth, queueLimit int
-	hasWAL := false
 	for _, sh := range s.shards {
 		requests += sh.requests.Load()
 		opened += sh.opened.Load()
@@ -236,13 +235,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		shed += sh.shed.Load()
 		queueDepth += len(sh.queue)
 		queueLimit += sh.maxInFlight
-		// The wal pointers are written once during construction and
-		// never reassigned while serving; their Metrics() reads are
-		// atomic.
-		if sh.wal != nil { //esharing:allow guardedby -- set-once pointer, nil-check only
-			hasWAL = true
-		}
 	}
+	hasWAL := s.walDir != ""
 	stations := len(v.stations)
 	var fleetSize, fleetLow int
 	hasFleet := s.fleet != nil
@@ -276,6 +270,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		var wm wal.Metrics
 		var walFailures, walReplayed, walReplayNanos int64
 		for _, sh := range s.shards {
+			// The wal pointers are written once during construction and
+			// cleared only by Close; their Metrics() reads are atomic.
 			if sh.wal == nil { //esharing:allow guardedby -- set-once pointer, internally atomic counters
 				continue
 			}
@@ -298,32 +294,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			float64(walReplayNanos)/1e9)
 	}
 
-	if len(s.shards) > 1 {
-		// Per-shard series carry a shard label and exist only on
-		// multi-shard servers, so single-shard scrapes stay
-		// byte-compatible with the unsharded exposition.
-		writeShardMetric := func(name, help, typ string, value func(sh *shard, part *readSnapshot) any) {
-			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for i, sh := range s.shards {
-				fmt.Fprintf(&sb, "%s{shard=\"%d\"} %v\n", name, i, value(sh, v.parts[i]))
-			}
+	// Per-shard series carry a shard label; their sum over shards is the
+	// matching unlabelled family above.
+	writeShardMetric := func(name, help, typ string, value func(sh *shard, part *readSnapshot) any) {
+		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for i, sh := range s.shards {
+			fmt.Fprintf(&sb, "%s{shard=\"%d\"} %v\n", name, i, value(sh, v.parts[i]))
 		}
-		writeShardMetric("esharing_shard_requests_total", "Trip requests served, by shard.", "counter",
-			func(sh *shard, _ *readSnapshot) any { return sh.requests.Load() })
-		writeShardMetric("esharing_shard_stations_opened_total", "Stations opened online, by shard.", "counter",
-			func(sh *shard, _ *readSnapshot) any { return sh.opened.Load() })
-		writeShardMetric("esharing_shard_walk_meters_total", "Cumulative rider walking distance, by shard.", "counter",
-			func(sh *shard, _ *readSnapshot) any { return math.Float64frombits(sh.walkBits.Load()) })
-		writeShardMetric("esharing_shard_stations", "Currently established stations, by shard.", "gauge",
-			func(_ *shard, part *readSnapshot) any { return len(part.stations) })
-		writeShardMetric("esharing_shard_requests_shed_total", "Placement requests shed with 429, by shard.", "counter",
-			func(sh *shard, _ *readSnapshot) any { return sh.shed.Load() })
-		writeShardMetric("esharing_shard_place_queue_depth", "Placement requests admitted and queued, by shard.", "gauge",
-			func(sh *shard, _ *readSnapshot) any { return len(sh.queue) })
-		if hasWAL {
-			writeShardMetric("esharing_shard_wal_failures_total", "Decision log writes that failed, by shard.", "counter",
-				func(sh *shard, _ *readSnapshot) any { return sh.walFailures.Load() })
-		}
+	}
+	writeShardMetric("esharing_shard_requests_total", "Trip requests served, by shard.", "counter",
+		func(sh *shard, _ *readSnapshot) any { return sh.requests.Load() })
+	writeShardMetric("esharing_shard_stations_opened_total", "Stations opened online, by shard.", "counter",
+		func(sh *shard, _ *readSnapshot) any { return sh.opened.Load() })
+	writeShardMetric("esharing_shard_walk_meters_total", "Cumulative rider walking distance, by shard.", "counter",
+		func(sh *shard, _ *readSnapshot) any { return math.Float64frombits(sh.walkBits.Load()) })
+	writeShardMetric("esharing_shard_stations", "Currently established stations, by shard.", "gauge",
+		func(_ *shard, part *readSnapshot) any { return len(part.stations) })
+	writeShardMetric("esharing_shard_requests_shed_total", "Placement requests shed with 429, by shard.", "counter",
+		func(sh *shard, _ *readSnapshot) any { return sh.shed.Load() })
+	writeShardMetric("esharing_shard_place_queue_depth", "Placement requests admitted and queued, by shard.", "gauge",
+		func(sh *shard, _ *readSnapshot) any { return len(sh.queue) })
+	if hasWAL {
+		writeShardMetric("esharing_shard_wal_failures_total", "Decision log writes that failed, by shard.", "counter",
+			func(sh *shard, _ *readSnapshot) any { return sh.walFailures.Load() })
 	}
 
 	s.writeErrorCounters(&sb)

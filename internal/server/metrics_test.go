@@ -326,7 +326,7 @@ func (p *blockingPlacer) Name() string          { return "blocking" }
 // accepted + shed == sent with exact counter reconciliation.
 func TestShedLoadUnderSaturation(t *testing.T) {
 	placer := newBlockingPlacer()
-	srv, err := New(placer, WithMaxInFlight(2))
+	srv, err := newSingle(placer, WithMaxInFlight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 // next request, and be counted under kind="canceled".
 func TestQueuedRequestHonorsCancellation(t *testing.T) {
 	placer := newBlockingPlacer()
-	srv, err := New(placer, WithMaxInFlight(2))
+	srv, err := newSingle(placer, WithMaxInFlight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func (failingPlacer) Name() string          { return "failing" }
 // a failing placer must show up in /v1/stats errors and in the
 // esharing_request_errors_total family, not report a healthy system.
 func TestFailedPlacementsAreCounted(t *testing.T) {
-	srv, err := New(failingPlacer{})
+	srv, err := newSingle(failingPlacer{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@
 // lock-free, served from per-shard atomic counters and immutable
 // per-shard station snapshots merged deterministically in shard-index
 // order, so monitoring scrapes and dashboard polls never block any
-// decision stream. A single-shard server (New) behaves exactly like
-// the historical unsharded one.
+// decision stream. A single-shard server is the same shape with N = 1:
+// it routes, reports and exports per-shard figures exactly as an
+// N-shard one does.
 package server
 
 import (
@@ -31,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/geo"
+	"repro/internal/wal"
 )
 
 // DefaultMaxInFlight is the admission-queue capacity used when no
@@ -73,9 +75,10 @@ type ShardStats struct {
 // pointer so that a placer without a similarity figure omits the field
 // while a legitimate 0% similarity serialises as an explicit zero —
 // with a plain omitempty float the two were indistinguishable. Shards
-// is present only on multi-shard servers; the top-level counters are
-// always the fleet-wide aggregates (LastSimilarity is the
-// request-weighted mean of the shards' figures).
+// has one entry per shard; the top-level counters are the fleet-wide
+// aggregates (LastSimilarity is the request-weighted mean of the
+// shards' figures, which on one shard is that shard's figure bit for
+// bit).
 type StatsResponse struct {
 	Algorithm      string       `json:"algorithm"`
 	Requests       int64        `json:"requests"`
@@ -85,7 +88,7 @@ type StatsResponse struct {
 	Errors         int64        `json:"errors"`
 	Shed           int64        `json:"shed"`
 	LastSimilarity *float64     `json:"lastSimilarityPct,omitempty"`
-	Shards         []ShardStats `json:"shards,omitempty"`
+	Shards         []ShardStats `json:"shards"`
 }
 
 // errorBody is the JSON error envelope.
@@ -100,7 +103,7 @@ type errorBody struct {
 type readSnapshot struct {
 	stations []geo.Point
 	lastSim  float64
-	hasSim   bool // placer is a *core.ESharing with a similarity figure
+	hasSim   bool // the placer reports a similarity figure
 }
 
 // mergedView is the fleet-wide read state: the per-shard snapshots it
@@ -147,11 +150,12 @@ func sameStationArrays(a, b []*readSnapshot) bool {
 }
 
 // Server wraps one or more online placers (one per geo-shard) behind an
-// HTTP API; NewWithFleet adds tier-2 fleet endpoints.
+// HTTP API; WithFleet adds tier-2 fleet endpoints.
 type Server struct {
 	name string // placer.Name(), shared by all shards, cached for reads
 
-	// shards are the independent decision loops; immutable after New.
+	// shards are the independent decision loops; immutable after
+	// NewSharded.
 	// Requests route by the planar cell of their destination at
 	// shardPrecision (see geo.ShardOf).
 	shards         []*shard
@@ -159,7 +163,7 @@ type Server struct {
 	maxInFlight    int // fleet-wide admission budget (-max-inflight)
 
 	fleetMu sync.Mutex // guards fleet independently of the decision locks
-	// fleet is nil unless built with NewWithFleet; the pointer is set
+	// fleet is nil unless built with WithFleet; the pointer is set
 	// once before serving, its state mutates only under the lock.
 	// guarded by fleetMu
 	fleet *energy.Fleet
@@ -169,11 +173,12 @@ type Server struct {
 	// pin handleRide's no-zero-valued-200 contract.
 	getBike func(id int64) (energy.Bike, error)
 
-	// WAL configuration distributed to the shards by NewSharded; each
-	// shard owns its log (multi-shard servers use walDir/shard-<index>).
-	walDir           string
-	walSyncEvery     int
-	walSnapshotEvery uint64
+	// WAL configuration handed to the shards by NewSharded; each shard
+	// owns its log (multi-shard servers use walDir/shard-<index>).
+	// walOpts carries the sync and snapshot cadences; openWAL fills in
+	// the shard's engine identity.
+	walDir  string
+	walOpts wal.Options
 
 	// Serving-path instrumentation, all lock-free (see metrics.go).
 	errors    atomic.Int64 // all >=400 responses across endpoints
@@ -217,18 +222,10 @@ func WithShardPrecision(p int) Option {
 	}
 }
 
-// New builds a single-shard Server around placer.
-func New(placer core.OnlinePlacer, opts ...Option) (*Server, error) {
-	if placer == nil {
-		return nil, errors.New("server: nil placer")
-	}
-	return NewSharded([]core.OnlinePlacer{placer}, opts...)
-}
-
 // NewSharded builds a geo-sharded Server: one independent decision loop
 // per placer, with placement requests routed by destination cell and
 // read endpoints merging the per-shard state. All placers must run the
-// same algorithm. A one-element slice is exactly New.
+// same algorithm; a one-element slice is a single-shard server.
 func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	if len(placers) == 0 {
 		return nil, errors.New("server: no placers")
@@ -260,34 +257,19 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	}
 	s.shards = make([]*shard, len(placers))
 	for i, p := range placers {
-		sh := &shard{
-			index:       i,
-			name:        name,
-			placer:      p,
-			decision:    make(chan struct{}, 1),
-			queue:       make(chan struct{}, perShard),
-			maxInFlight: perShard,
-		}
-		if len(placers) == 1 {
-			sh.shedMsg = fmt.Sprintf("placement queue full (%d in flight)", perShard)
-		} else {
-			sh.shedMsg = fmt.Sprintf("placement queue full on shard %d (%d in flight)", i, perShard)
-		}
-		s.shards[i] = sh
+		s.shards[i] = newShard(i, p, perShard)
 	}
 	if s.walDir != "" {
 		// Recover every shard before the first snapshot publication so
 		// the read endpoints never expose pre-recovery state. A
-		// single-shard log lives at walDir itself, byte-compatible with
-		// logs written before sharding existed.
+		// single-shard log lives at walDir itself: that is the on-disk
+		// layout of every single-shard log ever written.
 		for i, sh := range s.shards {
-			sh.walDir = s.walDir
+			dir := s.walDir
 			if len(s.shards) > 1 {
-				sh.walDir = filepath.Join(s.walDir, fmt.Sprintf("shard-%03d", i))
+				dir = filepath.Join(s.walDir, fmt.Sprintf("shard-%03d", i))
 			}
-			sh.walSyncEvery = s.walSyncEvery
-			sh.walSnapshotEvery = s.walSnapshotEvery
-			if err := sh.openWAL(); err != nil {
+			if err := sh.openWAL(dir, s.walOpts); err != nil {
 				for _, prev := range s.shards[:i] {
 					//esharing:allow walerr -- best-effort cleanup after a failed startup; the open error is what propagates
 					_ = prev.closeWAL()
@@ -304,6 +286,12 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/stats", s.instrument(epStats, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", s.instrument(epHealth, s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.instrument(epMetrics, s.handleMetrics))
+	if s.endpointActive(epBikes) { // WithFleet attached a fleet
+		s.mux.HandleFunc("GET /v1/bikes", s.instrument(epBikes, s.handleBikes))
+		s.mux.HandleFunc("POST /v1/bikes", s.instrument(epAddBike, s.handleAddBike))
+		s.mux.HandleFunc("POST /v1/rides", s.instrument(epRide, s.handleRide))
+		s.mux.HandleFunc("POST /v1/charging-round", s.instrument(epCharging, s.handleChargingRound))
+	}
 	s.fallback = s.instrument(epOther, s.mux.ServeHTTP)
 	return s, nil
 }
@@ -328,8 +316,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the current snapshots. Rebuilds race benignly — last store wins, and
 // a reader that loads an older cached view re-validates it before
 // serving, so a decision whose response has been committed is never
-// hidden. With a single shard the view aliases the shard's own station
-// slice, no copying.
+// hidden.
 //
 //esharing:hotpath
 func (s *Server) view() *mergedView {
@@ -344,20 +331,18 @@ func (s *Server) view() *mergedView {
 		total += len(parts[i].stations)
 	}
 	next := &mergedView{parts: parts}
-	if len(s.shards) == 1 {
-		next.stations = parts[0].stations
-	} else {
-		st := make([]geo.Point, 0, total)
-		for _, p := range parts {
-			st = append(st, p.stations...)
-		}
-		next.stations = st
-	}
 	if cur != nil && sameStationArrays(cur.parts, parts) {
 		// Only similarity figures changed; the station content is
-		// identical, so the cached encoding stays byte-accurate.
+		// identical, so the merged set and its cached encoding carry
+		// over byte-accurate.
+		next.stations = cur.stations
 		if b := cur.stationsJSON.Load(); b != nil {
 			next.stationsJSON.Store(b)
+		}
+	} else {
+		next.stations = make([]geo.Point, 0, total)
+		for _, p := range parts {
+			next.stations = append(next.stations, p.stations...)
 		}
 	}
 	s.merged.Store(next)
@@ -431,12 +416,7 @@ func (sh *shard) placeLocked(ctx context.Context, dest geo.Point) (decision core
 	if err != nil {
 		return core.Decision{}, true, err
 	}
-	sh.requests.Add(1)
-	if decision.Opened {
-		sh.opened.Add(1)
-	}
-	walk := math.Float64frombits(sh.walkBits.Load()) + decision.Walk
-	sh.walkBits.Store(math.Float64bits(walk))
+	sh.record(decision)
 	sh.refreshAfterPlace(decision.Opened)
 	// The decision is durable (modulo -wal-sync batching) before the
 	// lock is released and the response committed.
@@ -469,7 +449,11 @@ func (s *Server) handleStations(w http.ResponseWriter, _ *http.Request) {
 
 // handleStats serves GET /v1/stats from the per-shard atomics and the
 // merged view, summed in shard-index order so the aggregate floats are
-// deterministic for a fixed per-shard state.
+// deterministic for a fixed per-shard state. The aggregate similarity
+// is Σ (rᵢ/R)·sᵢ over the shards with a figure (rᵢ their requests, R
+// the sum of rᵢ): each weight is formed before it scales sᵢ, so one
+// shard reports 1.0·s, its own figure bit for bit. With no requests yet
+// (R = 0) it is the unweighted mean.
 //
 //esharing:hotpath
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -478,8 +462,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Algorithm: s.name,
 		Stations:  len(v.stations),
 		Errors:    s.errors.Load(),
+		Shards:    make([]ShardStats, len(s.shards)),
 	}
-	per := make([]ShardStats, len(s.shards))
+	var simSum, simReqs float64
+	simCount := 0
 	for i, sh := range s.shards {
 		part := v.parts[i]
 		ss := ShardStats{
@@ -493,37 +479,27 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		if part.hasSim {
 			sim := part.lastSim
 			ss.LastSimilarity = &sim
+			simSum += sim
+			simReqs += float64(ss.Requests)
+			simCount++
 		}
-		per[i] = ss
+		resp.Shards[i] = ss
 		resp.Requests += ss.Requests
 		resp.Opened += ss.Opened
 		resp.WalkTotal += ss.WalkTotal
 		resp.Shed += ss.Shed
 	}
-	if len(per) == 1 {
-		// Single shard: the shard's figure verbatim, bit-identical to
-		// the unsharded server (no mean arithmetic in between).
-		resp.LastSimilarity = per[0].LastSimilarity
-	} else {
-		resp.Shards = per
-		var wSum, wTot, uSum float64
-		simCount := 0
-		for _, ss := range per {
-			if ss.LastSimilarity == nil {
-				continue
+	if simCount > 0 {
+		sim := simSum / float64(simCount)
+		if simReqs > 0 {
+			sim = 0
+			for _, ss := range resp.Shards {
+				if ss.LastSimilarity != nil {
+					sim += float64(ss.Requests) / simReqs * *ss.LastSimilarity
+				}
 			}
-			simCount++
-			uSum += *ss.LastSimilarity
-			wSum += *ss.LastSimilarity * float64(ss.Requests)
-			wTot += float64(ss.Requests)
 		}
-		if simCount > 0 {
-			sim := uSum / float64(simCount)
-			if wTot > 0 {
-				sim = wSum / wTot
-			}
-			resp.LastSimilarity = &sim
-		}
+		resp.LastSimilarity = &sim
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

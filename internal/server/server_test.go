@@ -16,13 +16,18 @@ import (
 	"repro/internal/stats"
 )
 
+// newSingle builds a one-shard server around placer.
+func newSingle(placer core.OnlinePlacer, opts ...Option) (*Server, error) {
+	return NewSharded([]core.OnlinePlacer{placer}, opts...)
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
 	placer, err := core.NewMeyerson(5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(placer)
+	srv, err := newSingle(placer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +41,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := newSingle(nil); err == nil {
 		t.Error("nil placer should error")
 	}
 	if _, err := NewClient("", nil); err == nil {
@@ -109,7 +114,7 @@ func TestStatsExposesESharingSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(placer)
+	srv, err := newSingle(placer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +237,7 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(placer)
+	srv, err := newSingle(placer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -14,8 +16,8 @@ import (
 // so the server runs one shard per region partition and routes every
 // request by the planar cell of its destination (geo.ShardOf); shards
 // never synchronise with each other, which is what lets placement
-// throughput scale with the shard count. A single-shard server is
-// exactly the old unsharded one: same lock, same queue, same counters.
+// throughput scale with the shard count. A single-shard server is the
+// same shape with N = 1.
 type shard struct {
 	index int
 	name  string // placer.Name(), cached for error messages and replay
@@ -24,6 +26,15 @@ type shard struct {
 	// it must happen under the shard's decision channel-lock.
 	// guarded by decision
 	placer core.OnlinePlacer
+	// The placer's optional capabilities, resolved once by newShard so
+	// publishing, replay and WAL snapshots never re-assert them; each is
+	// nil when the placer lacks it.
+	// guarded by decision
+	sim *core.ESharing // the similarity figure's source
+	// guarded by decision
+	durable core.DurablePlacer
+	// guarded by decision
+	remover core.StationRemover
 
 	// decision is a capacity-1 channel used as the placement lock
 	// (send = acquire, receive = release): unlike a sync.Mutex, a
@@ -36,10 +47,10 @@ type shard struct {
 	shedMsg     string // 429 body, pre-rendered off the hot path
 
 	// Counters are written only under the shard's decision lock
-	// (single writer) and read lock-free by the stats/metrics
-	// handlers, which sum them across shards in shard-index order.
-	// walkBits holds the math.Float64bits of the cumulative walk
-	// distance.
+	// (single writer, see record) and read lock-free by the
+	// stats/metrics handlers, which sum them across shards in
+	// shard-index order. walkBits holds the math.Float64bits of the
+	// cumulative walk distance.
 	requests atomic.Int64
 	opened   atomic.Int64
 	walkBits atomic.Uint64 // guarded by decision
@@ -50,16 +61,57 @@ type shard struct {
 	// snapshotted only under the decision lock. Lock-free paths may
 	// nil-check the pointer and read its (internally atomic) Metrics.
 	// guarded by decision
-	wal              *wal.Log
-	walDir           string
-	walSyncEvery     int
-	walSnapshotEvery uint64
-	walFailures      atomic.Int64 // append/snapshot failures (degraded)
-	walFailed        atomic.Bool  // latched by the first failure
-	walReplayNanos   atomic.Int64 // startup replay duration
-	walReplayed      atomic.Int64 // records replayed at startup
+	wal            *wal.Log
+	walFailures    atomic.Int64 // append/snapshot failures (degraded)
+	walFailed      atomic.Bool  // latched by the first failure
+	walReplayNanos atomic.Int64 // startup replay duration
+	walReplayed    atomic.Int64 // log-tail records replayed at startup
+	walRestored    atomic.Bool  // startup restored a snapshot first
 
 	snap atomic.Pointer[readSnapshot]
+}
+
+// newShard builds shard index around placer p, resolving p's optional
+// capabilities once.
+func newShard(index int, p core.OnlinePlacer, maxInFlight int) *shard {
+	sim, _ := p.(*core.ESharing)
+	durable, _ := p.(core.DurablePlacer)
+	remover, _ := p.(core.StationRemover)
+	return &shard{
+		index:       index,
+		name:        p.Name(),
+		placer:      p,
+		sim:         sim,
+		durable:     durable,
+		remover:     remover,
+		decision:    make(chan struct{}, 1),
+		queue:       make(chan struct{}, maxInFlight),
+		maxInFlight: maxInFlight,
+		shedMsg:     fmt.Sprintf("placement queue full on shard %d (%d in flight)", index, maxInFlight),
+	}
+}
+
+// record adds one applied decision to the shard's serving counters,
+// the single writer of requests, opened and walkBits for both live
+// placement and startup replay; caller holds decision.
+//
+//esharing:hotpath
+func (sh *shard) record(d core.Decision) {
+	sh.requests.Add(1)
+	if d.Opened {
+		sh.opened.Add(1)
+	}
+	walk := math.Float64frombits(sh.walkBits.Load()) + d.Walk
+	sh.walkBits.Store(math.Float64bits(walk))
+}
+
+// lastSim returns the placer's similarity figure and whether it has
+// one; caller holds decision.
+func (sh *shard) lastSim() (float64, bool) {
+	if sh.sim == nil {
+		return 0, false
+	}
+	return sh.sim.LastSimilarity(), true
 }
 
 // publishSnapshot republishes the shard's read-side state;
@@ -69,10 +121,7 @@ type shard struct {
 // nothing changed.
 func (sh *shard) publishSnapshot() {
 	snap := &readSnapshot{stations: sh.placer.Stations()}
-	if es, ok := sh.placer.(*core.ESharing); ok {
-		snap.lastSim = es.LastSimilarity()
-		snap.hasSim = true
-	}
+	snap.lastSim, snap.hasSim = sh.lastSim()
 	sh.snap.Store(snap)
 }
 
@@ -87,26 +136,15 @@ func (sh *shard) refreshAfterPlace(opened bool) {
 		return
 	}
 	cur := sh.snap.Load()
-	if !cur.hasSim {
-		return
-	}
-	es, ok := sh.placer.(*core.ESharing)
-	if !ok {
-		return
-	}
-	if sim := es.LastSimilarity(); sim != cur.lastSim {
+	if sim, ok := sh.lastSim(); ok && sim != cur.lastSim {
 		sh.snap.Store(&readSnapshot{stations: cur.stations, lastSim: sim, hasSim: true})
 	}
 }
 
-// route picks the shard for a destination. With one shard every
-// destination routes to it without touching the cell mapper, so the
-// single-shard request path stays byte-for-byte the old unsharded one.
+// route picks the shard for a destination (geo.ShardOf returns 0 for a
+// single shard before any cell arithmetic).
 //
 //esharing:hotpath
 func (s *Server) route(dest geo.Point) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
 	return s.shards[geo.ShardOf(dest, s.shardPrecision, len(s.shards))]
 }

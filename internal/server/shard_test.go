@@ -83,62 +83,71 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 }
 
-// TestSingleShardDifferentialBitIdentical is the compatibility
-// invariant of the sharding refactor: a NewSharded server with one
-// placer must be byte-for-byte indistinguishable from the historical
-// unsharded New server — every placement response, the stations body
-// and the stats body — and both must carry the reference placer's
-// decisions verbatim.
-func TestSingleShardDifferentialBitIdentical(t *testing.T) {
-	unsharded, err := New(newWALPlacer(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewSharded([]core.OnlinePlacer{newWALPlacer(t)})
+// TestSingleShardBitIdenticalToPlacer: a one-shard server serves the
+// placer's own decisions verbatim, and its aggregate lastSimilarityPct
+// is Σ (rᵢ/R)·sᵢ = 1.0·s, so it must carry the placer's LastSimilarity
+// bit for bit — before any request, at an out-of-distribution 0%, and
+// at in-distribution figures — with the one-entry shards breakdown in
+// agreement.
+func TestSingleShardBitIdenticalToPlacer(t *testing.T) {
+	srv, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := newWALPlacer(t)
-
-	for i, dest := range walDests(60) {
-		body := placeBody(t, dest)
-		codeA, bodyA := do(t, unsharded, http.MethodPost, "/v1/requests", body)
-		codeB, bodyB := do(t, sharded, http.MethodPost, "/v1/requests", body)
-		if codeA != http.StatusOK {
-			t.Fatalf("request %d: unsharded status %d: %s", i, codeA, bodyA)
+	check := func(label string) float64 {
+		t.Helper()
+		_, body := do(t, srv, http.MethodGet, "/v1/stats", "")
+		var st StatsResponse
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
 		}
-		if codeA != codeB || bodyA != bodyB {
-			t.Fatalf("request %d diverged:\n unsharded %d %s\n sharded   %d %s", i, codeA, bodyA, codeB, bodyB)
+		want := math.Float64bits(ref.LastSimilarity())
+		if st.LastSimilarity == nil || math.Float64bits(*st.LastSimilarity) != want {
+			t.Fatalf("%s: placer similarity %v, stats body %s", label, ref.LastSimilarity(), body)
+		}
+		if len(st.Shards) != 1 || st.Shards[0].LastSimilarity == nil ||
+			math.Float64bits(*st.Shards[0].LastSimilarity) != want {
+			t.Fatalf("%s: placer similarity %v, stats body %s", label, ref.LastSimilarity(), body)
+		}
+		return ref.LastSimilarity()
+	}
+	check("before any request")
+
+	// The window (TestEvery = WindowSize = 10) first fills with
+	// destinations far outside the 2 km history square, which scores
+	// 0%, then with in-distribution ones.
+	far := make([]geo.Point, 10)
+	for i := range far {
+		far[i] = geo.Pt(50_000+float64(i)*100, 50_000)
+	}
+	sawZero, sawNonzero := false, false
+	for i, dest := range append(far, walDests(40)...) {
+		code, body := do(t, srv, http.MethodPost, "/v1/requests", placeBody(t, dest))
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, code, body)
+		}
+		var got PlaceResponse
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatal(err)
 		}
 		want, err := ref.Place(dest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got PlaceResponse
-		if err := json.Unmarshal([]byte(bodyA), &got); err != nil {
-			t.Fatal(err)
-		}
 		if got.Station != want.Station || got.StationIndex != want.StationIndex ||
-			got.Opened != want.Opened ||
-			math.Float64bits(got.WalkMeters) != math.Float64bits(want.Walk) {
-			t.Fatalf("request %d: server decision %+v, reference %+v", i, got, want)
+			got.Opened != want.Opened || math.Float64bits(got.WalkMeters) != math.Float64bits(want.Walk) {
+			t.Fatalf("request %d: server decision %+v, placer %+v", i, got, want)
 		}
-
-		if i%10 != 9 {
-			continue
-		}
-		for _, path := range []string{"/v1/stations", "/v1/stats"} {
-			codeA, bodyA := do(t, unsharded, http.MethodGet, path, "")
-			codeB, bodyB := do(t, sharded, http.MethodGet, path, "")
-			if codeA != http.StatusOK || codeA != codeB || bodyA != bodyB {
-				t.Fatalf("after %d requests, %s diverged:\n unsharded %d %s\n sharded   %d %s",
-					i+1, path, codeA, bodyA, codeB, bodyB)
-			}
+		switch sim := check(fmt.Sprintf("after request %d", i+1)); {
+		case sim == 0:
+			sawZero = true
+		case i >= 10:
+			sawNonzero = true
 		}
 	}
-	// A single-shard stats body must not grow a shards breakdown.
-	if _, body := do(t, sharded, http.MethodGet, "/v1/stats", ""); strings.Contains(body, `"shards"`) {
-		t.Errorf("single-shard stats body exposes a shards breakdown: %s", body)
+	if !sawZero || !sawNonzero {
+		t.Fatalf("stream never reached both a 0%% and a nonzero figure (zero %v, nonzero %v)", sawZero, sawNonzero)
 	}
 }
 
@@ -183,21 +192,30 @@ func TestShardRoutingBoundariesDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiShardStormReconciles drives a 4-shard server through
-// deterministic saturation, a concurrent mixed storm and unmatched
-// routes, then demands exact reconciliation per shard and fleet-wide:
-// accepted + shed == sent on every shard, in /v1/stats, and in the
-// shard-labelled /metrics families; 404/405 fallbacks still land in
-// the epOther counters.
+// TestMultiShardStormReconciles drives a 1-shard and a 4-shard server
+// through deterministic saturation, a concurrent mixed storm and
+// unmatched routes, then demands exact reconciliation per shard and
+// fleet-wide: accepted + shed == sent on every shard, in /v1/stats, and
+// in the shard-labelled /metrics families; 404/405 fallbacks still land
+// in the epOther counters. The 1-shard run goes through the same
+// {shard="0"} families and shards breakdown as any other.
 func TestMultiShardStormReconciles(t *testing.T) {
-	const shards, precision = 4, 7
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			stormReconciles(t, shards)
+		})
+	}
+}
+
+func stormReconciles(t *testing.T, shards int) {
+	const precision = 7
 	blockers := make([]*blockingPlacer, shards)
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
 		blockers[i] = newBlockingPlacer()
 		placers[i] = blockers[i]
 	}
-	// MaxInFlight 4 over 4 shards: each shard admits exactly one request.
+	// MaxInFlight == shards: each shard admits exactly one request.
 	srv, err := NewSharded(placers, WithMaxInFlight(shards), WithShardPrecision(precision))
 	if err != nil {
 		t.Fatal(err)
@@ -257,10 +275,10 @@ func TestMultiShardStormReconciles(t *testing.T) {
 
 	// Reads stay lock-free while every decision lock is held.
 	fams := scrape(t, ts.URL)
-	if got := famValue(fams, "esharing_shards"); got != shards {
+	if got := famValue(fams, "esharing_shards"); got != float64(shards) {
 		t.Errorf("esharing_shards = %g, want %d", got, shards)
 	}
-	if got := famValue(fams, "esharing_place_queue_depth"); got != shards {
+	if got := famValue(fams, "esharing_place_queue_depth"); got != float64(shards) {
 		t.Errorf("queue depth = %g, want %d (one held request per shard)", got, shards)
 	}
 
@@ -277,8 +295,9 @@ func TestMultiShardStormReconciles(t *testing.T) {
 
 	// Phase 3: concurrent mixed storm across all shards plus unmatched
 	// routes, tallying client-side per expected shard.
-	var ok, shed [shards]atomic.Int64
-	var sent [shards]atomic.Int64
+	ok := make([]atomic.Int64, shards)
+	shed := make([]atomic.Int64, shards)
+	sent := make([]atomic.Int64, shards)
 	var unexpected atomic.Int64
 	var wg sync.WaitGroup
 	const writers, perWriter = 8, 24
@@ -522,10 +541,21 @@ func TestShardedWALRecovery(t *testing.T) {
 	restored := build()
 	defer restored.Close()
 	sameServingState(t, capture(t, restored), before)
+	var wantReplayed int64
+	wantRestored := 0
 	for i, sh := range restored.shards {
 		if got := sh.requests.Load(); got != perShard[i] {
 			t.Errorf("shard %d recovered %d requests, want %d", i, got, perShard[i])
 		}
+		// Snapshot cadence 8: each shard restores its last multiple of
+		// 8 and replays the rest.
+		wantReplayed += perShard[i] % 8
+		if perShard[i] >= 8 {
+			wantRestored++
+		}
+	}
+	if replayed, rs := restored.WALRecovery(); replayed != wantReplayed || rs != wantRestored {
+		t.Errorf("WALRecovery = (%d, %d), want (%d, %d)", replayed, rs, wantReplayed, wantRestored)
 	}
 
 	// Sabotage shard 1's log only: the next decision on that shard fails
@@ -552,13 +582,59 @@ func TestShardedWALRecovery(t *testing.T) {
 	}
 }
 
+// TestStatsSimilarityRequestWeighted pins the aggregate similarity of a
+// multi-shard server: Σ (rᵢ/R)·sᵢ over the shards that report a figure,
+// the unweighted mean while none has served a request, and absent when
+// no shard reports one.
+func TestStatsSimilarityRequestWeighted(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sims   []float64 // NaN: the shard reports no figure
+		reqs   []int64
+		want   float64
+		absent bool
+	}{
+		{name: "no requests: unweighted mean", sims: []float64{40, 90}, reqs: []int64{0, 0}, want: 65},
+		{name: "weighted by requests", sims: []float64{40, 90}, reqs: []int64{1, 3}, want: 77.5},
+		{name: "idle shard weighs nothing", sims: []float64{40, 90}, reqs: []int64{2, 0}, want: 40},
+		{name: "shard without a figure skipped", sims: []float64{math.NaN(), 90}, reqs: []int64{7, 5}, want: 90},
+		{name: "no figure anywhere", sims: []float64{math.NaN(), math.NaN()}, reqs: []int64{1, 1}, absent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewSharded([]core.OnlinePlacer{newWALPlacer(t), newWALPlacer(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range srv.shards {
+				sim := tc.sims[i]
+				sh.snap.Store(&readSnapshot{stations: sh.snap.Load().stations, lastSim: sim, hasSim: !math.IsNaN(sim)})
+				sh.requests.Store(tc.reqs[i])
+			}
+			_, body := do(t, srv, http.MethodGet, "/v1/stats", "")
+			var st StatsResponse
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatal(err)
+			}
+			if tc.absent {
+				if st.LastSimilarity != nil {
+					t.Fatalf("aggregate similarity present without any figure: %s", body)
+				}
+				return
+			}
+			if st.LastSimilarity == nil || *st.LastSimilarity != tc.want {
+				t.Fatalf("aggregate similarity in %s, want %v", body, tc.want)
+			}
+		})
+	}
+}
+
 // TestStatsZeroSimilarityExplicit pins the wire contract of the
 // similarity figure: a shard whose last KS test scored 0% must
 // serialise an explicit zero — never an omitted field — while a placer
 // without a similarity figure omits the field entirely. (With the old
 // plain-float omitempty tag the two cases were indistinguishable.)
 func TestStatsZeroSimilarityExplicit(t *testing.T) {
-	srv, err := New(newWALPlacer(t))
+	srv, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +661,7 @@ func TestStatsZeroSimilarityExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(meyerson)
+	plain, err := newSingle(meyerson)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,46 +28,42 @@ import (
 // snapshotEvery checkpoints and truncates the log after that many
 // records (0 disables the cadence). The placers must implement
 // core.DurablePlacer. A single-shard server keeps its log at dir
-// itself (compatible with logs written before sharding existed);
+// itself, the on-disk layout every single-shard log has had;
 // multi-shard servers give each shard dir/shard-<index>.
 func WithWAL(dir string, syncEvery int, snapshotEvery uint64) Option {
 	return func(s *Server) {
 		s.walDir = dir
-		s.walSyncEvery = syncEvery
-		s.walSnapshotEvery = snapshotEvery
+		s.walOpts = wal.Options{SyncEvery: syncEvery, SnapshotEvery: snapshotEvery}
 	}
 }
 
-// openWAL opens (or creates) the shard's decision log and replays
-// whatever it finds into the freshly built placer. Called from
-// NewSharded before the server starts serving; it still takes the
-// decision lock for real, so the lock discipline holds even if
-// construction ever overlaps serving.
-func (sh *shard) openWAL() error {
+// openWAL opens (or creates) the shard's decision log in dir, with the
+// cadences in opts, and replays whatever it finds into the freshly
+// built placer. Called from NewSharded before the server starts
+// serving; it still takes the decision lock for real, so the lock
+// discipline holds even if construction ever overlaps serving.
+func (sh *shard) openWAL(dir string, opts wal.Options) error {
 	sh.decision <- struct{}{}
 	defer func() { <-sh.decision }()
-	dp, ok := sh.placer.(core.DurablePlacer)
-	if !ok {
+	if sh.durable == nil {
 		return fmt.Errorf("server: placer %q does not support durable logging", sh.name)
 	}
-	log, rec, err := wal.Open(sh.walDir, wal.Options{
-		ConfigDigest:  dp.ConfigDigest(),
-		Name:          sh.name,
-		SyncEvery:     sh.walSyncEvery,
-		SnapshotEvery: sh.walSnapshotEvery,
-	})
+	opts.ConfigDigest = sh.durable.ConfigDigest()
+	opts.Name = sh.name
+	log, rec, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
 
 	start := time.Now()
-	if err := sh.replayRecovered(dp, rec); err != nil {
+	if err := sh.replayRecovered(rec); err != nil {
 		// The replay failure is what matters; a close failure on the
 		// already-rejected log rides along in the join.
 		return errors.Join(err, log.Close())
 	}
 	sh.walReplayNanos.Store(time.Since(start).Nanoseconds())
 	sh.walReplayed.Store(int64(len(rec.Tail)))
+	sh.walRestored.Store(rec.Snapshot != nil)
 	sh.wal = log
 	return nil
 }
@@ -77,19 +73,17 @@ func (sh *shard) openWAL() error {
 // recorded decision; caller holds decision.
 //
 //esharing:deterministic
-func (sh *shard) replayRecovered(dp core.DurablePlacer, rec *wal.Recovered) error {
+func (sh *shard) replayRecovered(rec *wal.Recovered) error {
 	if snap := rec.Snapshot; snap != nil {
-		if err := dp.UnmarshalState(snap.PlacerState); err != nil {
+		if err := sh.durable.UnmarshalState(snap.PlacerState); err != nil {
 			return fmt.Errorf("server: restore wal snapshot: %w", err)
 		}
-		if got := core.StationDigest(dp.Stations()); got != snap.StationsDigest {
+		if got := core.StationDigest(sh.placer.Stations()); got != snap.StationsDigest {
 			return fmt.Errorf("server: restored station set digest %#x, snapshot recorded %#x", got, snap.StationsDigest)
 		}
-		if es, ok := sh.placer.(*core.ESharing); ok {
-			if got := math.Float64bits(es.LastSimilarity()); got != snap.SimBits {
-				return fmt.Errorf("server: restored similarity %v, snapshot recorded %v",
-					math.Float64frombits(got), math.Float64frombits(snap.SimBits))
-			}
+		if sim, ok := sh.lastSim(); ok && math.Float64bits(sim) != snap.SimBits {
+			return fmt.Errorf("server: restored similarity %v, snapshot recorded %v",
+				sim, math.Float64frombits(snap.SimBits))
 		}
 		sh.requests.Store(int64(snap.Requests))
 		sh.opened.Store(int64(snap.Opened))
@@ -98,7 +92,7 @@ func (sh *shard) replayRecovered(dp core.DurablePlacer, rec *wal.Recovered) erro
 	for i, r := range rec.Tail {
 		switch r := r.(type) {
 		case wal.DecisionRecord:
-			d, err := dp.Place(r.Dest)
+			d, err := sh.placer.Place(r.Dest)
 			if err != nil {
 				return fmt.Errorf("server: wal replay record %d: %w", i, err)
 			}
@@ -106,18 +100,12 @@ func (sh *shard) replayRecovered(dp core.DurablePlacer, rec *wal.Recovered) erro
 				return fmt.Errorf("server: wal replay diverged at record %d: "+
 					"placer produced %+v, log recorded %+v — the engine or its inputs changed since the log was written", i, d, r)
 			}
-			sh.requests.Add(1)
-			if d.Opened {
-				sh.opened.Add(1)
-			}
-			walk := math.Float64frombits(sh.walkBits.Load()) + d.Walk
-			sh.walkBits.Store(math.Float64bits(walk))
+			sh.record(d)
 		case wal.PickupRecord:
-			rm, ok := sh.placer.(core.StationRemover)
-			if !ok {
+			if sh.remover == nil {
 				return fmt.Errorf("server: wal replay record %d: placer %q cannot replay pickups", i, sh.name)
 			}
-			if err := rm.RemoveStation(r.StationIndex); err != nil {
+			if err := sh.remover.RemoveStation(r.StationIndex); err != nil {
 				return fmt.Errorf("server: wal replay record %d: %w", i, err)
 			}
 		default:
@@ -167,11 +155,7 @@ func (sh *shard) logDecision(dest geo.Point, d core.Decision) {
 // writeWALSnapshot checkpoints the placer and serving counters and
 // truncates the shard's log; caller holds decision.
 func (sh *shard) writeWALSnapshot() error {
-	dp, ok := sh.placer.(core.DurablePlacer)
-	if !ok {
-		return fmt.Errorf("server: placer %q does not support durable logging", sh.name)
-	}
-	state, err := dp.MarshalState()
+	state, err := sh.durable.MarshalState()
 	if err != nil {
 		return fmt.Errorf("server: snapshot placer state: %w", err)
 	}
@@ -180,10 +164,10 @@ func (sh *shard) writeWALSnapshot() error {
 		Requests:       uint64(sh.requests.Load()),
 		Opened:         uint64(sh.opened.Load()),
 		WalkBits:       sh.walkBits.Load(),
-		StationsDigest: core.StationDigest(dp.Stations()),
+		StationsDigest: core.StationDigest(sh.placer.Stations()),
 	}
-	if es, ok := sh.placer.(*core.ESharing); ok {
-		snap.SimBits = math.Float64bits(es.LastSimilarity())
+	if sim, ok := sh.lastSim(); ok {
+		snap.SimBits = math.Float64bits(sim)
 	}
 	return sh.wal.WriteSnapshot(snap)
 }
@@ -202,27 +186,19 @@ func (sh *shard) closeWAL() error {
 	return err
 }
 
-// WALRecords reports how many records the decision logs hold past their
-// snapshot bases — appended this run or recovered at startup, summed
-// across shards — or 0 when the server runs without durability.
-// Intended for startup logging; it briefly takes each decision lock.
-func (s *Server) WALRecords() uint64 {
-	var total uint64
+// WALRecovery reports what startup recovery did, summed across shards:
+// the log-tail records replayed through the placers, and how many shards
+// restored a snapshot before that replay. Both are zero without
+// durability. The figures are fixed at construction, so no lock is
+// taken.
+func (s *Server) WALRecovery() (replayed int64, restored int) {
 	for _, sh := range s.shards {
-		total += sh.walRecordsLocked()
+		replayed += sh.walReplayed.Load()
+		if sh.walRestored.Load() {
+			restored++
+		}
 	}
-	return total
-}
-
-// walRecordsLocked reads one shard's record count under its decision
-// lock, released by defer.
-func (sh *shard) walRecordsLocked() uint64 {
-	sh.decision <- struct{}{}
-	defer func() { <-sh.decision }()
-	if sh.wal == nil {
-		return 0
-	}
-	return sh.wal.Records()
+	return replayed, restored
 }
 
 // Close flushes and closes every shard's decision log (a no-op without

@@ -111,21 +111,27 @@ func simBits(p *float64) uint64 {
 // TestWALRecoveryBitIdentical is the tentpole invariant end to end:
 // place a stream, restart from the log (with snapshots interleaved),
 // and the recovered server must republish byte- and bit-identical
-// stations and counters.
+// stations and counters, and report through WALRecovery how many tail
+// records it replayed past the restored snapshot.
 func TestWALRecoveryBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		snapshotEvery uint64
+		wantReplayed  int64 // 50 decisions past the last snapshot
+		wantRestored  int
 	}{
-		{"replay only", 0},
-		{"snapshot plus tail", 16},
-		{"snapshot on final record", 50},
+		{"replay only", 0, 50, 0},
+		{"snapshot plus tail", 16, 2, 1},
+		{"snapshot on final record", 50, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := New(newWALPlacer(t), WithWAL(dir, 1, tc.snapshotEvery))
+			srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, tc.snapshotEvery))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if replayed, restored := srv.WALRecovery(); replayed != 0 || restored != 0 {
+				t.Fatalf("fresh log: WALRecovery = (%d, %d), want (0, 0)", replayed, restored)
 			}
 			for _, d := range walDests(50) {
 				placeOK(t, srv, d)
@@ -137,13 +143,21 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
+			// A single-shard log sits at the WAL directory itself, the
+			// layout every earlier single-shard server wrote and replays.
+			if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
+				t.Fatalf("single-shard log not at the WAL directory: %v", err)
+			}
 
-			restored, err := New(newWALPlacer(t), WithWAL(dir, 1, tc.snapshotEvery))
+			restored, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, tc.snapshotEvery))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer restored.Close()
 			sameServingState(t, capture(t, restored), before)
+			if replayed, rs := restored.WALRecovery(); replayed != tc.wantReplayed || rs != tc.wantRestored {
+				t.Errorf("WALRecovery = (%d, %d), want (%d, %d)", replayed, rs, tc.wantReplayed, tc.wantRestored)
+			}
 
 			// The recovered engine must continue the stream exactly as
 			// an uninterrupted one would: drive 20 more through the
@@ -180,7 +194,7 @@ func TestWALKillAtEveryByte(t *testing.T) {
 	const K = 12
 	dests := walDests(K)
 	dir := t.TempDir()
-	srv, err := New(newWALPlacer(t), WithWAL(dir, 1, 0))
+	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +213,7 @@ func TestWALKillAtEveryByte(t *testing.T) {
 	// never-crashed servers.
 	refs := make([]capturedState, K+1)
 	for n := 0; n <= K; n++ {
-		ref, err := New(newWALPlacer(t))
+		ref, err := newSingle(newWALPlacer(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +228,7 @@ func TestWALKillAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cutDir, "wal.log"), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := New(newWALPlacer(t), WithWAL(cutDir, 1, 0))
+		restored, err := newSingle(newWALPlacer(t), WithWAL(cutDir, 1, 0))
 		if err != nil {
 			// Only a corruption verdict may refuse, and clean
 			// truncation must never be judged corrupt.
@@ -233,7 +247,7 @@ func TestWALKillAtEveryByte(t *testing.T) {
 // configuration must refuse to replay into another.
 func TestWALConfigMismatchRefuses(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := New(newWALPlacer(t), WithWAL(dir, 1, 0))
+	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +260,7 @@ func TestWALConfigMismatchRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(other, WithWAL(dir, 1, 0))
+	_, err = newSingle(other, WithWAL(dir, 1, 0))
 	var cm *wal.ConfigMismatchError
 	if !errors.As(err, &cm) {
 		t.Fatalf("err = %v, want ConfigMismatchError", err)
@@ -276,7 +290,7 @@ func TestWALReplayDivergenceRefuses(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(placer, WithWAL(dir, 1, 0)); err == nil {
+	if _, err := newSingle(placer, WithWAL(dir, 1, 0)); err == nil {
 		t.Fatal("forged log accepted")
 	}
 }
@@ -287,7 +301,7 @@ func TestWALNonDurablePlacerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(nonDurablePlacer{placer}, WithWAL(t.TempDir(), 1, 0)); err == nil {
+	if _, err := newSingle(nonDurablePlacer{placer}, WithWAL(t.TempDir(), 1, 0)); err == nil {
 		t.Fatal("non-durable placer accepted")
 	}
 }
@@ -301,7 +315,7 @@ type nonDurablePlacer struct{ core.OnlinePlacer }
 // reports degraded health and counts the failure.
 func TestWALFailureDegradesHealth(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := New(newWALPlacer(t), WithWAL(dir, 1, 0))
+	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +373,7 @@ func famValue(fams map[string]*family, name string) float64 {
 // a log is attached.
 func TestWALMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := New(newWALPlacer(t), WithWAL(dir, 2, 4))
+	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +407,7 @@ func TestWALMetricsExposed(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := New(newWALPlacer(t), WithWAL(dir, 2, 0))
+	restored, err := newSingle(newWALPlacer(t), WithWAL(dir, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +418,7 @@ func TestWALMetricsExposed(t *testing.T) {
 		t.Errorf("replayed = %v, want 0 after covering snapshot", got)
 	}
 
-	bare, err := New(newWALPlacer(t))
+	bare, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
