@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/energy"
 	"repro/internal/geo"
-	"repro/internal/privacy"
 	"repro/internal/rebalance"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -22,8 +21,7 @@ import (
 
 // TestEndToEndPipeline drives the complete system across package
 // boundaries: synthetic dataset -> CSV round trip -> offline planning ->
-// HTTP serving of live requests (with location obfuscation) -> charging
-// round -> rebalancing.
+// HTTP serving of live requests -> charging round -> rebalancing.
 func TestEndToEndPipeline(t *testing.T) {
 	// 1. Generate a week of trips and round-trip them through the CSV
 	// codec, as a real deployment ingesting the Mobike dump would.
@@ -78,17 +76,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 4. Serve the planner over HTTP and stream the live days through the
-	// typed client, obfuscating destinations first (the system-model
-	// privacy hook).
-	obf, err := privacy.NewObfuscator(math.Log(4)/200, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pseud, err := privacy.NewPseudonymizer([]byte("integration-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// typed client.
 	coreSys := newCorePlacer(t, history)
 	handler, err := server.NewSharded([]core.OnlinePlacer{coreSys})
 	if err != nil {
@@ -103,16 +91,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	tokens := map[string]bool{}
 	var walkSum float64
 	for _, tr := range live[:400] {
-		noisy := obf.Obfuscate(tr.End)
-		resp, err := client.Place(ctx, noisy)
+		resp, err := client.Place(ctx, tr.End)
 		if err != nil {
 			t.Fatal(err)
 		}
 		walkSum += resp.WalkMeters
-		tokens[pseud.UserToken(tr.UserID)] = true
 	}
 	statsResp, err := client.Stats(ctx)
 	if err != nil {
@@ -123,9 +108,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if avg := walkSum / 400; avg > 800 {
 		t.Errorf("average walk %.0f m too high for a planned system", avg)
-	}
-	if len(tokens) < 2 {
-		t.Error("pseudonymisation collapsed distinct users")
 	}
 
 	// 5. Tier 2: build a fleet at the server's stations and run a

@@ -290,11 +290,6 @@ func (e *ESharing) Name() string { return "e-sharing" }
 // Penalty returns the active penalty function.
 func (e *ESharing) Penalty() Penalty { return e.penalty }
 
-// SetPenalty pins the penalty function, bypassing KS-driven switching;
-// used by the Fig. 9 / Table III experiments that evaluate each type in
-// isolation.
-func (e *ESharing) SetPenalty(p Penalty) { e.penalty = p }
-
 // LastSimilarity returns the similarity percentage from the most recent
 // KS test (100 before any test has run).
 func (e *ESharing) LastSimilarity() float64 { return e.lastSim }

@@ -124,12 +124,23 @@ func TestGenerateRushHourShape(t *testing.T) {
 		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
 			continue
 		}
-		rush := len(FilterHour(byDay[i], 8)) + len(FilterHour(byDay[i], 18))
-		dead := len(FilterHour(byDay[i], 2)) + len(FilterHour(byDay[i], 3))
+		rush := tripsInHour(byDay[i], 8) + tripsInHour(byDay[i], 18)
+		dead := tripsInHour(byDay[i], 2) + tripsInHour(byDay[i], 3)
 		if rush <= 5*dead+10 {
 			t.Errorf("day %d: rush %d vs dead %d — no rush-hour structure", i, rush, dead)
 		}
 	}
+}
+
+// tripsInHour counts the trips starting within [hour, hour+1) local time.
+func tripsInHour(trips []Trip, hour int) int {
+	n := 0
+	for _, t := range trips {
+		if t.StartTime.Hour() == hour {
+			n++
+		}
+	}
+	return n
 }
 
 func TestWeekdayWeekendDistributionsDiffer(t *testing.T) {
@@ -327,14 +338,13 @@ func TestSplitByDayOrdering(t *testing.T) {
 	}
 }
 
-func TestEndStartPoints(t *testing.T) {
+func TestEndPoints(t *testing.T) {
 	trips := []Trip{
 		{Start: geo.Pt(1, 2), End: geo.Pt(3, 4)},
 		{Start: geo.Pt(5, 6), End: geo.Pt(7, 8)},
 	}
 	ends := EndPoints(trips)
-	starts := StartPoints(trips)
-	if ends[1] != geo.Pt(7, 8) || starts[0] != geo.Pt(1, 2) {
+	if ends[0] != geo.Pt(3, 4) || ends[1] != geo.Pt(7, 8) {
 		t.Error("point extraction wrong")
 	}
 }

@@ -57,15 +57,6 @@ func EndPoints(trips []Trip) []geo.Point {
 	return out
 }
 
-// StartPoints extracts trip origins.
-func StartPoints(trips []Trip) []geo.Point {
-	out := make([]geo.Point, len(trips))
-	for i, t := range trips {
-		out[i] = t.Start
-	}
-	return out
-}
-
 // HourlySeries bins trips by start hour into a demand series spanning
 // [from, from+hours). Index i counts trips with from+i hrs <= start <
 // from+i+1 hrs.
@@ -109,15 +100,4 @@ func SplitByDay(trips []Trip) (days []time.Time, byDay [][]Trip) {
 		}
 	}
 	return days, byDay
-}
-
-// FilterHour returns the trips starting within [hour, hour+1) local time.
-func FilterHour(trips []Trip, hour int) []Trip {
-	var out []Trip
-	for _, t := range trips {
-		if t.StartTime.Hour() == hour {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -54,59 +54,3 @@ func (s *SeasonalNaive) Forecast(history []float64, steps int) ([]float64, error
 
 // Name implements Forecaster.
 func (s *SeasonalNaive) Name() string { return fmt.Sprintf("seasonal-naive-%d", s.Period) }
-
-// EnsembleMean averages the forecasts of several fitted models — a cheap
-// variance-reduction combiner.
-type EnsembleMean struct {
-	Models []Forecaster
-}
-
-var _ Forecaster = (*EnsembleMean)(nil)
-
-// NewEnsembleMean requires at least one member.
-func NewEnsembleMean(models ...Forecaster) (*EnsembleMean, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("forecast: empty ensemble")
-	}
-	return &EnsembleMean{Models: models}, nil
-}
-
-// Fit implements Forecaster by fitting every member.
-func (e *EnsembleMean) Fit(series []float64) error {
-	for _, m := range e.Models {
-		if err := m.Fit(series); err != nil {
-			return fmt.Errorf("ensemble member %s: %w", m.Name(), err)
-		}
-	}
-	return nil
-}
-
-// Forecast implements Forecaster.
-func (e *EnsembleMean) Forecast(history []float64, steps int) ([]float64, error) {
-	sum := make([]float64, steps)
-	for _, m := range e.Models {
-		preds, err := m.Forecast(history, steps)
-		if err != nil {
-			return nil, fmt.Errorf("ensemble member %s: %w", m.Name(), err)
-		}
-		for i, v := range preds {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] /= float64(len(e.Models))
-	}
-	return sum, nil
-}
-
-// Name implements Forecaster.
-func (e *EnsembleMean) Name() string {
-	name := "ensemble("
-	for i, m := range e.Models {
-		if i > 0 {
-			name += "+"
-		}
-		name += m.Name()
-	}
-	return name + ")"
-}

@@ -2,7 +2,6 @@ package forecast
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -70,53 +69,6 @@ func TestSeasonalNaiveWrapsAcrossSeasons(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("step %d: %v, want %v (got %v)", i, got[i], want[i], got)
 		}
-	}
-}
-
-func TestEnsembleMean(t *testing.T) {
-	if _, err := NewEnsembleMean(); err == nil {
-		t.Error("empty ensemble should error")
-	}
-	ma1, err := NewMovingAverage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma3, err := NewMovingAverage(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens, err := NewEnsembleMean(ma1, ma3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := []float64{1, 2, 3, 4, 5, 6}
-	if err := ens.Fit(series); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ens.Forecast(series, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ma1 predicts 6; ma3 predicts 5; mean = 5.5.
-	if math.Abs(got[0]-5.5) > 1e-12 {
-		t.Errorf("ensemble mean %v, want 5.5", got[0])
-	}
-	if ens.Name() != "ensemble(ma-wz1+ma-wz3)" {
-		t.Errorf("Name=%q", ens.Name())
-	}
-}
-
-func TestEnsemblePropagatesMemberErrors(t *testing.T) {
-	ma, err := NewMovingAverage(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens, err := NewEnsembleMean(ma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ens.Fit(make([]float64, 3)); err == nil {
-		t.Error("member fit failure should propagate")
 	}
 }
 

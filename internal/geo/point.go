@@ -95,21 +95,6 @@ func Nearest(p Point, pts []Point) (int, float64) {
 	return best, math.Sqrt(bestD2)
 }
 
-// MinPairwiseDist returns the minimum distance over all unordered pairs in
-// pts. It returns +Inf when fewer than two points are given. Algorithm 2
-// uses w* = MinPairwiseDist(P)/2 to rescale opening costs.
-func MinPairwiseDist(pts []Point) float64 {
-	best := math.Inf(1)
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // LatLng is a geodetic coordinate in degrees.
 type LatLng struct {
 	Lat float64 `json:"lat"`

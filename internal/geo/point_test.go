@@ -149,28 +149,6 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMinPairwiseDist(t *testing.T) {
-	tests := []struct {
-		name string
-		pts  []Point
-		want float64
-	}{
-		{"empty", nil, math.Inf(1)},
-		{"single", []Point{Pt(0, 0)}, math.Inf(1)},
-		{"pair", []Point{Pt(0, 0), Pt(3, 4)}, 5},
-		{"triple", []Point{Pt(0, 0), Pt(10, 0), Pt(10, 1)}, 1},
-		{"duplicates", []Point{Pt(2, 2), Pt(2, 2), Pt(9, 9)}, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := MinPairwiseDist(tt.pts)
-			if got != tt.want && !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("got %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	if !Pt(1, 2).IsFinite() {
 		t.Error("finite point reported non-finite")

@@ -35,20 +35,6 @@ func (p CostParams) Validate() error {
 	return nil
 }
 
-// TotalChargingCost computes Eq. 10 for n stations holding l total bikes:
-//
-//	C = n·q + l·b + (n²−n)/2·d
-//
-// stationBikes[i] is the number of low-energy bikes serviced at stop i.
-func TotalChargingCost(p CostParams, stationBikes []int) float64 {
-	n := float64(len(stationBikes))
-	var l float64
-	for _, c := range stationBikes {
-		l += float64(c)
-	}
-	return n*p.ServicePerStop + l*p.ChargePerBike + (n*n-n)/2*p.DelayUnit
-}
-
 // SavingRatio computes Eq. 11: the fraction of service+delay cost saved by
 // reducing the visited stations from n to m (charging cost l·b is paid
 // either way):

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestTotalChargingCost(t *testing.T) {
-	p := CostParams{ServicePerStop: 5, DelayUnit: 2, ChargePerBike: 3}
-	tests := []struct {
-		name  string
-		bikes []int
-		want  float64
-	}{
-		{"empty", nil, 0},
-		{"one station", []int{4}, 5 + 12 + 0},
-		// n=3, l=6: 3*5 + 6*3 + (9-3)/2*2 = 15+18+6 = 39
-		{"three stations", []int{1, 2, 3}, 39},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := TotalChargingCost(p, tt.bikes); math.Abs(got-tt.want) > 1e-9 {
-				t.Errorf("got %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestSavingRatio(t *testing.T) {
 	p := DefaultCostParams() // q=5, d=5
 	tests := []struct {

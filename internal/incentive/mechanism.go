@@ -294,15 +294,3 @@ func (m *Mechanism) Offers() []Offer {
 
 // LowRemaining returns the station's outstanding low-bike count.
 func (m *Mechanism) LowRemaining(station int) int { return len(m.low[station]) }
-
-// LowBikesByStation returns the final L_i sets after the incentive round —
-// the distribution the operator's charging tour serves.
-func (m *Mechanism) LowBikesByStation() map[int][]int64 {
-	out := make(map[int][]int64, len(m.low))
-	for i, ids := range m.low {
-		if len(ids) > 0 {
-			out[i] = append([]int64(nil), ids...)
-		}
-	}
-	return out
-}

@@ -24,16 +24,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice builds a rows×cols matrix from data (copied).
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if rows*cols != len(data) {
-		return nil, fmt.Errorf("matrix: %dx%d needs %d values, got %d", rows, cols, rows*cols, len(data))
-	}
-	m := New(rows, cols)
-	copy(m.Data, data)
-	return m, nil
-}
-
 // Randomized fills a new matrix with uniform values in [-scale, scale],
 // the Xavier-style initialisation used for LSTM weights.
 func Randomized(rows, cols int, scale float64, rng *rand.Rand) *Matrix {
@@ -103,23 +93,6 @@ func MulTo(dst, m, n *Matrix) {
 	}
 }
 
-// Mul returns m × n as a fresh matrix.
-func Mul(m, n *Matrix) *Matrix {
-	dst := New(m.Rows, n.Cols)
-	MulTo(dst, m, n)
-	return dst
-}
-
-// AddTo computes dst = a + b elementwise; all three must share a shape
-// (dst may alias a or b).
-func AddTo(dst, a, b *Matrix) {
-	shapeCheck(a.SameShape(b) && dst.SameShape(a), "add shapes %dx%d %dx%d %dx%d",
-		dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
 // AddInPlace computes m += n.
 func (m *Matrix) AddInPlace(n *Matrix) {
 	shapeCheck(m.SameShape(n), "add-in-place %dx%d += %dx%d", m.Rows, m.Cols, n.Rows, n.Cols)
@@ -140,14 +113,6 @@ func (m *Matrix) AddScaled(n *Matrix, s float64) {
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// HadamardTo computes dst = a ⊙ b (elementwise product); dst may alias.
-func HadamardTo(dst, a, b *Matrix) {
-	shapeCheck(a.SameShape(b) && dst.SameShape(a), "hadamard shape mismatch")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
 }
 
@@ -186,23 +151,6 @@ func MulATB(dst, a, b *Matrix) {
 			for j, bv := range bRow {
 				dstRow[j] += av * bv
 			}
-		}
-	}
-}
-
-// MulABT computes dst = a × bᵀ without materialising the transpose.
-func MulABT(dst, a, b *Matrix) {
-	shapeCheck(a.Cols == b.Cols, "abt %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	shapeCheck(dst.Rows == a.Rows && dst.Cols == b.Rows, "abt dst shape")
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			bRow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k, av := range aRow {
-				sum += av * bRow[k]
-			}
-			dst.Data[i*dst.Cols+j] = sum
 		}
 	}
 }

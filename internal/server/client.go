@@ -4,115 +4,30 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/stats"
 )
 
-// RetryPolicy controls Client's retry behaviour. Idempotent GETs are
-// retried on transport errors, 5xx and 429; non-idempotent requests are
-// retried only on 429, which the server's admission gate emits before
-// any state changes, so a retry can never double-apply a placement.
-// Backoff is exponential with half-range jitter; a 429's Retry-After
-// header, when present, overrides the computed backoff (capped at
-// MaxDelay). Retries stop early when the request context expires.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first;
-	// values <= 1 disable retrying.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it.
-	BaseDelay time.Duration
-	// MaxDelay caps the per-retry backoff.
-	MaxDelay time.Duration
-	// Jitter draws the random half-range component of each backoff.
-	// Nil gets a time-seeded NewSeededJitter from NewClient; tests pass
-	// NewSeededJitter(fixedSeed) to make backoff sequences exact.
-	Jitter Jitter
-}
-
-// Jitter returns a uniform random duration in [0, max]. Implementations
-// must be safe for concurrent use: one client may retry on many
-// goroutines at once.
-type Jitter func(max time.Duration) time.Duration
-
-// NewSeededJitter builds a deterministic Jitter on the repo's seed
-// discipline (stats.StreamClientJitter), serialised by a mutex so
-// concurrent retries can share it.
-func NewSeededJitter(seed uint64) Jitter {
-	var mu sync.Mutex
-	rng := stats.NewRNGStream(seed, stats.StreamClientJitter)
-	return func(max time.Duration) time.Duration {
-		if max <= 0 {
-			return 0
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return time.Duration(rng.Int64N(int64(max) + 1))
-	}
-}
-
-// DefaultRetryPolicy is the policy Clients use unless overridden with
-// WithRetryPolicy: 4 attempts, 50ms base, 2s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithRetryPolicy overrides the client's retry policy. Use
-// RetryPolicy{MaxAttempts: 1} to disable retries entirely.
-func WithRetryPolicy(p RetryPolicy) ClientOption {
-	return func(c *Client) { c.retry = p }
-}
-
-// WithClock injects the time source used to interpret HTTP-date
-// Retry-After headers (their delay is the date minus "now").
-// Deterministic tests inject a fixed clock so backoff sequences stay
-// exact; production clients keep the default time.Now.
-func WithClock(now func() time.Time) ClientOption {
-	return func(c *Client) {
-		if now != nil {
-			c.now = now
-		}
-	}
-}
-
-// Client is a typed HTTP client for the E-Sharing API.
+// Client is a typed HTTP client for the E-Sharing API. It makes one
+// round trip per call and returns non-OK responses as *StatusError.
 type Client struct {
-	base  string
-	http  *http.Client
-	retry RetryPolicy
-	now   func() time.Time // injectable for deterministic Retry-After dates
+	base string
+	http *http.Client
 }
 
 // NewClient builds a client against baseURL (e.g. "http://localhost:8080").
 // A nil httpClient uses http.DefaultClient.
-func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) (*Client, error) {
+func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	if baseURL == "" {
 		return nil, fmt.Errorf("server: empty base URL")
 	}
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: baseURL, http: httpClient, retry: DefaultRetryPolicy(), now: time.Now}
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.retry.Jitter == nil {
-		// Production default: seed from the wall clock so independent
-		// clients desynchronise. Deterministic callers inject their own.
-		c.retry.Jitter = NewSeededJitter(uint64(time.Now().UnixNano()))
-	}
-	return c, nil
+	return &Client{base: baseURL, http: httpClient}, nil
 }
 
 // Place submits a trip destination and returns the parking decision.
@@ -144,82 +59,41 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var payload []byte
+	var reader io.Reader
 	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
+		payload, err := json.Marshal(body)
+		if err != nil {
 			return fmt.Errorf("encode %s %s: %w", method, path, err)
 		}
-	}
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		done, err := c.attempt(ctx, method, path, payload, out, attempt == attempts-1)
-		if done {
-			return err
-		}
-		lastErr = err
-		delay := c.backoff(attempt, err)
-		if sleepErr := sleepCtx(ctx, delay); sleepErr != nil {
-			return fmt.Errorf("%w (retry aborted: %v)", lastErr, sleepErr)
-		}
-	}
-	return lastErr
-}
-
-// attempt runs one HTTP round trip. done=false means the error is
-// retryable and the caller should back off and try again.
-func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, out any, last bool) (done bool, _ error) {
-	var reader io.Reader
-	if payload != nil {
 		reader = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
 	if err != nil {
-		return true, fmt.Errorf("build %s %s: %w", method, path, err)
+		return fmt.Errorf("build %s %s: %w", method, path, err)
 	}
-	if payload != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		// A transport error on a non-GET may have reached the server;
-		// only idempotent requests are safe to retry blindly.
-		wrapped := fmt.Errorf("%s %s: %w", method, path, err)
-		if method != http.MethodGet || last || ctx.Err() != nil {
-			return true, wrapped
-		}
-		return false, wrapped
+		return fmt.Errorf("%s %s: %w", method, path, err)
 	}
-	if resp.StatusCode == http.StatusOK {
-		decodeErr := json.NewDecoder(resp.Body).Decode(out)
-		drainClose(resp.Body)
-		if decodeErr != nil {
-			return true, fmt.Errorf("decode %s %s response: %w", method, path, decodeErr)
-		}
-		return true, nil
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s %s: %w", method, path, readStatusError(resp))
 	}
-
-	apiErr := c.readAPIError(resp) // drains and closes the body
-	wrapped := fmt.Errorf("%s %s: %w", method, path, apiErr)
-	retryable := resp.StatusCode == http.StatusTooManyRequests ||
-		(method == http.MethodGet && resp.StatusCode >= 500)
-	if !retryable || last || ctx.Err() != nil {
-		return true, wrapped
+	decodeErr := json.NewDecoder(resp.Body).Decode(out)
+	drainClose(resp.Body)
+	if decodeErr != nil {
+		return fmt.Errorf("decode %s %s response: %w", method, path, decodeErr)
 	}
-	return false, wrapped
+	return nil
 }
 
 // StatusError is the typed error Client returns for non-OK responses,
-// exposing the status code (and Retry-After, when the server sent one)
-// to callers and to the retry loop.
+// exposing the status code and the server's error message to callers.
 type StatusError struct {
-	Status     int
-	Message    string // server-provided error body, if any
-	RetryAfter time.Duration
+	Status  int
+	Message string // server-provided error body, if any
 }
 
 func (e *StatusError) Error() string {
@@ -229,90 +103,16 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("status %d", e.Status)
 }
 
-// readAPIError converts a non-OK response into a *StatusError, draining
-// the body so the underlying connection stays reusable.
-func (c *Client) readAPIError(resp *http.Response) *StatusError {
+// readStatusError converts a non-OK response into a *StatusError,
+// draining the body so the underlying connection stays reusable.
+func readStatusError(resp *http.Response) *StatusError {
 	se := &StatusError{Status: resp.StatusCode}
 	var apiErr errorBody
 	if decodeErr := json.NewDecoder(resp.Body).Decode(&apiErr); decodeErr == nil {
 		se.Message = apiErr.Error
 	}
 	drainClose(resp.Body)
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		se.RetryAfter = parseRetryAfter(ra, c.now)
-	}
 	return se
-}
-
-// parseRetryAfter interprets a Retry-After header value per RFC 9110
-// §10.2.3: either delta-seconds or an HTTP-date in any of the three
-// accepted formats (IMF-fixdate, obsolete RFC 850, ANSI C asctime).
-// Negative deltas and past dates clamp to zero, which the backoff
-// treats as "no usable hint" and falls back to its computed delay;
-// malformed values also yield zero. The clock is only consulted for
-// the date forms.
-func parseRetryAfter(ra string, now func() time.Time) time.Duration {
-	if secs, err := strconv.Atoi(ra); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	date, err := http.ParseTime(ra)
-	if err != nil {
-		return 0
-	}
-	d := date.Sub(now())
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// backoff computes the sleep before retry number attempt+1:
-// exponential doubling from BaseDelay, capped at MaxDelay, with
-// half-range jitter so synchronised clients spread out. A server
-// Retry-After hint overrides the computed delay (still capped).
-func (c *Client) backoff(attempt int, err error) time.Duration {
-	maxDelay := c.retry.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
-	d := c.retry.BaseDelay
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	for i := 0; i < attempt && d < maxDelay; i++ {
-		d *= 2
-	}
-	var se *StatusError
-	if errors.As(err, &se) && se.RetryAfter > 0 {
-		d = se.RetryAfter
-	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	// Half-range jitter: uniform in [d/2, d].
-	half := d / 2
-	if half > 0 {
-		d = half + c.retry.Jitter(half)
-	}
-	return d
-}
-
-// sleepCtx sleeps for d unless ctx expires first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // drainClose discards up to 64 KiB of unread body before closing so the

@@ -2,147 +2,16 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 )
-
-// fastRetry is a retry policy with delays small enough for tests.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
-}
-
-func TestClientRetriesIdempotentGET(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintln(w, `{"error":"transient"}`)
-			return
-		}
-		fmt.Fprintln(w, `{"algorithm":"stub","requests":7}`)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(fastRetry(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("GET should retry past two 500s: %v", err)
-	}
-	if stats.Requests != 7 {
-		t.Errorf("requests = %d, want 7", stats.Requests)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server saw %d calls, want 3 (two failures + success)", got)
-	}
-}
-
-func TestClientDoesNotRetryFailedPOST(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintln(w, `{"error":"boom"}`)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(fastRetry(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Place(context.Background(), geo.Pt(1, 2)); err == nil {
-		t.Fatal("500 on POST should error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server saw %d calls, want 1 (a 500 POST may have side effects)", got)
-	}
-}
-
-func TestClientRetries429WithRetryAfter(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprintln(w, `{"error":"placement queue full"}`)
-			return
-		}
-		fmt.Fprintln(w, `{"station":{"x":5,"y":6},"stationIndex":0,"opened":true,"walkMeters":0}`)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(fastRetry(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Place(context.Background(), geo.Pt(5, 6))
-	if err != nil {
-		t.Fatalf("POST should retry a 429 (shed before any state change): %v", err)
-	}
-	if resp.Station != geo.Pt(5, 6) {
-		t.Errorf("station = %v", resp.Station)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("server saw %d calls, want 2", got)
-	}
-}
-
-func TestClientRetryStopsAtDeadline(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintln(w, `{"error":"always down"}`)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(RetryPolicy{
-		MaxAttempts: 1000, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = client.Stats(ctx)
-	if err == nil {
-		t.Fatal("always-500 server should error")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("retry loop outlived its deadline: %v", elapsed)
-	}
-	// Depending on where the deadline lands the error is either the last
-	// 500 or the transport's deadline error; both must reference the GET.
-	if !strings.Contains(err.Error(), "/v1/stats") {
-		t.Errorf("error lost its request context: %v", err)
-	}
-}
-
-func TestClientRetryDisabled(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Stats(context.Background()); err == nil {
-		t.Fatal("503 should error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server saw %d calls, want 1", got)
-	}
-}
 
 // TestClientDrainsErrorBodies verifies the keep-alive fix: error
 // responses with unread payloads must be drained before close so the
@@ -165,7 +34,7 @@ func TestClientDrainsErrorBodies(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	client, err := NewClient(ts.URL, ts.Client(), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	client, err := NewClient(ts.URL, ts.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,231 +50,12 @@ func TestClientDrainsErrorBodies(t *testing.T) {
 }
 
 func TestStatusErrorMessage(t *testing.T) {
-	se := &StatusError{Status: 422, Message: "no capacity", RetryAfter: time.Second}
+	se := &StatusError{Status: 422, Message: "no capacity"}
 	if se.Error() != "status 422: no capacity" {
 		t.Errorf("Error() = %q", se.Error())
 	}
 	bare := &StatusError{Status: 500}
 	if bare.Error() != "status 500" {
 		t.Errorf("Error() = %q", bare.Error())
-	}
-}
-
-// TestBackoffSequenceDeterministic pins down the exact backoff schedule
-// a seeded jitter produces: identical (policy, seed) pairs must emit
-// identical delays, every delay must land in the documented [d/2, d]
-// half-range band of the capped exponential, and a different seed must
-// change the schedule.
-func TestBackoffSequenceDeterministic(t *testing.T) {
-	policy := func(seed uint64) RetryPolicy {
-		return RetryPolicy{
-			MaxAttempts: 6,
-			BaseDelay:   100 * time.Millisecond,
-			MaxDelay:    time.Second,
-			Jitter:      NewSeededJitter(seed),
-		}
-	}
-	mk := func(seed uint64) *Client {
-		c, err := NewClient("http://unused", nil, WithRetryPolicy(policy(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
-	a, b, other := mk(1), mk(1), mk(2)
-	// Uncapped exponential: 100ms, 200ms, 400ms, 800ms, then the 1s cap.
-	envelope := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
-	}
-	var seqA, seqB, seqOther []time.Duration
-	for attempt := range envelope {
-		seqA = append(seqA, a.backoff(attempt, nil))
-		seqB = append(seqB, b.backoff(attempt, nil))
-		seqOther = append(seqOther, other.backoff(attempt, nil))
-	}
-	diverged := false
-	for i, d := range envelope {
-		if seqA[i] != seqB[i] {
-			t.Errorf("attempt %d: same seed diverged: %v vs %v", i, seqA[i], seqB[i])
-		}
-		if seqA[i] < d/2 || seqA[i] > d {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v]", i, seqA[i], d/2, d)
-		}
-		if seqA[i] != seqOther[i] {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("seeds 1 and 2 produced identical 6-delay schedules")
-	}
-}
-
-// TestBackoffMatchesInjectedJitter verifies the documented contract
-// between backoff and RetryPolicy.Jitter: each delay is exactly
-// half + Jitter(half) of the capped exponential envelope, so a caller
-// who injects a known jitter can predict the schedule to the nanosecond.
-func TestBackoffMatchesInjectedJitter(t *testing.T) {
-	c, err := NewClient("http://unused", nil, WithRetryPolicy(RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    2 * time.Second,
-		Jitter:      NewSeededJitter(7),
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := NewSeededJitter(7) // same stream, drawn in lockstep
-	for attempt := 0; attempt < 4; attempt++ {
-		d := 50 * time.Millisecond << attempt
-		want := d/2 + oracle(d/2)
-		if got := c.backoff(attempt, nil); got != want {
-			t.Fatalf("attempt %d: backoff = %v, want %v", attempt, got, want)
-		}
-	}
-}
-
-// TestBackoffRetryAfterOverride checks a server Retry-After hint
-// replaces the computed envelope (jitter still applies to the hint).
-func TestBackoffRetryAfterOverride(t *testing.T) {
-	c, err := NewClient("http://unused", nil, WithRetryPolicy(RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    10 * time.Second,
-		Jitter:      NewSeededJitter(3),
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hint := &StatusError{Status: http.StatusTooManyRequests, RetryAfter: 4 * time.Second}
-	d := c.backoff(0, fmt.Errorf("wrapped: %w", hint))
-	if d < 2*time.Second || d > 4*time.Second {
-		t.Fatalf("backoff with 4s Retry-After = %v, want within [2s, 4s]", d)
-	}
-}
-
-// TestNewClientDefaultsJitter ensures a policy without an explicit
-// Jitter still gets one, so backoff never dereferences nil.
-func TestNewClientDefaultsJitter(t *testing.T) {
-	c, err := NewClient("http://unused", nil, WithRetryPolicy(fastRetry(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.retry.Jitter == nil {
-		t.Fatal("NewClient left RetryPolicy.Jitter nil")
-	}
-	if d := c.backoff(0, nil); d <= 0 {
-		t.Fatalf("backoff with defaulted jitter = %v, want > 0", d)
-	}
-}
-
-// TestParseRetryAfter covers RFC 9110 §10.2.3's full grammar:
-// delta-seconds plus all three HTTP-date formats, with negative deltas,
-// past dates and garbage clamped to zero. The clock is injected, so
-// every expectation is exact.
-func TestParseRetryAfter(t *testing.T) {
-	// A fixed "now" makes the date arithmetic deterministic.
-	now := time.Date(2024, time.March, 10, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	future := now.Add(90 * time.Second)
-	for _, tc := range []struct {
-		name, header string
-		want         time.Duration
-	}{
-		{"delta seconds", "7", 7 * time.Second},
-		{"delta zero", "0", 0},
-		{"delta negative", "-5", 0},
-		{"imf fixdate", future.Format(http.TimeFormat), 90 * time.Second},
-		{"rfc850", future.Format("Monday, 02-Jan-06 15:04:05 MST"), 90 * time.Second},
-		{"ansi c asctime", future.Format(time.ANSIC), 90 * time.Second},
-		{"past date", now.Add(-time.Hour).Format(http.TimeFormat), 0},
-		{"exactly now", now.Format(http.TimeFormat), 0},
-		{"garbage", "soon", 0},
-		{"empty", "", 0},
-		{"float seconds", "2.5", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := parseRetryAfter(tc.header, clock); got != tc.want {
-				t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.header, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestClientRetryAfterDateHeader drives the date form end to end: a
-// shedding server answers with an HTTP-date Retry-After, and the
-// client (on an injected clock) must surface the exact remaining
-// delay in its StatusError.
-func TestClientRetryAfterDateHeader(t *testing.T) {
-	now := time.Date(2024, time.March, 10, 12, 0, 0, 0, time.UTC)
-	retryAt := now.Add(30 * time.Second)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Retry-After", retryAt.Format(http.TimeFormat))
-		w.WriteHeader(http.StatusUnprocessableEntity) // non-retryable: error surfaces immediately
-		fmt.Fprintln(w, `{"error":"nope"}`)
-	}))
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client(),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 1}),
-		WithClock(func() time.Time { return now }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.Place(context.Background(), geo.Pt(1, 2))
-	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want StatusError", err)
-	}
-	if se.RetryAfter != 30*time.Second {
-		t.Errorf("RetryAfter = %v, want 30s", se.RetryAfter)
-	}
-}
-
-// TestBackoffRetryAfterDateExact extends the exact-schedule contract
-// to date-form hints: with an injected clock and jitter, the backoff
-// from an HTTP-date Retry-After is predictable to the nanosecond.
-func TestBackoffRetryAfterDateExact(t *testing.T) {
-	now := time.Date(2024, time.March, 10, 12, 0, 0, 0, time.UTC)
-	c, err := NewClient("http://unused", nil,
-		WithRetryPolicy(RetryPolicy{
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    10 * time.Second,
-			Jitter:      NewSeededJitter(11),
-		}),
-		WithClock(func() time.Time { return now }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := &http.Response{
-		StatusCode: http.StatusTooManyRequests,
-		Header:     http.Header{"Retry-After": []string{now.Add(4 * time.Second).Format(http.TimeFormat)}},
-		Body:       io.NopCloser(strings.NewReader(`{"error":"shed"}`)),
-	}
-	se := c.readAPIError(resp)
-	if se.RetryAfter != 4*time.Second {
-		t.Fatalf("RetryAfter = %v, want 4s", se.RetryAfter)
-	}
-	oracle := NewSeededJitter(11)
-	want := 2*time.Second + oracle(2*time.Second)
-	if got := c.backoff(0, fmt.Errorf("wrapped: %w", se)); got != want {
-		t.Fatalf("backoff = %v, want exactly %v", got, want)
-	}
-
-	// A past date yields no hint, so the computed envelope applies:
-	// attempt 0 uses BaseDelay, again exactly predictable.
-	resp = &http.Response{
-		StatusCode: http.StatusTooManyRequests,
-		Header:     http.Header{"Retry-After": []string{now.Add(-time.Minute).Format(http.TimeFormat)}},
-		Body:       io.NopCloser(strings.NewReader(`{"error":"shed"}`)),
-	}
-	se = c.readAPIError(resp)
-	if se.RetryAfter != 0 {
-		t.Fatalf("past-date RetryAfter = %v, want 0", se.RetryAfter)
-	}
-	want = 500*time.Microsecond + oracle(500*time.Microsecond)
-	if got := c.backoff(0, fmt.Errorf("wrapped: %w", se)); got != want {
-		t.Fatalf("backoff = %v, want exactly %v", got, want)
 	}
 }

@@ -1,7 +1,6 @@
-// Package sim orchestrates the E-Sharing simulations: the charging-round
-// simulation behind Figs. 11–12 and Table VI (incentive phase, operator
-// TSP tour under a work budget, cost accounting), and the full-city day
-// simulation used by the examples.
+// Package sim orchestrates the charging-round simulation behind
+// Figs. 11–12 and Table VI: the incentive phase, the operator's TSP tour
+// under a work budget, and the cost accounting.
 package sim
 
 import (

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/energy"
 	"repro/internal/geo"
 	"repro/internal/incentive"
@@ -194,108 +192,5 @@ func TestChargingRoundDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.TotalCost() != b.TotalCost() || a.ChargedBikes != b.ChargedBikes || a.Relocated != b.Relocated {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestRunDay(t *testing.T) {
-	trips, err := dataset.Generate(dataset.Config{
-		Days: 1, TripsWeekday: 200, TripsWeekend: 200, Bikes: 40, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := energy.NewFleet(energy.DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 40; i++ {
-		if err := fleet.Add(energy.Bike{ID: int64(i), Loc: geo.Pt(1500, 1500), Level: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	placer, err := core.NewMeyerson(10000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunDay(placer, fleet, trips, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != len(trips) {
-		t.Errorf("requests %d, want %d", rep.Requests, len(trips))
-	}
-	if rep.StationsOpened == 0 || rep.StationsTotal == 0 {
-		t.Error("no stations opened")
-	}
-	if rep.SpaceCost != float64(rep.StationsOpened)*10000 {
-		t.Errorf("space cost %v for %d openings", rep.SpaceCost, rep.StationsOpened)
-	}
-	if rep.AvgWalk < 0 || rep.TotalCost() != rep.WalkTotal+rep.SpaceCost {
-		t.Errorf("cost bookkeeping wrong: %+v", rep)
-	}
-}
-
-func TestRunDayValidation(t *testing.T) {
-	placer, err := core.NewMeyerson(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := energy.NewFleet(energy.DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunDay(nil, fleet, nil, 100); err == nil {
-		t.Error("nil placer should error")
-	}
-	if _, err := RunDay(placer, nil, nil, 100); err == nil {
-		t.Error("nil fleet should error")
-	}
-	if _, err := RunDay(placer, fleet, nil, 0); err == nil {
-		t.Error("zero opening cost should error")
-	}
-	// Unknown bike id.
-	trips := []dataset.Trip{{OrderID: 1, BikeID: 99, End: geo.Pt(1, 1)}}
-	if _, err := RunDay(placer, fleet, trips, 100); err == nil {
-		t.Error("unknown bike should error")
-	}
-}
-
-func TestRunDayStranded(t *testing.T) {
-	fleet, err := energy.NewFleet(energy.DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A bike with 1% charge (350 m) and a 3 km trip.
-	if err := fleet.Add(energy.Bike{ID: 1, Loc: geo.Pt(0, 0), Level: 0.01}); err != nil {
-		t.Fatal(err)
-	}
-	placer, err := core.NewMeyerson(1e6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed a station far away so assignment requires a long ride.
-	if _, err := placer.Place(geo.Pt(3000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	trips := []dataset.Trip{{OrderID: 1, BikeID: 1, End: geo.Pt(2990, 0)}}
-	rep, err := RunDay(placer, fleet, trips, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stranded != 1 {
-		t.Errorf("stranded=%d, want 1", rep.Stranded)
-	}
-	b, err := fleet.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Loc != geo.Pt(2990, 0) {
-		t.Errorf("stranded bike should rest at the raw destination, got %v", b.Loc)
-	}
-	// A stranded rider abandons the bike at the raw destination and
-	// never walks the decision's station leg, so the trip must not
-	// contribute to WalkTotal.
-	if rep.WalkTotal != 0 {
-		t.Errorf("stranded trip contributed %v m of walk, want 0", rep.WalkTotal)
 	}
 }

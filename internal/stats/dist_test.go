@@ -79,26 +79,6 @@ func TestExponential(t *testing.T) {
 	}
 }
 
-func TestBernoulli(t *testing.T) {
-	rng := NewRNG(7)
-	if Bernoulli(rng, 0) || Bernoulli(rng, -1) {
-		t.Error("p<=0 should be false")
-	}
-	if !Bernoulli(rng, 1) || !Bernoulli(rng, 2) {
-		t.Error("p>=1 should be true")
-	}
-	hits := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if Bernoulli(rng, 0.3) {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.02 {
-		t.Errorf("empirical p=%v, want ~0.3", frac)
-	}
-}
-
 func TestWeightedIndex(t *testing.T) {
 	rng := NewRNG(8)
 	if WeightedIndex(rng, nil) != -1 {

@@ -17,40 +17,6 @@ var ErrEmptySample = errors.New("stats: empty sample")
 // a NaN or infinite coordinate.
 var ErrNonFiniteSample = errors.New("stats: non-finite sample point")
 
-// KS1D computes the two-sample one-dimensional Kolmogorov–Smirnov statistic
-// D = sup_x |F_a(x) - F_b(x)| between the empirical CDFs of a and b.
-func KS1D(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmptySample
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var d float64
-	i, j := 0, 0
-	for i < len(as) && j < len(bs) {
-		x := as[i]
-		if bs[j] < x {
-			x = bs[j]
-		}
-		// Advance past ties in both samples so the CDFs are compared at
-		// the step value itself.
-		for i < len(as) && as[i] == x {
-			i++
-		}
-		for j < len(bs) && bs[j] == x {
-			j++
-		}
-		fa := float64(i) / float64(len(as))
-		fb := float64(j) / float64(len(bs))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
-}
-
 // Peacock2D computes Peacock's two-dimensional two-sample KS statistic
 // between point samples a and b:
 //

@@ -8,52 +8,6 @@ import (
 	"repro/internal/geo"
 )
 
-func TestKS1D(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b    []float64
-		want    float64
-		wantErr bool
-	}{
-		{"empty a", nil, []float64{1}, 0, true},
-		{"empty b", []float64{1}, nil, 0, true},
-		{"identical", []float64{1, 2, 3}, []float64{1, 2, 3}, 0, false},
-		{"disjoint", []float64{1, 2, 3}, []float64{10, 11, 12}, 1, false},
-		{"half overlap", []float64{1, 2}, []float64{2, 3}, 0.5, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := KS1D(tt.a, tt.b)
-			if (err != nil) != tt.wantErr {
-				t.Fatalf("err=%v, wantErr=%v", err, tt.wantErr)
-			}
-			if err != nil {
-				if !errors.Is(err, ErrEmptySample) {
-					t.Errorf("want ErrEmptySample, got %v", err)
-				}
-				return
-			}
-			if math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("D=%v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestKS1DDoesNotMutateInput(t *testing.T) {
-	a := []float64{3, 1, 2}
-	b := []float64{2, 0}
-	if _, err := KS1D(a, b); err != nil {
-		t.Fatalf("KS1D: %v", err)
-	}
-	if a[0] != 3 || a[1] != 1 || a[2] != 2 {
-		t.Errorf("input a mutated: %v", a)
-	}
-	if b[0] != 2 || b[1] != 0 {
-		t.Errorf("input b mutated: %v", b)
-	}
-}
-
 func TestPeacock2DIdentical(t *testing.T) {
 	pts := SamplePoints(NewRNG(1), UniformDist{Box: geo.Square(geo.Pt(0, 0), 100)}, 40)
 	d, err := Peacock2D(pts, pts)

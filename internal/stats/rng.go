@@ -16,18 +16,19 @@ import (
 // experiment seed drives the generator, the placer and the simulator)
 // never consume correlated randomness. The identifiers are part of the
 // reproducibility contract: renumbering them changes every downstream
-// figure, so append only.
+// figure, so append only. A retired stream keeps its slot as a blank
+// identifier so the ones after it keep their values.
 const (
 	StreamDefault uint64 = iota
 	StreamMeyerson
 	StreamOnlineKMeans
 	StreamESharing
 	StreamCharging
-	StreamPrivacy
+	_ // retired: location obfuscation
 	StreamDataset
 	StreamLSTMInit
 	StreamLSTMShuffle
-	StreamClientJitter
+	_ // retired: HTTP client retry jitter
 )
 
 // streamSpread is an odd multiplier (SplitMix64's increment) that
@@ -146,17 +147,6 @@ func Exponential(rng *rand.Rand, rate float64) float64 {
 		return math.Inf(1)
 	}
 	return rng.ExpFloat64() / rate
-}
-
-// Bernoulli reports true with probability p (clamped to [0,1]).
-func Bernoulli(rng *rand.Rand, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return rng.Float64() < p
 }
 
 // WeightedIndex samples an index proportionally to weights. Negative

@@ -15,8 +15,7 @@ func TestNewRNGStreamZeroMatchesNewRNG(t *testing.T) {
 func TestNewRNGStreamsAreIndependent(t *testing.T) {
 	streams := []uint64{
 		StreamDefault, StreamMeyerson, StreamOnlineKMeans, StreamESharing,
-		StreamCharging, StreamPrivacy, StreamDataset, StreamLSTMInit,
-		StreamLSTMShuffle, StreamClientJitter,
+		StreamCharging, StreamDataset, StreamLSTMInit, StreamLSTMShuffle,
 	}
 	seen := make(map[uint64]uint64, len(streams))
 	for _, s := range streams {
@@ -34,6 +33,30 @@ func TestNewRNGStreamDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if x, y := a.Uint64(), b.Uint64(); x != y {
 			t.Fatalf("draw %d: same (seed, stream) diverged: %d vs %d", i, x, y)
+		}
+	}
+}
+
+// TestStreamIDsArePinned holds every stream identifier to its numeric
+// value. The values are part of the reproducibility contract: a
+// renumbered stream silently changes every figure seeded from it, so it
+// must fail here rather than only in the regenerated results.
+func TestStreamIDsArePinned(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"StreamDefault", StreamDefault, 0},
+		{"StreamMeyerson", StreamMeyerson, 1},
+		{"StreamOnlineKMeans", StreamOnlineKMeans, 2},
+		{"StreamESharing", StreamESharing, 3},
+		{"StreamCharging", StreamCharging, 4},
+		{"StreamDataset", StreamDataset, 6},
+		{"StreamLSTMInit", StreamLSTMInit, 7},
+		{"StreamLSTMShuffle", StreamLSTMShuffle, 8},
+	} {
+		if tt.got != tt.want {
+			t.Errorf("%s = %d, want %d", tt.name, tt.got, tt.want)
 		}
 	}
 }

@@ -109,37 +109,3 @@ func MinMax(xs []float64) (minVal, maxVal float64, err error) {
 	}
 	return minVal, maxVal, nil
 }
-
-// Summary captures the descriptive statistics printed by the experiment
-// harness.
-type Summary struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stdDev"`
-	Min    float64 `json:"min"`
-	Median float64 `json:"median"`
-	Max    float64 `json:"max"`
-}
-
-// Summarize computes a Summary of xs; zero value for empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	minVal, maxVal, _ := MinMax(xs)
-	median, _ := Quantile(xs, 0.5)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    minVal,
-		Median: median,
-		Max:    maxVal,
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
-}

@@ -130,16 +130,3 @@ func TestMinMax(t *testing.T) {
 		t.Errorf("empty: %v", err)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Summary wrong: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
-	if z := Summarize(nil); z != (Summary{}) {
-		t.Errorf("empty summary: %+v", z)
-	}
-}

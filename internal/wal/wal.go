@@ -295,10 +295,6 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Records returns the total number of records ever logged (snapshot
-// base plus appends).
-func (l *Log) Records() uint64 { return l.records }
-
 // Metrics returns a point-in-time reading of the log's counters; safe
 // to call concurrently with appends.
 func (l *Log) Metrics() Metrics {

@@ -53,8 +53,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, PickupRecord{StationIndex: 2})
-	if got := l.Records(); got != 11 {
-		t.Fatalf("Records() = %d, want 11", got)
+	if got := l.records; got != 11 {
+		t.Fatalf("records = %d, want 11", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec2.Tail, want) {
 		t.Fatalf("recovered tail %+v, want %+v", rec2.Tail, want)
 	}
-	if got := l2.Records(); got != 11 {
-		t.Fatalf("reopened Records() = %d, want 11", got)
+	if got := l2.records; got != 11 {
+		t.Fatalf("reopened records = %d, want 11", got)
 	}
 	// The log must keep accepting appends after recovery.
 	if err := l2.AppendDecision(testDecision(99)); err != nil {
@@ -270,8 +270,8 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if !reflect.DeepEqual(rec.Tail, tail) {
 		t.Fatalf("recovered tail %+v, want %+v", rec.Tail, tail)
 	}
-	if got := l2.Records(); got != 12 {
-		t.Fatalf("Records() = %d, want 12", got)
+	if got := l2.records; got != 12 {
+		t.Fatalf("records = %d, want 12", got)
 	}
 }
 
@@ -325,8 +325,8 @@ func TestSnapshotCrashWindows(t *testing.T) {
 		if len(rec.Tail) != 0 {
 			t.Fatalf("covered records replayed: %+v", rec.Tail)
 		}
-		if got := l2.Records(); got != 5 {
-			t.Fatalf("Records() = %d, want 5", got)
+		if got := l2.records; got != 5 {
+			t.Fatalf("records = %d, want 5", got)
 		}
 	})
 
