@@ -9,9 +9,9 @@
 //	GET  /healthz                                -> liveness
 //
 // A -trips-csv history of any size is streamed in one bounded-memory
-// pass and kept only as projected destinations, never as trips; with
-// several shards it is split into one exact-size array of per-shard
-// histories.
+// pass and kept only as a multiset of projected destination places, each
+// with its trip count, never as trips or rows; with several shards each
+// shard plans from the places that route to it.
 //
 // Usage:
 //
@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -78,7 +77,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("load history: %w", err)
 	}
-	log.Printf("loaded %d historical trip destinations", len(history))
+	log.Printf("loaded %d historical trip destinations at %d distinct places", history.Total(), history.Len())
 
 	placers, err := buildPlacers(*algorithm, history, *opening, *seed, *shards, *shardPrecision)
 	if err != nil {
@@ -168,55 +167,36 @@ func run(args []string) error {
 	}
 }
 
-// loadHistory returns the planar end point of every historical trip —
-// the only piece of a trip the offline plan and the placers consume. A
-// CSV goes through dataset.ReadEndPoints: one streamed pass, never
-// materialised as []dataset.Trip, projected around the data's own
-// geohash bounding box (hard-coding Beijing would project any other
-// city's trips hundreds of kilometres from the planar origin, far
-// outside the tangent-plane regime). Peak memory is the scanner's
-// O(ChunkSize × Workers) plus 16 B per row.
-func loadHistory(csvPath string, days int, seed uint64) ([]geo.Point, error) {
+// loadHistory returns the planar end points of the historical trips as
+// a multiset of places — the only piece of a trip the offline plan and
+// the placers consume. A CSV goes through dataset.ReadEndPoints: one
+// streamed pass, never materialised as []dataset.Trip, folded into
+// places as it is read and projected around the data's own geohash
+// bounding box (hard-coding Beijing would project any other city's
+// trips hundreds of kilometres from the planar origin, far outside the
+// tangent-plane regime). Peak memory is the scanner's
+// O(ChunkSize × Workers) plus O(distinct end cells); the row count does
+// not enter it.
+func loadHistory(csvPath string, days int, seed uint64) (geo.Multiset, error) {
 	if csvPath == "" {
 		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
 		if err != nil {
-			return nil, err
+			return geo.Multiset{}, err
 		}
-		return dataset.EndPoints(trips), nil
+		return geo.FoldPoints(dataset.EndPoints(trips)), nil
 	}
 	f, err := os.Open(csvPath)
 	if err != nil {
-		return nil, err
+		return geo.Multiset{}, err
 	}
-	ends, err := dataset.ReadEndPoints(f, estimateRows(f))
+	ends, err := dataset.ReadEndPoints(f)
 	if closeErr := f.Close(); err == nil {
 		err = closeErr
 	}
 	if err != nil {
-		return nil, err
+		return geo.Multiset{}, err
 	}
 	return ends, nil
-}
-
-// estimateRows guesses a CSV's row count from its size and the line
-// density of its first 64 KiB, with 1/32 headroom, so the end-point
-// slice is allocated once: growing it by doubling would copy the whole
-// history and raise peak memory by up to half again. A short guess
-// costs only that growth; capacity past the last row is never touched.
-func estimateRows(f *os.File) int {
-	st, err := f.Stat()
-	if err != nil || st.Size() <= 0 {
-		return 0
-	}
-	head := make([]byte, min(st.Size(), 64<<10))
-	// A failed read only loses the estimate; the scan reports it.
-	n, _ := f.ReadAt(head, 0)
-	lines := bytes.Count(head[:n], []byte{'\n'})
-	if lines == 0 {
-		return 0
-	}
-	rows := st.Size() * int64(lines) / int64(n)
-	return int(rows + rows/32 + 1)
 }
 
 // buildPlacers builds one placer per shard. The historical trip
@@ -227,7 +207,7 @@ func estimateRows(f *os.File) int {
 // valid; it simply starts with out-of-region landmarks it will never be
 // asked about). Seeds are staggered by shard index so the shards'
 // online RNG streams are independent.
-func buildPlacers(algorithm string, history []geo.Point, opening float64, seed uint64, shards, precision int) ([]core.OnlinePlacer, error) {
+func buildPlacers(algorithm string, history geo.Multiset, opening float64, seed uint64, shards, precision int) ([]core.OnlinePlacer, error) {
 	if shards <= 1 {
 		p, err := buildPlacer(algorithm, history, opening, seed)
 		if err != nil {
@@ -239,7 +219,7 @@ func buildPlacers(algorithm string, history []geo.Point, opening float64, seed u
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
 		part := parts[i]
-		if len(part) == 0 {
+		if part.Len() == 0 {
 			part = history
 		}
 		p, err := buildPlacer(algorithm, part, opening, seed+uint64(i))
@@ -251,42 +231,12 @@ func buildPlacers(algorithm string, history []geo.Point, opening float64, seed u
 	return placers, nil
 }
 
-// partitionByShard splits history by geo.ShardOf into parts that keep
-// history's order, so each shard's history — and with it the shard's
-// config digest in the decision log — is independent of how the split is
-// done. One pass counts the parts and records each point's shard in a
-// 1 B index; the second scatters into a single backing array cut to the
-// counts. That is 17 B per point, where appending into per-shard slices
-// re-copies each part as it grows.
-func partitionByShard(history []geo.Point, precision, shards int) [][]geo.Point {
-	if shards <= 1<<8 {
-		return partitionBy[uint8](history, precision, shards)
-	}
-	return partitionBy[uint32](history, precision, shards)
-}
-
-func partitionBy[I uint8 | uint32](history []geo.Point, precision, shards int) [][]geo.Point {
-	shardOf := make([]I, len(history))
-	counts := make([]int, shards)
-	for i, p := range history {
-		s := geo.ShardOf(p, precision, shards)
-		shardOf[i] = I(s)
-		counts[s]++
-	}
-	backing := make([]geo.Point, len(history))
-	parts := make([][]geo.Point, shards)
-	off := 0
-	for s, n := range counts {
-		// Capacity is exactly the count, so the appends below fill the
-		// part in place and never spill into its neighbour.
-		parts[s] = backing[off : off : off+n]
-		off += n
-	}
-	for i, p := range history {
-		s := shardOf[i]
-		parts[s] = append(parts[s], p)
-	}
-	return parts
+// partitionByShard splits history by geo.ShardOf. Each part is the
+// multiset of the trips that route to its shard, so a shard's history —
+// and with it the shard's config digest in the decision log — does not
+// depend on how the split is done.
+func partitionByShard(history geo.Multiset, precision, shards int) []geo.Multiset {
+	return history.Split(shards, func(p geo.Point) int { return geo.ShardOf(p, precision, shards) })
 }
 
 // allStations concatenates the shards' initial stations in shard-index
@@ -299,7 +249,7 @@ func allStations(placers []core.OnlinePlacer) []geo.Point {
 	return out
 }
 
-func buildPlacer(algorithm string, dests []geo.Point, opening float64, seed uint64) (core.OnlinePlacer, error) {
+func buildPlacer(algorithm string, dests geo.Multiset, opening float64, seed uint64) (core.OnlinePlacer, error) {
 	switch algorithm {
 	case "e-sharing":
 		landmarks, err := planLandmarks(dests, opening)
@@ -308,7 +258,7 @@ func buildPlacer(algorithm string, dests []geo.Point, opening float64, seed uint
 		}
 		cfg := core.DefaultESharingConfig()
 		cfg.Seed = seed
-		return core.NewESharing(landmarks, opening, dests, cfg)
+		return core.NewESharingHistory(landmarks, opening, dests, cfg)
 	case "meyerson":
 		return core.NewMeyerson(opening, seed)
 	case "online-kmeans":
@@ -341,7 +291,7 @@ func buildFleet(stations []geo.Point, size int, seed uint64) (*energy.Fleet, err
 	return fleet, nil
 }
 
-func planLandmarks(dests []geo.Point, opening float64) ([]geo.Point, error) {
+func planLandmarks(dests geo.Multiset, opening float64) ([]geo.Point, error) {
 	// core.HistoryProblem's aggregation pads degenerate bounding boxes, so
 	// a one-trip or collinear history plans fine instead of failing grid
 	// validation.

@@ -30,11 +30,11 @@ func testHistory(t *testing.T) []dataset.Trip {
 	return trips
 }
 
-// testEnds is testHistory reduced to the destination points buildPlacer
-// and buildPlacers now consume.
-func testEnds(t *testing.T) []geo.Point {
+// testEnds is testHistory reduced to the destination places buildPlacer
+// and buildPlacers consume.
+func testEnds(t *testing.T) geo.Multiset {
 	t.Helper()
-	return dataset.EndPoints(testHistory(t))
+	return geo.FoldPoints(dataset.EndPoints(testHistory(t)))
 }
 
 func TestBuildPlacer(t *testing.T) {
@@ -69,7 +69,7 @@ func TestLoadHistorySynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ends) == 0 {
+	if ends.Len() == 0 {
 		t.Error("no synthetic destinations")
 	}
 }
@@ -123,8 +123,8 @@ func TestLoadHistoryCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(trips) {
-		t.Errorf("loaded %d destinations, want %d", len(got), len(trips))
+	if got.Total() != len(trips) {
+		t.Errorf("loaded %d destinations, want %d", got.Total(), len(trips))
 	}
 }
 
@@ -187,7 +187,7 @@ func TestLoadHistoryErrors(t *testing.T) {
 			}
 			ends, err := loadHistory(path, 0, 0)
 			if err == nil {
-				t.Fatalf("loadHistory returned %d destinations, want an error", len(ends))
+				t.Fatalf("loadHistory returned %d destinations, want an error", ends.Total())
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("loadHistory error %v, want %v", err, tc.want)
@@ -209,8 +209,8 @@ func TestLoadHistoryErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte(hdr), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if ends, err := loadHistory(path, 0, 0); ends != nil || err != nil {
-		t.Fatalf("header-only CSV: loadHistory = %v, %v; want nil, nil", ends, err)
+	if ends, err := loadHistory(path, 0, 0); ends.Len() != 0 || err != nil {
+		t.Fatalf("header-only CSV: loadHistory = %d places, %v; want none, nil", ends.Len(), err)
 	}
 }
 
@@ -245,11 +245,13 @@ func oracleEnds(t *testing.T, path string) []geo.Point {
 
 // TestLoadHistoryMatchesOracle pins the one-pass streaming loader to the
 // materialising pipeline bit for bit: both derive the projection centre
-// from the same geohash bounding box and project the same ends. It pins
-// the loader's fold, in-place projection and row order. The geohash
-// decode itself is not under test here: GeohashCenter and ProjectTrips
-// go through the same production decoder, which the geo package's
-// exhaustive and fuzz differentials pin to the bisection oracle.
+// from the same geohash bounding box and project the same ends, and the
+// loader's places and counts are the fold of the oracle's rows. It pins
+// the loader's bounding-box fold, its fold into places and its
+// projection of each place. The geohash decode itself is not under test
+// here: GeohashCenter and ProjectTrips go through the same production
+// decoder, which the geo package's exhaustive and fuzz differentials
+// pin to the bisection oracle.
 func TestLoadHistoryMatchesOracle(t *testing.T) {
 	for name, trips := range map[string][]dataset.Trip{
 		"synthetic": testHistory(t),
@@ -257,42 +259,32 @@ func TestLoadHistoryMatchesOracle(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := writeTripsCSV(t, trips)
-			want := oracleEnds(t, path)
+			want := geo.FoldPoints(oracleEnds(t, path))
 			got, err := loadHistory(path, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("loaded %d destinations, oracle %d", len(got), len(want))
+			if got.Len() != want.Len() || got.Total() != len(trips) {
+				t.Fatalf("loaded %d places (%d destinations), oracle %d places (%d destinations)",
+					got.Len(), got.Total(), want.Len(), len(trips))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("destination %d: loaded %v, oracle %v", i, got[i], want[i])
+			for i, w := range want.Points() {
+				g := got.Points()[i]
+				if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
+					got.Counts()[i] != want.Counts()[i] {
+					t.Fatalf("place %d: loaded %v ×%d, oracle %v ×%d", i, g, got.Counts()[i], w, want.Counts()[i])
 				}
 			}
 		})
 	}
 }
 
-// TestLoadHistoryMemoryBound states the startup memory bound of a CSV
-// history and checks it. loadHistory may allocate 16 B per row for the
-// end-point slice, one fixed scanner term for its single pass, and
-// slack — nothing else that grows with the row count. The scanner holds
-// one ChunkSize header buffer and, per worker, a ChunkSize read buffer
-// and a RawTrip batch presized at ChunkSize/32 slots. Materialising
-// every dataset.Trip instead costs ~780 B per row and breaks the bound,
-// and so does a second pass over the file.
-func TestLoadHistoryMemoryBound(t *testing.T) {
-	const (
-		chunkSize = 1 << 20 // the ScanOptions default
-		workers   = 2
-		slack     = 4 << 20 // the row estimate's headroom and file state
-	)
-	prev := parallel.Default()
-	parallel.SetDefault(workers)
-	t.Cleanup(func() { parallel.SetDefault(prev) })
-
-	path := filepath.Join(t.TempDir(), "big.csv")
+// writeCityCSV streams a synthetic Mobike CSV of the given days to a
+// temp file, without holding the trips, and returns its path and row
+// count.
+func writeCityCSV(t *testing.T, cfg dataset.Config) (string, int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "city.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -302,9 +294,7 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := 0
-	if err := dataset.GenerateStream(dataset.Config{
-		Days: 5, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
-	}, func(_ int, trips []dataset.Trip) error {
+	if err := dataset.GenerateStream(cfg, func(_ int, trips []dataset.Trip) error {
 		rows += len(trips)
 		return cw.WriteTrips(trips)
 	}); err != nil {
@@ -316,25 +306,108 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path, rows
+}
 
+// loadAllocated loads the CSV at path and returns the history and the
+// bytes allocated doing it.
+func loadAllocated(t *testing.T, path string) (geo.Multiset, uint64) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ends, err := loadHistory(path, 0, 0)
+	h, err := loadHistory(path, 0, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ends) != rows {
-		t.Fatalf("loaded %d destinations, want %d", len(ends), rows)
+	return h, after.TotalAlloc - before.TotalAlloc
+}
+
+// setScanWorkers pins the scanner's worker count for one test.
+func setScanWorkers(t *testing.T, workers int) {
+	prev := parallel.Default()
+	parallel.SetDefault(workers)
+	t.Cleanup(func() { parallel.SetDefault(prev) })
+}
+
+// TestLoadHistoryMemoryBound states the startup memory bound of a CSV
+// history and checks it. loadHistory may allocate one fixed scanner
+// term for its single pass, a bounded number of bytes per distinct end
+// cell for the fold (its index, the places, their counts and the
+// canonical sort's scratch, all grown by doubling), and slack — nothing
+// that grows with the row count. The scanner holds one ChunkSize header
+// buffer and, per worker, a ChunkSize read buffer and a RawTrip batch
+// presized at ChunkSize/32 slots. Keeping a point per row instead costs
+// 16 B per row and breaks the bound; materialising every dataset.Trip
+// costs ~780 B per row, and a second pass over the file a second
+// scanner term.
+func TestLoadHistoryMemoryBound(t *testing.T) {
+	const (
+		chunkSize = 1 << 20 // the ScanOptions default
+		workers   = 2
+		perPlace  = 256     // fold index, places, counts and sort scratch
+		slack     = 1 << 20 // file state
+	)
+	setScanWorkers(t, workers)
+	path, rows := writeCityCSV(t, dataset.Config{
+		Days: 5, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
+	})
+	ends, got := loadAllocated(t, path)
+	if ends.Total() != rows {
+		t.Fatalf("loaded %d destinations, want %d", ends.Total(), rows)
 	}
 	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(dataset.RawTrip{})))
-	bound := uint64(16*rows + perPass + slack)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d rows: allocated %.1f MiB (%.0f B/row), bound %.1f MiB",
-		rows, float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
+	bound := uint64(perPlace*ends.Len() + perPass + slack)
+	t.Logf("%d rows at %d places: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
+		rows, ends.Len(), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
 	if got > bound {
-		t.Fatalf("loadHistory allocated %d B for %d rows, bound %d B", got, rows, bound)
+		t.Fatalf("loadHistory allocated %d B for %d rows at %d places, bound %d B", got, rows, ends.Len(), bound)
+	}
+	if 16*rows <= perPlace*ends.Len()+slack {
+		t.Fatalf("fixture too small: a point per row (%d B) would fit the bound's slack", 16*rows)
+	}
+}
+
+// TestLoadHistoryHeapFlatInRows loads two CSVs over the same few places,
+// one with four times the rows of the other: the history is the same
+// places with four times the counts, and the load allocates no more for
+// the extra rows than a handful of scanner chunks would.
+func TestLoadHistoryHeapFlatInRows(t *testing.T) {
+	const (
+		places = 6
+		rows   = 48_000 // a multiple of places, so every count scales by 4
+		growth = 64 << 10
+	)
+	setScanWorkers(t, 2)
+	hdr := "orderid,userid,bikeid,biketype,starttime,geohashed_start_loc,geohashed_end_loc\n"
+	ends := []string{"wx4g0bm", "wx4g0bn", "wx4g0bp", "wx4g0bq", "wx4g0br", "wx4g0bs"}
+	write := func(name string, n int) string {
+		var b []byte
+		b = append(b, hdr...)
+		for i := 0; i < n; i++ {
+			b = fmt.Appendf(b, "%d,2,3,1,2017-05-10 08:00:00,wx4g0bt,%s\n", i+1, ends[i%places])
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	small, smallAlloc := loadAllocated(t, write("small.csv", rows))
+	big, bigAlloc := loadAllocated(t, write("big.csv", 4*rows))
+	if small.Len() != places || big.Len() != places {
+		t.Fatalf("loaded %d and %d places, want %d", small.Len(), big.Len(), places)
+	}
+	for i, p := range small.Points() {
+		if big.Points()[i] != p || big.Counts()[i] != 4*small.Counts()[i] {
+			t.Fatalf("place %d: %v ×%d at 4× rows, %v ×%d at 1×", i, big.Points()[i], big.Counts()[i], p, small.Counts()[i])
+		}
+	}
+	t.Logf("%d rows: %d B; %d rows: %d B", rows, smallAlloc, 4*rows, bigAlloc)
+	if bigAlloc > smallAlloc+growth {
+		t.Fatalf("%d more rows on the same %d places allocated %d B more, want at most %d B",
+			3*rows, places, int64(bigAlloc)-int64(smallAlloc), growth)
 	}
 }
 
@@ -350,10 +423,10 @@ func TestLoadHistoryNonBeijingCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(history) != len(trips) {
-		t.Fatalf("loaded %d destinations, want %d", len(history), len(trips))
+	if history.Total() != len(trips) {
+		t.Fatalf("loaded %d destinations, want %d", history.Total(), len(trips))
 	}
-	for i, p := range history {
+	for i, p := range history.Points() {
 		if !p.IsFinite() || p.Norm() > 50_000 {
 			t.Fatalf("destination %d projects to %v: projection centre not derived from the data", i, p)
 		}
@@ -375,7 +448,7 @@ func TestLoadHistoryNonBeijingCSV(t *testing.T) {
 
 func TestPlanLandmarks(t *testing.T) {
 	history := testHistory(t)
-	landmarks, err := planLandmarks(dataset.EndPoints(history), 10000)
+	landmarks, err := planLandmarks(geo.FoldPoints(dataset.EndPoints(history)), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +467,8 @@ func TestStartupFromOneTripCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(history) != 1 {
-		t.Fatalf("loaded %d destinations, want 1", len(history))
+	if history.Total() != 1 {
+		t.Fatalf("loaded %d destinations, want 1", history.Total())
 	}
 	placer, err := buildPlacer("e-sharing", history, 10000, 1)
 	if err != nil {
@@ -410,11 +483,11 @@ func TestStartupFromOneTripCSV(t *testing.T) {
 // collinear histories directly: both have a degenerate bounding box.
 func TestPlanLandmarksDegenerateHistories(t *testing.T) {
 	single := []geo.Point{geo.Pt(250, 400)}
-	if _, err := planLandmarks(single, 10000); err != nil {
+	if _, err := planLandmarks(geo.FoldPoints(single), 10000); err != nil {
 		t.Errorf("single destination: %v", err)
 	}
 	collinear := []geo.Point{geo.Pt(0, 100), geo.Pt(500, 100), geo.Pt(900, 100)}
-	landmarks, err := planLandmarks(collinear, 10000)
+	landmarks, err := planLandmarks(geo.FoldPoints(collinear), 10000)
 	if err != nil {
 		t.Fatalf("collinear destinations: %v", err)
 	}
@@ -490,7 +563,7 @@ func TestBuildPlacersSharded(t *testing.T) {
 		t.Fatalf("2-shard build returned %d placers", len(fine))
 	}
 	var want [2]int
-	for _, end := range history {
+	for _, end := range history.Points() {
 		want[geo.ShardOf(end, 12, 2)]++
 	}
 	if want[0] == 0 || want[1] == 0 {
@@ -502,9 +575,9 @@ func TestBuildPlacersSharded(t *testing.T) {
 	}
 }
 
-// appendPartition is the shard partition buildPlacers used to run,
-// appending each point to its shard's growing slice. It is the oracle
-// for partitionByShard.
+// appendPartition is the row-by-row shard partition, appending each
+// point to its shard's growing slice. Folded part by part, it is the
+// oracle for partitionByShard.
 func appendPartition(history []geo.Point, precision, shards int) [][]geo.Point {
 	parts := make([][]geo.Point, shards)
 	for _, end := range history {
@@ -514,29 +587,37 @@ func appendPartition(history []geo.Point, precision, shards int) [][]geo.Point {
 	return parts
 }
 
-// TestBuildPlacersPartitionAlloc checks the cold-start shard partition:
-// each part equals the append-based oracle bit for bit (the order a
-// shard's history has, and so its config digest, is unchanged), and the
-// whole partition allocates one exact-size backing array and a 1 B
-// shard index — 17 B per point plus slack. Growing per-shard slices
-// costs about twice the history in copies, and a full-size slice per
-// shard costs shards × |H|; both break the bound.
+// TestBuildPlacersPartitionAlloc checks the cold-start shard partition
+// of a history of places: each part is the fold of the rows that route
+// to its shard, bit for bit (so a shard's history, and with it its
+// config digest, does not depend on how the split is done), and the
+// whole partition allocates in proportion to the places, not the rows.
 func TestBuildPlacersPartitionAlloc(t *testing.T) {
 	const (
-		n      = 100_000
+		places = 20_000
+		copies = 5
 		shards = 4
 		prec   = 6
-		slack  = 64 << 10
+		// Per place: its 24 B point and count appended into a part
+		// that grows by doubling, which allocates under four times the
+		// final length in all, plus size-class rounding.
+		perPlace = 112
+		slack    = 64 << 10
 	)
 	rng := rand.New(rand.NewPCG(5, 6))
-	history := make([]geo.Point, n)
-	for i := range history {
-		history[i] = geo.Pt(rng.Float64()*40_000-20_000, rng.Float64()*40_000-20_000)
+	var rows []geo.Point
+	for i := 0; i < places; i++ {
+		p := geo.Pt(rng.Float64()*40_000-20_000, rng.Float64()*40_000-20_000)
+		for c := 0; c <= i%copies; c++ {
+			rows = append(rows, p)
+		}
 	}
-	want := appendPartition(history, prec, shards)
-	for s, part := range want {
-		if len(part) < n/(4*shards) {
-			t.Fatalf("oracle shard %d holds %d of %d points: the fixture does not spread", s, len(part), n)
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	history := geo.FoldPoints(rows)
+	oracle := appendPartition(rows, prec, shards)
+	for s, part := range oracle {
+		if len(part) < len(rows)/(4*shards) {
+			t.Fatalf("oracle shard %d holds %d of %d rows: the fixture does not spread", s, len(part), len(rows))
 		}
 	}
 
@@ -546,40 +627,34 @@ func TestBuildPlacersPartitionAlloc(t *testing.T) {
 	got := partitionByShard(history, prec, shards)
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
-	bound := uint64(17*n + slack)
-	t.Logf("%d points over %d shards: allocated %d B (%.1f B/point), bound %d B", n, shards, alloc, float64(alloc)/n, bound)
+	bound := uint64(perPlace*places + slack)
+	t.Logf("%d rows at %d places over %d shards: allocated %d B (%.1f B/place), bound %d B",
+		len(rows), places, shards, alloc, float64(alloc)/places, bound)
 	if alloc > bound {
-		t.Fatalf("partition allocated %d B for %d points, bound %d B", alloc, n, bound)
+		t.Fatalf("partition allocated %d B for %d places, bound %d B", alloc, places, bound)
 	}
-
-	if len(got) != shards {
-		t.Fatalf("%d parts, want %d", len(got), shards)
-	}
-	for s := range want {
-		if len(got[s]) != len(want[s]) {
-			t.Fatalf("shard %d: %d points, oracle %d", s, len(got[s]), len(want[s]))
+	checkParts := func(got []geo.Multiset, oracle [][]geo.Point) {
+		t.Helper()
+		if len(got) != len(oracle) {
+			t.Fatalf("%d parts, want %d", len(got), len(oracle))
 		}
-		for i := range want[s] {
-			if math.Float64bits(got[s][i].X) != math.Float64bits(want[s][i].X) ||
-				math.Float64bits(got[s][i].Y) != math.Float64bits(want[s][i].Y) {
-				t.Fatalf("shard %d point %d: %v, oracle %v", s, i, got[s][i], want[s][i])
+		for s := range oracle {
+			want := geo.FoldPoints(oracle[s])
+			if got[s].Len() != want.Len() {
+				t.Fatalf("shard %d: %d places, oracle %d", s, got[s].Len(), want.Len())
+			}
+			for i, w := range want.Points() {
+				g := got[s].Points()[i]
+				if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
+					got[s].Counts()[i] != want.Counts()[i] {
+					t.Fatalf("shard %d place %d: %v ×%d, oracle %v ×%d", s, i, g, got[s].Counts()[i], w, want.Counts()[i])
+				}
 			}
 		}
 	}
-
-	// Past 256 shards the index widens; the parts must not change.
-	wide := partitionByShard(history, prec, 300)
-	oracle := appendPartition(history, prec, 300)
-	for s := range oracle {
-		if len(wide[s]) != len(oracle[s]) {
-			t.Fatalf("300 shards, shard %d: %d points, oracle %d", s, len(wide[s]), len(oracle[s]))
-		}
-		for i := range oracle[s] {
-			if wide[s][i] != oracle[s][i] {
-				t.Fatalf("300 shards, shard %d point %d: %v, oracle %v", s, i, wide[s][i], oracle[s][i])
-			}
-		}
-	}
+	checkParts(got, oracle)
+	// Many shards, most of them empty: the parts must not change.
+	checkParts(partitionByShard(history, prec, 300), appendPartition(rows, prec, 300))
 }
 
 // TestAllStations: the startup station union concatenates in shard

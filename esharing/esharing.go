@@ -183,7 +183,8 @@ func (s *System) PlanOffline(history []Point) (PlanSummary, error) {
 		return PlanSummary{}, ErrNoHistory
 	}
 	pts := toGeoSlice(history)
-	demands, err := core.AggregateDemand(pts, s.cfg.GridCellMeters)
+	places := geo.FoldPoints(pts)
+	demands, err := core.AggregateHistory(places, s.cfg.GridCellMeters)
 	if err != nil {
 		return PlanSummary{}, fmt.Errorf("aggregate demand: %w", err)
 	}
@@ -209,7 +210,7 @@ func (s *System) PlanOffline(history []Point) (PlanSummary, error) {
 		AdaptTolerance: true,
 		Seed:           s.cfg.Seed,
 	}
-	placer, err := core.NewESharing(landmarks, s.cfg.OpeningCost, pts, esCfg)
+	placer, err := core.NewESharingHistory(landmarks, s.cfg.OpeningCost, places, esCfg)
 	if err != nil {
 		return PlanSummary{}, fmt.Errorf("online placer: %w", err)
 	}

@@ -176,7 +176,7 @@ func historyProblem() (*core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.HistoryProblem(dataset.EndPoints(trips), 100, 10000)
+	return core.HistoryProblem(geo.FoldPoints(dataset.EndPoints(trips)), 100, 10000)
 }
 
 // peacockSection times the statistic on two n-point uniform samples
@@ -203,17 +203,22 @@ func peacockSection(n int) Section {
 // uniform history of h points. ks/online is the uncached sweep over H
 // and W; ks/reference is the per-test query the placer runs on a
 // prebuilt KSReference, and ks/reference-build the one-off build it
-// pays on its first test.
+// pays on its first test. Both start from the history folded into
+// places, as the placer holds it; the fold is paid when the history is
+// loaded.
 func driftSections(h int, withBuild bool) []Section {
-	type drift struct{ hist, window []geo.Point }
+	type drift struct {
+		hist, window []geo.Point
+		places       geo.Multiset // hist folded, as the placer holds it
+	}
 	g := new(fixtureGroup)
 	samples := lazy(g, func(*testing.B) (drift, error) {
 		rng := stats.NewRNG(uint64(h))
 		hist := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, h)
 		window := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(1000, 1000), 5000)}, 100)
-		return drift{hist, window}, nil
+		return drift{hist, window, geo.FoldPoints(hist)}, nil
 	})
-	ref := lazy(g, func(b *testing.B) (*stats.KSReference, error) { return stats.NewKSReference(samples(b).hist) })
+	ref := lazy(g, func(b *testing.B) (*stats.KSReference, error) { return stats.NewKSReference(samples(b).places) })
 	out := []Section{
 		{Name: fmt.Sprintf("ks/online/H=%d", h), Bench: func(b *testing.B) {
 			d := samples(b)
@@ -234,9 +239,9 @@ func driftSections(h int, withBuild bool) []Section {
 	}
 	if withBuild {
 		out = append(out, Section{Name: fmt.Sprintf("ks/reference-build/H=%d", h), Bench: func(b *testing.B) {
-			hist := samples(b).hist
+			places := samples(b).places
 			for i := 0; i < b.N; i++ {
-				if _, err := stats.NewKSReference(hist); err != nil {
+				if _, err := stats.NewKSReference(places); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -369,14 +374,14 @@ func ingestSections() []Section {
 			return err
 		}),
 		section("demand", func(data []byte) error {
-			ends, err := dataset.ReadEndPoints(bytes.NewReader(data), ingestRows)
+			ends, err := dataset.ReadEndPoints(bytes.NewReader(data))
 			if err != nil {
 				return err
 			}
-			if len(ends) != ingestRows {
-				return fmt.Errorf("read %d end points, want %d", len(ends), ingestRows)
+			if ends.Total() != ingestRows {
+				return fmt.Errorf("read %d end points, want %d", ends.Total(), ingestRows)
 			}
-			demands, err := core.AggregateDemand(ends, 100)
+			demands, err := core.AggregateHistory(ends, 100)
 			if err == nil && len(demands) == 0 {
 				err = fmt.Errorf("empty demand grid")
 			}

@@ -4,11 +4,19 @@ import (
 	"repro/internal/geo"
 )
 
-// AggregateDemand bins destination points into square grid cells of the
-// given side length (metres), returning one Demand per non-empty cell in
-// row-major order, located at the cell centroid with arrivals equal to
-// the point count — the paper's offline demand aggregation (Section
-// IV-A). Points on the grid's outer edge clamp into the last cell.
+// AggregateDemand is AggregateHistory over destination points, each
+// counted once.
+func AggregateDemand(pts []geo.Point, cell float64) ([]Demand, error) {
+	return AggregateHistory(geo.FoldPoints(pts), cell)
+}
+
+// AggregateHistory bins a destination history into square grid cells of
+// the given side length (metres), returning one Demand per non-empty
+// cell in row-major order, located at the cell centroid with arrivals
+// equal to the number of destinations in it — the paper's offline demand
+// aggregation (Section IV-A). Points on the grid's outer edge clamp into
+// the last cell. Arrivals are integer sums, exact in float64 below 2^53,
+// so a history folded into places aggregates exactly as its rows do.
 //
 // Degenerate inputs are handled: when the points' bounding box has zero
 // width or height (a single destination, or collinear destinations along
@@ -16,8 +24,8 @@ import (
 // always valid. A box needing more than geo.MaxGridCells cells — a
 // history spanning continents — fails with geo.ErrGridTooLarge instead
 // of allocating the dense count grid.
-func AggregateDemand(pts []geo.Point, cell float64) ([]Demand, error) {
-	box := geo.Bound(pts)
+func AggregateHistory(h geo.Multiset, cell float64) ([]Demand, error) {
+	box := geo.Bound(h.Points())
 	if box.Width() <= 0 || box.Height() <= 0 {
 		box = geo.NewBBox(
 			geo.Pt(box.MinX-cell, box.MinY-cell),
@@ -29,7 +37,7 @@ func AggregateDemand(pts []geo.Point, cell float64) ([]Demand, error) {
 		return nil, err
 	}
 	var demands []Demand
-	for idx, n := range grid.Histogram(pts) {
+	for idx, n := range grid.Histogram(h) {
 		if n == 0 {
 			continue
 		}
@@ -43,8 +51,8 @@ func AggregateDemand(pts []geo.Point, cell float64) ([]Demand, error) {
 // the destinations aggregated into cells of the given side (metres),
 // every candidate costing opening. It is the one path from historical
 // destinations to Algorithm 1's input.
-func HistoryProblem(dests []geo.Point, cell, opening float64) (*Problem, error) {
-	demands, err := AggregateDemand(dests, cell)
+func HistoryProblem(dests geo.Multiset, cell, opening float64) (*Problem, error) {
+	demands, err := AggregateHistory(dests, cell)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/geo"
@@ -61,6 +63,41 @@ func TestAggregateDemand(t *testing.T) {
 	}
 }
 
+// TestAggregateHistoryWeighted: a history given as places with counts
+// aggregates to the same demands, bit for bit, as the same history
+// given row by row, whatever the row order.
+func TestAggregateHistoryWeighted(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	var places []geo.Point
+	var counts []int
+	var rows []geo.Point
+	for i := 0; i < 300; i++ {
+		p := geo.Pt(float64(rng.IntN(40))*37.5, float64(rng.IntN(40))*37.5)
+		c := 1 + rng.IntN(500)
+		places, counts = append(places, p), append(counts, c)
+		for j := 0; j < c; j++ {
+			rows = append(rows, p)
+		}
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	got, err := AggregateHistory(geo.FoldWeighted(places, counts), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AggregateDemand(rows, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d demands, row by row %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Loc != want[i].Loc || math.Float64bits(got[i].Arrivals) != math.Float64bits(want[i].Arrivals) {
+			t.Fatalf("demand %d = %+v, row by row %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestAggregateDemandGridCap: a history spanning continents fails fast
 // instead of allocating a dense grid sized by its bounding box.
 func TestAggregateDemandGridCap(t *testing.T) {
@@ -68,7 +105,7 @@ func TestAggregateDemandGridCap(t *testing.T) {
 	if _, err := AggregateDemand(pts, 100); !errors.Is(err, geo.ErrGridTooLarge) {
 		t.Fatalf("err=%v, want geo.ErrGridTooLarge", err)
 	}
-	if _, err := HistoryProblem(pts, 100, 1); !errors.Is(err, geo.ErrGridTooLarge) {
+	if _, err := HistoryProblem(geo.FoldPoints(pts), 100, 1); !errors.Is(err, geo.ErrGridTooLarge) {
 		t.Fatalf("HistoryProblem err=%v, want geo.ErrGridTooLarge", err)
 	}
 }
@@ -77,7 +114,7 @@ func TestAggregateDemandGridCap(t *testing.T) {
 // with one opening cost everywhere.
 func TestHistoryProblem(t *testing.T) {
 	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(30, 40), geo.Pt(250, 250)}
-	p, err := HistoryProblem(pts, 100, 7)
+	p, err := HistoryProblem(geo.FoldPoints(pts), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +130,7 @@ func TestHistoryProblem(t *testing.T) {
 			t.Fatalf("candidate %d = %+v at %v, want %+v at 7", i, p.Demands[i], p.Opening[i], demands[i])
 		}
 	}
-	if _, err := HistoryProblem(nil, 100, 7); !errors.Is(err, ErrEmptyProblem) {
+	if _, err := HistoryProblem(geo.Multiset{}, 100, 7); !errors.Is(err, ErrEmptyProblem) {
 		t.Errorf("empty history: %v", err)
 	}
 }

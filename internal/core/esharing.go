@@ -83,9 +83,9 @@ type ESharing struct {
 	index       *geo.DynamicIndex // established stations, in insertion order
 	penalty     Penalty
 	// hist is the caller's history H, held without a copy until the
-	// first KS test builds ks from it and drops it (nil when TestEvery
-	// is 0, since no test ever runs).
-	hist        []geo.Point
+	// first KS test builds ks from it and drops it (empty when
+	// TestEvery is 0, since no test ever runs).
+	hist        geo.Multiset
 	ks          ksStatistic
 	window      []geo.Point
 	requests    int
@@ -112,16 +112,21 @@ type ksStatistic interface {
 	Statistic(window []geo.Point) (float64, error)
 }
 
-// NewESharing builds the placer.
+// NewESharing is NewESharingHistory over hist's points, each counted
+// once.
+func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg ESharingConfig) (*ESharing, error) {
+	return NewESharingHistory(offline, baseOpening, geo.FoldPoints(hist), cfg)
+}
+
+// NewESharingHistory builds the placer.
 //
 // offline is the landmark station set P from Algorithm 1 (at least one);
 // baseOpening is the real space-occupation cost f charged per station;
 // hist is the historical destination sample H backing the KS test (may be
 // empty when cfg.TestEvery is 0; every point must be finite, or the error
-// wraps stats.ErrNonFiniteSample). The placer keeps hist without copying
-// it and builds its KS reference from it on the first test, so the
-// caller must not modify hist after this call.
-func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg ESharingConfig) (*ESharing, error) {
+// wraps stats.ErrNonFiniteSample). The placer keeps hist, which shares
+// its slices, and builds its KS reference from it on the first test.
+func NewESharingHistory(offline []geo.Point, baseOpening float64, hist geo.Multiset, cfg ESharingConfig) (*ESharing, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -131,13 +136,16 @@ func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg
 	if baseOpening <= 0 {
 		return nil, fmt.Errorf("core: base opening cost %v must be positive", baseOpening)
 	}
-	if cfg.TestEvery > 0 && len(hist) == 0 {
+	if cfg.TestEvery > 0 && hist.Len() == 0 {
 		return nil, fmt.Errorf("core: KS testing enabled but historical sample is empty")
 	}
-	for i, p := range hist {
+	for i, p := range hist.Points() {
 		if !p.IsFinite() {
 			return nil, fmt.Errorf("core: historical sample point %d %v: %w", i, p, stats.ErrNonFiniteSample)
 		}
+	}
+	if n := hist.Total(); cfg.TestEvery > 0 && n > stats.MaxReferenceTotal {
+		return nil, fmt.Errorf("core: historical sample of %d points: %w", n, stats.ErrSampleTooLarge)
 	}
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = cfg.TestEvery
@@ -148,7 +156,7 @@ func NewESharing(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg
 
 	digest := esharingConfigDigest(offline, baseOpening, hist, cfg)
 	if cfg.TestEvery == 0 {
-		hist = nil
+		hist = geo.Multiset{}
 	}
 	k := len(offline)
 	pen, err := NewPenalty(cfg.InitialPenalty, cfg.Tolerance)
@@ -253,9 +261,9 @@ func (e *ESharing) runTest() {
 	if e.ks == nil {
 		ks, err := stats.NewKSReference(e.hist)
 		if err != nil {
-			return // unreachable: NewESharing validated H
+			return // unreachable: NewESharingHistory validated H
 		}
-		e.ks, e.hist = ks, nil
+		e.ks, e.hist = ks, geo.Multiset{}
 	}
 	d, err := e.ks.Statistic(e.window)
 	if err != nil {

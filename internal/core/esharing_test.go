@@ -68,6 +68,22 @@ func TestNewESharingValidation(t *testing.T) {
 	}
 }
 
+// TestNewESharingHistoryTooLarge: a history whose counts overflow the
+// KS reference's int32 counts fails at construction, not at the first
+// test; with testing off it is accepted.
+func TestNewESharingHistoryTooLarge(t *testing.T) {
+	hist := geo.FoldWeighted([]geo.Point{geo.Pt(0, 0), geo.Pt(10, 10)}, []int{1 << 30, 1 << 30})
+	landmarks := []geo.Point{geo.Pt(0, 0)}
+	cfg := DefaultESharingConfig()
+	if _, err := NewESharingHistory(landmarks, 5000, hist, cfg); !errors.Is(err, stats.ErrSampleTooLarge) {
+		t.Fatalf("2^31 occurrences with testing on: want stats.ErrSampleTooLarge, got %v", err)
+	}
+	cfg.TestEvery = 0
+	if _, err := NewESharingHistory(landmarks, 5000, hist, cfg); err != nil {
+		t.Fatalf("2^31 occurrences with testing off: %v", err)
+	}
+}
+
 func TestESharingRequestAtLandmarkNeverOpens(t *testing.T) {
 	// c = 0 at a landmark, so the opening probability g(0)·0/f is 0.
 	cfg := DefaultESharingConfig()

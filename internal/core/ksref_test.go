@@ -112,14 +112,18 @@ func TestESharingKSReferenceMatchesPeacockOracle(t *testing.T) {
 // history without a copy and builds no reference; the first test builds
 // it and drops the history. With testing off, neither ever exists.
 func TestESharingBuildsKSReferenceLazily(t *testing.T) {
-	landmarks, hist, stream := driftWorkload()
+	landmarks, rows, stream := driftWorkload()
+	hist := geo.FoldPoints(rows)
 	cfg := DefaultESharingConfig()
-	e := newTestESharing(t, landmarks, hist, cfg)
-	if e.ks != nil {
-		t.Fatal("NewESharing built the KS reference eagerly")
+	e, err := NewESharingHistory(landmarks, 5000, hist, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(e.hist) != len(hist) || &e.hist[0] != &hist[0] {
-		t.Fatal("NewESharing copied the history")
+	if e.ks != nil {
+		t.Fatal("NewESharingHistory built the KS reference eagerly")
+	}
+	if e.hist.Len() != hist.Len() || &e.hist.Points()[0] != &hist.Points()[0] || &e.hist.Counts()[0] != &hist.Counts()[0] {
+		t.Fatal("NewESharingHistory copied the history")
 	}
 	for _, dest := range stream[:cfg.TestEvery-1] {
 		if _, err := e.Place(dest); err != nil {
@@ -132,28 +136,29 @@ func TestESharingBuildsKSReferenceLazily(t *testing.T) {
 	if _, err := e.Place(stream[cfg.TestEvery-1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.ks.(*stats.KSReference); !ok || e.hist != nil {
-		t.Fatalf("after the first test: ks %T, history held %v; want a *stats.KSReference and no history", e.ks, e.hist != nil)
+	if _, ok := e.ks.(*stats.KSReference); !ok || e.hist.Len() != 0 {
+		t.Fatalf("after the first test: ks %T, history held %v; want a *stats.KSReference and no history", e.ks, e.hist.Len() != 0)
 	}
 
 	cfg.TestEvery = 0
-	off := newTestESharing(t, landmarks, hist, cfg)
+	off := newTestESharing(t, landmarks, rows, cfg)
 	for _, dest := range stream {
 		if _, err := off.Place(dest); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if off.ks != nil || off.hist != nil {
-		t.Errorf("TestEvery=0: ks %v, history held %v; want neither", off.ks, off.hist != nil)
+	if off.ks != nil || off.hist.Len() != 0 {
+		t.Errorf("TestEvery=0: ks %v, history held %v; want neither", off.ks, off.hist.Len() != 0)
 	}
 }
 
-// TestNewESharingAllocatesNoHistoryCopy bounds what construction
-// allocates on a large history: far less than the 16 B per point a copy
-// of H would take.
+// TestNewESharingAllocatesNoHistoryCopy bounds what construction from
+// a history of places allocates on a large history: far less than the
+// 24 B per place a copy of H would take. (NewESharing over a point
+// slice folds it into places first, which is that copy.)
 func TestNewESharingAllocatesNoHistoryCopy(t *testing.T) {
 	const n = 200_000
-	hist := stats.SamplePoints(stats.NewRNG(4), stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, n)
+	hist := geo.FoldPoints(stats.SamplePoints(stats.NewRNG(4), stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, n))
 	landmarks := []geo.Point{geo.Pt(0, 0), geo.Pt(5000, 5000)}
 	for _, testEvery := range []int{100, 0} {
 		cfg := DefaultESharingConfig()
@@ -161,13 +166,13 @@ func TestNewESharingAllocatesNoHistoryCopy(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e, err := NewESharing(landmarks, 5000, hist, cfg)
+		e, err := NewESharingHistory(landmarks, 5000, hist, cfg)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > n {
-			t.Errorf("TestEvery=%d: NewESharing allocated %d B on a %d-point history, want at most 1 B per point", testEvery, got, n)
+			t.Errorf("TestEvery=%d: NewESharingHistory allocated %d B on a %d-point history, want at most 1 B per point", testEvery, got, n)
 		}
 		runtime.KeepAlive(e)
 	}

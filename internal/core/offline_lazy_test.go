@@ -113,7 +113,7 @@ func serverProblem(shard, shards int) *Problem {
 			dests = append(dests, pt)
 		}
 	}
-	p, err := HistoryProblem(dests, 100, 10000)
+	p, err := HistoryProblem(geo.FoldPoints(dests), 100, 10000)
 	if err != nil {
 		panic(err)
 	}

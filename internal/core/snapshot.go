@@ -216,7 +216,19 @@ func (w *digestWriter) points(pts []geo.Point) {
 	}
 }
 
-func esharingConfigDigest(offline []geo.Point, baseOpening float64, hist []geo.Point, cfg ESharingConfig) uint64 {
+// multiset digests h's canonical (point, count) list, so a history
+// digests the same whatever order its rows arrived in.
+func (w *digestWriter) multiset(h geo.Multiset) {
+	pts, counts := h.Points(), h.Counts()
+	w.u64(uint64(len(pts)))
+	for i, p := range pts {
+		w.f64(p.X)
+		w.f64(p.Y)
+		w.i64(int64(counts[i]))
+	}
+}
+
+func esharingConfigDigest(offline []geo.Point, baseOpening float64, hist geo.Multiset, cfg ESharingConfig) uint64 {
 	w := newDigestWriter()
 	w.str("e-sharing")
 	w.f64(cfg.Beta)
@@ -228,7 +240,7 @@ func esharingConfigDigest(offline []geo.Point, baseOpening float64, hist []geo.P
 	w.u64(cfg.Seed)
 	w.f64(baseOpening)
 	w.points(offline)
-	w.points(hist)
+	w.multiset(hist)
 	return w.h
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -157,11 +158,19 @@ func TestConfigDigestSensitivity(t *testing.T) {
 		"opening":   mk(landmarks, 5000, hist, base),
 		"landmarks": mk(landmarks[:1], 4000, hist, base),
 		"history":   mk(landmarks, 4000, hist[:39], base),
+		"count":     mk(landmarks, 4000, append(slices.Clone(hist), hist[7]), base),
 	}
 	for name, got := range variants {
 		if got == ref {
 			t.Errorf("digest insensitive to %s change", name)
 		}
+	}
+	// The history is a multiset: the order its rows arrive in is not a
+	// construction input.
+	reversed := slices.Clone(hist)
+	slices.Reverse(reversed)
+	if got := mk(landmarks, 4000, reversed, base); got != ref {
+		t.Error("digest depends on the history's row order")
 	}
 
 	m1, _ := NewMeyerson(1500, 7)

@@ -717,27 +717,32 @@ func scanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTri
 	return sum, nil
 }
 
-// ReadEndPoints returns the planar end point of every trip in a Mobike
-// CSV, projected around the centre of the data's own start+end geohash
-// bounding box — exactly EndPoints after GeohashCenter and ProjectTrips,
-// without materialising a []Trip. The file is read once: each row's
-// decoded end centre is held geodetically, as Point{X: Lng, Y: Lat}, in
-// the slot its projection takes once the scan has given the centre.
-// Peak memory is the scanner's O(ChunkSize × Workers) plus 16 B per row;
-// capHint presizes the slice (a short hint costs only its growth).
+// ReadEndPoints returns the planar end points of the trips in a Mobike
+// CSV as a multiset of places, projected around the centre of the data's
+// own start+end geohash bounding box — exactly the fold of EndPoints
+// after GeohashCenter and ProjectTrips, without materialising a []Trip.
+// The file is read once. Rows fold as they are scanned, keyed on the
+// decoded end cell centre, and only the distinct centres are projected
+// once the scan has given the projection centre. Peak memory is the
+// scanner's O(ChunkSize × Workers) plus O(distinct end cells), whatever
+// the row count.
 //
 // A malformed row or an invalid geohash fails the read at its row. An
 // empty geohash fails it too, but ranks below both: the first one is
 // held and reported, with its row's line, only once the scan has
 // succeeded and some geohash gave a centre. With no geohash at all the
 // error is ErrNoGeohashes, and a header-only CSV has no end points.
-func ReadEndPoints(r io.Reader, capHint int) ([]geo.Point, error) {
-	return readEndPoints(r, capHint, ScanOptions{})
+func ReadEndPoints(r io.Reader) (geo.Multiset, error) {
+	return readEndPoints(r, ScanOptions{})
 }
 
 // readEndPoints is ReadEndPoints with explicit chunk and worker settings.
-func readEndPoints(r io.Reader, capHint int, opts ScanOptions) ([]geo.Point, error) {
-	ends := make([]geo.Point, 0, capHint)
+func readEndPoints(r io.Reader, opts ScanOptions) (geo.Multiset, error) {
+	// The index is keyed on the centre's bits, which hash faster than
+	// float keys; FoldWeighted merges any two keys that compare equal.
+	cell := make(map[[2]uint64]int) // end cell centre -> index in ends
+	var ends []geo.Point            // distinct centres as Point{X: Lng, Y: Lat}
+	var counts []int
 	var pending error
 	sum, err := scanSummarizeVisit(r, opts, func(batch []RawTrip) error {
 		if pending != nil {
@@ -753,26 +758,34 @@ func readEndPoints(r io.Reader, capHint int, opts ScanOptions) ([]geo.Point, err
 				pending = &RowError{Line: rt.Line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
 				return nil
 			}
-			ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
+			key := [2]uint64{math.Float64bits(rt.EndLL.Lat), math.Float64bits(rt.EndLL.Lng)}
+			k, ok := cell[key]
+			if !ok {
+				k = len(ends)
+				cell[key] = k
+				ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
+				counts = append(counts, 0)
+			}
+			counts[k]++
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return geo.Multiset{}, err
 	}
 	if sum.Trips == 0 {
-		return nil, nil
+		return geo.Multiset{}, nil
 	}
 	center, err := sum.Center()
 	if err != nil {
-		return nil, err
+		return geo.Multiset{}, err
 	}
 	if pending != nil {
-		return nil, pending
+		return geo.Multiset{}, pending
 	}
 	projector := geo.NewProjector(center)
 	for i, ll := range ends {
 		ends[i] = projector.ToPlane(geo.LatLng{Lat: ll.Y, Lng: ll.X})
 	}
-	return ends, nil
+	return geo.FoldWeighted(ends, counts), nil
 }

@@ -17,12 +17,12 @@ import (
 
 // TestIngestBoundedMemory is the Mobike-scale acceptance check for the
 // server's CSV start-up path: a multi-million-row CSV goes through
-// ReadEndPoints and AggregateDemand without ever materialising a
-// []Trip. Everything allocated must fit TestLoadHistoryMemoryBound's
-// formula: 16 B per row for the end points, one scanner term for the
-// single pass (one ChunkSize header buffer plus, per worker, a
-// ChunkSize read buffer and a RawTrip batch of ChunkSize/32 slots), and
-// slack for the demand grid. The row count defaults to 2M so plain
+// ReadEndPoints and AggregateHistory without ever materialising a
+// []Trip or a point per row. Everything allocated must fit
+// TestLoadHistoryMemoryBound's formula: one scanner term for the single
+// pass (one ChunkSize header buffer plus, per worker, a ChunkSize read
+// buffer and a RawTrip batch of ChunkSize/32 slots), a bounded number of
+// bytes per distinct end cell, and slack for the demand grid. The row count defaults to 2M so plain
 // `go test ./...` stays fast; set ESHARING_INGEST_ROWS=10000000 for the
 // 10M-row run.
 func TestIngestBoundedMemory(t *testing.T) {
@@ -48,17 +48,17 @@ func TestIngestBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends, err := ReadEndPoints(f, rows)
+	ends, err := ReadEndPoints(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ends) != rows {
-		t.Fatalf("read %d end points, want %d", len(ends), rows)
+	if ends.Total() != rows {
+		t.Fatalf("read %d end points, want %d", ends.Total(), rows)
 	}
-	demands, err := core.AggregateDemand(ends, 100)
+	demands, err := core.AggregateHistory(ends, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +79,17 @@ func TestIngestBoundedMemory(t *testing.T) {
 
 	const (
 		chunkSize = 1 << 20 // the ScanOptions default
+		perPlace  = 256     // fold index, places, counts and sort scratch
 		slack     = 4 << 20 // the demand grid and file state
 	)
 	workers := parallel.Default()
 	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(RawTrip{})))
-	bound := uint64(16*rows + perPass + slack)
+	bound := uint64(perPlace*ends.Len() + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("rows=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
-		rows, len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
+	t.Logf("rows=%d places=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
+		rows, ends.Len(), len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
 	if got > bound {
-		t.Errorf("ReadEndPoints + AggregateDemand allocated %d B for %d rows, bound %d B", got, rows, bound)
+		t.Errorf("ReadEndPoints + AggregateHistory allocated %d B for %d rows, bound %d B", got, rows, bound)
 	}
 }
 

@@ -205,8 +205,8 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 
 // TestScanSummaryMatchesMaterialized pins the streaming reductions to
 // their materialised counterparts, bit for bit: Center to GeohashCenter,
-// and ReadEndPoints to EndPoints(ProjectTrips(...)) around that centre,
-// at every worker count and chunk size.
+// and ReadEndPoints to the fold of EndPoints(ProjectTrips(...)) around
+// that centre, at every worker count and chunk size.
 func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	trips, err := Generate(Config{Days: 2, Seed: 5, TripsWeekday: 150, TripsWeekend: 100, Bikes: 30})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	if err := ProjectTrips(raw, geo.NewProjector(wantCenter)); err != nil {
 		t.Fatal(err)
 	}
-	ends := EndPoints(raw)
+	ends := geo.FoldPoints(EndPoints(raw))
 
 	for _, workers := range diffWorkers {
 		sum, err := ScanSummarize(strings.NewReader(input), ScanOptions{ChunkSize: 97, Workers: workers})
@@ -247,17 +247,18 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 			t.Fatalf("workers=%d: centre %v, want %v", workers, center, wantCenter)
 		}
 		for _, chunk := range diffChunks {
-			// A zero hint exercises the slice growing past its capacity.
-			got, err := readEndPoints(strings.NewReader(input), 0, ScanOptions{ChunkSize: chunk, Workers: workers})
+			got, err := readEndPoints(strings.NewReader(input), ScanOptions{ChunkSize: chunk, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
 			}
-			if len(got) != len(ends) {
-				t.Fatalf("workers=%d chunk=%d: read %d end points, want %d", workers, chunk, len(got), len(ends))
+			if got.Len() != ends.Len() || got.Total() != len(raw) {
+				t.Fatalf("workers=%d chunk=%d: read %d places (%d end points), want %d (%d)",
+					workers, chunk, got.Len(), got.Total(), ends.Len(), len(raw))
 			}
-			for i := range ends {
-				if got[i] != ends[i] {
-					t.Fatalf("workers=%d chunk=%d: end point %d = %v, want %v", workers, chunk, i, got[i], ends[i])
+			for i, p := range ends.Points() {
+				if got.Points()[i] != p || got.Counts()[i] != ends.Counts()[i] {
+					t.Fatalf("workers=%d chunk=%d: place %d = %v ×%d, want %v ×%d",
+						workers, chunk, i, got.Points()[i], got.Counts()[i], p, ends.Counts()[i])
 				}
 			}
 		}

@@ -333,7 +333,7 @@ func RunAblationLocalSearch(cfg AblationConfig) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		problem, err := core.HistoryProblem(hist, 100, cfg.OpeningCost)
+		problem, err := core.HistoryProblem(geo.FoldPoints(hist), 100, cfg.OpeningCost)
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ var workloadStart = time.Date(2017, time.May, 10, 0, 0, 0, 0, time.UTC)
 // solveOfflineOn aggregates destination points onto a grid and solves the
 // offline PLP, returning the landmark stations and the Eq. 1 cost.
 func solveOfflineOn(dests []geo.Point, cellMeters, openingCost float64) ([]geo.Point, core.Cost, error) {
-	problem, err := core.HistoryProblem(dests, cellMeters, openingCost)
+	problem, err := core.HistoryProblem(geo.FoldPoints(dests), cellMeters, openingCost)
 	if err != nil {
 		return nil, core.Cost{}, err
 	}

@@ -167,12 +167,12 @@ func (g *Grid) Centroids() []Point {
 	return pts
 }
 
-// Histogram counts points per cell (clamping strays onto the boundary) and
-// returns counts in row-major order.
-func (g *Grid) Histogram(pts []Point) []int {
+// Histogram counts the occurrences of h per cell (clamping strays onto
+// the boundary) and returns counts in row-major order.
+func (g *Grid) Histogram(h Multiset) []int {
 	counts := make([]int, g.NumCells())
-	for _, p := range pts {
-		counts[g.Index(g.ClampedCellOf(p))]++
+	for i, p := range h.pts {
+		counts[g.Index(g.ClampedCellOf(p))] += h.counts[i]
 	}
 	return counts
 }

@@ -215,9 +215,9 @@ func TestHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGrid: %v", err)
 	}
-	pts := []Point{Pt(10, 10), Pt(20, 20), Pt(150, 50), Pt(-5, 300)}
-	counts := g.Histogram(pts)
-	want := []int{2, 1, 1, 0} // stray point clamps to cell (0,1) = index 2
+	pts := []Point{Pt(10, 10), Pt(20, 20), Pt(150, 50), Pt(-5, 300), Pt(20, 20)}
+	counts := g.Histogram(FoldPoints(pts))
+	want := []int{3, 1, 1, 0} // stray point clamps to cell (0,1) = index 2
 	for i := range want {
 		if counts[i] != want[i] {
 			t.Errorf("counts[%d]=%d, want %d", i, counts[i], want[i])
@@ -234,7 +234,7 @@ func TestHistogramTotalPreserved(t *testing.T) {
 		pts[i] = Pt(rng.Float64()*6000-1500, rng.Float64()*6000-1500)
 	}
 	total := 0
-	for _, c := range g.Histogram(pts) {
+	for _, c := range g.Histogram(FoldPoints(pts)) {
 		total += c
 	}
 	if total != len(pts) {

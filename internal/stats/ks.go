@@ -88,48 +88,28 @@ func Peacock2DFast(a, b []geo.Point) (float64, error) {
 		}
 	}
 
-	na, nb := float64(len(a)), float64(len(b))
-	var d float64
-	quadrantSweep(pts, m, [2]int{len(a), len(b)}, func(_ int, c [2][4]int) {
-		for q := 0; q < 4; q++ {
-			if diff := math.Abs(float64(c[0][q])/na - float64(c[1][q])/nb); diff > d {
-				d = diff
-			}
-		}
-	})
-	return d, nil
-}
-
-// quadrantSweep is the exact counting sweep behind Peacock2DFast and the
-// KSReference build (DESIGN.md §15). Every point of pts is a quadrant
-// origin; sizes[s] is the number of pts from sample s, and every rank
-// lies in [0, ranks). Ranks must be ordered like y and equal exactly
-// when the y values are equal, so rank >= r is y >= Y.
-//
-// pts is sorted in place by descending x, and visit(k, c) is called once
-// for each origin pts[k] in that order, with c[s] holding sample s's
-// counts in quadrantOf's four quadrants.
-func quadrantSweep(pts []sweepPoint, ranks int, sizes [2]int, visit func(k int, c [2][4]int)) {
 	// aboveY[s][r] = #(sample s points with y rank >= r): the y-only
 	// marginal of the quadrant counts.
 	var aboveY [2][]int32
 	for s := range aboveY {
-		aboveY[s] = make([]int32, ranks+1)
+		aboveY[s] = make([]int32, m+1)
 	}
 	for _, p := range pts {
 		aboveY[p.sample][p.rank]++
 	}
 	for s := range aboveY {
-		for r := ranks - 1; r >= 0; r-- {
+		for r := m - 1; r >= 0; r-- {
 			aboveY[s][r] += aboveY[s][r+1]
 		}
 	}
 
 	slices.SortFunc(pts, func(p, q sweepPoint) int { return cmp.Compare(q.x, p.x) })
-	trees := [2]fenwick{make(fenwick, ranks), make(fenwick, ranks)}
+	sizes := [2]int{len(a), len(b)}
+	na, nb := float64(len(a)), float64(len(b))
+	trees := [2]fenwick{make(fenwick, m), make(fenwick, m)}
 	var inserted [2]int
 	var c [2][4]int
-	n := len(pts)
+	var d float64
 	for lo := 0; lo < n; {
 		// One equal-x group: every point with x == X must be inserted
 		// before any origin at X is queried, since quadrantOf files a
@@ -139,7 +119,7 @@ func quadrantSweep(pts []sweepPoint, ranks int, sizes [2]int, visit func(k int, 
 			hi++
 		}
 		for _, p := range pts[lo:hi] {
-			trees[p.sample].add(int(p.rank))
+			trees[p.sample].add(int(p.rank), 1)
 			inserted[p.sample]++
 		}
 		for k := lo; k < hi; k++ {
@@ -150,14 +130,19 @@ func quadrantSweep(pts []sweepPoint, ranks int, sizes [2]int, visit func(k int, 
 				above := int(aboveY[s][r])  // #(y >= Y)
 				c[s] = [4]int{sizes[s] - right - above + both, above - both, right - both, both}
 			}
-			visit(k, c)
+			for q := 0; q < 4; q++ {
+				if diff := math.Abs(float64(c[0][q])/na - float64(c[1][q])/nb); diff > d {
+					d = diff
+				}
+			}
 		}
 		lo = hi
 	}
+	return d, nil
 }
 
-// sweepPoint is one origin of quadrantSweep: its x coordinate, the rank
-// of its y, and the sample it came from (0 for a, 1 for b).
+// sweepPoint is one origin of Peacock2DFast's sweep: its x coordinate,
+// the rank of its y, and the sample it came from (0 for a, 1 for b).
 type sweepPoint struct {
 	x      float64
 	rank   int32
@@ -165,13 +150,14 @@ type sweepPoint struct {
 }
 
 // fenwick is a binary indexed tree over y ranks answering "how many
-// inserted points have rank >= r". Rank r lives at 1-based position
-// len(f)-r, so the suffix count is a prefix sum.
+// inserted points have rank >= r", each point counted with its weight.
+// Rank r lives at 1-based position len(f)-r, so the suffix count is a
+// prefix sum.
 type fenwick []int32
 
-func (f fenwick) add(r int) {
+func (f fenwick) add(r int, w int32) {
 	for i := len(f) - r; i <= len(f); i += i & -i {
-		f[i-1]++
+		f[i-1] += w
 	}
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -10,75 +11,136 @@ import (
 
 // KSReference holds the history side of the Peacock KS test that
 // Algorithm 2 runs every TestEvery requests: a static sample H tested
-// against a short live window W. Statistic(W) returns exactly
-// Peacock2DFast(H, W), bit for bit, but does the work that depends on H
-// alone once, at construction (DESIGN.md §15):
+// against a short live window W. H is a multiset of places, and
+// Statistic(W) returns exactly Peacock2DFast on H expanded to one point
+// per occurrence, bit for bit, but does the work that depends on H alone
+// once, at construction (DESIGN.md §15):
 //
-//   - H is sorted by x and by y, and H's own quadrant counts at every H
-//     origin come from one run of Peacock2DFast's counting sweep.
+//   - H's distinct points arrive sorted by x. Its distinct y values are
+//     sorted once, and H's own weighted quadrant counts at every
+//     distinct origin come from one Fenwick sweep in descending x.
 //   - Per query, W's sorted coordinates cut the plane into (|W|+1)²
 //     rank cells, and W's quadrant counts are constant inside each. One
-//     pass over H in x order ranks every H point against W, x by merging
-//     and y by counting W's cut points below the point's y position, and
-//     two (|W|+2)² suffix-count tables then answer both kinds of origin:
-//     W's counts at the H origins and H's counts at the W origins.
+//     pass over H's distinct points in x order ranks each against W, x
+//     by merging and y by counting W's cut points below the point's y
+//     rank, and two (|W|+2)² suffix-count tables, H's weighted by the
+//     counts, then answer both kinds of origin: W's counts at the H
+//     origins and H's counts at the W origins.
 //
-// A query costs O(|H| + |W|² + |W| log |H|), with no sort of H and no
-// log factor per H point, and once warmed up to the window size it
-// allocates nothing. The scratch lives in
-// the reference, so queries must not run concurrently; the placer's
-// decision lock already serialises them.
+// Copies of one place are the same origin with the same quadrant counts,
+// and every count is an integer over |H| whether it was summed from
+// copies or from weights, so visiting each place once leaves every
+// float the expanded sweep would compute, and their maximum, unchanged.
+//
+// A query costs O(d + |W|² + |W| log d) for d distinct places, with no
+// sort of H and no log factor per place, and once warmed up to the
+// window size it allocates nothing. The scratch lives in the reference,
+// so queries must not run concurrently; the placer's decision lock
+// already serialises them.
 type KSReference struct {
-	// pts is H as the build's sweep left it: sorted by descending x.
-	// Each rank is the index in ys of the first y equal to the point's,
-	// so rank >= r is exactly y >= ys[r].
-	pts []sweepPoint
-	ys  []float64 // H's y coordinates, ascending
+	// pts is H's distinct points in ascending x, each with its count
+	// and its rank #(h.y < y), every occurrence counted: the position
+	// of its y among H's y values in sorted order, with copies. So
+	// rank >= r is exactly y >= the y at position r.
+	pts []refPoint
+	ys  []float64 // H's distinct y values, ascending
+	// below[i] = #(h.y < ys[i]), every occurrence counted, and
+	// below[len(ys)] = total.
+	below []int32
 	// both[k] = #(h.x >= pts[k].x, h.y >= pts[k].y), H's upper-right
-	// count at origin pts[k]; the other three counts follow from pts and
-	// the rank.
-	both []int32
+	// count at origin pts[k]; the other three counts follow from it,
+	// the rank, the running sum of counts in x order and total.
+	both  []int32
+	total int // |H|, every occurrence counted
 
 	// Per-query scratch.
 	wx, wy         []float64 // W's coordinates, ascending
 	wFrac          []float64 // wFrac[c] = float64(c)/|W|
 	hCells, wCells []int32   // (|W|+2)² suffix-count tables
 	// W's strict and non-strict y ranks of an H point, as functions of
-	// the point's rank in ys.
+	// the point's rank.
 	yStrict, yAtMost stepCounter
 }
 
+// refPoint is one distinct history place: its x coordinate, the rank
+// of its y (see KSReference.pts) and its count.
+type refPoint struct {
+	x    float64
+	rank int32
+	w    int32
+}
+
+// MaxReferenceTotal is the most occurrences a KSReference history may
+// hold: its counts are int32.
+const MaxReferenceTotal = math.MaxInt32
+
+// ErrSampleTooLarge is returned by NewKSReference for a history of more
+// than MaxReferenceTotal occurrences.
+var ErrSampleTooLarge = errors.New("stats: sample too large")
+
 // NewKSReference builds the reference for history h. h must be
-// non-empty (ErrEmptySample) and finite (ErrNonFiniteSample). The
-// reference keeps its own sorted copies, so h may be released or reused
-// once this returns.
-func NewKSReference(h []geo.Point) (*KSReference, error) {
-	if len(h) == 0 {
+// non-empty (ErrEmptySample), finite (ErrNonFiniteSample) and hold at
+// most MaxReferenceTotal occurrences (ErrSampleTooLarge). The reference
+// keeps its own arrays, so h may be released once this returns.
+func NewKSReference(h geo.Multiset) (*KSReference, error) {
+	hp, counts := h.Points(), h.Counts()
+	if len(hp) == 0 {
 		return nil, ErrEmptySample
 	}
-	n := len(h)
-	ys := make([]float64, n)
-	for i, p := range h {
+	total := 0
+	ys := make([]float64, len(hp))
+	for i, p := range hp {
 		if !p.IsFinite() {
 			return nil, ErrNonFiniteSample
 		}
 		ys[i] = p.Y
+		total += counts[i]
+	}
+	if total > MaxReferenceTotal {
+		return nil, ErrSampleTooLarge
 	}
 	slices.Sort(ys)
-	pts := make([]sweepPoint, n)
-	for i, p := range h {
-		r, _ := slices.BinarySearch(ys, p.Y) // earliest equal y
-		pts[i] = sweepPoint{x: p.X, rank: int32(r)}
+	ys = slices.Compact(ys)
+	// The sweep keys its tree by each place's index in ys; the ranks
+	// replace the indices once it is done.
+	below := make([]int32, len(ys)+1)
+	pts := make([]refPoint, len(hp))
+	for i, p := range hp {
+		r, _ := slices.BinarySearch(ys, p.Y)
+		pts[i] = refPoint{x: p.X, rank: int32(r), w: int32(counts[i])}
+		below[r+1] += int32(counts[i])
 	}
-	both := make([]int32, n)
-	quadrantSweep(pts, n, [2]int{n, 0}, func(k int, c [2][4]int) {
-		both[k] = int32(c[0][3])
-	})
-	return &KSReference{pts: pts, ys: ys, both: both}, nil
+	for r := 1; r < len(below); r++ {
+		below[r] += below[r-1]
+	}
+
+	// The sweep: equal-x groups in descending x, each group inserted
+	// before any of its origins is queried, since quadrantOf files a
+	// point on the origin's own vertical line under x >= X.
+	both := make([]int32, len(pts))
+	tree := make(fenwick, len(ys))
+	for hi := len(pts); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && pts[lo-1].x == pts[lo].x {
+			lo--
+		}
+		for _, p := range pts[lo:hi] {
+			tree.add(int(p.rank), p.w)
+		}
+		for k := lo; k < hi; k++ {
+			both[k] = int32(tree.atLeast(int(pts[k].rank)))
+		}
+		hi = lo
+	}
+	for k := range pts {
+		pts[k].rank = below[pts[k].rank]
+	}
+	return &KSReference{pts: pts, ys: ys, below: below, both: both, total: total}, nil
 }
 
-// Statistic returns Peacock2DFast(H, w): the same value, bit for bit,
-// and the same errors for an empty or non-finite w.
+// Statistic returns Peacock2DFast(H, w) on H expanded to one point per
+// occurrence: the same value, bit for bit, and the same errors for an
+// empty or non-finite w.
 func (r *KSReference) Statistic(w []geo.Point) (float64, error) {
 	nw := len(w)
 	if nw == 0 {
@@ -102,7 +164,7 @@ func (r *KSReference) Statistic(w []geo.Point) (float64, error) {
 	hCells, wCells := r.hCells[:side*side], r.wCells[:side*side]
 	clear(hCells)
 	clear(wCells)
-	n := len(r.pts)
+	n := r.total
 	na, nb := float64(n), float64(nw)
 	// The same division the sweep does per quadrant, done once per count.
 	r.wFrac = r.wFrac[:0]
@@ -119,28 +181,28 @@ func (r *KSReference) Statistic(w []geo.Point) (float64, error) {
 	suffixCounts(wCells, side)
 
 	// W's y values cut H's y positions into at most |W|+1 runs of
-	// constant y rank. For a position r that starts its run of equal y:
-	// w.y < ys[r] ⇔ #(h.y <= w.y) <= r, and w.y <= ys[r] ⇔
-	// #(h.y < w.y) <= r.
+	// constant y rank. For a place of rank r and y value v, every count
+	// being at least 1: w.y < v ⇔ #(h.y <= w.y) <= r, and
+	// w.y <= v ⇔ #(h.y < w.y) <= r.
 	r.yStrict.reset(n, nw)
 	r.yAtMost.reset(n, nw)
 	for _, y := range r.wy {
-		r.yStrict.steps = append(r.yStrict.steps, int32(atMost(r.ys, y)))
+		r.yStrict.steps = append(r.yStrict.steps, r.below[atMost(r.ys, y)])
 		lt, _ := slices.BinarySearch(r.ys, y)
-		r.yAtMost.steps = append(r.yAtMost.steps, int32(lt))
+		r.yAtMost.steps = append(r.yAtMost.steps, r.below[lt])
 	}
 	r.yStrict.index()
 	r.yAtMost.index()
 
 	// The H origins, in ascending x, merged against W's x values. Each H
-	// point also lands in H's histogram at its non-strict ranks.
+	// place also lands in H's histogram at its non-strict ranks, with
+	// its count.
 	var d float64
-	var sx, ux, right int
-	for k := n - 1; k >= 0; k-- {
-		p := r.pts[k]
-		if k == n-1 || p.x != r.pts[k+1].x {
-			// pts[:k+1] is every point with x >= p.x.
-			right = k + 1
+	var sx, ux, right, left int
+	for k, p := range r.pts {
+		if k == 0 || p.x != r.pts[k-1].x {
+			// left counts every occurrence with x < p.x.
+			right = n - left
 			for sx < nw && r.wx[sx] < p.x {
 				sx++
 			}
@@ -148,8 +210,9 @@ func (r *KSReference) Statistic(w []geo.Point) (float64, error) {
 				ux++
 			}
 		}
+		left += int(p.w)
 		y := int(p.rank)
-		hCells[ux*side+r.yAtMost.count(y)]++
+		hCells[ux*side+r.yAtMost.count(y)] += p.w
 		above, both := n-y, int(r.both[k])
 		ch := [4]int{n - right - above + both, above - both, right - both, both}
 		cw := cellCounts(wCells, side, nw, sx, r.yStrict.count(y))

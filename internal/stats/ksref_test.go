@@ -77,7 +77,7 @@ func TestKSReferenceMatchesPeacock2DFast(t *testing.T) {
 			[]geo.Point{geo.Pt(math.Copysign(0, -1), math.Copysign(0, -1)), geo.Pt(0, 1), geo.Pt(-1, 0)}},
 	)
 	for _, tc := range cases {
-		ref, err := NewKSReference(tc.h)
+		ref, err := NewKSReference(geo.FoldPoints(tc.h))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -93,7 +93,7 @@ func TestKSReferenceScratchReuse(t *testing.T) {
 	h, _ := ksSamplePair(11, 3000, 1)
 	lattice := snapped(h, 100)
 	for _, hist := range [][]geo.Point{h, lattice} {
-		ref, err := NewKSReference(hist)
+		ref, err := NewKSReference(geo.FoldPoints(hist))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,10 +114,10 @@ func TestKSReferenceScratchReuse(t *testing.T) {
 
 func TestKSReferenceErrors(t *testing.T) {
 	ok := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)}
-	if _, err := NewKSReference(nil); !errors.Is(err, ErrEmptySample) {
+	if _, err := NewKSReference(geo.Multiset{}); !errors.Is(err, ErrEmptySample) {
 		t.Errorf("empty history: want ErrEmptySample, got %v", err)
 	}
-	ref, err := NewKSReference(ok)
+	ref, err := NewKSReference(geo.FoldPoints(ok))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestKSReferenceErrors(t *testing.T) {
 		geo.Pt(math.NaN(), 0), geo.Pt(0, math.NaN()), geo.Pt(math.Inf(1), 0), geo.Pt(0, math.Inf(-1)),
 	} {
 		withBad := []geo.Point{geo.Pt(2, 2), bad}
-		if _, err := NewKSReference(withBad); !errors.Is(err, ErrNonFiniteSample) {
+		if _, err := NewKSReference(geo.FoldPoints(withBad)); !errors.Is(err, ErrNonFiniteSample) {
 			t.Errorf("history holds %v: want ErrNonFiniteSample, got %v", bad, err)
 		}
 		if _, err := ref.Statistic(withBad); !errors.Is(err, ErrNonFiniteSample) {
@@ -144,7 +144,7 @@ func TestKSReferenceErrors(t *testing.T) {
 // nothing.
 func TestKSReferenceQueryAllocs(t *testing.T) {
 	h, w := ksSamplePair(13, 12800, 100)
-	ref, err := NewKSReference(h)
+	ref, err := NewKSReference(geo.FoldPoints(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,19 +164,20 @@ func TestKSReferenceQueryAllocs(t *testing.T) {
 }
 
 // ksReferenceBuildBytesPerPoint is the stated bound on everything
-// NewKSReference allocates, temporaries included, per history point:
-// 8 B of sorted y, 16 B of sorted sweep points and 4 B of counts are
-// kept; the sweep's two Fenwick trees and y marginals (16 B) are
-// temporary.
+// NewKSReference allocates, temporaries included, per distinct history
+// point: 8 B of sorted y, 4 B of y prefix counts, 16 B of origins and
+// 4 B of quadrant counts are kept; the sweep's Fenwick tree (4 B) is
+// temporary. The points arrive sorted, so the build sorts only y.
 const ksReferenceBuildBytesPerPoint = 48
 
 func TestKSReferenceBuildMemoryBound(t *testing.T) {
 	const n = 200_000
 	h, _ := ksSamplePair(14, n, 1)
+	places := geo.FoldPoints(h)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ref, err := NewKSReference(h)
+	ref, err := NewKSReference(places)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +214,7 @@ func FuzzKSReference(f *testing.F) {
 			pts[i] = geo.Pt(float64(v>>4)-8, float64(v&0x0f)-8)
 		}
 		h := pts[:nh]
-		ref, err := NewKSReference(h)
+		ref, err := NewKSReference(geo.FoldPoints(h))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,12 +223,93 @@ func FuzzKSReference(f *testing.F) {
 	})
 }
 
+// expand lists the multiset's points once per occurrence, in canonical
+// order: the history Peacock2DFast sees.
+func expand(h geo.Multiset) []geo.Point {
+	var out []geo.Point
+	for i, p := range h.Points() {
+		for c := 0; c < h.Counts()[i]; c++ {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// FuzzKSReferenceWeighted pins the reference over a weighted history to
+// Peacock2DFast on the same history expanded to one point per
+// occurrence, bit for bit. The first three bytes pick the number of
+// (point, count) entries (at most 32), |W| (at most 64) and a window
+// shift; then each entry takes two bytes, a point on a 16×16 lattice
+// and a count of 1 to 256, and the window points follow, one byte each.
+// Entries may repeat a point, so the fold's merging is under test too.
+func FuzzKSReferenceWeighted(f *testing.F) {
+	f.Add([]byte{4, 3, 1, 0x00, 0xff, 0x00, 0x10, 0x11, 0x00, 0x22, 0x03, 0x00, 0x11, 0x22})
+	// Duplicate-heavy: one place, many copies, and the window on it.
+	f.Add([]byte{3, 8, 0, 0x77, 0xff, 0x77, 0xff, 0x77, 0x80, 0x77, 0x77, 0x76, 0x67, 0x78})
+	// Ties in x and in y: a column and a row of places through one point.
+	f.Add([]byte{6, 6, 2, 0x30, 0x05, 0x31, 0x40, 0x32, 0x00, 0x03, 0x09, 0x13, 0x7f, 0x23, 0x01,
+		0x33, 0x30, 0x03, 0x13, 0x31, 0x22})
+	// Lattice-heavy: every entry on a coarse 4×4 sublattice.
+	f.Add([]byte{16, 16, 5, 0x00, 0x01, 0x04, 0x02, 0x08, 0x03, 0x0c, 0x04, 0x40, 0x05, 0x44, 0x06,
+		0x48, 0x07, 0x4c, 0x08, 0x80, 0x09, 0x84, 0x0a, 0x88, 0x0b, 0x8c, 0x0c, 0xc0, 0x0d, 0xc4, 0x0e,
+		0xc8, 0x0f, 0xcc, 0xff, 0x00, 0x44, 0x88, 0xcc, 0x04, 0x40})
+	lattice := func(v byte) geo.Point { return geo.Pt(float64(v>>4)-8, float64(v&0x0f)-8) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		ne, nw, shift := 1+int(data[0])%32, 1+int(data[1])%64, int(data[2])%16
+		data = data[3:]
+		at := func(i int) byte { // bytes past the end of data read as 0
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		pts := make([]geo.Point, ne)
+		counts := make([]int, ne)
+		var rows []geo.Point
+		for i := range pts {
+			pts[i], counts[i] = lattice(at(2*i)), 1+int(at(2*i+1))
+			for c := 0; c < counts[i]; c++ {
+				rows = append(rows, pts[i])
+			}
+		}
+		h := geo.FoldWeighted(pts, counts)
+		if h.Total() != len(rows) {
+			t.Fatalf("fold holds %d occurrences, want %d", h.Total(), len(rows))
+		}
+		window := make([]geo.Point, nw+shift)
+		for i := range window {
+			window[i] = lattice(at(2*ne + i))
+		}
+		ref, err := NewKSReference(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKSReference(t, "first window", ref, rows, window[:nw])
+		checkKSReference(t, "second window", ref, rows, window[shift:])
+		// Peacock2DFast on the canonical expansion: row order must not
+		// matter either.
+		checkKSReference(t, "expanded", ref, expand(h), window[:nw])
+	})
+}
+
+// TestKSReferenceTooLarge: counts past int32 are refused, not wrapped.
+func TestKSReferenceTooLarge(t *testing.T) {
+	h := geo.FoldWeighted([]geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)}, []int{1 << 30, 1 << 30})
+	if _, err := NewKSReference(h); !errors.Is(err, ErrSampleTooLarge) {
+		t.Fatalf("2^31 occurrences: want ErrSampleTooLarge, got %v", err)
+	}
+}
+
 // BenchmarkKSReference times one drift test against a prebuilt reference
 // on ksSamplePair samples, plus one build.
 func BenchmarkKSReference(b *testing.B) {
 	for _, n := range []int{100, 500, 12800} {
 		h, w := ksSamplePair(uint64(n), n, 100)
-		ref, err := NewKSReference(h)
+		places := geo.FoldPoints(h)
+		ref, err := NewKSReference(places)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +324,7 @@ func BenchmarkKSReference(b *testing.B) {
 		b.Run(fmt.Sprintf("build/H=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewKSReference(h); err != nil {
+				if _, err := NewKSReference(places); err != nil {
 					b.Fatal(err)
 				}
 			}

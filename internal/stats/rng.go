@@ -1,8 +1,8 @@
 // Package stats provides the statistical machinery behind E-Sharing:
 // seeded random sources, the 2-D point distributions used by the penalty
-// evaluation (Fig. 9, Table III), Peacock's two-dimensional
-// Kolmogorov–Smirnov test (Section III-D), and summary statistics such as
-// the RMSE used by the prediction engine (Eq. 14).
+// evaluation (Fig. 9, Table III), and Peacock's two-dimensional
+// Kolmogorov–Smirnov test (Section III-D) with its cached history side.
+// The prediction engine's RMSE (Eq. 14) is forecast.WalkForwardRMSE.
 package stats
 
 import (
