@@ -427,7 +427,7 @@ func TestLoadHistoryNonBeijingCSV(t *testing.T) {
 		t.Fatalf("loaded %d destinations, want %d", history.Total(), len(trips))
 	}
 	for i, p := range history.Points() {
-		if !p.IsFinite() || p.Norm() > 50_000 {
+		if !p.IsFinite() || math.Hypot(p.X, p.Y) > 50_000 {
 			t.Fatalf("destination %d projects to %v: projection centre not derived from the data", i, p)
 		}
 	}
@@ -440,7 +440,7 @@ func TestLoadHistoryNonBeijingCSV(t *testing.T) {
 		t.Fatal("no landmarks planned")
 	}
 	for _, lm := range landmarks {
-		if lm.Norm() > 50_000 {
+		if math.Hypot(lm.X, lm.Y) > 50_000 {
 			t.Errorf("landmark %v is outside the dataset's geography", lm)
 		}
 	}

@@ -119,14 +119,6 @@ func FuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgPath.name.
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := FuncOf(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
-}
-
 // Run executes each analyzer over one type-checked package and returns
 // the combined findings sorted by position. //esharing:allow directives
 // are honoured across all analyzers.

@@ -43,9 +43,10 @@ func parallelMap(n int, f func(worker, i int) float64) []float64 {
 }
 
 // drawPerTask is the parallel anti-pattern: hand-rolling a generator
-// inside a worker callback instead of stats.NewWorkerRNG(seed, stream,
-// task). Even though the stream is keyed on the task index here, the
-// raw constructor bypasses the substream spreading and must be flagged.
+// inside a worker callback instead of seeding stats.NewRNG from the task
+// index (stats.NewRNG(seed + f(task)), as the experiment sweeps do).
+// Even though the stream is keyed on the task index here, the raw
+// constructor bypasses the seed discipline and must be flagged.
 func drawPerTask(seed uint64, n int) []float64 {
 	return parallelMap(n, func(w, i int) float64 {
 		rng := rand.New(rand.NewPCG(seed, uint64(i))) // want `rand\.New bypasses the seed discipline` `rand\.NewPCG bypasses the seed discipline`

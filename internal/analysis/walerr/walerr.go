@@ -6,7 +6,7 @@
 // error dropped on this path silently turns "durable" into "maybe".
 //
 // The analyzer targets error-returning durability calls — the wal.Log
-// methods (AppendDecision, AppendPickup, WriteSnapshot, Sync, Close),
+// methods (AppendDecision, WriteSnapshot, Sync, Close),
 // the server's shard wrappers (openWAL, closeWAL, writeWALSnapshot) and
 // Server.Close, and inside internal/wal the raw file operations
 // (Write, Sync, Truncate; Close is exempt as the error-path cleanup
@@ -59,7 +59,6 @@ var Analyzer = &lintkit.Analyzer{
 // logMethods are the wal.Log methods whose errors carry durability.
 var logMethods = map[string]bool{
 	"AppendDecision": true,
-	"AppendPickup":   true,
 	"WriteSnapshot":  true,
 	"Sync":           true,
 	"Close":          true,
@@ -70,7 +69,6 @@ var logMethods = map[string]bool{
 // response-release contract does not apply).
 var latchingMethods = map[string]bool{
 	"AppendDecision": true,
-	"AppendPickup":   true,
 	"WriteSnapshot":  true,
 }
 

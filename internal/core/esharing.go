@@ -78,8 +78,7 @@ type ESharing struct {
 	cfg         ESharingConfig
 	baseOpening float64
 	f           float64           // working opening cost
-	k           int               // offline station count
-	landmarks   int               // stations[:landmarks] came from the offline solution
+	k           int               // offline station count; stations[:k] are the landmarks
 	index       *geo.DynamicIndex // established stations, in insertion order
 	penalty     Penalty
 	// hist is the caller's history H, held without a copy until the
@@ -174,7 +173,6 @@ func NewESharingHistory(offline []geo.Point, baseOpening float64, hist geo.Multi
 		// 100 in-distribution requests, ~3 for the surge) — see DESIGN.md.
 		f:            baseOpening,
 		k:            k,
-		landmarks:    k,
 		index:        geo.NewDynamicIndex(offline),
 		penalty:      pen,
 		hist:         hist,
@@ -198,16 +196,9 @@ func (e *ESharing) Place(dest geo.Point) (Decision, error) {
 		e.runTest()
 	}
 
+	// Stations only grow from the k ≥ 1 landmarks, so a nearest one
+	// always exists.
 	nearest, c := e.index.Nearest(dest)
-	if nearest < 0 {
-		// All stations were removed; re-establish at the request. This is
-		// forced recovery, not an Algorithm 2 opening decision, so it must
-		// not advance the β·k doubling schedule — it would spuriously
-		// double the working cost f for a degenerate (empty) station set.
-		idx := e.index.Insert(dest)
-		e.onlineOpens++
-		return Decision{Station: dest, StationIndex: idx, Opened: true}, nil
-	}
 	g := e.penalty.Eval
 	if e.customPenalty != nil {
 		g = e.customPenalty
@@ -305,27 +296,3 @@ func (e *ESharing) LastSimilarity() float64 { return e.lastSim }
 // OnlineOpens returns how many stations were opened online (beyond the
 // offline landmarks).
 func (e *ESharing) OnlineOpens() int { return e.onlineOpens }
-
-// LandmarkCount returns the number of seeded offline stations.
-func (e *ESharing) LandmarkCount() int { return e.landmarks }
-
-// WorkingOpeningCost exposes the current internal f for ablation studies.
-func (e *ESharing) WorkingOpeningCost() float64 { return e.f }
-
-// BaseOpeningCost returns the real space-occupation cost charged per
-// station in evaluation (the f_i of Definition 2).
-func (e *ESharing) BaseOpeningCost() float64 { return e.baseOpening }
-
-// RemoveStation implements the paper's footnote 2: when all E-bikes are
-// picked up from a station it is removed from P; the algorithm may later
-// re-establish a station there from fresh requests. Indices shift down
-// after removal.
-func (e *ESharing) RemoveStation(index int) error {
-	if !e.index.Remove(index) {
-		return fmt.Errorf("core: station index %d out of range [0,%d)", index, e.index.Len())
-	}
-	if index < e.landmarks {
-		e.landmarks--
-	}
-	return nil
-}

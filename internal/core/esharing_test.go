@@ -132,24 +132,24 @@ func TestESharingNoPenaltyOpensEagerly(t *testing.T) {
 	cfg.TestEvery = 0
 	cfg.InitialPenalty = NoPenalty
 	cfg.Beta = 1e12 // suppress f-doubling so the base probability is visible
-	// The working cost starts at the base opening cost (5000 here).
-	e := newTestESharing(t, []geo.Point{geo.Pt(0, 0), geo.Pt(100, 0)}, nil, cfg)
-	if math.Abs(e.WorkingOpeningCost()-5000) > 1e-9 {
-		t.Fatalf("working f=%v, want 5000", e.WorkingOpeningCost())
-	}
+	landmarks := []geo.Point{geo.Pt(0, 0), geo.Pt(100, 0)}
 	opened := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
+		// A fresh placer per trial (its own seed) so every trial sees
+		// the same geometry.
+		cfg.Seed = uint64(i + 1)
+		e := newTestESharing(t, landmarks, nil, cfg)
+		// The working cost starts at the base opening cost (5000 here).
+		if math.Abs(e.f-5000) > 1e-9 {
+			t.Fatalf("working f=%v, want 5000", e.f)
+		}
 		d, err := e.Place(geo.Pt(0, 500)) // c = 500, prob = 500/5000 = 0.1
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Opened {
 			opened++
-			// Remove it again so the next trial sees the same geometry.
-			if err := e.RemoveStation(d.StationIndex); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	frac := float64(opened) / trials
@@ -165,7 +165,7 @@ func TestESharingDoubling(t *testing.T) {
 	cfg.Beta = 1
 	landmarks := []geo.Point{geo.Pt(0, 0), geo.Pt(10, 0)} // w*=5, k=2, f=12500
 	e := newTestESharing(t, landmarks, nil, cfg)
-	f0 := e.WorkingOpeningCost()
+	f0 := e.f
 	rng := stats.NewRNG(5)
 	dist := stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 50000)}
 	opens := 0
@@ -178,7 +178,7 @@ func TestESharingDoubling(t *testing.T) {
 			opens++
 		}
 	}
-	if got := e.WorkingOpeningCost(); math.Abs(got-2*f0) > 1e-9 {
+	if got := e.f; math.Abs(got-2*f0) > 1e-9 {
 		t.Errorf("after β·k opens f=%v, want %v", got, 2*f0)
 	}
 }
@@ -282,32 +282,6 @@ func TestESharingBeatsMeyersonOnClusteredWorkload(t *testing.T) {
 	}
 }
 
-func TestESharingRemoveStation(t *testing.T) {
-	cfg := DefaultESharingConfig()
-	cfg.TestEvery = 0
-	e := newTestESharing(t, []geo.Point{geo.Pt(0, 0), geo.Pt(100, 0)}, nil, cfg)
-	if err := e.RemoveStation(5); err == nil {
-		t.Error("out-of-range removal should error")
-	}
-	if err := e.RemoveStation(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Stations()) != 1 || e.LandmarkCount() != 1 {
-		t.Errorf("after removal: %d stations, %d landmarks", len(e.Stations()), e.LandmarkCount())
-	}
-	// Removing the last station forces the next request to re-establish.
-	if err := e.RemoveStation(0); err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Place(geo.Pt(50, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Opened {
-		t.Error("request after total removal must open a station")
-	}
-}
-
 func TestESharingRejectsNonFinite(t *testing.T) {
 	cfg := DefaultESharingConfig()
 	cfg.TestEvery = 0
@@ -332,8 +306,8 @@ func TestESharingSingleLandmarkFallback(t *testing.T) {
 	cfg := DefaultESharingConfig()
 	cfg.TestEvery = 0
 	e := newTestESharing(t, []geo.Point{geo.Pt(0, 0)}, nil, cfg)
-	if math.Abs(e.WorkingOpeningCost()-e.BaseOpeningCost()) > 1e-9 {
-		t.Errorf("working f=%v, want base %v", e.WorkingOpeningCost(), e.BaseOpeningCost())
+	if math.Abs(e.f-e.baseOpening) > 1e-9 {
+		t.Errorf("working f=%v, want base %v", e.f, e.baseOpening)
 	}
 }
 

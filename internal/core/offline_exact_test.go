@@ -3,23 +3,35 @@ package core
 import (
 	"math"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // solveOfflineExact is the exact sweep the incremental SolveOffline
 // replaced, kept as its test oracle: every iteration re-scores every
-// candidate against the full unconnected set, in ascending candidate
-// order, and takes the first strict minimum of (ratio, prefix). The
-// incremental engine must match it bit for bit at every worker count —
-// same stations in the same order, same assignment, bit-identical costs
+// candidate against the full unconnected set and takes the first strict
+// minimum of (ratio, prefix) in candidate order. The incremental engine
+// must match it bit for bit at every worker count — same stations in
+// the same order, same assignment, bit-identical costs
 // (TestSolveOfflineIncrementalMatchesExact[Large]). It shares the
 // engine's documented total order on cost ties (offlineScratch.Less) but
-// none of its bounds, queue or selective prefix scan: every evaluation
-// sorts every unconnected client.
+// none of its bounds, queue, kd-tree or selective prefix scan.
+//
+// Each candidate's clients are sorted once, in that (cost, index)
+// order. An iteration filters the list to the unconnected clients,
+// which is exactly the order a fresh sort of the unconnected set would
+// give, so every prefix ratio is summed over the same costs in the same
+// order as sorting each time. Candidates are scored through
+// internal/parallel; each score reads only the iteration's shared state.
 func solveOfflineExact(p *Problem) (*Solution, error) {
 	n := len(p.Demands)
 	if n == 0 {
 		return nil, ErrEmptyProblem
 	}
+	workers := parallel.Default()
+	order := parallel.Map(workers, n, func(_, i int) offlineScratch {
+		return clientOrder(p, i)
+	})
 
 	assign := make([]int, n)
 	curCost := make([]float64, n)
@@ -32,23 +44,15 @@ func solveOfflineExact(p *Problem) (*Solution, error) {
 	var openOrder []int
 	remaining := n
 
-	unconn := make([]int, 0, n)
-	s := &offlineScratch{idx: make([]int, 0, n), cost: make([]float64, 0, n)}
-
 	for remaining > 0 {
-		// The unconnected set is shared by every candidate this
-		// iteration; build it once, ascending.
-		unconn = unconn[:0]
-		for j := 0; j < n; j++ {
-			if assign[j] == unassigned {
-				unconn = append(unconn, j)
-			}
-		}
-		// Score every candidate in order; strict < keeps the first
-		// (i, prefix) attaining the global minimum.
+		evals := parallel.Map(workers, n, func(_, i int) candEval {
+			return evalCandidate(p, i, assign, curCost, openCost[i], remaining, &order[i])
+		})
+		// Strict < keeps the first (i, prefix) attaining the global
+		// minimum.
 		best, bestEval := -1, candEval{ratio: math.Inf(1)}
-		for i := 0; i < n; i++ {
-			if ev := evalCandidate(p, i, assign, curCost, openCost[i], unconn, s); ev.ratio < bestEval.ratio {
+		for i, ev := range evals {
+			if ev.ratio < bestEval.ratio {
 				best, bestEval = i, ev
 			}
 		}
@@ -63,14 +67,15 @@ func solveOfflineExact(p *Problem) (*Solution, error) {
 			openOrder = append(openOrder, i)
 		}
 		openCost[i] = 0
-		// Re-derive the winner's sorted order and connect the chosen
-		// prefix.
-		sortUnconnByCost(p, i, unconn, s)
-		for k := 0; k < bestEval.prefix; k++ {
-			j := s.idx[k]
-			assign[j] = i
-			curCost[j] = s.cost[k]
-			remaining--
+		// Connect the chosen prefix of the winner's unconnected clients.
+		o := &order[i]
+		for t, connected := 0, 0; connected < bestEval.prefix; t++ {
+			if j := o.idx[t]; assign[j] == unassigned {
+				assign[j] = i
+				curCost[j] = o.cost[t]
+				connected++
+				remaining--
+			}
 		}
 		// Switch connected clients that save.
 		for j := 0; j < n; j++ {
@@ -93,28 +98,28 @@ func solveOfflineExact(p *Problem) (*Solution, error) {
 	return sol, nil
 }
 
-// sortUnconnByCost loads the unconnected clients into s (ascending
-// client index) and sorts them by connection cost to candidate i, exact
-// cost ties by client index — the documented total order every solver
-// path shares.
-func sortUnconnByCost(p *Problem, i int, unconn []int, s *offlineScratch) {
-	s.idx = s.idx[:0]
-	s.cost = s.cost[:0]
-	for _, j := range unconn {
-		s.idx = append(s.idx, j)
-		s.cost = append(s.cost, p.Walk(i, j))
+// clientOrder returns every client sorted by connection cost to
+// candidate i, exact cost ties by client index — the documented total
+// order every solver path shares.
+func clientOrder(p *Problem, i int) offlineScratch {
+	n := len(p.Demands)
+	s := offlineScratch{idx: make([]int, n), cost: make([]float64, n)}
+	for j := range s.idx {
+		s.idx[j] = j
+		s.cost[j] = p.Walk(i, j)
 	}
-	sort.Sort(s)
+	sort.Sort(&s)
+	return s
 }
 
 // evalCandidate scores candidate i for the current iteration: switch
 // savings over connected clients (ascending j, fixed summation order),
-// then the minimum prefix ratio over unconnected clients sorted by
-// cost.
-func evalCandidate(p *Problem, i int, assign []int, curCost []float64, openCost float64, unconn []int, s *offlineScratch) candEval {
-	n := len(p.Demands)
+// then the minimum prefix ratio over the unconnected clients in o's
+// cost order. remaining is the number of unconnected clients, so the
+// scan stops at the last of them.
+func evalCandidate(p *Problem, i int, assign []int, curCost []float64, openCost float64, remaining int, o *offlineScratch) candEval {
 	var savings float64
-	for j := 0; j < n; j++ {
+	for j := range assign {
 		if assign[j] == unassigned {
 			continue
 		}
@@ -122,15 +127,21 @@ func evalCandidate(p *Problem, i int, assign []int, curCost []float64, openCost 
 			savings += curCost[j] - c
 		}
 	}
-	sortUnconnByCost(p, i, unconn, s)
 	base := openCost - savings
 	best := candEval{ratio: math.Inf(1)}
 	var acc float64
-	for k, c := range s.cost {
-		acc += c
-		ratio := (base + acc) / float64(k+1)
-		if ratio < best.ratio {
-			best = candEval{ratio: ratio, prefix: k + 1}
+	k := 0
+	for t, j := range o.idx {
+		if assign[j] != unassigned {
+			continue
+		}
+		acc += o.cost[t]
+		k++
+		if ratio := (base + acc) / float64(k); ratio < best.ratio {
+			best = candEval{ratio: ratio, prefix: k}
+		}
+		if k == remaining {
+			break
 		}
 	}
 	return best

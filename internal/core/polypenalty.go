@@ -107,9 +107,6 @@ func (p *PolyPenalty) Eval(c float64) float64 {
 	return v
 }
 
-// Degree returns the fitted polynomial degree.
-func (p *PolyPenalty) Degree() int { return len(p.coeffs) - 1 }
-
 // Scale returns the largest fitted distance (Eval is 0 beyond it).
 func (p *PolyPenalty) Scale() float64 { return p.scale }
 

@@ -46,12 +46,6 @@ var (
 	_ DurablePlacer = (*OnlineKMeans)(nil)
 )
 
-// StationRemover is the optional station-removal capability (the
-// paper's footnote-2 pickup path) used when replaying pickup records.
-type StationRemover interface {
-	RemoveStation(index int) error
-}
-
 // State-format version bytes, one per placer, bumped whenever the
 // corresponding layout changes.
 const (
@@ -293,7 +287,9 @@ func (e *ESharing) MarshalState() ([]byte, error) {
 	var enc stateEncoder
 	enc.u16(esharingStateVersion)
 	enc.points(e.index.Points())
-	enc.i64(int64(e.landmarks))
+	// The landmark slot always holds k. It stays in the layout so
+	// snapshots already on disk restore under the same version.
+	enc.i64(int64(e.k))
 	enc.f64(e.f)
 	enc.i64(int64(e.opensSince))
 	enc.i64(int64(e.onlineOpens))
@@ -331,8 +327,9 @@ func (e *ESharing) UnmarshalState(data []byte) error {
 	if err := dec.finish(); err != nil {
 		return err
 	}
-	if landmarks < 0 || landmarks > len(stations) {
-		return fmt.Errorf("core: restored landmark count %d outside [0,%d]", landmarks, len(stations))
+	if landmarks != e.k || len(stations) < e.k {
+		return fmt.Errorf("core: restored state has %d landmarks and %d stations, want %d landmarks and at least as many stations",
+			landmarks, len(stations), e.k)
 	}
 	pen, err := NewPenalty(penType, penTol)
 	if err != nil {
@@ -346,7 +343,6 @@ func (e *ESharing) UnmarshalState(data []byte) error {
 	// the index from the flat station list is query-identical to the
 	// incrementally grown pre-crash index.
 	e.index = geo.NewDynamicIndex(stations)
-	e.landmarks = landmarks
 	e.f = f
 	e.opensSince = opensSince
 	e.onlineOpens = onlineOpens

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -119,17 +123,98 @@ func TestStateRoundTripPreservesESharingFigures(t *testing.T) {
 	if got, want := fresh.LastSimilarity(), orig.LastSimilarity(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("similarity %v, want %v", got, want)
 	}
-	if got, want := fresh.WorkingOpeningCost(), orig.WorkingOpeningCost(); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := fresh.f, orig.f; math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("working cost %v, want %v", got, want)
 	}
 	if got, want := fresh.OnlineOpens(), orig.OnlineOpens(); got != want {
 		t.Errorf("online opens %d, want %d", got, want)
 	}
-	if got, want := fresh.LandmarkCount(), orig.LandmarkCount(); got != want {
-		t.Errorf("landmarks %d, want %d", got, want)
-	}
 	if got, want := fresh.Penalty(), orig.Penalty(); got != want {
 		t.Errorf("penalty %+v, want %+v", got, want)
+	}
+}
+
+// TestESharingStateGolden pins MarshalState's byte layout: the placer
+// from snapshotTestPlacers, after a fixed 150-request stream, must
+// serialize to exactly the bytes in testdata/esharing_state.golden.
+// Those bytes were written by the code that still had station removal,
+// so restoring them into a fresh placer, which must then continue
+// identically, shows that snapshots already on disk still restore.
+func TestESharingStateGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/esharing_state.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := snapshotTestPlacers(t)["e-sharing"]
+	orig, fresh := pair[0], pair[1]
+	dests := stats.SamplePoints(stats.NewRNG(13),
+		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 300)
+	for _, d := range dests[:150] {
+		if _, err := orig.Place(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, err := orig.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state, golden) {
+		t.Fatalf("MarshalState layout changed:\n got %x\nwant %x", state, golden)
+	}
+	if err := fresh.UnmarshalState(golden); err != nil {
+		t.Fatalf("golden state does not restore: %v", err)
+	}
+	for i, d := range dests[150:] {
+		da, errA := orig.Place(d)
+		db, errB := fresh.Place(d)
+		if errA != nil || errB != nil {
+			t.Fatalf("request %d: errs %v / %v", i, errA, errB)
+		}
+		if !sameDecision(da, db) {
+			t.Fatalf("request %d diverged after golden restore: %+v vs %+v", i, da, db)
+		}
+	}
+}
+
+// TestESharingUnmarshalRejectsLandmarkMismatch: a snapshot comes from
+// disk, so a landmark slot other than k, or a station list shorter than
+// the k landmarks, must be refused rather than restored.
+func TestESharingUnmarshalRejectsLandmarkMismatch(t *testing.T) {
+	pair := snapshotTestPlacers(t)["e-sharing"]
+	orig, fresh := pair[0].(*ESharing), pair[1].(*ESharing)
+	state, err := orig.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layout: u16 version, u32 station count, 16 bytes per station,
+	// then the i64 landmark slot.
+	slot := 2 + 4 + 16*orig.k
+	withSlot := func(v int64) []byte {
+		b := append([]byte(nil), state...)
+		for i := 0; i < 8; i++ {
+			b[slot+i] = byte(uint64(v) >> (8 * i))
+		}
+		return b
+	}
+	for _, v := range []int64{int64(orig.k) - 1, int64(orig.k) + 1, 0, -1} {
+		if err := fresh.UnmarshalState(withSlot(v)); err == nil {
+			t.Errorf("landmark slot %d accepted (k = %d)", v, orig.k)
+		}
+	}
+	// Drop the last station: the list is then one short of k.
+	short := append([]byte(nil), state[:2]...)
+	short = append(short, byte(orig.k-1), 0, 0, 0)
+	short = append(short, state[6:slot-16]...)
+	short = append(short, state[slot:]...)
+	if err := fresh.UnmarshalState(short); err == nil {
+		t.Errorf("%d stations accepted (k = %d)", orig.k-1, orig.k)
+	}
+	if err := fresh.UnmarshalState(state); err != nil {
+		t.Fatalf("clean restore after rejections: %v", err)
 	}
 }
 

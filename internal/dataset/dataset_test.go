@@ -349,14 +349,6 @@ func TestEndPoints(t *testing.T) {
 	}
 }
 
-func TestTripWeekend(t *testing.T) {
-	sat := Trip{StartTime: time.Date(2017, 5, 13, 10, 0, 0, 0, time.UTC)}
-	wed := Trip{StartTime: time.Date(2017, 5, 10, 10, 0, 0, 0, time.UTC)}
-	if !sat.Weekend() || wed.Weekend() {
-		t.Error("Weekend() wrong")
-	}
-}
-
 func TestPOIKindString(t *testing.T) {
 	if Office.String() != "office" || POIKind(0).String() != "unknown" {
 		t.Error("POIKind.String wrong")
@@ -441,7 +433,8 @@ func TestGenerateMorningFlowsTowardOffices(t *testing.T) {
 	}
 	officeBound, homeBound := 0, 0
 	for _, tr := range trips {
-		if tr.Weekend() || tr.StartTime.Hour() < 7 || tr.StartTime.Hour() > 9 {
+		if wd := tr.StartTime.Weekday(); wd == time.Saturday || wd == time.Sunday ||
+			tr.StartTime.Hour() < 7 || tr.StartTime.Hour() > 9 {
 			continue
 		}
 		if nearer(tr.End, officeLocs, homeLocs) {

@@ -71,7 +71,7 @@ func TestProjectTrips(t *testing.T) {
 	}
 	for _, tr := range trips {
 		for _, p := range [2]geo.Point{tr.Start, tr.End} {
-			if !p.IsFinite() || p.Norm() > 5000 {
+			if !p.IsFinite() || math.Hypot(p.X, p.Y) > 5000 {
 				t.Fatalf("trip %d projects to %v, want within 5km of the derived origin", tr.OrderID, p)
 			}
 		}

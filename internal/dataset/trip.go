@@ -28,12 +28,6 @@ type Trip struct {
 	End   geo.Point `json:"end"`
 }
 
-// Weekend reports whether the trip starts on a Saturday or Sunday.
-func (t Trip) Weekend() bool {
-	wd := t.StartTime.Weekday()
-	return wd == time.Saturday || wd == time.Sunday
-}
-
 // Validate performs basic schema checks.
 func (t Trip) Validate() error {
 	switch {

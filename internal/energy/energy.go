@@ -199,23 +199,6 @@ func (f *Fleet) GroupByStation(stations []geo.Point, radius float64, lowOnly boo
 	return out
 }
 
-// LevelHistogram buckets fleet charge levels into the given number of
-// equal-width bins over [0,1] — the Fig. 2(d) energy-status view.
-func (f *Fleet) LevelHistogram(bins int) []int {
-	if bins < 1 {
-		bins = 1
-	}
-	out := make([]int, bins)
-	for _, id := range f.order {
-		idx := int(f.bikes[id].Level * float64(bins))
-		if idx >= bins {
-			idx = bins - 1
-		}
-		out[idx]++
-	}
-	return out
-}
-
 // SeedLevels assigns initial charge levels with the Fig. 2(d) shape:
 // lowTailFrac of the fleet is uniform in (0, threshold), the rest uniform
 // in (threshold+0.1, 1). Assignment order is shuffled deterministically by

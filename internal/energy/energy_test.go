@@ -202,25 +202,6 @@ func TestGroupByStation(t *testing.T) {
 	}
 }
 
-func TestLevelHistogram(t *testing.T) {
-	f, err := NewFleet(DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, lv := range []float64{0.05, 0.5, 0.55, 1.0} {
-		if err := f.Add(Bike{ID: int64(i + 1), Level: lv}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := f.LevelHistogram(2)
-	if h[0] != 1 || h[1] != 3 { // 1.0 lands in the last bin
-		t.Errorf("histogram=%v, want [1 3]", h)
-	}
-	if got := f.LevelHistogram(0); len(got) != 1 {
-		t.Error("bins<1 should clamp to 1")
-	}
-}
-
 func TestSeedLevels(t *testing.T) {
 	f := newTestFleet(t, 1000)
 	rng := stats.NewRNG(11)

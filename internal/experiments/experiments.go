@@ -63,19 +63,6 @@ func solveOfflineOn(dests []geo.Point, cellMeters, openingCost float64) ([]geo.P
 	return problem.Stations(sol), cost, nil
 }
 
-// evaluateOnDemands measures the Eq. 1 cost of a fixed station set
-// serving grid demands: each demand walks to its nearest station, each
-// station costs openingCost.
-func evaluateOnDemands(stations []geo.Point, demands []core.Demand, openingCost float64) core.Cost {
-	var cost core.Cost
-	cost.Opening = float64(len(stations)) * openingCost
-	for _, d := range demands {
-		_, dist := geo.Nearest(d.Loc, stations)
-		cost.Walking += d.Arrivals * dist
-	}
-	return cost
-}
-
 // sampleField draws n points from dist with a fresh seeded RNG.
 func sampleField(seed uint64, dist stats.PointDist, n int) []geo.Point {
 	return stats.SamplePoints(stats.NewRNG(seed), dist, n)

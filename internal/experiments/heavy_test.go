@@ -212,7 +212,12 @@ func TestTable4PerHourProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-hour table4 runs many KS tests")
 	}
-	res, err := RunTable4(PaperProtocolTable4Config())
+	// The per-hour comparison, at a volume where hourly samples are
+	// meaningful.
+	res, err := RunTable4(Table4Config{
+		TripsWeekday: 2600, TripsWeekend: 1900, Seed: 14,
+		SamplePerDay: 0, PerHour: true, MinHourSamples: 8,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
@@ -42,15 +41,6 @@ func QuickTable4Config() Table4Config {
 	cfg := DefaultTable4Config()
 	cfg.SamplePerDay = 120
 	return cfg
-}
-
-// PaperProtocolTable4Config enables the per-hour comparison at a volume
-// where hourly samples are meaningful.
-func PaperProtocolTable4Config() Table4Config {
-	return Table4Config{
-		TripsWeekday: 2600, TripsWeekend: 1900, Seed: 14,
-		SamplePerDay: 0, PerHour: true, MinHourSamples: 8,
-	}
 }
 
 // Table4Result holds the 7×7 similarity matrix indexed Mon..Sun (time.
@@ -240,9 +230,4 @@ func (r *Table4Result) Render(w io.Writer) {
 	fprintf(w, "weekday-weekday avg: %.1f%%   weekend-weekend avg: %.1f%%   cross avg: %.1f%%\n",
 		r.WeekdayWeekday, r.WeekendWeekend, r.Cross)
 	fprintf(w, "(paper: weekday block ≈ 90-97%%, weekend block ≈ 89%%, cross ≈ 58-79%%)\n")
-}
-
-// workloadDayOfWeek reports the weekday of the i-th generated day.
-func workloadDayOfWeek(dayIdx int) time.Weekday {
-	return workloadStart.AddDate(0, 0, dayIdx).Weekday()
 }

@@ -28,20 +28,6 @@ type LSTMConfig struct {
 	Seed uint64
 }
 
-// DefaultLSTMConfig mirrors the paper's best model at a size that trains
-// in seconds on a laptop: Table II's 2-layer LSTM with 12-step lookback.
-func DefaultLSTMConfig() LSTMConfig {
-	return LSTMConfig{
-		Hidden:       32,
-		Layers:       2,
-		Lookback:     12,
-		Epochs:       60,
-		LearningRate: 0.01,
-		ClipNorm:     1.0,
-		Seed:         1,
-	}
-}
-
 func (c LSTMConfig) validate() error {
 	switch {
 	case c.Hidden < 1:

@@ -206,8 +206,22 @@ func TestARIMAShortSeries(t *testing.T) {
 	}
 }
 
+// testLSTMConfig is Table II's 2-layer LSTM with 12-step lookback, at
+// a size that trains in seconds.
+func testLSTMConfig() LSTMConfig {
+	return LSTMConfig{
+		Hidden:       32,
+		Layers:       2,
+		Lookback:     12,
+		Epochs:       60,
+		LearningRate: 0.01,
+		ClipNorm:     1.0,
+		Seed:         1,
+	}
+}
+
 func TestLSTMConfigValidation(t *testing.T) {
-	base := DefaultLSTMConfig()
+	base := testLSTMConfig()
 	mutations := []func(*LSTMConfig){
 		func(c *LSTMConfig) { c.Hidden = 0 },
 		func(c *LSTMConfig) { c.Layers = 0 },
@@ -229,7 +243,7 @@ func TestLSTMConfigValidation(t *testing.T) {
 }
 
 func TestLSTMNotFitted(t *testing.T) {
-	l, err := NewLSTM(DefaultLSTMConfig())
+	l, err := NewLSTM(testLSTMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

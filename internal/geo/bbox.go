@@ -31,9 +31,6 @@ func (b BBox) Width() float64 { return b.MaxX - b.MinX }
 // Height returns the Y extent of the box.
 func (b BBox) Height() float64 { return b.MaxY - b.MinY }
 
-// Area returns the box area in square metres.
-func (b BBox) Area() float64 { return b.Width() * b.Height() }
-
 // Center returns the box centroid.
 func (b BBox) Center() Point {
 	return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2}

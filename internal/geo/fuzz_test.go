@@ -43,7 +43,10 @@ func FuzzDecodeGeohash(f *testing.F) {
 
 // FuzzGridCellOf checks grid mapping never panics and stays in range.
 func FuzzGridCellOf(f *testing.F) {
-	grid := MustGrid(Square(Pt(0, 0), 3000), 100)
+	grid, err := NewGrid(Square(Pt(0, 0), 3000), 100)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(0.0, 0.0)
 	f.Add(2999.9, 2999.9)
 	f.Add(-1.0, 5000.0)

@@ -6,10 +6,6 @@ import (
 	"math"
 )
 
-// ErrOutsideGrid is returned when a point falls outside a Grid's bounding
-// box and clamping was not requested.
-var ErrOutsideGrid = errors.New("geo: point outside grid")
-
 // ErrGridTooLarge is returned by NewGrid when the box would need more
 // than MaxGridCells cells.
 var ErrGridTooLarge = errors.New("geo: grid too large")
@@ -60,21 +56,8 @@ func NewGrid(box BBox, cellSize float64) (*Grid, error) {
 	return &Grid{box: box, cellSize: cellSize, cols: int(cols), rows: int(rows)}, nil
 }
 
-// MustGrid is NewGrid that panics on invalid input; intended for tests and
-// package-level configuration of constants.
-func MustGrid(box BBox, cellSize float64) *Grid {
-	g, err := NewGrid(box, cellSize)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Box returns the grid's bounding box.
 func (g *Grid) Box() BBox { return g.box }
-
-// CellSize returns the cell side length in metres.
-func (g *Grid) CellSize() float64 { return g.cellSize }
 
 // Cols returns the number of columns.
 func (g *Grid) Cols() int { return g.cols }
@@ -85,22 +68,10 @@ func (g *Grid) Rows() int { return g.rows }
 // NumCells returns Cols*Rows.
 func (g *Grid) NumCells() int { return g.cols * g.rows }
 
-// CellOf maps p to its containing cell. It returns ErrOutsideGrid when p is
-// outside the bounding box.
-func (g *Grid) CellOf(p Point) (Cell, error) {
-	if !g.box.Contains(p) {
-		return Cell{}, fmt.Errorf("%w: %v not in %v", ErrOutsideGrid, p, g.box)
-	}
-	return g.clampedCellOf(p), nil
-}
-
 // ClampedCellOf maps p to the nearest cell, clamping points outside the box
 // onto the boundary.
 func (g *Grid) ClampedCellOf(p Point) Cell {
-	return g.clampedCellOf(g.box.Clamp(p))
-}
-
-func (g *Grid) clampedCellOf(p Point) Cell {
+	p = g.box.Clamp(p)
 	col := int((p.X - g.box.MinX) / g.cellSize)
 	row := int((p.Y - g.box.MinY) / g.cellSize)
 	if col >= g.cols {
@@ -146,25 +117,6 @@ func (g *Grid) Index(c Cell) int {
 		return -1
 	}
 	return c.Row*g.cols + c.Col
-}
-
-// CellAt inverts Index. It returns an error for out-of-range indices.
-func (g *Grid) CellAt(idx int) (Cell, error) {
-	if idx < 0 || idx >= g.NumCells() {
-		return Cell{}, fmt.Errorf("geo: cell index %d out of range [0,%d)", idx, g.NumCells())
-	}
-	return Cell{Col: idx % g.cols, Row: idx / g.cols}, nil
-}
-
-// Centroids returns the centroid of every cell in row-major order.
-func (g *Grid) Centroids() []Point {
-	pts := make([]Point, 0, g.NumCells())
-	for r := 0; r < g.rows; r++ {
-		for c := 0; c < g.cols; c++ {
-			pts = append(pts, g.Centroid(Cell{Col: c, Row: r}))
-		}
-	}
-	return pts
 }
 
 // Histogram counts the occurrences of h per cell (clamping strays onto

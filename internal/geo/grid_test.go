@@ -82,11 +82,6 @@ func TestGridDimensions(t *testing.T) {
 	if g.NumCells() != 900 {
 		t.Errorf("NumCells=%d, want 900", g.NumCells())
 	}
-	// A 3x3 km field with 100 m cells is exactly the paper's setup
-	// (23.9K bins come from the full city; the experiment field is 3x3 km).
-	if g.CellSize() != 100 {
-		t.Errorf("CellSize=%v, want 100", g.CellSize())
-	}
 }
 
 func TestGridPartialCells(t *testing.T) {
@@ -99,35 +94,26 @@ func TestGridPartialCells(t *testing.T) {
 	}
 }
 
+// TestCellOf pins the point-to-cell mapping: points inside the box map
+// to their containing cell, and points outside clamp onto the boundary.
 func TestCellOf(t *testing.T) {
 	g := testGrid(t)
 	tests := []struct {
-		name    string
-		p       Point
-		want    Cell
-		wantErr bool
+		name string
+		p    Point
+		want Cell
 	}{
-		{"origin corner", Pt(0, 0), Cell{0, 0}, false},
-		{"inside first", Pt(99.9, 99.9), Cell{0, 0}, false},
-		{"second col", Pt(100, 0), Cell{1, 0}, false},
-		{"center", Pt(1550, 1550), Cell{15, 15}, false},
-		{"outer edge clamps in", Pt(3000, 3000), Cell{29, 29}, false},
-		{"outside", Pt(-1, 0), Cell{}, true},
-		{"far outside", Pt(5000, 5000), Cell{}, true},
+		{"origin corner", Pt(0, 0), Cell{0, 0}},
+		{"inside first", Pt(99.9, 99.9), Cell{0, 0}},
+		{"second col", Pt(100, 0), Cell{1, 0}},
+		{"center", Pt(1550, 1550), Cell{15, 15}},
+		{"outer edge clamps in", Pt(3000, 3000), Cell{29, 29}},
+		{"outside", Pt(-1, 0), Cell{0, 0}},
+		{"far outside", Pt(5000, 5000), Cell{29, 29}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := g.CellOf(tt.p)
-			if (err != nil) != tt.wantErr {
-				t.Fatalf("err=%v, wantErr=%v", err, tt.wantErr)
-			}
-			if err != nil {
-				if !errors.Is(err, ErrOutsideGrid) {
-					t.Errorf("error should wrap ErrOutsideGrid, got %v", err)
-				}
-				return
-			}
-			if got != tt.want {
+			if got := g.ClampedCellOf(tt.p); got != tt.want {
 				t.Errorf("got %v, want %v", got, tt.want)
 			}
 		})
@@ -160,11 +146,11 @@ func TestCentroidInsideOwnCell(t *testing.T) {
 	for r := 0; r < g.Rows(); r += 7 {
 		for c := 0; c < g.Cols(); c += 7 {
 			cell := Cell{Col: c, Row: r}
-			got, err := g.CellOf(g.Centroid(cell))
-			if err != nil {
-				t.Fatalf("centroid of %v outside grid: %v", cell, err)
+			c := g.Centroid(cell)
+			if !g.Box().Contains(c) {
+				t.Fatalf("centroid of %v outside grid", cell)
 			}
-			if got != cell {
+			if got := g.ClampedCellOf(c); got != cell {
 				t.Errorf("centroid of %v maps to %v", cell, got)
 			}
 		}
@@ -174,22 +160,13 @@ func TestCentroidInsideOwnCell(t *testing.T) {
 func TestIndexRoundTrip(t *testing.T) {
 	g := testGrid(t)
 	for idx := 0; idx < g.NumCells(); idx += 13 {
-		cell, err := g.CellAt(idx)
-		if err != nil {
-			t.Fatalf("CellAt(%d): %v", idx, err)
-		}
+		cell := Cell{Col: idx % g.Cols(), Row: idx / g.Cols()}
 		if back := g.Index(cell); back != idx {
-			t.Errorf("Index(CellAt(%d)) = %d", idx, back)
+			t.Errorf("Index(%v) = %d, want %d", cell, back, idx)
 		}
 	}
 	if g.Index(Cell{Col: -1, Row: 0}) != -1 || g.Index(Cell{Col: 0, Row: 99}) != -1 {
 		t.Error("out-of-range cells should index to -1")
-	}
-	if _, err := g.CellAt(-1); err == nil {
-		t.Error("CellAt(-1) should error")
-	}
-	if _, err := g.CellAt(g.NumCells()); err == nil {
-		t.Error("CellAt(NumCells) should error")
 	}
 }
 
@@ -198,14 +175,10 @@ func TestCentroids(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGrid: %v", err)
 	}
-	got := g.Centroids()
 	want := []Point{Pt(50, 50), Pt(150, 50), Pt(50, 150), Pt(150, 150)}
-	if len(got) != len(want) {
-		t.Fatalf("len=%d, want %d", len(got), len(want))
-	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("centroid[%d]=%v, want %v", i, got[i], want[i])
+		if got := g.Centroid(Cell{Col: i % g.Cols(), Row: i / g.Cols()}); got != want[i] {
+			t.Errorf("centroid[%d]=%v, want %v", i, got, want[i])
 		}
 	}
 }
@@ -249,9 +222,6 @@ func TestBBox(t *testing.T) {
 	}
 	if b.Width() != 15 || b.Height() != 17 {
 		t.Errorf("dims: w=%v h=%v", b.Width(), b.Height())
-	}
-	if !almostEqual(b.Area(), 255, 1e-12) {
-		t.Errorf("Area=%v", b.Area())
 	}
 	if c := b.Center(); c != Pt(2.5, 11.5) {
 		t.Errorf("Center=%v", c)

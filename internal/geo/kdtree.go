@@ -288,7 +288,7 @@ const dynamicRebuildSlack = 64
 // DynamicIndex maintains nearest-neighbour queries over a growing point
 // set: appends go to a linear tail that is folded into the tree once it
 // exceeds max(dynamicRebuildSlack, n/4), giving amortised O(log n)
-// queries under the placers' append-mostly workload. Indices are stable
+// queries under the placers' append-only workload. Indices are stable
 // insertion positions.
 type DynamicIndex struct {
 	tree  *KDTree
@@ -325,21 +325,6 @@ func (d *DynamicIndex) Insert(p Point) int {
 	return idx
 }
 
-// Remove deletes the i-th point; later indices shift down by one
-// (matching slice deletion semantics in the placers). It rebuilds the
-// tree, so it should stay rare relative to queries.
-func (d *DynamicIndex) Remove(i int) bool {
-	n := d.Len()
-	if i < 0 || i >= n {
-		return false
-	}
-	all := d.snapshot()
-	all = append(all[:i], all[i+1:]...)
-	d.tree = BuildKDTree(all)
-	d.extra = nil
-	return true
-}
-
 // Nearest returns the index and distance of the closest point, or
 // (-1, +Inf) when empty. Ties resolve to the lowest insertion index, and
 // both the winning index and the returned distance are bit-identical to
@@ -360,9 +345,7 @@ func (d *DynamicIndex) Nearest(q Point) (int, float64) {
 }
 
 // Points returns the indexed points in insertion order.
-func (d *DynamicIndex) Points() []Point { return d.snapshot() }
-
-func (d *DynamicIndex) snapshot() []Point {
+func (d *DynamicIndex) Points() []Point {
 	out := make([]Point, 0, d.Len())
 	out = append(out, d.tree.pts...)
 	out = append(out, d.extra...)
@@ -370,6 +353,6 @@ func (d *DynamicIndex) snapshot() []Point {
 }
 
 func (d *DynamicIndex) rebuild() {
-	d.tree = BuildKDTree(d.snapshot())
+	d.tree = BuildKDTree(d.Points())
 	d.extra = nil
 }

@@ -54,9 +54,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Norm returns the distance of p from the origin.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // IsFinite reports whether both coordinates are finite numbers.
 func (p Point) IsFinite() bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) &&

@@ -38,9 +38,8 @@ func clampShardPrecision(precision int) int {
 
 // PlanarCellID returns p's quadtree cell at the given precision (1..12;
 // out-of-range values clamp) as a 5·precision-bit integer. The bits are
-// exactly the geohash bits of the pseudo-coordinates — see
-// PlanarShardKey for the base32 rendering. Allocation-free: this runs
-// on the placement hot path for every routed request.
+// exactly the geohash bits of the pseudo-coordinates. Allocation-free:
+// this runs on the placement hot path for every routed request.
 //
 //esharing:hotpath
 func PlanarCellID(p Point, precision int) uint64 {
@@ -86,20 +85,6 @@ func PlanarCellID(p Point, precision int) uint64 {
 		even = !even
 	}
 	return id
-}
-
-// PlanarShardKey renders PlanarCellID in the geohash base32 alphabet: a
-// stable, human-readable spatial key (shard diagnostics, per-shard
-// directory names). It equals EncodeGeohash of the pseudo-coordinates.
-func PlanarShardKey(p Point, precision int) string {
-	precision = clampShardPrecision(precision)
-	id := PlanarCellID(p, precision)
-	buf := make([]byte, precision)
-	for i := precision - 1; i >= 0; i-- {
-		buf[i] = geohashAlphabet[id&31]
-		id >>= 5
-	}
-	return string(buf)
 }
 
 // FNV-1a 64-bit parameters (hash/fnv's constants, inlined so the hot

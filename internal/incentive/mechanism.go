@@ -287,10 +287,5 @@ func (m *Mechanism) Result() Result {
 	return res
 }
 
-// Offers returns the transaction log.
-func (m *Mechanism) Offers() []Offer {
-	return append([]Offer(nil), m.offers...)
-}
-
 // LowRemaining returns the station's outstanding low-bike count.
 func (m *Mechanism) LowRemaining(station int) int { return len(m.low[station]) }

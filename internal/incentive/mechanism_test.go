@@ -233,18 +233,3 @@ func TestPickSinks(t *testing.T) {
 		t.Errorf("empty low: %v", got)
 	}
 }
-
-func TestOffersLogCopies(t *testing.T) {
-	m, _ := mechFixture(t, DefaultMechanismConfig(1.0))
-	if _, _, err := m.HandlePickup(Pickup{From: 0, Dest: geo.Pt(450, 0), Profile: eagerUser()}); err != nil {
-		t.Fatal(err)
-	}
-	log := m.Offers()
-	if len(log) != 1 {
-		t.Fatalf("offers=%d", len(log))
-	}
-	log[0].Value = -1
-	if m.Offers()[0].Value == -1 {
-		t.Error("Offers exposes internal slice")
-	}
-}

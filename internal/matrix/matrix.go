@@ -68,47 +68,6 @@ func shapeCheck(cond bool, format string, args ...any) {
 	}
 }
 
-// MulTo computes dst = m × n. dst must be m.Rows×n.Cols and distinct from
-// both operands.
-func MulTo(dst, m, n *Matrix) {
-	shapeCheck(m.Cols == n.Rows, "mul %dx%d by %dx%d", m.Rows, m.Cols, n.Rows, n.Cols)
-	shapeCheck(dst.Rows == m.Rows && dst.Cols == n.Cols, "mul dst %dx%d want %dx%d",
-		dst.Rows, dst.Cols, m.Rows, n.Cols)
-	shapeCheck(dst != m && dst != n, "mul dst aliases operand")
-	for i := 0; i < m.Rows; i++ {
-		dstRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k := range dstRow {
-			dstRow[k] = 0
-		}
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[i*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			nRow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			for j, b := range nRow {
-				dstRow[j] += a * b
-			}
-		}
-	}
-}
-
-// AddInPlace computes m += n.
-func (m *Matrix) AddInPlace(n *Matrix) {
-	shapeCheck(m.SameShape(n), "add-in-place %dx%d += %dx%d", m.Rows, m.Cols, n.Rows, n.Cols)
-	for i := range m.Data {
-		m.Data[i] += n.Data[i]
-	}
-}
-
-// AddScaled computes m += s·n.
-func (m *Matrix) AddScaled(n *Matrix, s float64) {
-	shapeCheck(m.SameShape(n), "add-scaled %dx%d += %dx%d", m.Rows, m.Cols, n.Rows, n.Cols)
-	for i := range m.Data {
-		m.Data[i] += s * n.Data[i]
-	}
-}
-
 // Scale multiplies every element by s in place.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
@@ -122,17 +81,6 @@ func Apply(dst, a *Matrix, f func(float64) float64) {
 	for i := range dst.Data {
 		dst.Data[i] = f(a.Data[i])
 	}
-}
-
-// Transpose returns mᵀ as a fresh matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
 }
 
 // MulATB computes dst = aᵀ × b without materialising the transpose.
@@ -155,15 +103,6 @@ func MulATB(dst, a, b *Matrix) {
 	}
 }
 
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	var sum float64
-	for _, v := range m.Data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
 // ClipInPlace clamps every element into [-limit, limit]; used for gradient
 // clipping during BPTT.
 func (m *Matrix) ClipInPlace(limit float64) {
@@ -174,19 +113,6 @@ func (m *Matrix) ClipInPlace(limit float64) {
 			m.Data[i] = -limit
 		}
 	}
-}
-
-// Equal reports elementwise equality within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // SolveLinear solves A·x = b by Gaussian elimination with partial

@@ -27,7 +27,7 @@ func TestGemvTAddMatchesTranspose(t *testing.T) {
 	got := make([]float64, 3)
 	GemvTAdd(got, w, x)
 	want := make([]float64, 3)
-	Gemv(want, w.Transpose(), x)
+	Gemv(want, transpose(w), x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Errorf("GemvTAdd[%d]=%v, want %v", i, got[i], want[i])

@@ -9,9 +9,9 @@
 //     chunks; each chunk is processed by one goroutine in ascending index
 //     order, exactly like the sequential loop it replaces.
 //   - Every task keeps its deterministic identity: its index. Callbacks
-//     that need randomness derive a stream from that identity (e.g.
-//     stats.NewWorkerRNG(seed, stream, index)) instead of sharing a
-//     sequentially-consumed generator.
+//     that need randomness seed their own generator from that identity
+//     (the experiment sweeps use stats.NewRNG(cfg.Seed + f(index)))
+//     instead of sharing a sequentially-consumed generator.
 //   - Reductions fold per-chunk results in index order with stable
 //     tie-breaks (strict comparisons, lowest index wins), so the fold is
 //     equivalent to the sequential left-to-right scan.

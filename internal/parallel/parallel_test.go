@@ -88,12 +88,13 @@ func TestSetDefaultClampsAndRestores(t *testing.T) {
 }
 
 func TestWorkerRNGStreamsIndependentOfChunking(t *testing.T) {
-	// The approved pattern for randomness inside a parallel body: derive
-	// the stream from the task index, never from the worker id. The
-	// draws must then be independent of the worker count.
+	// The pattern the experiment sweeps use for randomness inside a
+	// parallel body: seed each task's generator from the task index
+	// (cfg.Seed + f(task)), never from the worker id. The draws must then
+	// be independent of the worker count.
 	draw := func(workers int) []float64 {
 		return parallel.Map(workers, 40, func(w, i int) float64 {
-			rng := stats.NewWorkerRNG(123, stats.StreamDefault, uint64(i))
+			rng := stats.NewRNG(123 + uint64(i)*1009)
 			return rng.Float64()
 		})
 	}

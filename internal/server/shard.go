@@ -33,8 +33,6 @@ type shard struct {
 	sim *core.ESharing // the similarity figure's source
 	// guarded by decision
 	durable core.DurablePlacer
-	// guarded by decision
-	remover core.StationRemover
 
 	// decision is a capacity-1 channel used as the placement lock
 	// (send = acquire, receive = release): unlike a sync.Mutex, a
@@ -76,14 +74,12 @@ type shard struct {
 func newShard(index int, p core.OnlinePlacer, maxInFlight int) *shard {
 	sim, _ := p.(*core.ESharing)
 	durable, _ := p.(core.DurablePlacer)
-	remover, _ := p.(core.StationRemover)
 	return &shard{
 		index:       index,
 		name:        p.Name(),
 		placer:      p,
 		sim:         sim,
 		durable:     durable,
-		remover:     remover,
 		decision:    make(chan struct{}, 1),
 		queue:       make(chan struct{}, maxInFlight),
 		maxInFlight: maxInFlight,

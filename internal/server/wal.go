@@ -90,27 +90,15 @@ func (sh *shard) replayRecovered(rec *wal.Recovered) error {
 		sh.walkBits.Store(snap.WalkBits)
 	}
 	for i, r := range rec.Tail {
-		switch r := r.(type) {
-		case wal.DecisionRecord:
-			d, err := sh.placer.Place(r.Dest)
-			if err != nil {
-				return fmt.Errorf("server: wal replay record %d: %w", i, err)
-			}
-			if !decisionMatchesRecord(d, r) {
-				return fmt.Errorf("server: wal replay diverged at record %d: "+
-					"placer produced %+v, log recorded %+v — the engine or its inputs changed since the log was written", i, d, r)
-			}
-			sh.record(d)
-		case wal.PickupRecord:
-			if sh.remover == nil {
-				return fmt.Errorf("server: wal replay record %d: placer %q cannot replay pickups", i, sh.name)
-			}
-			if err := sh.remover.RemoveStation(r.StationIndex); err != nil {
-				return fmt.Errorf("server: wal replay record %d: %w", i, err)
-			}
-		default:
-			return fmt.Errorf("server: wal replay record %d: unknown record type %T", i, r)
+		d, err := sh.placer.Place(r.Dest)
+		if err != nil {
+			return fmt.Errorf("server: wal replay record %d: %w", i, err)
 		}
+		if !decisionMatchesRecord(d, r) {
+			return fmt.Errorf("server: wal replay diverged at record %d: "+
+				"placer produced %+v, log recorded %+v — the engine or its inputs changed since the log was written", i, d, r)
+		}
+		sh.record(d)
 	}
 	return nil
 }

@@ -87,29 +87,6 @@ func (r *SnapshotRNG) UnmarshalState(data []byte) error {
 	return r.src.UnmarshalBinary(data)
 }
 
-// taskBase offsets per-task substreams far above the Stream* constants
-// so NewWorkerRNG(seed, s, task) never collides with NewRNGStream(seed,
-// s') for any component stream s'.
-const taskBase = uint64(1) << 32
-
-// NewWorkerRNG returns the task-th substream of a component stream —
-// the RNG constructor for callbacks running under internal/parallel.
-// A parallel map must not share one sequentially-consumed generator
-// across tasks (the interleaving would depend on scheduling); instead
-// each task derives its own stream from its deterministic identity, the
-// task index, so the draws are bit-identical at any worker count:
-//
-//	parallel.Map(workers, n, func(w, i int) T {
-//		rng := stats.NewWorkerRNG(seed, stats.StreamX, uint64(i))
-//		...
-//	})
-//
-// Never key the stream on the worker id w — the index→worker mapping
-// changes with the worker count.
-func NewWorkerRNG(seed, stream, task uint64) *rand.Rand {
-	return NewRNGStream(seed, taskBase+stream*taskBase+task)
-}
-
 // Normal draws a sample from N(mean, stdDev²) using rng.
 func Normal(rng *rand.Rand, mean, stdDev float64) float64 {
 	return mean + stdDev*rng.NormFloat64()

@@ -1,9 +1,9 @@
 // Package wal implements the durable decision log behind the serving
 // path: an append-only, checksummed, length-prefixed binary log of
-// placement decisions (and station pickups), plus a snapshot file that
-// bounds replay time. The log records the exact request stream the
-// placer consumed, so recovery re-drives it through a freshly seeded
-// placer and arrives at bit-identical state (see core.DurablePlacer).
+// placement decisions, plus a snapshot file that bounds replay time.
+// The log records the exact request stream the placer consumed, so
+// recovery re-drives it through a freshly seeded placer and arrives at
+// bit-identical state (see core.DurablePlacer).
 //
 // # File format
 //
@@ -13,8 +13,8 @@
 //
 // and the payload's first byte is the record type. The first record is
 // always a genesis record naming the engine, its config digest and the
-// number of records already covered by the snapshot file; decision and
-// pickup records follow in arrival order.
+// number of records already covered by the snapshot file; decision
+// records follow in arrival order.
 //
 // # Torn tails vs corruption
 //
@@ -48,15 +48,14 @@ var (
 const (
 	recGenesis  = 'G'
 	recDecision = 'D'
-	recPickup   = 'P'
 )
 
 // genesisVersion is the genesis payload layout version.
 const genesisVersion uint16 = 1
 
 // maxRecordLen bounds a frame's payload so a corrupted length prefix
-// cannot trigger a huge allocation: decisions and pickups are fixed
-// size, and a genesis only carries a short engine name.
+// cannot trigger a huge allocation: decisions are fixed size, and a
+// genesis only carries a short engine name.
 const maxRecordLen = 1 << 16
 
 // frameHeaderLen is the length prefix plus the checksum.
@@ -85,12 +84,6 @@ type DecisionRecord struct {
 	StationIndex int
 	Opened       bool
 	Walk         float64
-}
-
-// PickupRecord logs a station removal (the paper's footnote-2 pickup
-// path) so replay can re-drive core.StationRemover.RemoveStation.
-type PickupRecord struct {
-	StationIndex int
 }
 
 // ---- encoding ----------------------------------------------------------
@@ -126,21 +119,13 @@ func appendDecisionPayload(dst []byte, d DecisionRecord) []byte {
 	return append(dst, opened)
 }
 
-func appendPickupPayload(dst []byte, p PickupRecord) []byte {
-	dst = append(dst, recPickup)
-	return binary.LittleEndian.AppendUint64(dst, uint64(int64(p.StationIndex)))
-}
-
-// Fixed payload sizes for the non-genesis records.
-const (
-	decisionPayloadLen = 1 + 6*8 + 1
-	pickupPayloadLen   = 1 + 8
-)
+// decisionPayloadLen is a decision record's fixed payload size.
+const decisionPayloadLen = 1 + 6*8 + 1
 
 // ---- decoding ----------------------------------------------------------
 
 // DecodeRecord decodes one checksum-verified frame payload into a
-// Genesis, DecisionRecord or PickupRecord.
+// Genesis or a DecisionRecord.
 func DecodeRecord(payload []byte) (any, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("wal: empty record payload")
@@ -150,8 +135,6 @@ func DecodeRecord(payload []byte) (any, error) {
 		return decodeGenesis(payload)
 	case recDecision:
 		return decodeDecision(payload)
-	case recPickup:
-		return decodePickup(payload)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %#x", payload[0])
 	}
@@ -199,13 +182,6 @@ func decodeDecision(p []byte) (DecisionRecord, error) {
 	}, nil
 }
 
-func decodePickup(p []byte) (PickupRecord, error) {
-	if len(p) != pickupPayloadLen {
-		return PickupRecord{}, fmt.Errorf("wal: pickup record is %d bytes, want %d", len(p), pickupPayloadLen)
-	}
-	return PickupRecord{StationIndex: int(int64(binary.LittleEndian.Uint64(p[1:])))}, nil
-}
-
 // ---- scanning ----------------------------------------------------------
 
 // CorruptionError reports damage that cannot be a torn tail; the log
@@ -226,9 +202,8 @@ type ScanResult struct {
 	// a complete genesis was ever written (a crash during file
 	// creation, before any decision could have been logged).
 	Genesis *Genesis
-	// Records holds the decoded DecisionRecord / PickupRecord values
-	// after the genesis, in log order.
-	Records []any
+	// Records holds the decisions after the genesis, in log order.
+	Records []DecisionRecord
 	// TornOffset is the byte offset of a torn tail to truncate at, or
 	// -1 when the image ends on a frame boundary.
 	TornOffset int64
@@ -285,12 +260,13 @@ func ScanLog(name string, data []byte) (*ScanResult, error) {
 			// a writer bug or tampering, never a torn write.
 			return nil, &CorruptionError{File: name, Offset: off, Reason: err.Error()}
 		}
-		if g, ok := rec.(Genesis); ok {
+		switch rec := rec.(type) {
+		case Genesis:
 			if res.Genesis != nil {
 				return nil, &CorruptionError{File: name, Offset: off, Reason: "duplicate genesis record"}
 			}
-			res.Genesis = &g
-		} else {
+			res.Genesis = &rec
+		case DecisionRecord:
 			if res.Genesis == nil {
 				return nil, &CorruptionError{File: name, Offset: off, Reason: "record precedes genesis"}
 			}

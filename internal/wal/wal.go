@@ -54,10 +54,10 @@ type Options struct {
 }
 
 // Snapshot is the durable placer checkpoint that bounds replay time.
-// Records counts every record ever logged (decisions and pickups) at
-// capture time; a log whose genesis Base equals Records has an empty
-// tail. The serving counters ride along so the server republishes the
-// exact pre-crash figures without re-deriving them.
+// Records counts every decision ever logged at capture time; a log
+// whose genesis Base equals Records has an empty tail. The serving
+// counters ride along so the server republishes the exact pre-crash
+// figures without re-deriving them.
 type Snapshot struct {
 	ConfigDigest uint64
 	Name         string
@@ -83,9 +83,9 @@ const snapVersion uint16 = 1
 type Recovered struct {
 	// Snapshot is the last committed checkpoint, nil if none.
 	Snapshot *Snapshot
-	// Tail holds the DecisionRecord / PickupRecord values not covered
-	// by the snapshot, in log order.
-	Tail []any
+	// Tail holds the decisions not covered by the snapshot, in log
+	// order.
+	Tail []DecisionRecord
 	// TornBytes is how many trailing bytes were discarded as a torn
 	// write (0 for a clean shutdown).
 	TornBytes int64
@@ -309,15 +309,7 @@ func (l *Log) Metrics() Metrics {
 // AppendDecision durably logs one placement decision. The record is on
 // disk (modulo SyncEvery batching) when the call returns.
 func (l *Log) AppendDecision(d DecisionRecord) error {
-	return l.append(appendDecisionPayload(l.encBuf[:0], d))
-}
-
-// AppendPickup durably logs one station removal.
-func (l *Log) AppendPickup(p PickupRecord) error {
-	return l.append(appendPickupPayload(l.encBuf[:0], p))
-}
-
-func (l *Log) append(payload []byte) error {
+	payload := appendDecisionPayload(l.encBuf[:0], d)
 	l.encBuf = payload[:0]
 	frame := appendFrame(payload[len(payload):], payload)
 	n, err := l.f.Write(frame)

@@ -41,7 +41,7 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if rec.Snapshot != nil || len(rec.Tail) != 0 || rec.TornBytes != 0 {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
-	want := make([]any, 0, 12)
+	want := make([]DecisionRecord, 0, 10)
 	for i := 0; i < 10; i++ {
 		d := testDecision(i)
 		if err := l.AppendDecision(d); err != nil {
@@ -49,12 +49,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		}
 		want = append(want, d)
 	}
-	if err := l.AppendPickup(PickupRecord{StationIndex: 2}); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, PickupRecord{StationIndex: 2})
-	if got := l.records; got != 11 {
-		t.Fatalf("records = %d, want 11", got)
+	if got := l.records; got != 10 {
+		t.Fatalf("records = %d, want 10", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -68,8 +64,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec2.Tail, want) {
 		t.Fatalf("recovered tail %+v, want %+v", rec2.Tail, want)
 	}
-	if got := l2.records; got != 11 {
-		t.Fatalf("reopened records = %d, want 11", got)
+	if got := l2.records; got != 10 {
+		t.Fatalf("reopened records = %d, want 10", got)
 	}
 	// The log must keep accepting appends after recovery.
 	if err := l2.AppendDecision(testDecision(99)); err != nil {
@@ -85,7 +81,7 @@ func TestKillAtEveryByte(t *testing.T) {
 	src := t.TempDir()
 	l, _ := mustOpen(t, src, testOpts())
 	const K = 20
-	want := make([]any, 0, K)
+	want := make([]DecisionRecord, 0, K)
 	for i := 0; i < K; i++ {
 		d := testDecision(i)
 		if err := l.AppendDecision(d); err != nil {
@@ -186,6 +182,25 @@ func TestMidFileDamageRefuses(t *testing.T) {
 		}
 	}
 
+	// A frame that checksums clean but carries the retired pickup type
+	// byte ('P', 9 bytes) is corruption too: the log holds a genesis and
+	// decisions only, and a record replay cannot apply must refuse
+	// rather than be skipped.
+	pickup := appendFrame(nil, []byte{'P', 2, 0, 0, 0, 0, 0, 0, 0})
+	genesis := Genesis{ConfigDigest: testOpts().ConfigDigest, Name: testOpts().Name}
+	afterGenesis := len(logMagic) + frameHeaderLen + len(appendGenesisPayload(nil, genesis))
+	for _, at := range []int{afterGenesis, len(full)} {
+		mut := append(append(append([]byte(nil), full[:at]...), pickup...), full[at:]...)
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(dir, testOpts())
+		var ce *CorruptionError
+		if !errors.As(err, &ce) || ce.Offset != int64(at) {
+			t.Fatalf("pickup frame at %d: err = %v, want CorruptionError there", at, err)
+		}
+	}
+
 	// Damage inside the final frame is indistinguishable from a torn
 	// write: recovery drops that frame and keeps the prefix.
 	flip(len(full) - 3)
@@ -246,9 +261,9 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if m := l.Metrics(); m.Truncations != 1 || m.Size >= sizeBefore {
 		t.Fatalf("after snapshot: truncations=%d size=%d (before %d)", m.Truncations, m.Size, sizeBefore)
 	}
-	tail := []any{testDecision(100), testDecision(101)}
+	tail := []DecisionRecord{testDecision(100), testDecision(101)}
 	for _, d := range tail {
-		if err := l.AppendDecision(d.(DecisionRecord)); err != nil {
+		if err := l.AppendDecision(d); err != nil {
 			t.Fatal(err)
 		}
 	}
