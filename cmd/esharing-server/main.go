@@ -175,8 +175,8 @@ func run(args []string) error {
 // bounding box (hard-coding Beijing would project any other city's
 // trips hundreds of kilometres from the planar origin, far outside the
 // tangent-plane regime). Peak memory is the scanner's
-// O(ChunkSize × Workers) plus O(distinct end cells); the row count does
-// not enter it.
+// O(ChunkSize × Workers) plus O(distinct end cells) per worker; the row
+// count does not enter it.
 func loadHistory(csvPath string, days int, seed uint64) (geo.Multiset, error) {
 	if csvPath == "" {
 		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})

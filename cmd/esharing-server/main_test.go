@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
@@ -334,19 +333,22 @@ func setScanWorkers(t *testing.T, workers int) {
 // TestLoadHistoryMemoryBound states the startup memory bound of a CSV
 // history and checks it. loadHistory may allocate one fixed scanner
 // term for its single pass, a bounded number of bytes per distinct end
-// cell for the fold (its index, the places, their counts and the
-// canonical sort's scratch, all grown by doubling), and slack — nothing
-// that grows with the row count. The scanner holds one ChunkSize header
-// buffer and, per worker, a ChunkSize read buffer and a RawTrip batch
-// presized at ChunkSize/32 slots. Keeping a point per row instead costs
-// 16 B per row and breaks the bound; materialising every dataset.Trip
-// costs ~780 B per row, and a second pass over the file a second
-// scanner term.
+// cell for each fold into places (one per worker, reused across chunks,
+// and their merge: an index, the places, their counts and the canonical
+// sort's scratch, all grown by doubling), and slack — nothing that
+// grows with the row count. The scanner holds one ChunkSize header
+// buffer and, per worker, a ChunkSize read buffer; it builds no batch of
+// parsed rows. The row-by-row loader this replaced presized a RawTrip
+// batch of ChunkSize/32 slots per worker and allocated 12.6 MiB here,
+// three times the bound. Keeping a point per row instead costs 16 B per
+// row and breaks the bound; materialising every dataset.Trip costs
+// ~780 B per row, and a second pass over the file a second scanner
+// term.
 func TestLoadHistoryMemoryBound(t *testing.T) {
 	const (
 		chunkSize = 1 << 20 // the ScanOptions default
 		workers   = 2
-		perPlace  = 256     // fold index, places, counts and sort scratch
+		perPlace  = 256     // per fold: index, places, counts and sort scratch
 		slack     = 1 << 20 // file state
 	)
 	setScanWorkers(t, workers)
@@ -357,14 +359,14 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 	if ends.Total() != rows {
 		t.Fatalf("loaded %d destinations, want %d", ends.Total(), rows)
 	}
-	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(dataset.RawTrip{})))
-	bound := uint64(perPlace*ends.Len() + perPass + slack)
+	perPass := chunkSize + workers*chunkSize
+	bound := uint64(perPlace*ends.Len()*(workers+1) + perPass + slack)
 	t.Logf("%d rows at %d places: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
 	if got > bound {
 		t.Fatalf("loadHistory allocated %d B for %d rows at %d places, bound %d B", got, rows, ends.Len(), bound)
 	}
-	if 16*rows <= perPlace*ends.Len()+slack {
+	if 16*rows <= perPlace*ends.Len()*(workers+1)+slack {
 		t.Fatalf("fixture too small: a point per row (%d B) would fit the bound's slack", 16*rows)
 	}
 }

@@ -75,12 +75,11 @@ func (c ESharingConfig) validate() error {
 // Every TestEvery requests a Peacock 2-D KS test between H and the recent
 // window selects the penalty type for the current regime.
 type ESharing struct {
-	cfg         ESharingConfig
-	baseOpening float64
-	f           float64           // working opening cost
-	k           int               // offline station count; stations[:k] are the landmarks
-	index       *geo.DynamicIndex // established stations, in insertion order
-	penalty     Penalty
+	cfg     ESharingConfig
+	f       float64           // working opening cost
+	k       int               // offline station count; stations[:k] are the landmarks
+	index   *geo.DynamicIndex // established stations, in insertion order
+	penalty Penalty
 	// hist is the caller's history H, held without a copy until the
 	// first KS test builds ks from it and drops it (empty when
 	// TestEvery is 0, since no test ever runs).
@@ -163,8 +162,7 @@ func NewESharingHistory(offline []geo.Point, baseOpening float64, hist geo.Multi
 		return nil, err
 	}
 	return &ESharing{
-		cfg:         cfg,
-		baseOpening: baseOpening,
+		cfg: cfg,
 		// The working opening cost starts at the true space cost and
 		// doubles after every β·k online openings until opening is
 		// prohibitive. Algorithm 2's literal "f_i ← f_i·w*/k" rescaling is

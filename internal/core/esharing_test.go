@@ -303,11 +303,15 @@ func TestESharingName(t *testing.T) {
 func TestESharingSingleLandmarkFallback(t *testing.T) {
 	// A single landmark is a valid guide (the Fig. 9 / Table III setup);
 	// the working cost starts at the base opening cost.
+	const opening = 5000
 	cfg := DefaultESharingConfig()
 	cfg.TestEvery = 0
-	e := newTestESharing(t, []geo.Point{geo.Pt(0, 0)}, nil, cfg)
-	if math.Abs(e.f-e.baseOpening) > 1e-9 {
-		t.Errorf("working f=%v, want base %v", e.f, e.baseOpening)
+	e, err := NewESharing([]geo.Point{geo.Pt(0, 0)}, opening, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(e.f-opening) > 1e-9 {
+		t.Errorf("working f=%v, want base %v", e.f, opening)
 	}
 }
 

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -76,4 +78,58 @@ func FuzzScanCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReadEndPoints is the differential target for the per-chunk place
+// fold: for any input, chunk size and worker count, readEndPoints and
+// the row-by-row reference loader must fail with the same error text,
+// line included, or return Float64bits-identical places with the same
+// counts.
+func FuzzReadEndPoints(f *testing.F) {
+	header := strings.Join(csvHeader, ",")
+	row := func(id, start, end string) string {
+		return id + ",2,3,1,2017-05-10 08:30:00," + start + "," + end + "\n"
+	}
+	valid := row("1", "wx4g0bm", "wx4g0bn")
+	// An empty geohash in the first chunk, a bad orderid in a later one.
+	f.Add(header+"\n"+row("1", "wx4g0bm", "")+strings.Repeat(valid, 3)+row("x4", "wx4g0bm", "wx4g0bn"), uint16(60), uint8(2))
+	// An empty start, then an empty end, then an invalid geohash.
+	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+row("3", "wx4g0bm", "")+row("4", "wx4g0bm", "wx4I0bn"), uint16(47), uint8(3))
+	// Empty geohashes in two chunks: the first in the file is reported.
+	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+strings.Repeat(valid, 3)+row("3", "wx4g0bm", ""), uint16(47), uint8(2))
+	f.Add(header+"\n"+row("1", "\"wx4g0bm\"", "wx4g0bn")+valid, uint16(20), uint8(2))
+	f.Add(header+"\n"+valid+"1,2,3,1,2017-02-30 08:30:00,wx4g0bm,wx4g0bn\n", uint16(33), uint8(1))
+	f.Add(header+"\r\n\r\n"+strings.ReplaceAll(valid, "\n", "\r\n")+"\n\n"+row("2", "wx4g0bp", "wx4g0bq"), uint16(9), uint8(4))
+	f.Add(header+"\n"+row("1", "", "")+row("2", "", ""), uint16(512), uint8(1))
+	f.Add(header+"\n", uint16(1), uint8(1))
+	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8) {
+		opts := ScanOptions{
+			ChunkSize: 1 + int(chunk%512),
+			Workers:   1 + int(workers%8),
+		}
+		want, wantErr := readEndPointsReference(strings.NewReader(input), opts)
+		got, gotErr := readEndPoints(strings.NewReader(input), opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("chunk=%d workers=%d: error %v, reference %v", opts.ChunkSize, opts.Workers, gotErr, wantErr)
+		}
+		if msg := diffMultisets(got, want); msg != "" {
+			t.Fatalf("chunk=%d workers=%d: %s", opts.ChunkSize, opts.Workers, msg)
+		}
+	})
+}
+
+// diffMultisets describes the first difference between two multisets of
+// places, comparing coordinates by their bits, or returns "".
+func diffMultisets(got, want geo.Multiset) string {
+	if got.Len() != want.Len() || got.Total() != want.Total() {
+		return fmt.Sprintf("%d places (%d points), want %d (%d)", got.Len(), got.Total(), want.Len(), want.Total())
+	}
+	for i, w := range want.Points() {
+		g := got.Points()[i]
+		if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
+			got.Counts()[i] != want.Counts()[i] {
+			return fmt.Sprintf("place %d = %v ×%d, want %v ×%d", i, g, got.Counts()[i], w, want.Counts()[i])
+		}
+	}
+	return ""
 }

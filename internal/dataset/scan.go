@@ -23,16 +23,22 @@ import (
 // This file is the only CSV reader (an encoding/csv one survives only
 // as the test oracle in csv_reference_test.go):
 //
-//   - IngestCSV reads fixed-size chunks, aligns each chunk on a record
-//     boundary (the last '\n' outside a quoted field), and parses chunks
-//     in parallel through internal/parallel. Records without quotes — the
-//     entire Mobike schema in practice — are parsed in place from byte
-//     slices with no per-field allocations; records containing quotes
-//     fall back to a per-record encoding/csv parse, so quoting semantics
-//     are inherited rather than re-implemented.
-//   - Chunk index = task index and the fold over parsed batches runs in
-//     chunk order, so output is bit-identical to the sequential
-//     encoding/csv oracle at any worker count (FuzzScanCSV and the
+//   - scanChunks reads fixed-size chunks, aligns each chunk on a record
+//     boundary (the last '\n' outside a quoted field), and hands chunks
+//     to workers in parallel through internal/parallel. Records without
+//     quotes — the entire Mobike schema in practice — are parsed in
+//     place from byte slices with no per-field allocations; records
+//     containing quotes fall back to a per-record encoding/csv parse, so
+//     quoting semantics are inherited rather than re-implemented.
+//   - Two kinds of work run on the chunks. IngestCSV parses each into a
+//     batch of RawTrips (ReadCSV's path). The place fold behind
+//     ReadEndPoints and ScanSummarize validates every field the same
+//     way but builds nothing from the ids and the time: each worker
+//     folds its chunk into a bounding box and a few hundred places, and
+//     the coordinator merges those, not rows.
+//   - Chunk index = task index and the merge runs in chunk order, so
+//     output is bit-identical to the sequential encoding/csv oracle at
+//     any worker count (FuzzScanCSV, FuzzReadEndPoints and the
 //     differential tests enforce this).
 //   - Peak memory is O(ChunkSize × Workers) regardless of file size: the
 //     coordinator owns one buffer per worker and batches are only valid
@@ -59,8 +65,8 @@ type ScanOptions struct {
 	Workers int
 
 	// decodeGeohashes decodes the start/end geohash fields into LatLng
-	// centres during the parallel parse. Each consumer (ReadCSV,
-	// ScanSummarize, ReadEndPoints) sets it for itself.
+	// centres during the parallel parse. ReadCSV sets it when it
+	// projects; the place fold's quoted-record fallback always does.
 	decodeGeohashes bool
 	// allowEmptyGeohash, with decodeGeohashes, skips empty geohash
 	// fields (Has*LL stays false) instead of failing — GeohashCenter
@@ -96,8 +102,8 @@ type RawTrip struct {
 	EndGeohash   []byte
 
 	// Decoded geohash cell centres, when the consumer asked for them
-	// (ReadCSV with a projector, ScanSummarize, ReadEndPoints). Has*LL
-	// is false only for an empty field under ScanSummarize.
+	// (ReadCSV with a projector, the place fold's quoted records).
+	// Has*LL is false only for an empty field under allowEmptyGeohash.
 	StartLL    geo.LatLng
 	EndLL      geo.LatLng
 	HasStartLL bool
@@ -128,6 +134,29 @@ var (
 // error aborts the scan and is returned verbatim.
 func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) error {
 	opts = opts.withDefaults()
+	parses := make([]chunkParse, opts.Workers)
+	return scanChunks(r, opts,
+		func(slot int, chunk []byte, base int) { parseChunk(chunk, base, &opts, &parses[slot]) },
+		func(slot int) error {
+			p := &parses[slot]
+			if p.err != nil {
+				return p.err
+			}
+			if len(p.trips) == 0 {
+				return nil
+			}
+			return emit(p.trips)
+		})
+}
+
+// scanChunks is the serial chunking coordinator every scan runs on. It
+// validates the header, then cuts up to opts.Workers record-aligned
+// chunks at a time, runs work on each in parallel (chunk index = slot),
+// and then calls merge on the slots in chunk order. work(slot, chunk,
+// base) receives a chunk that follows base newlines of the file and may
+// touch only its own slot; a merge error ends the scan and is returned
+// verbatim. opts must already carry its defaults.
+func scanChunks(r io.Reader, opts ScanOptions, work func(slot int, chunk []byte, base int), merge func(slot int) error) error {
 	s := &scanState{r: r, chunkSize: opts.ChunkSize}
 	if err := s.readHeader(); err != nil {
 		return err
@@ -136,8 +165,6 @@ func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) 
 	bufs := make([][]byte, workers)
 	chunks := make([][]byte, workers)
 	bases := make([]int, workers)
-	parses := make([]chunkParse, workers)
-	po := &opts
 	for {
 		// Fill up to `workers` record-aligned chunks, tracking the
 		// newline count preceding each so rows and errors carry file
@@ -159,20 +186,12 @@ func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) 
 		if n == 0 {
 			return nil
 		}
-		// Deterministic parallel parse: chunk index = task index.
-		parallel.For(workers, n, func(_, i int) {
-			parseChunk(chunks[i], bases[i], po, &parses[i])
-		})
-		// In-order fold.
+		// Deterministic parallel work: chunk index = task index.
+		parallel.For(workers, n, func(_, i int) { work(i, chunks[i], bases[i]) })
+		// In-order merge.
 		for i := 0; i < n; i++ {
-			p := &parses[i]
-			if p.err != nil {
-				return p.err
-			}
-			if len(p.trips) > 0 {
-				if err := emit(p.trips); err != nil {
-					return err
-				}
+			if err := merge(i); err != nil {
+				return err
 			}
 		}
 	}
@@ -180,7 +199,7 @@ func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) 
 
 var nlBytes = []byte{'\n'}
 
-// scanState is the serial chunking coordinator.
+// scanState is the chunker's read state, owned by scanChunks.
 type scanState struct {
 	r         io.Reader
 	chunkSize int
@@ -372,6 +391,56 @@ func cutRecord(b []byte, final bool) (rec []byte, n int, ok bool) {
 	return nil, 0, false
 }
 
+// recordCutter walks the records of a record-aligned chunk. It is the
+// one record splitter of the parse and the place fold: the quote
+// fallback, CRLF, blank lines and file line numbers are handled here
+// and nowhere else.
+type recordCutter struct {
+	chunk []byte
+	pos   int
+	line  int // file line of the next record
+}
+
+// next returns the next non-blank record, its trailing CR stripped, with
+// the 1-based file line it starts on and whether it contains a quote
+// (and so takes the encoding/csv fallback). ok is false at the end of
+// the chunk.
+func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
+	for c.pos < len(c.chunk) {
+		rest := c.chunk[c.pos:]
+		// Fast cut: a record with no quote before its first newline ends
+		// there; only a quoted prefix needs the parity scan, and only
+		// the parity-cut record can contain quotes at all.
+		var n int
+		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
+			rec, n = rest[:nl], nl+1
+		} else {
+			rec, n = rest, len(rest) // final record, no terminator
+		}
+		quoted = bytes.IndexByte(rec, '"') >= 0
+		if quoted {
+			rec, n, _ = cutRecord(rest, true)
+		}
+		line = c.line
+		if rest[n-1] == '\n' {
+			c.line++
+		}
+		c.pos += n
+		if len(rec) > 0 && rec[len(rec)-1] == '\r' {
+			rec = rec[:len(rec)-1]
+		}
+		if len(rec) == 0 {
+			continue // blank line, as csv skips
+		}
+		if quoted {
+			// Only quoted records can span lines.
+			c.line += bytes.Count(rec, nlBytes)
+		}
+		return rec, line, quoted, true
+	}
+	return nil, 0, false, false
+}
+
 // chunkParse is one worker's reusable parse output.
 type chunkParse struct {
 	trips []RawTrip
@@ -392,36 +461,11 @@ func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 	}
 	out.trips = out.trips[:0]
 	out.err = nil
-	lines := base + 1 // file line of the next record
-	pos := 0
-	for pos < len(chunk) {
-		rest := chunk[pos:]
-		// Fast cut: a record with no quote before its first newline ends
-		// there; only a quoted prefix needs the parity scan, and only
-		// the parity-cut record can contain quotes at all.
-		var rec []byte
-		var n int
-		quoted := false
-		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
-			rec, n = rest[:nl], nl+1
-			quoted = bytes.IndexByte(rec, '"') >= 0
-		} else {
-			rec, n = rest, len(rest) // final record, no terminator
-			quoted = bytes.IndexByte(rec, '"') >= 0
-		}
-		if quoted {
-			rec, n, _ = cutRecord(rest, true)
-		}
-		recLine := lines
-		if chunk[pos+n-1] == '\n' {
-			lines++
-		}
-		pos += n
-		if len(rec) > 0 && rec[len(rec)-1] == '\r' {
-			rec = rec[:len(rec)-1]
-		}
-		if len(rec) == 0 {
-			continue // blank line, as csv skips
+	cut := recordCutter{chunk: chunk, line: base + 1}
+	for {
+		rec, line, quoted, ok := cut.next()
+		if !ok {
+			return
 		}
 		if len(out.trips) < cap(out.trips) {
 			out.trips = out.trips[:len(out.trips)+1]
@@ -429,63 +473,72 @@ func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 			out.trips = append(out.trips, RawTrip{})
 		}
 		rt := &out.trips[len(out.trips)-1]
-		rt.Line = recLine
+		rt.Line = line
 		var err error
 		if quoted {
-			// Only quoted records can span lines.
-			lines += bytes.Count(rec, nlBytes)
 			err = parseRecordSlow(rec, opts, rt)
 		} else {
 			err = parseRecordFast(rec, opts, rt)
 		}
 		if err != nil {
 			out.trips = out.trips[:len(out.trips)-1]
-			out.err = &RowError{Line: recLine, Err: err}
+			out.err = &RowError{Line: line, Err: err}
 			return
 		}
 	}
 }
 
-// parseRecordFast parses a record containing no quotes: seven fields
-// split in one pass, integers and the timestamp decoded from bytes. No
+// fastRecord is the integer and time fields of a record containing no
+// quotes, validated and decoded. Both the RawTrip parse and the place
+// fold go through parseFast, so they accept and reject the same records
+// with the same errors.
+type fastRecord struct {
+	ids   [4]int64 // orderid, userid, bikeid, biketype
+	start wallClock
+}
+
+// parseFast splits rec into its seven fields, decodes the integers and
+// the timestamp from bytes into fr, and returns the two geohash fields.
+// No allocations on success. fr holds no pointers and the fields come
+// back in registers, so the per-row stores need no write barrier. The
+// split runs on bytes.IndexByte: a byte loop here ran up to 30% faster
+// or slower from one build to the next as its code alignment moved.
+func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
+	var f [7][]byte
+	for i := range 6 {
+		c := bytes.IndexByte(rec, ',')
+		if c < 0 {
+			return nil, nil, errFieldCount
+		}
+		f[i], rec = rec[:c], rec[c+1:]
+	}
+	if bytes.IndexByte(rec, ',') >= 0 {
+		return nil, nil, errFieldCount
+	}
+	f[6] = rec
+	for i := range fr.ids {
+		if fr.ids[i], err = parseInt64(f[i]); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", csvHeader[i], err)
+		}
+	}
+	if fr.start, err = checkMobikeTime(f[4]); err != nil {
+		return nil, nil, fmt.Errorf("starttime: %w", err)
+	}
+	return f[5], f[6], nil
+}
+
+// parseRecordFast parses a record containing no quotes into rt. No
 // allocations on success. Every RawTrip field is assigned, so a dirty
 // reused slot is fully overwritten.
 func parseRecordFast(rec []byte, opts *ScanOptions, rt *RawTrip) error {
-	var f [7][]byte
-	nf, start := 0, 0
-	for i := 0; i < len(rec); i++ {
-		if rec[i] == ',' {
-			if nf == 6 {
-				return errFieldCount
-			}
-			f[nf] = rec[start:i]
-			nf++
-			start = i + 1
-		}
-	}
-	if nf != 6 {
-		return errFieldCount
-	}
-	f[6] = rec[start:]
-	var err error
-	if rt.OrderID, err = parseInt64(f[0]); err != nil {
-		return fmt.Errorf("orderid: %w", err)
-	}
-	if rt.UserID, err = parseInt64(f[1]); err != nil {
-		return fmt.Errorf("userid: %w", err)
-	}
-	if rt.BikeID, err = parseInt64(f[2]); err != nil {
-		return fmt.Errorf("bikeid: %w", err)
-	}
-	bikeType, err := parseInt64(f[3])
+	var fr fastRecord
+	start, end, err := parseFast(rec, &fr)
 	if err != nil {
-		return fmt.Errorf("biketype: %w", err)
+		return err
 	}
-	rt.BikeType = int(bikeType)
-	if rt.StartTime, err = parseMobikeTime(f[4]); err != nil {
-		return fmt.Errorf("starttime: %w", err)
-	}
-	rt.StartGeohash, rt.EndGeohash = f[5], f[6]
+	rt.OrderID, rt.UserID, rt.BikeID, rt.BikeType = fr.ids[0], fr.ids[1], fr.ids[2], int(fr.ids[3])
+	rt.StartTime = fr.start.time()
+	rt.StartGeohash, rt.EndGeohash = start, end
 	return decodeGeohashFields(opts, rt)
 }
 
@@ -526,21 +579,38 @@ func decodeGeohashFields(opts *ScanOptions, rt *RawTrip) error {
 	if !opts.decodeGeohashes {
 		return nil
 	}
-	if len(rt.StartGeohash) > 0 || !opts.allowEmptyGeohash {
-		ll, _, _, err := geo.DecodeGeohashBytes(rt.StartGeohash)
-		if err != nil {
-			return fmt.Errorf("start geohash: %w", err)
-		}
-		rt.StartLL, rt.HasStartLL = ll, true
+	start, end, err := decodeGeohashPair(rt.StartGeohash, rt.EndGeohash, opts.allowEmptyGeohash)
+	if err != nil {
+		return err
 	}
-	if len(rt.EndGeohash) > 0 || !opts.allowEmptyGeohash {
-		ll, _, _, err := geo.DecodeGeohashBytes(rt.EndGeohash)
-		if err != nil {
-			return fmt.Errorf("end geohash: %w", err)
-		}
-		rt.EndLL, rt.HasEndLL = ll, true
-	}
+	rt.StartLL, rt.HasStartLL = start.ll, start.ok
+	rt.EndLL, rt.HasEndLL = end.ll, end.ok
 	return nil
+}
+
+// cellCentre is a decoded geohash field: its cell centre, or ok false
+// for an empty field that was allowed.
+type cellCentre struct {
+	ll geo.LatLng
+	ok bool
+}
+
+// decodeGeohashPair decodes a record's start and end geohash fields.
+// With allowEmpty an empty field is skipped rather than failed.
+func decodeGeohashPair(start, end []byte, allowEmpty bool) (s, e cellCentre, err error) {
+	if len(start) > 0 || !allowEmpty {
+		if s.ll, _, _, err = geo.DecodeGeohashBytes(start); err != nil {
+			return s, e, fmt.Errorf("start geohash: %w", err)
+		}
+		s.ok = true
+	}
+	if len(end) > 0 || !allowEmpty {
+		if e.ll, _, _, err = geo.DecodeGeohashBytes(end); err != nil {
+			return s, e, fmt.Errorf("end geohash: %w", err)
+		}
+		e.ok = true
+	}
+	return s, e, nil
 }
 
 // parseInt64 is strconv.ParseInt(string(b), 10, 64) without the string.
@@ -582,49 +652,61 @@ func parseInt64(b []byte) (int64, error) {
 
 var errBadTime = errors.New("invalid timestamp")
 
-// parseMobikeTime parses csvTimeLayout ("2006-01-02 15:04:05") from
+// wallClock is a validated csvTimeLayout timestamp, not yet a time.Time.
+type wallClock struct {
+	year, month, day, hour, minute, sec int
+}
+
+// time is the wall-clock UTC instant, bit-identical to time.Parse's.
+func (c wallClock) time() time.Time {
+	return time.Date(c.year, time.Month(c.month), c.day, c.hour, c.minute, c.sec, 0, time.UTC)
+}
+
+// checkMobikeTime validates csvTimeLayout ("2006-01-02 15:04:05") from
 // bytes, accepting the same inputs time.Parse does for that layout: the
 // hour may be one or two digits ("15" is a non-padded verb), everything
 // else is fixed-width, and month/day/hour/minute/second are
-// range-checked. The result is bit-identical to time.Parse's (both are
-// wall-clock UTC).
-func parseMobikeTime(b []byte) (time.Time, error) {
+// range-checked. It is the only timestamp validator: the RawTrip parse
+// converts its result with time, the place fold discards it.
+func checkMobikeTime(b []byte) (wallClock, error) {
+	var c wallClock
 	if len(b) < 18 || len(b) > 19 {
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
 	if b[4] != '-' || b[7] != '-' || b[10] != ' ' {
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
-	year, ok := atoiFixed(b[0:4])
-	month, ok2 := atoiFixed(b[5:7])
-	day, ok3 := atoiFixed(b[8:10])
+	var ok, ok2, ok3 bool
+	c.year, ok = atoiFixed(b[0:4])
+	c.month, ok2 = atoiFixed(b[5:7])
+	c.day, ok3 = atoiFixed(b[8:10])
 	if !ok || !ok2 || !ok3 {
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
-	var hour, rest int
+	var rest int
 	switch {
 	case isDigit(b[11]) && isDigit(b[12]):
-		hour = int(b[11]-'0')*10 + int(b[12]-'0')
+		c.hour = int(b[11]-'0')*10 + int(b[12]-'0')
 		rest = 13
 	case isDigit(b[11]):
-		hour = int(b[11] - '0')
+		c.hour = int(b[11] - '0')
 		rest = 12
 	default:
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
 	if rest+6 != len(b) || b[rest] != ':' || b[rest+3] != ':' {
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
-	minute, ok := atoiFixed(b[rest+1 : rest+3])
-	sec, ok2 := atoiFixed(b[rest+4 : rest+6])
+	c.minute, ok = atoiFixed(b[rest+1 : rest+3])
+	c.sec, ok2 = atoiFixed(b[rest+4 : rest+6])
 	if !ok || !ok2 {
-		return time.Time{}, errBadTime
+		return c, errBadTime
 	}
-	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
-		hour > 23 || minute > 59 || sec > 59 {
-		return time.Time{}, errBadTime
+	if c.month < 1 || c.month > 12 || c.day < 1 || c.day > daysIn(c.month, c.year) ||
+		c.hour > 23 || c.minute > 59 || c.sec > 59 {
+		return c, errBadTime
 	}
-	return time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC), nil
+	return c, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -665,6 +747,27 @@ type ScanSummary struct {
 	MinLat, MinLng, MaxLat, MaxLng float64
 }
 
+// emptySummary is the summary of no rows: extrema outside every
+// coordinate, so the first centre sets them.
+var emptySummary = ScanSummary{MinLat: 91, MinLng: 181, MaxLat: -91, MaxLng: -181}
+
+// include widens the bounding box to ll.
+func (s *ScanSummary) include(ll geo.LatLng) {
+	s.Seen = true
+	s.MinLat, s.MaxLat = min(s.MinLat, ll.Lat), max(s.MaxLat, ll.Lat)
+	s.MinLng, s.MaxLng = min(s.MinLng, ll.Lng), max(s.MaxLng, ll.Lng)
+}
+
+// merge adds o's rows and widens the bounding box to o's. Counts, min
+// and max are order-free, so merging chunk summaries is bit-identical to
+// summarising their rows in one run.
+func (s *ScanSummary) merge(o ScanSummary) {
+	s.Trips += o.Trips
+	s.Seen = s.Seen || o.Seen
+	s.MinLat, s.MaxLat = min(s.MinLat, o.MinLat), max(s.MaxLat, o.MaxLat)
+	s.MinLng, s.MaxLng = min(s.MinLng, o.MinLng), max(s.MaxLng, o.MaxLng)
+}
+
 // Center returns the centre of the combined bounding box, bit-identical
 // to GeohashCenter over the materialised trips, or ErrNoGeohashes when
 // every geohash field was empty.
@@ -679,53 +782,145 @@ func (s ScanSummary) Center() (geo.LatLng, error) {
 // Empty geohash fields are skipped (GeohashCenter semantics); invalid
 // ones fail the scan.
 func ScanSummarize(r io.Reader, opts ScanOptions) (ScanSummary, error) {
-	return scanSummarizeVisit(r, opts, nil)
-}
-
-// scanSummarizeVisit is ScanSummarize that also hands every batch, its
-// geohashes decoded as ScanSummarize decodes them, to visit after
-// folding it, so a consumer that needs both the rows and the summary
-// reads the file once. A nil visit is ScanSummarize; a visit error
-// aborts the scan and is returned verbatim.
-func scanSummarizeVisit(r io.Reader, opts ScanOptions, visit func(batch []RawTrip) error) (ScanSummary, error) {
-	opts.decodeGeohashes = true
-	opts.allowEmptyGeohash = true
-	sum := ScanSummary{MinLat: 91, MinLng: 181, MaxLat: -91, MaxLng: -181}
-	err := IngestCSV(r, opts, func(batch []RawTrip) error {
-		for i := range batch {
-			rt := &batch[i]
-			sum.Trips++
-			if rt.HasStartLL {
-				sum.Seen = true
-				sum.MinLat, sum.MaxLat = min(sum.MinLat, rt.StartLL.Lat), max(sum.MaxLat, rt.StartLL.Lat)
-				sum.MinLng, sum.MaxLng = min(sum.MinLng, rt.StartLL.Lng), max(sum.MaxLng, rt.StartLL.Lng)
-			}
-			if rt.HasEndLL {
-				sum.Seen = true
-				sum.MinLat, sum.MaxLat = min(sum.MinLat, rt.EndLL.Lat), max(sum.MaxLat, rt.EndLL.Lat)
-				sum.MinLng, sum.MaxLng = min(sum.MinLng, rt.EndLL.Lng), max(sum.MaxLng, rt.EndLL.Lng)
-			}
-		}
-		if visit != nil {
-			return visit(batch)
-		}
-		return nil
-	})
+	f, err := foldCSV(r, opts)
 	if err != nil {
 		return ScanSummary{}, err
 	}
-	return sum, nil
+	return f.sum, nil
+}
+
+// places is a set of end cell centres with trip counts. The index is
+// keyed on the centre's bits, which hash faster than float keys;
+// FoldWeighted merges any two keys that compare equal.
+type places struct {
+	index   map[[2]uint64]int // centre bits -> position in centres
+	centres []geo.LatLng
+	counts  []int
+}
+
+func (p *places) add(ll geo.LatLng, n int) {
+	key := [2]uint64{math.Float64bits(ll.Lat), math.Float64bits(ll.Lng)}
+	k, ok := p.index[key]
+	if !ok {
+		if p.index == nil {
+			p.index = make(map[[2]uint64]int)
+		}
+		k = len(p.centres)
+		p.index[key] = k
+		p.centres = append(p.centres, ll)
+		p.counts = append(p.counts, 0)
+	}
+	p.counts[k] += n
+}
+
+// placeFold is the fold of a run of rows into places: the rows'
+// summary, the distinct end cell centres of the rows with both
+// geohashes, the first row with an empty geohash, held as pending, and
+// the first malformed row, where a chunk's fold stops. One placeFold per
+// worker folds a chunk and is reused across rounds; one more holds the
+// merge of the chunks in chunk order.
+type placeFold struct {
+	sum     ScanSummary
+	places  places
+	pending *RowError
+	err     *RowError
+}
+
+// foldChunk folds every record in a record-aligned chunk that follows
+// base newlines of the file. A record is validated exactly as
+// parseChunk parses it, so the fold fails on the same row with the same
+// error, but nothing is built from the ids and the time. It runs inside
+// parallel.For: it only touches its own chunk and fold.
+func (f *placeFold) foldChunk(chunk []byte, base int) {
+	f.sum = emptySummary
+	clear(f.places.index)
+	f.places.centres, f.places.counts = f.places.centres[:0], f.places.counts[:0]
+	f.pending, f.err = nil, nil
+	cut := recordCutter{chunk: chunk, line: base + 1}
+	for {
+		rec, line, quoted, ok := cut.next()
+		if !ok {
+			return
+		}
+		var start, end cellCentre
+		var err error
+		if quoted {
+			// The encoding/csv fallback parses into a RawTrip, decoding
+			// and skipping empty geohashes as the fast path does.
+			var rt RawTrip
+			if err = parseRecordSlow(rec, &ScanOptions{decodeGeohashes: true, allowEmptyGeohash: true}, &rt); err == nil {
+				start, end = cellCentre{rt.StartLL, rt.HasStartLL}, cellCentre{rt.EndLL, rt.HasEndLL}
+			}
+		} else {
+			var fr fastRecord
+			var startGeohash, endGeohash []byte
+			if startGeohash, endGeohash, err = parseFast(rec, &fr); err == nil {
+				start, end, err = decodeGeohashPair(startGeohash, endGeohash, true)
+			}
+		}
+		if err != nil {
+			f.err = &RowError{Line: line, Err: err}
+			return
+		}
+		f.sum.Trips++
+		if start.ok {
+			f.sum.include(start.ll)
+		}
+		if end.ok {
+			f.sum.include(end.ll)
+		}
+		switch {
+		case start.ok && end.ok:
+			f.places.add(end.ll, 1)
+		case f.pending == nil:
+			side := "end"
+			if !start.ok {
+				side = "start"
+			}
+			f.pending = &RowError{Line: line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
+		}
+	}
+}
+
+// merge folds the next chunk's fold, in chunk order, into f. A chunk's
+// malformed row ends the scan; the pending row is the first in chunk
+// order, so the first in the file.
+func (f *placeFold) merge(c *placeFold) error {
+	if c.err != nil {
+		return c.err
+	}
+	f.sum.merge(c.sum)
+	if f.pending == nil {
+		f.pending = c.pending
+	}
+	for i, ll := range c.places.centres {
+		f.places.add(ll, c.places.counts[i])
+	}
+	return nil
+}
+
+// foldCSV streams a Mobike CSV through per-chunk place folds on the
+// workers and returns their merge.
+func foldCSV(r io.Reader, opts ScanOptions) (*placeFold, error) {
+	opts = opts.withDefaults()
+	chunks := make([]placeFold, opts.Workers)
+	total := &placeFold{sum: emptySummary}
+	err := scanChunks(r, opts,
+		func(slot int, chunk []byte, base int) { chunks[slot].foldChunk(chunk, base) },
+		func(slot int) error { return total.merge(&chunks[slot]) })
+	return total, err
 }
 
 // ReadEndPoints returns the planar end points of the trips in a Mobike
 // CSV as a multiset of places, projected around the centre of the data's
 // own start+end geohash bounding box — exactly the fold of EndPoints
 // after GeohashCenter and ProjectTrips, without materialising a []Trip.
-// The file is read once. Rows fold as they are scanned, keyed on the
-// decoded end cell centre, and only the distinct centres are projected
-// once the scan has given the projection centre. Peak memory is the
-// scanner's O(ChunkSize × Workers) plus O(distinct end cells), whatever
-// the row count.
+// The file is read once. Each worker folds its chunks into a bounding
+// box and the distinct end cell centres with their counts; the
+// coordinator merges those in chunk order, and only the distinct
+// centres are projected once the scan has given the projection centre.
+// Peak memory is the scanner's O(ChunkSize × Workers) plus O(distinct
+// end cells) per worker, whatever the row count.
 //
 // A malformed row or an invalid geohash fails the read at its row. An
 // empty geohash fails it too, but ranks below both: the first one is
@@ -738,54 +933,24 @@ func ReadEndPoints(r io.Reader) (geo.Multiset, error) {
 
 // readEndPoints is ReadEndPoints with explicit chunk and worker settings.
 func readEndPoints(r io.Reader, opts ScanOptions) (geo.Multiset, error) {
-	// The index is keyed on the centre's bits, which hash faster than
-	// float keys; FoldWeighted merges any two keys that compare equal.
-	cell := make(map[[2]uint64]int) // end cell centre -> index in ends
-	var ends []geo.Point            // distinct centres as Point{X: Lng, Y: Lat}
-	var counts []int
-	var pending error
-	sum, err := scanSummarizeVisit(r, opts, func(batch []RawTrip) error {
-		if pending != nil {
-			return nil
-		}
-		for i := range batch {
-			rt := &batch[i]
-			if !rt.HasStartLL || !rt.HasEndLL {
-				side := "end"
-				if !rt.HasStartLL {
-					side = "start"
-				}
-				pending = &RowError{Line: rt.Line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
-				return nil
-			}
-			key := [2]uint64{math.Float64bits(rt.EndLL.Lat), math.Float64bits(rt.EndLL.Lng)}
-			k, ok := cell[key]
-			if !ok {
-				k = len(ends)
-				cell[key] = k
-				ends = append(ends, geo.Point{X: rt.EndLL.Lng, Y: rt.EndLL.Lat})
-				counts = append(counts, 0)
-			}
-			counts[k]++
-		}
-		return nil
-	})
+	f, err := foldCSV(r, opts)
 	if err != nil {
 		return geo.Multiset{}, err
 	}
-	if sum.Trips == 0 {
+	if f.sum.Trips == 0 {
 		return geo.Multiset{}, nil
 	}
-	center, err := sum.Center()
+	center, err := f.sum.Center()
 	if err != nil {
 		return geo.Multiset{}, err
 	}
-	if pending != nil {
-		return geo.Multiset{}, pending
+	if f.pending != nil {
+		return geo.Multiset{}, f.pending
 	}
 	projector := geo.NewProjector(center)
-	for i, ll := range ends {
-		ends[i] = projector.ToPlane(geo.LatLng{Lat: ll.Y, Lng: ll.X})
+	ends := make([]geo.Point, len(f.places.centres))
+	for i, ll := range f.places.centres {
+		ends[i] = projector.ToPlane(ll)
 	}
-	return geo.FoldWeighted(ends, counts), nil
+	return geo.FoldWeighted(ends, f.places.counts), nil
 }

@@ -53,8 +53,7 @@ func BenchmarkReadCSV(b *testing.B) {
 }
 
 // BenchmarkIngestCSVDecode is the ingest/scan section plus geohash
-// decoding, the configuration the bounded-memory demand pipeline runs
-// with.
+// decoding, the configuration ReadCSV runs with a projector.
 func BenchmarkIngestCSVDecode(b *testing.B) {
 	data, rows := benchCSV(b)
 	b.SetBytes(int64(len(data)))
@@ -99,9 +98,10 @@ func BenchmarkIngestCSVParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkScanSummarize is the pass-1 reducer of the streaming
-// pipeline: per-trip geohash decode folded straight into the bounding
-// boxes, no []Trip.
+// BenchmarkScanSummarize times the per-chunk place fold behind
+// ReadEndPoints, whose summary ScanSummarize returns: geohash decodes
+// folded straight into each chunk's bounding box and places, with no
+// batch of parsed rows.
 func BenchmarkScanSummarize(b *testing.B) {
 	data, rows := benchCSV(b)
 	b.SetBytes(int64(len(data)))

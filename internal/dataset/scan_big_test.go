@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -20,9 +19,10 @@ import (
 // ReadEndPoints and AggregateHistory without ever materialising a
 // []Trip or a point per row. Everything allocated must fit
 // TestLoadHistoryMemoryBound's formula: one scanner term for the single
-// pass (one ChunkSize header buffer plus, per worker, a ChunkSize read
-// buffer and a RawTrip batch of ChunkSize/32 slots), a bounded number of
-// bytes per distinct end cell, and slack for the demand grid. The row count defaults to 2M so plain
+// pass (one ChunkSize header buffer plus a ChunkSize read buffer per
+// worker), a bounded number of bytes per distinct end cell for each
+// worker's fold into places and for their merge, and slack for the
+// demand grid. The row count defaults to 2M so plain
 // `go test ./...` stays fast; set ESHARING_INGEST_ROWS=10000000 for the
 // 10M-row run.
 func TestIngestBoundedMemory(t *testing.T) {
@@ -79,12 +79,12 @@ func TestIngestBoundedMemory(t *testing.T) {
 
 	const (
 		chunkSize = 1 << 20 // the ScanOptions default
-		perPlace  = 256     // fold index, places, counts and sort scratch
+		perPlace  = 256     // per fold: index, places, counts and sort scratch
 		slack     = 4 << 20 // the demand grid and file state
 	)
 	workers := parallel.Default()
-	perPass := chunkSize + workers*(chunkSize+(chunkSize/32+1)*int(unsafe.Sizeof(RawTrip{})))
-	bound := uint64(perPlace*ends.Len() + perPass + slack)
+	perPass := chunkSize + workers*chunkSize
+	bound := uint64(perPlace*ends.Len()*(workers+1) + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("rows=%d places=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))

@@ -203,10 +203,11 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 	}
 }
 
-// TestScanSummaryMatchesMaterialized pins the streaming reductions to
-// their materialised counterparts, bit for bit: Center to GeohashCenter,
-// and ReadEndPoints to the fold of EndPoints(ProjectTrips(...)) around
-// that centre, at every worker count and chunk size.
+// TestScanSummaryMatchesMaterialized pins the per-chunk place fold to
+// its materialised counterparts, bit for bit: ScanSummarize's Center to
+// GeohashCenter, and ReadEndPoints to the fold of
+// EndPoints(ProjectTrips(...)) around that centre and to the row-by-row
+// reference loader, at every worker count and chunk size.
 func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	trips, err := Generate(Config{Days: 2, Seed: 5, TripsWeekday: 150, TripsWeekend: 100, Bikes: 30})
 	if err != nil {
@@ -247,19 +248,20 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 			t.Fatalf("workers=%d: centre %v, want %v", workers, center, wantCenter)
 		}
 		for _, chunk := range diffChunks {
-			got, err := readEndPoints(strings.NewReader(input), ScanOptions{ChunkSize: chunk, Workers: workers})
+			opts := ScanOptions{ChunkSize: chunk, Workers: workers}
+			got, err := readEndPoints(strings.NewReader(input), opts)
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
 			}
-			if got.Len() != ends.Len() || got.Total() != len(raw) {
-				t.Fatalf("workers=%d chunk=%d: read %d places (%d end points), want %d (%d)",
-					workers, chunk, got.Len(), got.Total(), ends.Len(), len(raw))
+			if msg := diffMultisets(got, ends); msg != "" {
+				t.Fatalf("workers=%d chunk=%d: %s", workers, chunk, msg)
 			}
-			for i, p := range ends.Points() {
-				if got.Points()[i] != p || got.Counts()[i] != ends.Counts()[i] {
-					t.Fatalf("workers=%d chunk=%d: place %d = %v ×%d, want %v ×%d",
-						workers, chunk, i, got.Points()[i], got.Counts()[i], p, ends.Counts()[i])
-				}
+			ref, err := readEndPointsReference(strings.NewReader(input), opts)
+			if err != nil {
+				t.Fatalf("workers=%d chunk=%d: reference: %v", workers, chunk, err)
+			}
+			if msg := diffMultisets(got, ref); msg != "" {
+				t.Fatalf("workers=%d chunk=%d: against the row-by-row reference: %s", workers, chunk, msg)
 			}
 		}
 	}
@@ -446,26 +448,6 @@ func TestIngestCSVEmitError(t *testing.T) {
 		func([]RawTrip) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
-	}
-}
-
-// TestScanSummarizeVisitError: a visit error aborts the scan and
-// surfaces verbatim.
-func TestScanSummarizeVisitError(t *testing.T) {
-	hdr := strings.Join(csvHeader, ",")
-	input := hdr + "\n" + strings.Repeat(goodRow, 50)
-	sentinel := errors.New("stop visit")
-	calls := 0
-	_, err := scanSummarizeVisit(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
-		func([]RawTrip) error {
-			calls++
-			return sentinel
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if calls != 1 {
-		t.Fatalf("visit called %d times after error, want 1", calls)
 	}
 }
 

@@ -56,9 +56,6 @@ func NewGrid(box BBox, cellSize float64) (*Grid, error) {
 	return &Grid{box: box, cellSize: cellSize, cols: int(cols), rows: int(rows)}, nil
 }
 
-// Box returns the grid's bounding box.
-func (g *Grid) Box() BBox { return g.box }
-
 // Cols returns the number of columns.
 func (g *Grid) Cols() int { return g.cols }
 

@@ -142,12 +142,16 @@ func TestClampedCellOf(t *testing.T) {
 }
 
 func TestCentroidInsideOwnCell(t *testing.T) {
-	g := testGrid(t)
+	box := Square(Pt(0, 0), 3000)
+	g, err := NewGrid(box, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < g.Rows(); r += 7 {
 		for c := 0; c < g.Cols(); c += 7 {
 			cell := Cell{Col: c, Row: r}
 			c := g.Centroid(cell)
-			if !g.Box().Contains(c) {
+			if !box.Contains(c) {
 				t.Fatalf("centroid of %v outside grid", cell)
 			}
 			if got := g.ClampedCellOf(c); got != cell {

@@ -124,9 +124,9 @@ const decisionPayloadLen = 1 + 6*8 + 1
 
 // ---- decoding ----------------------------------------------------------
 
-// DecodeRecord decodes one checksum-verified frame payload into a
+// decodeRecord decodes one checksum-verified frame payload into a
 // Genesis or a DecisionRecord.
-func DecodeRecord(payload []byte) (any, error) {
+func decodeRecord(payload []byte) (any, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("wal: empty record payload")
 	}
@@ -254,7 +254,7 @@ func ScanLog(name string, data []byte) (*ScanResult, error) {
 			}
 			return nil, &CorruptionError{File: name, Offset: off, Reason: "checksum mismatch"}
 		}
-		rec, err := DecodeRecord(payload)
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			// The frame checksummed clean but does not decode: that is
 			// a writer bug or tampering, never a torn write.
