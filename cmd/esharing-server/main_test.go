@@ -335,8 +335,13 @@ func setScanWorkers(t *testing.T, workers int) {
 // term for its single pass, a bounded number of bytes per distinct end
 // cell for each fold into places (one per worker, reused across chunks,
 // and their merge: an index, the places, their counts and the canonical
-// sort's scratch, all grown by doubling), and slack — nothing that
-// grows with the row count. The scanner holds one ChunkSize header
+// sort's scratch, all grown by doubling), each worker's two cell tables,
+// and slack — nothing that grows with the row count. A cell table maps a
+// chunk's packed geohashes at 12 B a slot; it starts at 1,024 slots and
+// doubles past 3/4 full, so with every generation it allocates under
+// max(24 KiB, 128 B per cell it holds). It holds at most the chunk's
+// distinct start or end cells, which here come from the same cells as
+// the end places. The scanner holds one ChunkSize header
 // buffer and, per worker, a ChunkSize read buffer; it builds no batch of
 // parsed rows. The row-by-row loader this replaced presized a RawTrip
 // batch of ChunkSize/32 slots per worker and allocated 12.6 MiB here,
@@ -351,6 +356,7 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 		perPlace  = 256     // per fold: index, places, counts and sort scratch
 		slack     = 1 << 20 // file state
 	)
+	cellTable := func(cells int) int { return max(24<<10, 128*cells) }
 	setScanWorkers(t, workers)
 	path, rows := writeCityCSV(t, dataset.Config{
 		Days: 5, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
@@ -360,13 +366,14 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 		t.Fatalf("loaded %d destinations, want %d", ends.Total(), rows)
 	}
 	perPass := chunkSize + workers*chunkSize
-	bound := uint64(perPlace*ends.Len()*(workers+1) + perPass + slack)
+	tables := workers * 2 * cellTable(ends.Len())
+	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
 	t.Logf("%d rows at %d places: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
 	if got > bound {
 		t.Fatalf("loadHistory allocated %d B for %d rows at %d places, bound %d B", got, rows, ends.Len(), bound)
 	}
-	if 16*rows <= perPlace*ends.Len()*(workers+1)+slack {
+	if 16*rows <= perPlace*ends.Len()*(workers+1)+tables+slack {
 		t.Fatalf("fixture too small: a point per row (%d B) would fit the bound's slack", 16*rows)
 	}
 }

@@ -333,13 +333,12 @@ var ingestCSV = lazy(new(fixtureGroup), func(*testing.B) ([]byte, error) {
 	return buf.Bytes(), nil
 })
 
-// ingestSections read the same in-memory CSV three ways: ReadCSV (the
+// ingestSections read the same in-memory CSV two ways: ReadCSV (the
 // scanner materialising every []Trip, the price of holding a whole
-// history), the bare zero-alloc scan, and the server's start-up path
-// from CSV to demand grid. The scan section is pinned to one worker;
-// ReadCSV and ReadEndPoints defer to parallel.Default, so `compare
-// -parallelism 1` pins them too. The encoding/csv baseline is the test
-// oracle that BenchmarkReadCSV in internal/dataset times.
+// history) and the server's start-up path from CSV to demand grid.
+// Both defer to parallel.Default, so `compare -parallelism 1` pins them
+// to one worker. The encoding/csv baseline is the test oracle that
+// BenchmarkReadCSV in internal/dataset times.
 func ingestSections() []Section {
 	section := func(name string, pass func(data []byte) error) Section {
 		return Section{Name: fmt.Sprintf("ingest/%s/rows=%d", name, ingestRows), Bench: func(b *testing.B) {
@@ -356,21 +355,6 @@ func ingestSections() []Section {
 	return []Section{
 		section("readcsv", func(data []byte) error {
 			_, err := dataset.ReadCSV(bytes.NewReader(data), nil)
-			return err
-		}),
-		// Geohash handling matches the readcsv section (ReadCSV with a
-		// nil projector validates but does not decode geohashes), so the
-		// ns gap between the two sections is the cost of materialising
-		// []Trip.
-		section("scan", func(data []byte) error {
-			n := 0
-			err := dataset.IngestCSV(bytes.NewReader(data), dataset.ScanOptions{Workers: 1}, func(batch []dataset.RawTrip) error {
-				n += len(batch)
-				return nil
-			})
-			if err == nil && n != ingestRows {
-				err = fmt.Errorf("scanned %d rows, want %d", n, ingestRows)
-			}
 			return err
 		}),
 		section("demand", func(data []byte) error {

@@ -172,7 +172,7 @@ func readCSV(r io.Reader, projector *geo.Projector, opts ScanOptions) ([]Trip, e
 	opts.decodeGeohashes = projector != nil
 	opts.allowEmptyGeohash = false
 	var trips []Trip
-	err := IngestCSV(r, opts, func(batch []RawTrip) error {
+	err := ingestCSV(r, opts, func(batch []rawTrip) error {
 		for i := range batch {
 			rt := &batch[i]
 			t := Trip{

@@ -101,6 +101,10 @@ func FuzzReadEndPoints(f *testing.F) {
 	f.Add(header+"\n"+valid+"1,2,3,1,2017-02-30 08:30:00,wx4g0bm,wx4g0bn\n", uint16(33), uint8(1))
 	f.Add(header+"\r\n\r\n"+strings.ReplaceAll(valid, "\n", "\r\n")+"\n\n"+row("2", "wx4g0bp", "wx4g0bq"), uint16(9), uint8(4))
 	f.Add(header+"\n"+row("1", "", "")+row("2", "", ""), uint16(512), uint8(1))
+	// One end cell reached packed, then from rows whose other geohash
+	// does not pack (13 characters, then empty), then packed again.
+	f.Add(header+"\n"+valid+row("2", "wx4g0bmwx4g0b", "wx4g0bn")+row("3", "", "wx4g0bn")+valid, uint16(512), uint8(1))
+	f.Add(header+"\n"+valid+row("2", "WX4G0BM", "wx4g0bn"), uint16(512), uint8(1))
 	f.Add(header+"\n", uint16(1), uint8(1))
 	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8) {
 		opts := ScanOptions{
@@ -114,6 +118,47 @@ func FuzzReadEndPoints(f *testing.F) {
 		}
 		if msg := diffMultisets(got, want); msg != "" {
 			t.Fatalf("chunk=%d workers=%d: %s", opts.ChunkSize, opts.Workers, msg)
+		}
+	})
+}
+
+// FuzzParseFast is the differential target for the one-pass record
+// parse: on any single record, parseFast and the field-split parse must
+// fail with the same error text, or return the same ids, time and
+// geohash fields.
+func FuzzParseFast(f *testing.F) {
+	for _, rec := range []string{
+		"1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"123456789012345678,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"1234567890123456789,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"9223372036854775808,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"+1,-2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,-,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,1,2017-05-10 8:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,1,2017-05-10 8:30:0,wx4g0bm,wx4g0bn",
+		"1,2,3,1,2017-02-30 08:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,1,2017-05-10 08:30:00,wx4g0bmwx4g0,wx4g0bmwx4g0b",
+		"1,2,3,1,2017-05-10 08:30:00,WX4G0BM,wx4g0ai",
+		"1,2,3,1,2017-05-10 08:30:00,,",
+		"1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn,",
+		"1,2,3,1,2017-05-10 08:30:00,wx4g0bm",
+		"1,,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,1,",
+	} {
+		f.Add(rec)
+	}
+	f.Fuzz(func(t *testing.T, rec string) {
+		var got, want fastRecord
+		gotStart, gotEnd, gotErr := parseFast([]byte(rec), &got)
+		wantStart, wantEnd, wantErr := parseFieldSplit([]byte(rec), &want)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: error %v, field split %v", rec, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if got != want || string(gotStart) != string(wantStart) || string(gotEnd) != string(wantEnd) {
+			t.Fatalf("%q: %+v %q %q, field split %+v %q %q", rec, got, gotStart, gotEnd, want, wantStart, wantEnd)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -30,12 +31,13 @@ import (
 //     place from byte slices with no per-field allocations; records
 //     containing quotes fall back to a per-record encoding/csv parse, so
 //     quoting semantics are inherited rather than re-implemented.
-//   - Two kinds of work run on the chunks. IngestCSV parses each into a
-//     batch of RawTrips (ReadCSV's path). The place fold behind
+//   - Two kinds of work run on the chunks. ingestCSV parses each into a
+//     batch of rawTrips (ReadCSV's path). The place fold behind
 //     ReadEndPoints and ScanSummarize validates every field the same
 //     way but builds nothing from the ids and the time: each worker
-//     folds its chunk into a bounding box and a few hundred places, and
-//     the coordinator merges those, not rows.
+//     folds its chunk into a bounding box and a few hundred places,
+//     decoding each geohash cell once per chunk, and the coordinator
+//     merges those, not rows.
 //   - Chunk index = task index and the merge runs in chunk order, so
 //     output is bit-identical to the sequential encoding/csv oracle at
 //     any worker count (FuzzScanCSV, FuzzReadEndPoints and the
@@ -84,10 +86,10 @@ func (o ScanOptions) withDefaults() ScanOptions {
 	return o
 }
 
-// RawTrip is one parsed Mobike record. The geohash byte slices point into
+// rawTrip is one parsed Mobike record. The geohash byte slices point into
 // the scanner's chunk buffer and are only valid during the emit callback;
 // copy (or string()) them to retain.
-type RawTrip struct {
+type rawTrip struct {
 	// Line is the 1-based file line the record starts on (the header is
 	// line 1), the line a RowError about this record would carry.
 	Line int
@@ -128,11 +130,11 @@ var (
 	errFieldCount = errors.New("wrong number of fields")
 )
 
-// IngestCSV streams the Mobike schema through emit in batches, in file
+// ingestCSV streams the Mobike schema through emit in batches, in file
 // order, after validating the header. Batches (and the geohash slices
 // inside them) are only valid for the duration of the callback. An emit
 // error aborts the scan and is returned verbatim.
-func IngestCSV(r io.Reader, opts ScanOptions, emit func(batch []RawTrip) error) error {
+func ingestCSV(r io.Reader, opts ScanOptions, emit func(batch []rawTrip) error) error {
 	opts = opts.withDefaults()
 	parses := make([]chunkParse, opts.Workers)
 	return scanChunks(r, opts,
@@ -443,21 +445,21 @@ func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 
 // chunkParse is one worker's reusable parse output.
 type chunkParse struct {
-	trips []RawTrip
+	trips []rawTrip
 	err   *RowError
 }
 
 // parseChunk parses every record in a record-aligned chunk that follows
 // base newlines of the file. It runs inside parallel.For: it only
 // touches its own chunk and output slot. Records parse directly into
-// their output slot (every RawTrip field is written on success) so the
+// their output slot (every rawTrip field is written on success) so the
 // hot loop never zeroes or copies a struct.
 func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 	if cap(out.trips) == 0 && len(chunk) > 0 {
 		// Reserve for the shortest plausible Mobike record up front:
 		// growing by doubling would repeatedly allocate and zero
 		// multi-megabyte pointer-ful slices on the first chunks.
-		out.trips = make([]RawTrip, 0, len(chunk)/32+1)
+		out.trips = make([]rawTrip, 0, len(chunk)/32+1)
 	}
 	out.trips = out.trips[:0]
 	out.err = nil
@@ -470,7 +472,7 @@ func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 		if len(out.trips) < cap(out.trips) {
 			out.trips = out.trips[:len(out.trips)+1]
 		} else {
-			out.trips = append(out.trips, RawTrip{})
+			out.trips = append(out.trips, rawTrip{})
 		}
 		rt := &out.trips[len(out.trips)-1]
 		rt.Line = line
@@ -489,7 +491,7 @@ func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
 }
 
 // fastRecord is the integer and time fields of a record containing no
-// quotes, validated and decoded. Both the RawTrip parse and the place
+// quotes, validated and decoded. Both the rawTrip parse and the place
 // fold go through parseFast, so they accept and reject the same records
 // with the same errors.
 type fastRecord struct {
@@ -497,13 +499,66 @@ type fastRecord struct {
 	start wallClock
 }
 
-// parseFast splits rec into its seven fields, decodes the integers and
-// the timestamp from bytes into fr, and returns the two geohash fields.
-// No allocations on success. fr holds no pointers and the fields come
-// back in registers, so the per-row stores need no write barrier. The
-// split runs on bytes.IndexByte: a byte loop here ran up to 30% faster
-// or slower from one build to the next as its code alignment moved.
+// maxFastDigits is the longest id run parseFast accepts: 18 decimal
+// digits stay below 10^18 < 2^63, so the run cannot overflow int64.
+const maxFastDigits = 18
+
+// parseFast decodes the integers and the timestamp of rec into fr and
+// returns the two geohash fields. No allocations on success. fr holds
+// no pointers and the fields come back in registers, so the per-row
+// stores need no write barrier. It walks the record once, accepting the
+// shape every Mobike row has: four runs of 1–18 unsigned digits, each
+// ended by a comma, an 18- or 19-byte timestamp that checkMobikeTime
+// accepts, and two comma-free geohash fields. Every other record goes to
+// parseFieldSplit, which accepts signs and longer integers and words
+// each error; on the records both accept they agree field for field
+// (FuzzParseFast).
 func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
+	i := 0
+	for k := range fr.ids {
+		var n uint64
+		j, end := i, min(len(rec), i+maxFastDigits+1)
+		for ; j < end; j++ {
+			d := rec[j] - '0'
+			if d > 9 {
+				break
+			}
+			n = n*10 + uint64(d)
+		}
+		if j == i || j-i > maxFastDigits || j == len(rec) || rec[j] != ',' {
+			return parseFieldSplit(rec, fr)
+		}
+		fr.ids[k] = int64(n)
+		i = j + 1
+	}
+	// The timestamp ends at the comma 18 or 19 bytes on; a comma inside
+	// either width fails checkMobikeTime, so the width is the field's.
+	rest := rec[i:]
+	var t int
+	switch {
+	case len(rest) > 18 && rest[18] == ',':
+		t = 18
+	case len(rest) > 19 && rest[19] == ',':
+		t = 19
+	default:
+		return parseFieldSplit(rec, fr)
+	}
+	if fr.start, err = checkMobikeTime(rest[:t]); err != nil {
+		return parseFieldSplit(rec, fr)
+	}
+	rest = rest[t+1:]
+	c := bytes.IndexByte(rest, ',')
+	if c < 0 || bytes.IndexByte(rest[c+1:], ',') >= 0 {
+		return parseFieldSplit(rec, fr)
+	}
+	return rest[:c], rest[c+1:], nil
+}
+
+// parseFieldSplit is parseFast for any record containing no quotes: it
+// splits rec into its seven fields, then decodes the integers (with an
+// optional sign, any length that fits int64) and the timestamp, and
+// words every error. It is parseFast's fallback and its oracle.
+func parseFieldSplit(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
 	var f [7][]byte
 	for i := range 6 {
 		c := bytes.IndexByte(rec, ',')
@@ -528,9 +583,9 @@ func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err
 }
 
 // parseRecordFast parses a record containing no quotes into rt. No
-// allocations on success. Every RawTrip field is assigned, so a dirty
+// allocations on success. Every rawTrip field is assigned, so a dirty
 // reused slot is fully overwritten.
-func parseRecordFast(rec []byte, opts *ScanOptions, rt *RawTrip) error {
+func parseRecordFast(rec []byte, opts *ScanOptions, rt *rawTrip) error {
 	var fr fastRecord
 	start, end, err := parseFast(rec, &fr)
 	if err != nil {
@@ -544,7 +599,7 @@ func parseRecordFast(rec []byte, opts *ScanOptions, rt *RawTrip) error {
 
 // parseRecordSlow parses a record containing quotes through encoding/csv,
 // inheriting its exact quoting semantics and errors.
-func parseRecordSlow(rec []byte, opts *ScanOptions, rt *RawTrip) error {
+func parseRecordSlow(rec []byte, opts *ScanOptions, rt *rawTrip) error {
 	cr := csv.NewReader(bytes.NewReader(rec))
 	cr.FieldsPerRecord = len(csvHeader)
 	fields, err := cr.Read()
@@ -571,8 +626,8 @@ func parseRecordSlow(rec []byte, opts *ScanOptions, rt *RawTrip) error {
 	return decodeGeohashFields(opts, rt)
 }
 
-func decodeGeohashFields(opts *ScanOptions, rt *RawTrip) error {
-	// Reset first: the RawTrip may be a dirty reused slot, and the
+func decodeGeohashFields(opts *ScanOptions, rt *rawTrip) error {
+	// Reset first: the rawTrip may be a dirty reused slot, and the
 	// skip-decode paths below must not leak a previous record's values.
 	rt.StartLL, rt.EndLL = geo.LatLng{}, geo.LatLng{}
 	rt.HasStartLL, rt.HasEndLL = false, false
@@ -653,60 +708,62 @@ func parseInt64(b []byte) (int64, error) {
 var errBadTime = errors.New("invalid timestamp")
 
 // wallClock is a validated csvTimeLayout timestamp, not yet a time.Time.
+// Its fields are as narrow as the layout allows (four digits of year,
+// two of the rest), so each row stores 8 bytes of it into a fastRecord
+// rather than 48.
 type wallClock struct {
-	year, month, day, hour, minute, sec int
+	year                          uint16
+	month, day, hour, minute, sec uint8
 }
 
 // time is the wall-clock UTC instant, bit-identical to time.Parse's.
 func (c wallClock) time() time.Time {
-	return time.Date(c.year, time.Month(c.month), c.day, c.hour, c.minute, c.sec, 0, time.UTC)
+	return time.Date(int(c.year), time.Month(c.month), int(c.day), int(c.hour), int(c.minute), int(c.sec), 0, time.UTC)
 }
 
 // checkMobikeTime validates csvTimeLayout ("2006-01-02 15:04:05") from
 // bytes, accepting the same inputs time.Parse does for that layout: the
 // hour may be one or two digits ("15" is a non-padded verb), everything
 // else is fixed-width, and month/day/hour/minute/second are
-// range-checked. It is the only timestamp validator: the RawTrip parse
+// range-checked. It is the only timestamp validator: the rawTrip parse
 // converts its result with time, the place fold discards it.
 func checkMobikeTime(b []byte) (wallClock, error) {
-	var c wallClock
 	if len(b) < 18 || len(b) > 19 {
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
 	if b[4] != '-' || b[7] != '-' || b[10] != ' ' {
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
-	var ok, ok2, ok3 bool
-	c.year, ok = atoiFixed(b[0:4])
-	c.month, ok2 = atoiFixed(b[5:7])
-	c.day, ok3 = atoiFixed(b[8:10])
+	year, ok := atoiFixed(b[0:4])
+	month, ok2 := atoiFixed(b[5:7])
+	day, ok3 := atoiFixed(b[8:10])
 	if !ok || !ok2 || !ok3 {
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
-	var rest int
+	var hour, rest int
 	switch {
 	case isDigit(b[11]) && isDigit(b[12]):
-		c.hour = int(b[11]-'0')*10 + int(b[12]-'0')
+		hour = int(b[11]-'0')*10 + int(b[12]-'0')
 		rest = 13
 	case isDigit(b[11]):
-		c.hour = int(b[11] - '0')
+		hour = int(b[11] - '0')
 		rest = 12
 	default:
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
 	if rest+6 != len(b) || b[rest] != ':' || b[rest+3] != ':' {
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
-	c.minute, ok = atoiFixed(b[rest+1 : rest+3])
-	c.sec, ok2 = atoiFixed(b[rest+4 : rest+6])
+	minute, ok := atoiFixed(b[rest+1 : rest+3])
+	sec, ok2 := atoiFixed(b[rest+4 : rest+6])
 	if !ok || !ok2 {
-		return c, errBadTime
+		return wallClock{}, errBadTime
 	}
-	if c.month < 1 || c.month > 12 || c.day < 1 || c.day > daysIn(c.month, c.year) ||
-		c.hour > 23 || c.minute > 59 || c.sec > 59 {
-		return c, errBadTime
+	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || minute > 59 || sec > 59 {
+		return wallClock{}, errBadTime
 	}
-	return c, nil
+	return wallClock{uint16(year), uint8(month), uint8(day), uint8(hour), uint8(minute), uint8(sec)}, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -798,7 +855,8 @@ type places struct {
 	counts  []int
 }
 
-func (p *places) add(ll geo.LatLng, n int) {
+// add adds n trips to the place at ll and returns its position.
+func (p *places) add(ll geo.LatLng, n int) int {
 	key := [2]uint64{math.Float64bits(ll.Lat), math.Float64bits(ll.Lng)}
 	k, ok := p.index[key]
 	if !ok {
@@ -811,6 +869,113 @@ func (p *places) add(ll geo.LatLng, n int) {
 		p.counts = append(p.counts, 0)
 	}
 	p.counts[k] += n
+	return k
+}
+
+// maxPackedGeohash is the longest geohash packGeohash packs: 12
+// characters of 5 bits and a 4-bit length fill a uint64.
+const maxPackedGeohash = 12
+
+// geohashCode numbers the bytes of the geohash alphabet 0–31 in byte
+// order and marks every other byte 0xFF. The alphabet is the one
+// geo.DecodeGeohashBytes accepts, probed one byte at a time, so the two
+// cannot drift apart.
+var geohashCode = func() [256]uint8 {
+	var t [256]uint8
+	code := uint8(0)
+	for b := range t {
+		t[b] = 0xFF
+		if _, _, _, err := geo.DecodeGeohashBytes([]byte{byte(b)}); err == nil {
+			t[b] = code
+			code++
+		}
+	}
+	if code != 32 {
+		panic(fmt.Sprintf("dataset: geohash alphabet has %d bytes, want 32", code))
+	}
+	return t
+}()
+
+// packGeohash packs a geohash of 1–12 alphabet bytes into a key unique
+// to it: the characters' codes, 5 bits each, above the length in the low
+// 4 bits, so no key is 0. ok is false for an empty field, a longer one
+// or a byte outside the alphabet; those decode on the unpacked path,
+// which also words their errors.
+func packGeohash(h []byte) (key uint64, ok bool) {
+	if len(h) == 0 || len(h) > maxPackedGeohash {
+		return 0, false
+	}
+	for _, c := range h {
+		v := geohashCode[c]
+		if v == 0xFF {
+			return 0, false
+		}
+		key = key<<5 | uint64(v)
+	}
+	return key<<4 | uint64(len(h)), true
+}
+
+// cellTableSlots is a cell table's starting size: 12 KiB, room for 768
+// cells before it doubles, where a 1 MiB chunk of the city CSV holds
+// about 470.
+const cellTableSlots = 1 << 10
+
+// cellTable is an open-addressing map, linearly probed, from packed
+// geohashes to place positions, emptied for every chunk. A zero key
+// marks a free slot.
+type cellTable struct {
+	keys  []uint64
+	vals  []int32
+	n     int
+	shift uint // 64 - log2(len(keys))
+}
+
+// reset empties t, allocating its slots on first use.
+func (t *cellTable) reset() {
+	if t.keys == nil {
+		t.alloc(cellTableSlots)
+	} else if t.n > 0 {
+		clear(t.keys)
+	}
+	t.n = 0
+}
+
+func (t *cellTable) alloc(slots int) {
+	t.keys, t.vals = make([]uint64, slots), make([]int32, slots)
+	t.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// slot returns the value slot of key, inserting key when absent; fresh
+// reports the insertion, whose slot the caller fills.
+func (t *cellTable) slot(key uint64) (v *int32, fresh bool) {
+	mask := uint64(len(t.keys) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case key:
+			return &t.vals[i], false
+		case 0:
+			if 4*(t.n+1) > 3*len(t.keys) {
+				t.grow()
+				return t.slot(key)
+			}
+			t.keys[i] = key
+			t.n++
+			return &t.vals[i], true
+		}
+	}
+}
+
+// grow doubles t, reinserting every key with its value.
+func (t *cellTable) grow() {
+	keys, vals := t.keys, t.vals
+	t.alloc(2 * len(keys))
+	t.n = 0
+	for i, k := range keys {
+		if k != 0 {
+			v, _ := t.slot(k)
+			*v = vals[i]
+		}
+	}
 }
 
 // placeFold is the fold of a run of rows into places: the rows'
@@ -818,12 +983,15 @@ func (p *places) add(ll geo.LatLng, n int) {
 // geohashes, the first row with an empty geohash, held as pending, and
 // the first malformed row, where a chunk's fold stops. One placeFold per
 // worker folds a chunk and is reused across rounds; one more holds the
-// merge of the chunks in chunk order.
+// merge of the chunks in chunk order. starts and ends are the chunk's
+// cell tables: the packed start cells already in the box, and the packed
+// end cells with their positions in places.
 type placeFold struct {
-	sum     ScanSummary
-	places  places
-	pending *RowError
-	err     *RowError
+	sum          ScanSummary
+	places       places
+	starts, ends cellTable
+	pending      *RowError
+	err          *RowError
 }
 
 // foldChunk folds every record in a record-aligned chunk that follows
@@ -835,6 +1003,8 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 	f.sum = emptySummary
 	clear(f.places.index)
 	f.places.centres, f.places.counts = f.places.centres[:0], f.places.counts[:0]
+	f.starts.reset()
+	f.ends.reset()
 	f.pending, f.err = nil, nil
 	cut := recordCutter{chunk: chunk, line: base + 1}
 	for {
@@ -845,9 +1015,9 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 		var start, end cellCentre
 		var err error
 		if quoted {
-			// The encoding/csv fallback parses into a RawTrip, decoding
+			// The encoding/csv fallback parses into a rawTrip, decoding
 			// and skipping empty geohashes as the fast path does.
-			var rt RawTrip
+			var rt rawTrip
 			if err = parseRecordSlow(rec, &ScanOptions{decodeGeohashes: true, allowEmptyGeohash: true}, &rt); err == nil {
 				start, end = cellCentre{rt.StartLL, rt.HasStartLL}, cellCentre{rt.EndLL, rt.HasEndLL}
 			}
@@ -855,6 +1025,12 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 			var fr fastRecord
 			var startGeohash, endGeohash []byte
 			if startGeohash, endGeohash, err = parseFast(rec, &fr); err == nil {
+				startKey, startOK := packGeohash(startGeohash)
+				endKey, endOK := packGeohash(endGeohash)
+				if startOK && endOK {
+					f.foldCells(startKey, startGeohash, endKey, endGeohash)
+					continue
+				}
 				start, end, err = decodeGeohashPair(startGeohash, endGeohash, true)
 			}
 		}
@@ -880,6 +1056,32 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 			f.pending = &RowError{Line: line, Err: fmt.Errorf("%s geohash: %w", side, geo.ErrInvalidGeohash)}
 		}
 	}
+}
+
+// foldCells folds a row whose two geohashes both pack, so both are
+// valid. Each cell is decoded and widens the box only the first time the
+// chunk sees it; later rows only count their end cell's trip. The box's
+// min and max ignore repeats and places merges equal centres, so this
+// is the row-by-row fold bit for bit.
+func (f *placeFold) foldCells(startKey uint64, startGeohash []byte, endKey uint64, endGeohash []byte) {
+	f.sum.Trips++
+	if _, fresh := f.starts.slot(startKey); fresh {
+		f.sum.include(decodeCell(startGeohash))
+	}
+	k, fresh := f.ends.slot(endKey)
+	if fresh {
+		ll := decodeCell(endGeohash)
+		f.sum.include(ll)
+		*k = int32(f.places.add(ll, 0))
+	}
+	f.places.counts[*k]++
+}
+
+// decodeCell decodes a geohash that packGeohash packed, which cannot
+// fail.
+func decodeCell(h []byte) geo.LatLng {
+	ll, _, _, _ := geo.DecodeGeohashBytes(h)
+	return ll
 }
 
 // merge folds the next chunk's fold, in chunk order, into f. A chunk's

@@ -37,9 +37,8 @@ func benchCSV(b *testing.B) ([]byte, int) {
 
 // BenchmarkReadCSV times the encoding/csv test oracle, the materialising
 // baseline the streaming scanner is measured against (EXPERIMENTS.md's
-// ingest throughput table). The scanner-backed ReadCSV and the bare scan
-// at one worker are the ingest/readcsv and ingest/scan sections of
-// internal/benchsuite, on the same CSV.
+// ingest throughput table). The scanner-backed ReadCSV is the
+// ingest/readcsv section of internal/benchsuite, on the same CSV.
 func BenchmarkReadCSV(b *testing.B) {
 	data, _ := benchCSV(b)
 	b.SetBytes(int64(len(data)))
@@ -52,8 +51,8 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestCSVDecode is the ingest/scan section plus geohash
-// decoding, the configuration ReadCSV runs with a projector.
+// BenchmarkIngestCSVDecode is the bare batch scan at one worker with
+// geohash decoding, the configuration ReadCSV runs with a projector.
 func BenchmarkIngestCSVDecode(b *testing.B) {
 	data, rows := benchCSV(b)
 	b.SetBytes(int64(len(data)))
@@ -62,7 +61,7 @@ func BenchmarkIngestCSVDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var n int
-		err := IngestCSV(bytes.NewReader(data), opts, func(batch []RawTrip) error {
+		err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
 			n += len(batch)
 			return nil
 		})
@@ -85,7 +84,7 @@ func BenchmarkIngestCSVParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var n int
-		err := IngestCSV(bytes.NewReader(data), opts, func(batch []RawTrip) error {
+		err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
 			n += len(batch)
 			return nil
 		})

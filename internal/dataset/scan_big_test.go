@@ -21,7 +21,9 @@ import (
 // TestLoadHistoryMemoryBound's formula: one scanner term for the single
 // pass (one ChunkSize header buffer plus a ChunkSize read buffer per
 // worker), a bounded number of bytes per distinct end cell for each
-// worker's fold into places and for their merge, and slack for the
+// worker's fold into places and for their merge, each worker's start
+// and end cell tables (under max(24 KiB, 128 B per cell) each; the
+// fixture's starts and ends share its 1,600 cells), and slack for the
 // demand grid. The row count defaults to 2M so plain
 // `go test ./...` stays fast; set ESHARING_INGEST_ROWS=10000000 for the
 // 10M-row run.
@@ -84,7 +86,8 @@ func TestIngestBoundedMemory(t *testing.T) {
 	)
 	workers := parallel.Default()
 	perPass := chunkSize + workers*chunkSize
-	bound := uint64(perPlace*ends.Len()*(workers+1) + perPass + slack)
+	tables := workers * 2 * max(24<<10, 128*ends.Len())
+	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("rows=%d places=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))

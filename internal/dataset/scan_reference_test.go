@@ -9,8 +9,8 @@ import (
 )
 
 // readEndPointsReference is the row-by-row loader readEndPoints used to
-// be, kept as the test oracle for the per-chunk place fold: IngestCSV
-// parses every row into a RawTrip batch, and the coordinator folds each
+// be, kept as the test oracle for the per-chunk place fold: ingestCSV
+// parses every row into a rawTrip batch, and the coordinator folds each
 // batch, row by row and in file order, into the bounding box and the
 // places. FuzzReadEndPoints and TestScanSummaryMatchesMaterialized pin
 // readEndPoints to it: the same error text, line included, and
@@ -23,7 +23,7 @@ func readEndPointsReference(r io.Reader, opts ScanOptions) (geo.Multiset, error)
 	var ends []geo.Point            // distinct centres as Point{X: Lng, Y: Lat}
 	var counts []int
 	var pending error
-	err := IngestCSV(r, opts, func(batch []RawTrip) error {
+	err := ingestCSV(r, opts, func(batch []rawTrip) error {
 		for i := range batch {
 			rt := &batch[i]
 			sum.Trips++

@@ -71,10 +71,10 @@ func diffCodecs(t *testing.T, input string) {
 				if pi > 0 {
 					continue
 				}
-				// RawTrip.Line is the line a RowError for the row would carry.
+				// rawTrip.Line is the line a RowError for the row would carry.
 				wantLines := referenceLines(t, input)
 				var gotLines []int
-				if err := IngestCSV(strings.NewReader(input), opts, func(batch []RawTrip) error {
+				if err := ingestCSV(strings.NewReader(input), opts, func(batch []rawTrip) error {
 					for i := range batch {
 						gotLines = append(gotLines, batch[i].Line)
 					}
@@ -267,6 +267,83 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestPackGeohash: packing is injective on geohashes of 1–12 alphabet
+// bytes, leading zeros (code 0) included, and refuses every other field.
+func TestPackGeohash(t *testing.T) {
+	const alphabet = "0123456789bcdefghjkmnpqrstuvwxyz"
+	seen := make(map[uint64]string)
+	add := func(h string) {
+		key, ok := packGeohash([]byte(h))
+		if !ok {
+			t.Fatalf("%q did not pack", h)
+		}
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("%q and %q pack to %#x", prev, h, key)
+		}
+		seen[key] = h
+	}
+	for i := range alphabet {
+		add(alphabet[i : i+1])
+		for j := range alphabet {
+			add(alphabet[i:i+1] + alphabet[j:j+1])
+		}
+	}
+	for n := 3; n <= maxPackedGeohash; n++ {
+		add(strings.Repeat("0", n))
+		add(strings.Repeat("z", n))
+	}
+	for _, h := range []string{"", "0000000000000", "wx4g0bmwx4g0b", "A", "a", "i", "l", "o", "wx4g,bm", "wx4g0b\xff"} {
+		if key, ok := packGeohash([]byte(h)); ok {
+			t.Errorf("%q packed to %#x", h, key)
+		}
+	}
+}
+
+// TestReadEndPointsManyCells drives the per-chunk cell tables past their
+// starting size: some 2,800 distinct end cells and as many start cells,
+// of every length from 1 to 13 characters, leading zeros included, in
+// one chunk and in many. The fold must match the row-by-row reference bit
+// for bit.
+func TestReadEndPointsManyCells(t *testing.T) {
+	const alphabet = "0123456789bcdefghjkmnpqrstuvwxyz"
+	cell := func(k int) string {
+		v := uint64(k) * 0x9E3779B97F4A7C15
+		if k < 32 {
+			v = 0 // "0", "00", ...: keys that differ only by their length
+		}
+		b := make([]byte, 1+k%13)
+		for j := range b {
+			b[j] = alphabet[v>>(5*j)&31]
+		}
+		return string(b)
+	}
+	var sb strings.Builder
+	sb.WriteString(strings.Join(csvHeader, ",") + "\n")
+	for i := range 9000 {
+		fmt.Fprintf(&sb, "%d,2,3,1,2017-05-10 08:30:00,%s,%s\n", i+1, cell(3000+i%3000), cell(i*7%3000))
+	}
+	input := sb.String()
+	for _, workers := range []int{1, 2} {
+		for _, chunk := range []int{1 << 12, 1 << 20} {
+			opts := ScanOptions{ChunkSize: chunk, Workers: workers}
+			got, err := readEndPoints(strings.NewReader(input), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readEndPointsReference(strings.NewReader(input), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() < 2000 {
+				t.Fatalf("%d places, want more than 2,000", got.Len())
+			}
+			if msg := diffMultisets(got, want); msg != "" {
+				t.Fatalf("workers=%d chunk=%d: %s", workers, chunk, msg)
+			}
+		}
+	}
+}
+
 // TestCSVWriterMatchesEncodingCSV pins the scratch-buffer writer to
 // encoding/csv byte for byte, including fields that need quoting.
 func TestCSVWriterMatchesEncodingCSV(t *testing.T) {
@@ -355,7 +432,7 @@ func TestIngestCSVAllocBudget(t *testing.T) {
 	rows := 0
 	allocs := testing.AllocsPerRun(3, func() {
 		rows = 0
-		if err := IngestCSV(bytes.NewReader(data), opts, func(batch []RawTrip) error {
+		if err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
 			rows += len(batch)
 			return nil
 		}); err != nil {
@@ -366,7 +443,7 @@ func TestIngestCSVAllocBudget(t *testing.T) {
 		t.Fatalf("scanned %d rows, want %d", rows, len(trips))
 	}
 	if allocs > 120 {
-		t.Fatalf("IngestCSV allocated %.0f times for %d rows — not O(1)", allocs, rows)
+		t.Fatalf("ingestCSV allocated %.0f times for %d rows — not O(1)", allocs, rows)
 	}
 }
 
@@ -444,8 +521,8 @@ func TestIngestCSVEmitError(t *testing.T) {
 	hdr := strings.Join(csvHeader, ",")
 	input := hdr + "\n" + strings.Repeat(goodRow, 50)
 	sentinel := errors.New("stop ingest")
-	err := IngestCSV(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
-		func([]RawTrip) error { return sentinel })
+	err := ingestCSV(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
+		func([]rawTrip) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -457,7 +534,7 @@ func TestIngestCSVReaderError(t *testing.T) {
 	input := hdr + "\n" + strings.Repeat(goodRow, 50)
 	boom := errors.New("disk on fire")
 	r := io.MultiReader(strings.NewReader(input), errReader{boom})
-	err := IngestCSV(r, ScanOptions{ChunkSize: 128, Workers: 2}, func([]RawTrip) error { return nil })
+	err := ingestCSV(r, ScanOptions{ChunkSize: 128, Workers: 2}, func([]rawTrip) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped reader error", err)
 	}

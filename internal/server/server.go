@@ -399,7 +399,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 // placeLocked serialises one placement on the shard: it waits for the
 // decision lock — abandoning the wait, with acquired=false, if the
 // client gives up first — applies the placement, updates the serving
-// counters, refreshes the read snapshot, and logs the decision durably.
+// counters, logs the decision durably, and then refreshes the read
+// snapshot.
 // The lock is released by defer, so a panicking placer cannot leak it;
 // the release still precedes the caller's response write.
 //
@@ -417,10 +418,11 @@ func (sh *shard) placeLocked(ctx context.Context, dest geo.Point) (decision core
 		return core.Decision{}, true, err
 	}
 	sh.record(decision)
-	sh.refreshAfterPlace(decision.Opened)
 	// The decision is durable (modulo -wal-sync batching) before the
-	// lock is released and the response committed.
+	// read snapshot shows it, the lock is released and the response
+	// committed: no lock-free reader sees a station the log may lose.
 	sh.logDecision(dest, decision)
+	sh.refreshAfterPlace(decision.Opened)
 	return decision, true, nil
 }
 

@@ -426,3 +426,66 @@ func TestWALMetricsExposed(t *testing.T) {
 		t.Error("wal metrics exposed without a wal")
 	}
 }
+
+// callOrderPlacer records the order of the placer calls the server
+// makes under the decision lock.
+type callOrderPlacer struct {
+	*core.ESharing
+	calls []string
+}
+
+func (p *callOrderPlacer) Place(dest geo.Point) (core.Decision, error) {
+	p.calls = append(p.calls, "Place")
+	return p.ESharing.Place(dest)
+}
+
+func (p *callOrderPlacer) Stations() []geo.Point {
+	p.calls = append(p.calls, "Stations")
+	return p.ESharing.Stations()
+}
+
+func (p *callOrderPlacer) MarshalState() ([]byte, error) {
+	p.calls = append(p.calls, "MarshalState")
+	return p.ESharing.MarshalState()
+}
+
+// TestWALLogsBeforePublish: a placement that opens a station is logged
+// before the read snapshot shows the station, so no lock-free reader
+// sees a station whose decision the log may still lose. At
+// SnapshotEvery 1 every append checkpoints the placer, so MarshalState
+// marks the log write and must precede the Stations call that publishes
+// the new set.
+func TestWALLogsBeforePublish(t *testing.T) {
+	p := &callOrderPlacer{ESharing: newWALPlacer(t)}
+	srv, err := newSingle(p, WithWAL(t.TempDir(), 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, dest := range walDests(200) {
+		p.calls = nil
+		body, err := json.Marshal(PlaceRequest{Dest: dest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body)))
+		var resp PlaceResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("place %v: %d %s", dest, rec.Code, rec.Body.String())
+		}
+		if !resp.Opened {
+			continue
+		}
+		for _, c := range p.calls {
+			if c == "Stations" {
+				t.Fatalf("opening placement published before it was logged: calls %v", p.calls)
+			}
+			if c == "MarshalState" {
+				return
+			}
+		}
+		t.Fatalf("opening placement not logged: calls %v", p.calls)
+	}
+	t.Fatal("no placement opened a station")
+}

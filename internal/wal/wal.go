@@ -125,8 +125,8 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if opts.Name == "" {
 		return nil, nil, fmt.Errorf("wal: options must name the placer")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
+	if err := mkdirDurable(dir); err != nil {
+		return nil, nil, err
 	}
 	// Leftover transient files are uncommitted snapshot attempts.
 	for _, stray := range []string{snapTmpName, logNewName} {
@@ -416,7 +416,36 @@ func commitFile(dir, tmp, final string, content []byte) error {
 	return syncDir(dir)
 }
 
-func syncDir(dir string) error {
+// mkdirDurable creates dir and any missing parents, as os.MkdirAll
+// does, and fsyncs the parent of every directory it created, so each new
+// entry survives a crash and not only the files later synced inside it.
+func mkdirDurable(dir string) error {
+	// Walk up to the first ancestor that already exists.
+	var missing []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		missing = append(missing, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for i := len(missing) - 1; i >= 0; i-- {
+		if err := syncDir(filepath.Dir(missing[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+// It is a variable so that tests can record which directories are
+// synced.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -465,5 +466,37 @@ func TestSnapshotDueCadence(t *testing.T) {
 	}
 	if l.SnapshotDue() {
 		t.Fatal("still due after snapshot")
+	}
+}
+
+// TestOpenSyncsCreatedDirectories: a directory Open creates is an entry
+// in its parent, durable only once the parent is fsynced. Opening two
+// shard logs under a fresh root must sync the parent of every directory
+// created (the temp dir for the root, the root for each shard) and the
+// shard directory itself for its new log file, and nothing above the
+// first ancestor that already existed.
+func TestOpenSyncsCreatedDirectories(t *testing.T) {
+	base := t.TempDir()
+	var synced []string
+	prev := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return prev(dir)
+	}
+	t.Cleanup(func() { syncDir = prev })
+
+	root := filepath.Join(base, "wal")
+	for i, want := range [][]string{
+		{base, root, filepath.Join(root, "shard-000")},
+		{root, filepath.Join(root, "shard-001")},
+	} {
+		synced = nil
+		l, _ := mustOpen(t, filepath.Join(root, fmt.Sprintf("shard-%03d", i)), testOpts())
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(synced, want) {
+			t.Fatalf("shard %d: synced %q, want %q", i, synced, want)
+		}
 	}
 }
