@@ -7,6 +7,10 @@
 //	GET  /v1/stations                            -> established stations
 //	GET  /v1/stats                               -> counters + similarity
 //	GET  /healthz                                -> liveness
+//	GET  /metrics                                -> Prometheus text format
+//
+// Tier 2 (bikes, rides, charging rounds) is not served: its fleet would
+// live only in memory, so it runs in-process through esharing.System.
 //
 // A -trips-csv history of any size is streamed in one bounded-memory
 // pass and kept only as a multiset of projected destination places, each
@@ -17,6 +21,7 @@
 //
 //	esharing-server [-addr :8080] [-algorithm e-sharing|meyerson|online-kmeans]
 //	                [-opening 10000] [-seed 1] [-trips-csv history.csv]
+//	                [-history-days 7]
 //	                [-max-inflight 256] [-pprof-addr :6060]
 //	                [-shards 4] [-shard-precision 4]
 //	                [-read-timeout 10s] [-write-timeout 30s] [-idle-timeout 2m]
@@ -38,10 +43,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/energy"
 	"repro/internal/geo"
 	"repro/internal/server"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -58,7 +61,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	tripsCSV := fs.String("trips-csv", "", "optional Mobike-schema CSV with historical trips; synthetic history is generated when empty")
 	historyDays := fs.Int("history-days", 7, "days of synthetic history when no CSV is given")
-	fleetSize := fs.Int("fleet", 0, "register this many bikes at the planned stations and enable the tier-2 endpoints")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInFlight, "placement requests allowed to hold or queue for the decision locks (divided across shards); beyond this the server sheds with 429 + Retry-After")
 	shards := fs.Int("shards", 1, "independent geo-sharded decision loops; requests route by the planar cell of their destination")
 	shardPrecision := fs.Int("shard-precision", geo.DefaultShardPrecision, "planar cell precision for shard routing (1-12): 4 is ~one cell per city, 6-7 shards within a city")
@@ -96,14 +98,6 @@ func run(args []string) error {
 	}
 	if *walDir != "" {
 		opts = append(opts, server.WithWAL(*walDir, *walSync, *walSnapshotEvery))
-	}
-	if *fleetSize > 0 {
-		fleet, err := buildFleet(allStations(placers), *fleetSize, *seed)
-		if err != nil {
-			return fmt.Errorf("build fleet: %w", err)
-		}
-		opts = append(opts, server.WithFleet(fleet))
-		log.Printf("fleet of %d bikes built for the tier-2 endpoints", *fleetSize)
 	}
 	handler, err := server.NewSharded(placers, opts...)
 	if err != nil {
@@ -239,16 +233,6 @@ func partitionByShard(history geo.Multiset, precision, shards int) []geo.Multise
 	return history.Split(shards, func(p geo.Point) int { return geo.ShardOf(p, precision, shards) })
 }
 
-// allStations concatenates the shards' initial stations in shard-index
-// order (the same order /v1/stations serves them).
-func allStations(placers []core.OnlinePlacer) []geo.Point {
-	var out []geo.Point
-	for _, p := range placers {
-		out = append(out, p.Stations()...)
-	}
-	return out
-}
-
 func buildPlacer(algorithm string, dests geo.Multiset, opening float64, seed uint64) (core.OnlinePlacer, error) {
 	switch algorithm {
 	case "e-sharing":
@@ -266,29 +250,6 @@ func buildPlacer(algorithm string, dests geo.Multiset, opening float64, seed uin
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", algorithm)
 	}
-}
-
-// buildFleet scatters bikes across the given stations with the
-// Fig. 2(d) low-battery tail.
-func buildFleet(stations []geo.Point, size int, seed uint64) (*energy.Fleet, error) {
-	if len(stations) == 0 {
-		return nil, fmt.Errorf("no stations to park bikes at")
-	}
-	fleet, err := energy.NewFleet(energy.DefaultModel())
-	if err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(seed + 101)
-	for i := 1; i <= size; i++ {
-		st := stations[rng.IntN(len(stations))]
-		if err := fleet.Add(energy.Bike{ID: int64(i), Loc: st, Level: 1}); err != nil {
-			return nil, err
-		}
-	}
-	if err := fleet.SeedLevels(stats.NewRNG(seed+102), 0.2); err != nil {
-		return nil, err
-	}
-	return fleet, nil
 }
 
 func planLandmarks(dests geo.Multiset, opening float64) ([]geo.Point, error) {

@@ -505,28 +505,6 @@ func TestPlanLandmarksDegenerateHistories(t *testing.T) {
 	}
 }
 
-func TestBuildFleet(t *testing.T) {
-	history := testEnds(t)
-	placer, err := buildPlacer("e-sharing", history, 10000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := buildFleet(placer.Stations(), 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fleet.Len() != 40 {
-		t.Errorf("fleet size %d, want 40", fleet.Len())
-	}
-	if len(fleet.LowBikes()) == 0 {
-		t.Error("fleet should have a low-battery tail")
-	}
-	// No stations -> error.
-	if _, err := buildFleet(nil, 5, 1); err == nil {
-		t.Error("fleet without stations should error")
-	}
-}
-
 // TestBuildPlacersSharded covers the shard partitioning of the offline
 // plan: one placer per shard, history split by destination cell, the
 // single-shard passthrough, and the empty-partition fallback (synthetic
@@ -664,27 +642,4 @@ func TestBuildPlacersPartitionAlloc(t *testing.T) {
 	checkParts(got, oracle)
 	// Many shards, most of them empty: the parts must not change.
 	checkParts(partitionByShard(history, prec, 300), appendPartition(rows, prec, 300))
-}
-
-// TestAllStations: the startup station union concatenates in shard
-// order, matching the order /v1/stations serves.
-func TestAllStations(t *testing.T) {
-	history := testEnds(t)
-	placers, err := buildPlacers("e-sharing", history, 10000, 1, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := allStations(placers)
-	idx := 0
-	for s, p := range placers {
-		for _, st := range p.Stations() {
-			if all[idx] != st {
-				t.Fatalf("allStations[%d] = %v, want shard %d station %v", idx, all[idx], s, st)
-			}
-			idx++
-		}
-	}
-	if idx != len(all) {
-		t.Fatalf("allStations has %d points, placers have %d", len(all), idx)
-	}
 }

@@ -200,34 +200,25 @@ func peacockSection(n int) Section {
 }
 
 // driftSections time a 100-point window from a shifted box against a
-// uniform history of h points. ks/online is the uncached sweep over H
-// and W; ks/reference is the per-test query the placer runs on a
-// prebuilt KSReference, and ks/reference-build the one-off build it
-// pays on its first test. Both start from the history folded into
-// places, as the placer holds it; the fold is paid when the history is
-// loaded.
+// uniform history of h points. ks/reference is the per-test query the
+// placer runs on a prebuilt KSReference, and ks/reference-build the
+// one-off build it pays on its first test. Both start from the history
+// folded into places, as the placer holds it; the fold is paid when the
+// history is loaded.
 func driftSections(h int, withBuild bool) []Section {
 	type drift struct {
-		hist, window []geo.Point
-		places       geo.Multiset // hist folded, as the placer holds it
+		window []geo.Point
+		places geo.Multiset // the history folded, as the placer holds it
 	}
 	g := new(fixtureGroup)
 	samples := lazy(g, func(*testing.B) (drift, error) {
 		rng := stats.NewRNG(uint64(h))
 		hist := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 5000)}, h)
 		window := stats.SamplePoints(rng, stats.UniformDist{Box: geo.Square(geo.Pt(1000, 1000), 5000)}, 100)
-		return drift{hist, window, geo.FoldPoints(hist)}, nil
+		return drift{window, geo.FoldPoints(hist)}, nil
 	})
 	ref := lazy(g, func(b *testing.B) (*stats.KSReference, error) { return stats.NewKSReference(samples(b).places) })
 	out := []Section{
-		{Name: fmt.Sprintf("ks/online/H=%d", h), Bench: func(b *testing.B) {
-			d := samples(b)
-			for i := 0; i < b.N; i++ {
-				if _, err := stats.Peacock2DFast(d.hist, d.window); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{Name: fmt.Sprintf("ks/reference/H=%d", h), Bench: func(b *testing.B) {
 			r, window := ref(b), samples(b).window
 			for i := 0; i < b.N; i++ {

@@ -97,18 +97,6 @@ func (f *Fleet) Add(b Bike) error {
 	return nil
 }
 
-// Len returns the fleet size.
-func (f *Fleet) Len() int { return len(f.order) }
-
-// Get returns a snapshot of one bike.
-func (f *Fleet) Get(id int64) (Bike, error) {
-	b, ok := f.bikes[id]
-	if !ok {
-		return Bike{}, fmt.Errorf("%w: %d", ErrUnknownBike, id)
-	}
-	return *b, nil
-}
-
 // Ride moves bike id to dest, draining charge proportionally to the
 // Euclidean distance. It fails without state change when the battery
 // cannot cover the leg.

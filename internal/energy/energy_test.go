@@ -69,10 +69,7 @@ func TestRideDrainsBattery(t *testing.T) {
 	if err := f.Ride(1, geo.Pt(10, 3500)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := f.Bikes()[0]
 	if math.Abs(b.Level-0.9) > 1e-9 {
 		t.Errorf("level=%v, want 0.9", b.Level)
 	}
@@ -94,7 +91,7 @@ func TestRideEmptyBattery(t *testing.T) {
 	if !errors.Is(err, ErrBatteryEmpty) {
 		t.Fatalf("want ErrBatteryEmpty, got %v", err)
 	}
-	b, _ := f.Get(1)
+	b := f.Bikes()[0]
 	if b.Loc != geo.Pt(0, 0) || b.Level != 0.01 {
 		t.Error("failed ride mutated state")
 	}
@@ -108,9 +105,6 @@ func TestRideEmptyBattery(t *testing.T) {
 
 func TestUnknownBike(t *testing.T) {
 	f := newTestFleet(t, 1)
-	if _, err := f.Get(99); !errors.Is(err, ErrUnknownBike) {
-		t.Errorf("Get: %v", err)
-	}
 	if err := f.Ride(99, geo.Pt(0, 0)); !errors.Is(err, ErrUnknownBike) {
 		t.Errorf("Ride: %v", err)
 	}
@@ -136,14 +130,14 @@ func TestChargeAndTeleport(t *testing.T) {
 	if err := f.Charge(1); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := f.Get(1)
+	b := f.Bikes()[0]
 	if b.Level != 1 {
 		t.Errorf("level=%v after charge", b.Level)
 	}
 	if err := f.Teleport(1, geo.Pt(500, 500)); err != nil {
 		t.Fatal(err)
 	}
-	b, _ = f.Get(1)
+	b = f.Bikes()[0]
 	if b.Loc != geo.Pt(500, 500) || b.Level != 1 {
 		t.Error("teleport should move without draining")
 	}
@@ -246,8 +240,7 @@ func TestBikesSnapshotIsCopy(t *testing.T) {
 	f := newTestFleet(t, 2)
 	snap := f.Bikes()
 	snap[0].Level = 0
-	b, _ := f.Get(snap[0].ID)
-	if b.Level != 1 {
+	if f.Bikes()[0].Level != 1 {
 		t.Error("Bikes snapshot aliases fleet state")
 	}
 }

@@ -83,9 +83,9 @@ func TestHandlePickupRelocates(t *testing.T) {
 	if offer.Sink != 1 || offer.BikeID != 1 {
 		t.Errorf("offer=%+v, want sink 1 bike 1", offer)
 	}
-	b, err := fleet.Get(1)
-	if err != nil {
-		t.Fatal(err)
+	b := fleet.Bikes()[0] // bike 1, registered first
+	if b.ID != 1 {
+		t.Fatalf("first bike is %d, want 1", b.ID)
 	}
 	if b.Loc != geo.Pt(400, 0) {
 		t.Errorf("bike 1 at %v, want sink location", b.Loc)

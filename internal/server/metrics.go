@@ -22,8 +22,7 @@ import (
 // Endpoint indices for the instrumented routes. epOther catches
 // requests no registered route matches (the mux's 404/405 responses),
 // which would otherwise bypass instrumentation and leave client-visible
-// errors uncounted. Fleet endpoints are registered only with WithFleet
-// but always have slots so the arrays stay fixed-size.
+// errors uncounted.
 const (
 	epPlace = iota
 	epStations
@@ -31,16 +30,11 @@ const (
 	epHealth
 	epMetrics
 	epOther
-	epBikes
-	epAddBike
-	epRide
-	epCharging
 	numEndpoints
 )
 
 var endpointNames = [numEndpoints]string{
 	"place", "stations", "stats", "healthz", "metrics", "other",
-	"bikes", "add_bike", "ride", "charging_round",
 }
 
 // Error kinds for esharing_request_errors_total, derived from the
@@ -95,7 +89,7 @@ func kindOfStatus(status int) int {
 // latencyBucketBounds are the histogram upper bounds in seconds
 // (exclusive of the implicit +Inf bucket). They span 100µs..5s: the
 // decision hot path sits in the first few buckets, queue waits and
-// tier-2 charging rounds in the tail.
+// drift tests on a large history in the tail.
 var latencyBucketBounds = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
@@ -184,8 +178,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// maxBodyBytes caps request bodies: a placement or fleet request is a
-// small JSON object, so anything bigger is garbage or abuse.
+// maxBodyBytes caps request bodies: a placement request is a small
+// JSON object, so anything bigger is garbage or abuse.
 const maxBodyBytes = 1 << 20
 
 // instrument wraps a route handler with the shared serving-path
@@ -219,10 +213,9 @@ func (s *Server) instrument(ep int, h http.HandlerFunc) http.HandlerFunc {
 
 // handleMetrics renders counters in the Prometheus text exposition
 // format so standard scrapers can monitor a deployment without extra
-// dependencies. Everything tier-1 comes from atomic counters and the
-// published station snapshot, so a scrape never contends with the
-// placement decision stream; only the tier-2 fleet gauges briefly take
-// the fleet's own lock.
+// dependencies. Everything comes from atomic counters and the published
+// station snapshots, so a scrape never contends with the placement
+// decision stream.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	v := s.view()
 	var requests, opened, shed int64
@@ -238,14 +231,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	hasWAL := s.walDir != ""
 	stations := len(v.stations)
-	var fleetSize, fleetLow int
-	hasFleet := s.fleet != nil
-	if hasFleet {
-		s.fleetMu.Lock()
-		fleetSize = s.fleet.Len()
-		fleetLow = len(s.fleet.LowBikes())
-		s.fleetMu.Unlock()
-	}
 
 	var sb strings.Builder
 	sb.Grow(8 << 10)
@@ -262,10 +247,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeMetric("esharing_place_queue_depth", "Placement requests admitted and queued on the decision locks.", "gauge", queueDepth)
 	writeMetric("esharing_place_queue_limit", "Admission queue capacity (-max-inflight, summed over shards).", "gauge", queueLimit)
 	writeMetric("esharing_shards", "Independent geo-sharded decision loops.", "gauge", len(s.shards))
-	if hasFleet {
-		writeMetric("esharing_fleet_bikes", "Registered bikes.", "gauge", fleetSize)
-		writeMetric("esharing_fleet_low_bikes", "Bikes below the charging threshold.", "gauge", fleetLow)
-	}
 	if hasWAL {
 		var wm wal.Metrics
 		var walFailures, walReplayed, walReplayNanos int64
@@ -340,9 +321,6 @@ func (s *Server) writeErrorCounters(sb *strings.Builder) {
 	sb.WriteString("# TYPE esharing_request_errors_total counter\n")
 	var num [24]byte
 	for ep := range s.endpoints {
-		if !s.endpointActive(ep) {
-			continue
-		}
 		for k := 0; k < numKinds; k++ {
 			if v := s.endpoints[ep].errs[k].Load(); v > 0 {
 				sb.WriteString(errLinePrefixes[ep][k])
@@ -362,9 +340,6 @@ func (s *Server) writeLatencyHistograms(sb *strings.Builder) {
 	sb.WriteString("# TYPE esharing_request_duration_seconds histogram\n")
 	var num [32]byte
 	for ep := range s.endpoints {
-		if !s.endpointActive(ep) {
-			continue
-		}
 		h := &s.endpoints[ep].latency
 		var cum int64
 		for i := 0; i < numLatencyBuckets; i++ {
@@ -380,14 +355,6 @@ func (s *Server) writeLatencyHistograms(sb *strings.Builder) {
 		sb.Write(strconv.AppendInt(num[:0], cum, 10))
 		sb.WriteByte('\n')
 	}
-}
-
-// endpointActive reports whether ep's route is registered on this
-// server (fleet endpoints only exist when a fleet is attached).
-func (s *Server) endpointActive(ep int) bool {
-	// Lock-free nil check: the fleet pointer is written once during
-	// construction and never reassigned, only its contents mutate.
-	return ep < epBikes || s.fleet != nil //esharing:allow guardedby -- set-once pointer, nil-check only
 }
 
 // formatBound renders a bucket bound the way Prometheus clients do

@@ -443,8 +443,12 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 	expect(http.MethodPost, "/v1/requests", `{"dest":{"x":1e999,"y":0}}`, http.StatusBadRequest)
 	expect(http.MethodGet, "/no/such/route", "", http.StatusNotFound)
 	expect(http.MethodDelete, "/v1/stations", "", http.StatusMethodNotAllowed)
+	// Tier 2 is not served (its fleet runs in-process): the fleet routes
+	// are unmatched and answer the mux's 404.
+	expect(http.MethodGet, "/v1/bikes", "", http.StatusNotFound)
+	expect(http.MethodPost, "/v1/rides", `{"bikeId":1,"dest":{"x":0,"y":0}}`, http.StatusNotFound)
+	expect(http.MethodPost, "/v1/charging-round", `{"alpha":0.4}`, http.StatusNotFound)
 
-	const extraErrors = 4
 	families = scrape(t, ts.URL)
 	errFam := families["esharing_request_errors_total"]
 	for _, want := range []struct {
@@ -453,7 +457,7 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 	}{
 		{"place", "shed", sent - 2},
 		{"place", "bad_request", 2},
-		{"other", "not_found", 1},
+		{"other", "not_found", 4},
 		{"other", "method_not_allowed", 1},
 	} {
 		if got := counterValue(errFam, map[string]string{"endpoint": want.endpoint, "kind": want.kind}); got != want.value {

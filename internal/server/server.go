@@ -26,11 +26,9 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/geo"
 	"repro/internal/wal"
 )
@@ -150,7 +148,7 @@ func sameStationArrays(a, b []*readSnapshot) bool {
 }
 
 // Server wraps one or more online placers (one per geo-shard) behind an
-// HTTP API; WithFleet adds tier-2 fleet endpoints.
+// HTTP API.
 type Server struct {
 	name string // placer.Name(), shared by all shards, cached for reads
 
@@ -161,17 +159,6 @@ type Server struct {
 	shards         []*shard
 	shardPrecision int
 	maxInFlight    int // fleet-wide admission budget (-max-inflight)
-
-	fleetMu sync.Mutex // guards fleet independently of the decision locks
-	// fleet is nil unless built with WithFleet; the pointer is set
-	// once before serving, its state mutates only under the lock.
-	// guarded by fleetMu
-	fleet *energy.Fleet
-	// getBike reads one bike's post-ride state (called under fleetMu).
-	// It exists as a seam: with the real fleet a lookup after a
-	// successful ride cannot fail, so tests inject failures here to
-	// pin handleRide's no-zero-valued-200 contract.
-	getBike func(id int64) (energy.Bike, error)
 
 	// WAL configuration handed to the shards by NewSharded; each shard
 	// owns its log (multi-shard servers use walDir/shard-<index>).
@@ -286,12 +273,6 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/stats", s.instrument(epStats, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", s.instrument(epHealth, s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.instrument(epMetrics, s.handleMetrics))
-	if s.endpointActive(epBikes) { // WithFleet attached a fleet
-		s.mux.HandleFunc("GET /v1/bikes", s.instrument(epBikes, s.handleBikes))
-		s.mux.HandleFunc("POST /v1/bikes", s.instrument(epAddBike, s.handleAddBike))
-		s.mux.HandleFunc("POST /v1/rides", s.instrument(epRide, s.handleRide))
-		s.mux.HandleFunc("POST /v1/charging-round", s.instrument(epCharging, s.handleChargingRound))
-	}
 	s.fallback = s.instrument(epOther, s.mux.ServeHTTP)
 	return s, nil
 }
