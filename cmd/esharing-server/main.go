@@ -1,7 +1,9 @@
 // Command esharing-server runs the E-Sharing decision backend over HTTP.
 //
 // It plans offline landmarks from a synthetic (or CSV) trip history, then
-// serves live placement decisions:
+// serves live placement decisions from Algorithm 2, the online placer
+// with the deviation penalty (the paper's baselines run in-process in
+// esharing-bench, not behind the server):
 //
 //	POST /v1/requests  {"dest":{"x":..,"y":..}}  -> parking decision
 //	GET  /v1/stations                            -> established stations
@@ -19,9 +21,8 @@
 //
 // Usage:
 //
-//	esharing-server [-addr :8080] [-algorithm e-sharing|meyerson|online-kmeans]
-//	                [-opening 10000] [-seed 1] [-trips-csv history.csv]
-//	                [-history-days 7]
+//	esharing-server [-addr :8080] [-opening 10000] [-seed 1]
+//	                [-trips-csv history.csv] [-history-days 7]
 //	                [-max-inflight 256] [-pprof-addr :6060]
 //	                [-shards 4] [-shard-precision 4]
 //	                [-read-timeout 10s] [-write-timeout 30s] [-idle-timeout 2m]
@@ -56,7 +57,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("esharing-server", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	algorithm := fs.String("algorithm", "e-sharing", "placement algorithm: e-sharing, meyerson or online-kmeans")
 	opening := fs.Float64("opening", 10000, "space-occupation cost per station (metres)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	tripsCSV := fs.String("trips-csv", "", "optional Mobike-schema CSV with historical trips; synthetic history is generated when empty")
@@ -81,7 +81,7 @@ func run(args []string) error {
 	}
 	log.Printf("loaded %d historical trip destinations at %d distinct places", history.Total(), history.Len())
 
-	placers, err := buildPlacers(*algorithm, history, *opening, *seed, *shards, *shardPrecision)
+	placers, err := buildPlacers(history, *opening, *seed, *shards, *shardPrecision)
 	if err != nil {
 		return err
 	}
@@ -201,9 +201,9 @@ func loadHistory(csvPath string, days int, seed uint64) (geo.Multiset, error) {
 // valid; it simply starts with out-of-region landmarks it will never be
 // asked about). Seeds are staggered by shard index so the shards'
 // online RNG streams are independent.
-func buildPlacers(algorithm string, history geo.Multiset, opening float64, seed uint64, shards, precision int) ([]core.OnlinePlacer, error) {
+func buildPlacers(history geo.Multiset, opening float64, seed uint64, shards, precision int) ([]core.OnlinePlacer, error) {
 	if shards <= 1 {
-		p, err := buildPlacer(algorithm, history, opening, seed)
+		p, err := buildPlacer(history, opening, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func buildPlacers(algorithm string, history geo.Multiset, opening float64, seed 
 		if part.Len() == 0 {
 			part = history
 		}
-		p, err := buildPlacer(algorithm, part, opening, seed+uint64(i))
+		p, err := buildPlacer(part, opening, seed+uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -233,23 +233,16 @@ func partitionByShard(history geo.Multiset, precision, shards int) []geo.Multise
 	return history.Split(shards, func(p geo.Point) int { return geo.ShardOf(p, precision, shards) })
 }
 
-func buildPlacer(algorithm string, dests geo.Multiset, opening float64, seed uint64) (core.OnlinePlacer, error) {
-	switch algorithm {
-	case "e-sharing":
-		landmarks, err := planLandmarks(dests, opening)
-		if err != nil {
-			return nil, fmt.Errorf("offline plan: %w", err)
-		}
-		cfg := core.DefaultESharingConfig()
-		cfg.Seed = seed
-		return core.NewESharingHistory(landmarks, opening, dests, cfg)
-	case "meyerson":
-		return core.NewMeyerson(opening, seed)
-	case "online-kmeans":
-		return core.NewOnlineKMeans(16, seed)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algorithm)
+// buildPlacer plans dests' offline landmarks and builds the Algorithm 2
+// placer on them, with dests as the KS test's historical sample.
+func buildPlacer(dests geo.Multiset, opening float64, seed uint64) (*core.ESharing, error) {
+	landmarks, err := planLandmarks(dests, opening)
+	if err != nil {
+		return nil, fmt.Errorf("offline plan: %w", err)
 	}
+	cfg := core.DefaultESharingConfig()
+	cfg.Seed = seed
+	return core.NewESharingHistory(landmarks, opening, dests, cfg)
 }
 
 func planLandmarks(dests geo.Multiset, opening float64) ([]geo.Point, error) {

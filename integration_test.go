@@ -77,8 +77,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 4. Serve the planner over HTTP and stream the live days through the
 	// typed client.
-	coreSys := newCorePlacer(t, history)
-	handler, err := server.NewSharded([]core.OnlinePlacer{coreSys})
+	handler, err := server.NewSharded([]core.OnlinePlacer{newCorePlacer(t, history)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,60 +165,27 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// newCorePlacer builds an e-sharing placer from trip history for the HTTP
-// layer (mirrors cmd/esharing-server).
-func newCorePlacer(t *testing.T, history []dataset.Trip) *serverPlacer {
+// newCorePlacer plans an e-sharing placer from trip history the way
+// cmd/esharing-server does: offline landmarks on 100 m demand cells at
+// the server's default opening cost, then Algorithm 2 with the history's
+// destinations as its KS sample.
+func newCorePlacer(t *testing.T, history []dataset.Trip) *core.ESharing {
 	t.Helper()
-	sys, err := esharing.New(esharing.DefaultConfig())
+	const opening = 10000
+	dests := geo.FoldPoints(dataset.EndPoints(history))
+	problem, err := core.HistoryProblem(dests, 100, opening)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := make([]esharing.Point, len(history))
-	for i, tr := range history {
-		pts[i] = esharing.Pt(tr.End.X, tr.End.Y)
-	}
-	if _, err := sys.PlanOffline(pts); err != nil {
+	sol, err := core.SolveOffline(problem)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &serverPlacer{sys: sys}
-}
-
-// serverPlacer adapts the public esharing.System to core.OnlinePlacer so
-// the HTTP server can front it — the same wiring a deployment would use.
-type serverPlacer struct {
-	sys *esharing.System
-}
-
-var _ core.OnlinePlacer = (*serverPlacer)(nil)
-
-func (p *serverPlacer) Place(dest geo.Point) (core.Decision, error) {
-	d, err := p.sys.Request(esharing.Pt(dest.X, dest.Y))
+	cfg := core.DefaultESharingConfig()
+	cfg.Seed = 1
+	placer, err := core.NewESharingHistory(problem.Stations(sol), opening, dests, cfg)
 	if err != nil {
-		return core.Decision{}, err
+		t.Fatal(err)
 	}
-	station := geo.Pt(d.Station.X, d.Station.Y)
-	idx := 0
-	for i, s := range p.Stations() {
-		if s == station {
-			idx = i
-			break
-		}
-	}
-	return core.Decision{
-		Station:      station,
-		StationIndex: idx,
-		Opened:       d.Opened,
-		Walk:         d.WalkMeters,
-	}, nil
+	return placer
 }
-
-func (p *serverPlacer) Stations() []geo.Point {
-	sts := p.sys.Stations()
-	out := make([]geo.Point, len(sts))
-	for i, s := range sts {
-		out[i] = geo.Pt(s.X, s.Y)
-	}
-	return out
-}
-
-func (p *serverPlacer) Name() string { return "e-sharing (public API)" }

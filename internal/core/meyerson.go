@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 
 	"repro/internal/geo"
@@ -37,10 +38,9 @@ type OnlinePlacer interface {
 // from the nearest open facility opens a new one with probability
 // min(d/f, 1), otherwise it is assigned to that facility.
 type Meyerson struct {
-	OpeningCost  float64
-	rng          *stats.SnapshotRNG
-	index        *geo.DynamicIndex
-	configDigest uint64
+	OpeningCost float64
+	rng         *rand.Rand
+	index       *geo.DynamicIndex
 }
 
 var _ OnlinePlacer = (*Meyerson)(nil)
@@ -51,10 +51,9 @@ func NewMeyerson(openingCost float64, seed uint64) (*Meyerson, error) {
 		return nil, fmt.Errorf("core: meyerson opening cost %v must be positive", openingCost)
 	}
 	return &Meyerson{
-		OpeningCost:  openingCost,
-		rng:          stats.NewSnapshotRNGStream(seed, stats.StreamMeyerson),
-		index:        geo.NewDynamicIndex(nil),
-		configDigest: meyersonConfigDigest(openingCost, seed),
+		OpeningCost: openingCost,
+		rng:         stats.NewRNGStream(seed, stats.StreamMeyerson),
+		index:       geo.NewDynamicIndex(nil),
 	}, nil
 }
 
@@ -96,12 +95,11 @@ func (m *Meyerson) Name() string { return "meyerson" }
 type OnlineKMeans struct {
 	TargetK int
 
-	rng          *stats.SnapshotRNG
-	index        *geo.DynamicIndex
-	buffer       []geo.Point // first k+1 points used to estimate w*
-	facility     float64
-	phaseNew     int
-	configDigest uint64
+	rng      *rand.Rand
+	index    *geo.DynamicIndex
+	buffer   []geo.Point // first k+1 points used to estimate w*
+	facility float64
+	phaseNew int
 }
 
 var _ OnlinePlacer = (*OnlineKMeans)(nil)
@@ -112,10 +110,9 @@ func NewOnlineKMeans(targetK int, seed uint64) (*OnlineKMeans, error) {
 		return nil, fmt.Errorf("core: online k-means target %d < 1", targetK)
 	}
 	return &OnlineKMeans{
-		TargetK:      targetK,
-		rng:          stats.NewSnapshotRNGStream(seed, stats.StreamOnlineKMeans),
-		index:        geo.NewDynamicIndex(nil),
-		configDigest: kmeansConfigDigest(targetK, seed),
+		TargetK: targetK,
+		rng:     stats.NewRNGStream(seed, stats.StreamOnlineKMeans),
+		index:   geo.NewDynamicIndex(nil),
 	}, nil
 }
 

@@ -9,14 +9,16 @@ import (
 	"repro/internal/geo"
 )
 
-// This file is the durability seam of the online placers: every mutable
-// field that influences a future Place decision can be serialized and
-// restored bit-identically, so a write-ahead log of decisions replayed
+// This file is the durability seam of the served placer, ESharing
+// (Algorithm 2): every mutable field that influences a future Place
+// decision can be serialized and restored bit-identically, so a write-ahead log of decisions replayed
 // through a restored placer reproduces the exact pre-crash state. The
 // immutable construction inputs (config, seed, landmark set, historical
 // sample) are NOT part of the state — the operator must rebuild the
 // placer from identical inputs, and ConfigDigest fingerprints them so a
-// mismatched restore is refused instead of silently diverging.
+// mismatched restore is refused instead of silently diverging. The
+// baselines (Meyerson, OnlineKMeans) are in-process comparators only and
+// have no durability surface.
 
 // DurablePlacer is an OnlinePlacer whose complete mutable decision
 // state can be captured and restored for write-ahead-log recovery.
@@ -40,19 +42,11 @@ type DurablePlacer interface {
 	UnmarshalState(data []byte) error
 }
 
-var (
-	_ DurablePlacer = (*ESharing)(nil)
-	_ DurablePlacer = (*Meyerson)(nil)
-	_ DurablePlacer = (*OnlineKMeans)(nil)
-)
+var _ DurablePlacer = (*ESharing)(nil)
 
-// State-format version bytes, one per placer, bumped whenever the
-// corresponding layout changes.
-const (
-	esharingStateVersion uint16 = 1
-	meyersonStateVersion uint16 = 1
-	kmeansStateVersion   uint16 = 1
-)
+// esharingStateVersion is the state-format version byte, bumped
+// whenever the layout changes.
+const esharingStateVersion uint16 = 1
 
 // ---- binary state codec ------------------------------------------------
 
@@ -238,22 +232,6 @@ func esharingConfigDigest(offline []geo.Point, baseOpening float64, hist geo.Mul
 	return w.h
 }
 
-func meyersonConfigDigest(openingCost float64, seed uint64) uint64 {
-	w := newDigestWriter()
-	w.str("meyerson")
-	w.f64(openingCost)
-	w.u64(seed)
-	return w.h
-}
-
-func kmeansConfigDigest(targetK int, seed uint64) uint64 {
-	w := newDigestWriter()
-	w.str("online-kmeans")
-	w.i64(int64(targetK))
-	w.u64(seed)
-	return w.h
-}
-
 // StationDigest fingerprints an ordered station set (FNV-1a over the
 // coordinate bit patterns); recovery uses it to cross-check that a
 // restored placer republishes exactly the pre-crash station list.
@@ -350,86 +328,5 @@ func (e *ESharing) UnmarshalState(data []byte) error {
 	e.window = window
 	e.lastSim = lastSim
 	e.penalty = pen
-	return nil
-}
-
-// ---- Meyerson ----------------------------------------------------------
-
-// ConfigDigest implements DurablePlacer.
-func (m *Meyerson) ConfigDigest() uint64 { return m.configDigest }
-
-// MarshalState implements DurablePlacer.
-func (m *Meyerson) MarshalState() ([]byte, error) {
-	rngState, err := m.rng.MarshalState()
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal rng state: %w", err)
-	}
-	var enc stateEncoder
-	enc.u16(meyersonStateVersion)
-	enc.points(m.index.Points())
-	enc.bytes(rngState)
-	return enc.buf, nil
-}
-
-// UnmarshalState implements DurablePlacer.
-func (m *Meyerson) UnmarshalState(data []byte) error {
-	dec := stateDecoder{buf: data}
-	if v := dec.u16(); dec.err == nil && v != meyersonStateVersion {
-		return fmt.Errorf("core: meyerson state version %d, want %d", v, meyersonStateVersion)
-	}
-	stations := dec.points()
-	rngState := dec.bytes()
-	if err := dec.finish(); err != nil {
-		return err
-	}
-	if err := m.rng.UnmarshalState(rngState); err != nil {
-		return fmt.Errorf("core: restore rng state: %w", err)
-	}
-	m.index = geo.NewDynamicIndex(stations)
-	return nil
-}
-
-// ---- OnlineKMeans ------------------------------------------------------
-
-// ConfigDigest implements DurablePlacer.
-func (o *OnlineKMeans) ConfigDigest() uint64 { return o.configDigest }
-
-// MarshalState implements DurablePlacer.
-func (o *OnlineKMeans) MarshalState() ([]byte, error) {
-	rngState, err := o.rng.MarshalState()
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal rng state: %w", err)
-	}
-	var enc stateEncoder
-	enc.u16(kmeansStateVersion)
-	enc.points(o.index.Points())
-	enc.points(o.buffer)
-	enc.f64(o.facility)
-	enc.i64(int64(o.phaseNew))
-	enc.bytes(rngState)
-	return enc.buf, nil
-}
-
-// UnmarshalState implements DurablePlacer.
-func (o *OnlineKMeans) UnmarshalState(data []byte) error {
-	dec := stateDecoder{buf: data}
-	if v := dec.u16(); dec.err == nil && v != kmeansStateVersion {
-		return fmt.Errorf("core: online-kmeans state version %d, want %d", v, kmeansStateVersion)
-	}
-	stations := dec.points()
-	buffer := dec.points()
-	facility := dec.f64()
-	phaseNew := dec.int()
-	rngState := dec.bytes()
-	if err := dec.finish(); err != nil {
-		return err
-	}
-	if err := o.rng.UnmarshalState(rngState); err != nil {
-		return fmt.Errorf("core: restore rng state: %w", err)
-	}
-	o.index = geo.NewDynamicIndex(stations)
-	o.buffer = buffer
-	o.facility = facility
-	o.phaseNew = phaseNew
 	return nil
 }

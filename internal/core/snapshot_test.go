@@ -13,9 +13,9 @@ import (
 	"repro/internal/stats"
 )
 
-// snapshotTestPlacers builds each durable placer twice from identical
-// construction inputs, returning (original, restoreTarget) pairs.
-func snapshotTestPlacers(t *testing.T) map[string][2]DurablePlacer {
+// snapshotTestPlacers builds the durable placer twice from identical
+// construction inputs, returning the original and a restore target.
+func snapshotTestPlacers(t *testing.T) (orig, fresh *ESharing) {
 	t.Helper()
 	hist := stats.SamplePoints(stats.NewRNG(3),
 		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 80)
@@ -25,27 +25,14 @@ func snapshotTestPlacers(t *testing.T) map[string][2]DurablePlacer {
 	cfg.WindowSize = 25
 	cfg.Seed = 7
 
-	mk := func() map[string]DurablePlacer {
+	mk := func() *ESharing {
 		es, err := NewESharing(landmarks, 4000, hist, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mey, err := NewMeyerson(1500, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		km, err := NewOnlineKMeans(8, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]DurablePlacer{"e-sharing": es, "meyerson": mey, "online-kmeans": km}
+		return es
 	}
-	a, b := mk(), mk()
-	out := map[string][2]DurablePlacer{}
-	for name := range a {
-		out[name] = [2]DurablePlacer{a[name], b[name]}
-	}
-	return out
+	return mk(), mk()
 }
 
 func sameDecision(a, b Decision) bool {
@@ -63,49 +50,45 @@ func sameDecision(a, b Decision) bool {
 func TestStateRoundTripContinuesBitIdentically(t *testing.T) {
 	dests := stats.SamplePoints(stats.NewRNG(11),
 		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 400)
-	for name, pair := range snapshotTestPlacers(t) {
-		t.Run(name, func(t *testing.T) {
-			orig, fresh := pair[0], pair[1]
-			if orig.ConfigDigest() != fresh.ConfigDigest() {
-				t.Fatalf("identical construction inputs produced different digests")
+	t.Run("e-sharing", func(t *testing.T) {
+		orig, fresh := snapshotTestPlacers(t)
+		if orig.ConfigDigest() != fresh.ConfigDigest() {
+			t.Fatalf("identical construction inputs produced different digests")
+		}
+		// Drive the first half through the original only.
+		for i, d := range dests[:200] {
+			if _, err := orig.Place(d); err != nil {
+				t.Fatalf("request %d: %v", i, err)
 			}
-			// Drive the first half through the original only.
-			for i, d := range dests[:200] {
-				if _, err := orig.Place(d); err != nil {
-					t.Fatalf("request %d: %v", i, err)
-				}
+		}
+		state, err := orig.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.UnmarshalState(state); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := StationDigest(fresh.Stations()), StationDigest(orig.Stations()); got != want {
+			t.Fatalf("restored station digest %#x, want %#x", got, want)
+		}
+		// The second half must produce identical decisions from both.
+		for i, d := range dests[200:] {
+			da, errA := orig.Place(d)
+			db, errB := fresh.Place(d)
+			if errA != nil || errB != nil {
+				t.Fatalf("request %d: errs %v / %v", i, errA, errB)
 			}
-			state, err := orig.MarshalState()
-			if err != nil {
-				t.Fatal(err)
+			if !sameDecision(da, db) {
+				t.Fatalf("request %d diverged: %+v vs %+v", i, da, db)
 			}
-			if err := fresh.UnmarshalState(state); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := StationDigest(fresh.Stations()), StationDigest(orig.Stations()); got != want {
-				t.Fatalf("restored station digest %#x, want %#x", got, want)
-			}
-			// The second half must produce identical decisions from both.
-			for i, d := range dests[200:] {
-				da, errA := orig.Place(d)
-				db, errB := fresh.Place(d)
-				if errA != nil || errB != nil {
-					t.Fatalf("request %d: errs %v / %v", i, errA, errB)
-				}
-				if !sameDecision(da, db) {
-					t.Fatalf("request %d diverged: %+v vs %+v", i, da, db)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestStateRoundTripPreservesESharingFigures pins the ESharing-specific
 // state (similarity figure, working cost, counters) across a roundtrip.
 func TestStateRoundTripPreservesESharingFigures(t *testing.T) {
-	pair := snapshotTestPlacers(t)["e-sharing"]
-	orig := pair[0].(*ESharing)
-	fresh := pair[1].(*ESharing)
+	orig, fresh := snapshotTestPlacers(t)
 	dests := stats.SamplePoints(stats.NewRNG(13),
 		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 150)
 	for _, d := range dests {
@@ -149,8 +132,7 @@ func TestESharingStateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := snapshotTestPlacers(t)["e-sharing"]
-	orig, fresh := pair[0], pair[1]
+	orig, fresh := snapshotTestPlacers(t)
 	dests := stats.SamplePoints(stats.NewRNG(13),
 		stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 300)
 	for _, d := range dests[:150] {
@@ -184,8 +166,7 @@ func TestESharingStateGolden(t *testing.T) {
 // disk, so a landmark slot other than k, or a station list shorter than
 // the k landmarks, must be refused rather than restored.
 func TestESharingUnmarshalRejectsLandmarkMismatch(t *testing.T) {
-	pair := snapshotTestPlacers(t)["e-sharing"]
-	orig, fresh := pair[0].(*ESharing), pair[1].(*ESharing)
+	orig, fresh := snapshotTestPlacers(t)
 	state, err := orig.MarshalState()
 	if err != nil {
 		t.Fatal(err)
@@ -258,60 +239,43 @@ func TestConfigDigestSensitivity(t *testing.T) {
 		t.Error("digest depends on the history's row order")
 	}
 
-	m1, _ := NewMeyerson(1500, 7)
-	m2, _ := NewMeyerson(1500, 8)
-	m3, _ := NewMeyerson(1501, 7)
-	if m1.ConfigDigest() == m2.ConfigDigest() || m1.ConfigDigest() == m3.ConfigDigest() {
-		t.Error("meyerson digest insensitive to seed or opening cost")
-	}
-	k1, _ := NewOnlineKMeans(8, 7)
-	k2, _ := NewOnlineKMeans(9, 7)
-	if k1.ConfigDigest() == k2.ConfigDigest() {
-		t.Error("kmeans digest insensitive to target k")
-	}
-	if m1.ConfigDigest() == k1.ConfigDigest() {
-		t.Error("different algorithms share a digest")
-	}
 }
 
 // TestUnmarshalStateRejectsGarbage: truncated or trailing bytes must
 // error, never panic or half-apply.
 func TestUnmarshalStateRejectsGarbage(t *testing.T) {
-	for name, pair := range snapshotTestPlacers(t) {
-		t.Run(name, func(t *testing.T) {
-			orig, fresh := pair[0], pair[1]
-			dests := stats.SamplePoints(stats.NewRNG(5),
-				stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 50)
-			for _, d := range dests {
-				if _, err := orig.Place(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			state, err := orig.MarshalState()
-			if err != nil {
+	t.Run("e-sharing", func(t *testing.T) {
+		orig, fresh := snapshotTestPlacers(t)
+		dests := stats.SamplePoints(stats.NewRNG(5),
+			stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}, 50)
+		for _, d := range dests {
+			if _, err := orig.Place(d); err != nil {
 				t.Fatal(err)
 			}
-			for cut := 0; cut < len(state); cut += 7 {
-				if err := fresh.UnmarshalState(state[:cut]); err == nil {
-					t.Fatalf("truncation at %d accepted", cut)
-				}
+		}
+		state, err := orig.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(state); cut += 7 {
+			if err := fresh.UnmarshalState(state[:cut]); err == nil {
+				t.Fatalf("truncation at %d accepted", cut)
 			}
-			if err := fresh.UnmarshalState(append(append([]byte(nil), state...), 0xAB)); err == nil {
-				t.Fatal("trailing byte accepted")
-			}
-			// A clean state must still restore after the rejections.
-			if err := fresh.UnmarshalState(state); err != nil {
-				t.Fatalf("clean restore after rejections: %v", err)
-			}
-		})
-	}
+		}
+		if err := fresh.UnmarshalState(append(append([]byte(nil), state...), 0xAB)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+		// A clean state must still restore after the rejections.
+		if err := fresh.UnmarshalState(state); err != nil {
+			t.Fatalf("clean restore after rejections: %v", err)
+		}
+	})
 }
 
 // TestMarshalStateRefusesCustomPenalty: an installed custom penalty is
 // not serializable, so snapshotting must fail loudly.
 func TestMarshalStateRefusesCustomPenalty(t *testing.T) {
-	pair := snapshotTestPlacers(t)["e-sharing"]
-	es := pair[0].(*ESharing)
+	es, _ := snapshotTestPlacers(t)
 	es.SetCustomPenalty(func(c float64) float64 { return 1 })
 	if _, err := es.MarshalState(); err == nil {
 		t.Fatal("MarshalState accepted a custom penalty")

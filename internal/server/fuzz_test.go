@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // FuzzPlaceRequestDecode throws arbitrary bodies at POST /v1/requests:
@@ -31,11 +29,7 @@ func FuzzPlaceRequestDecode(f *testing.F) {
 		f.Add(s)
 	}
 
-	placer, err := core.NewMeyerson(150, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	srv, err := newSingle(placer)
+	srv, err := newSingle(newWALPlacer(f))
 	if err != nil {
 		f.Fatal(err)
 	}

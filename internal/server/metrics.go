@@ -251,12 +251,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		var wm wal.Metrics
 		var walFailures, walReplayed, walReplayNanos int64
 		for _, sh := range s.shards {
-			// The wal pointers are written once during construction and
-			// cleared only by Close; their Metrics() reads are atomic.
-			if sh.wal == nil { //esharing:allow guardedby -- set-once pointer, internally atomic counters
-				continue
-			}
-			m := sh.wal.Metrics() //esharing:allow guardedby -- same
+			m := sh.walStats.Metrics()
 			wm.Appended += m.Appended
 			wm.Fsyncs += m.Fsyncs
 			wm.Truncations += m.Truncations

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/geo"
 )
 
@@ -280,7 +279,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 	checkHistogram(t, families["esharing_request_duration_seconds"])
 	if f := families["esharing_build_info"]; f != nil {
-		if len(f.samples) != 1 || f.samples[0].labels["algorithm"] != "meyerson" ||
+		if len(f.samples) != 1 || f.samples[0].labels["algorithm"] != "e-sharing" ||
 			!strings.HasPrefix(f.samples[0].labels["go_version"], "go") {
 			t.Errorf("build info samples: %+v", f.samples)
 		}
@@ -294,44 +293,56 @@ func TestMetricsExpositionFormat(t *testing.T) {
 
 // --- backpressure -------------------------------------------------------
 
-// blockingPlacer parks every Place call on gate so tests can hold the
-// decision lock for as long as they like.
-type blockingPlacer struct {
+// placementGate parks every placement on one shard inside its
+// decision lock, through the shard's beforePlace hook, until open is
+// called, so tests can hold the lock for as long as they like.
+type placementGate struct {
+	// entered receives one token per parked placement; its buffer
+	// outlasts every test's placements, so a placement never waits
+	// for the test to read its token.
+	entered chan struct{}
 	gate    chan struct{}
-	entered chan struct{} // receives one token per Place entry
-	station []geo.Point
+	once    sync.Once
 }
 
-func newBlockingPlacer() *blockingPlacer {
-	return &blockingPlacer{
-		gate:    make(chan struct{}),
-		entered: make(chan struct{}, 1024),
-		station: []geo.Point{geo.Pt(0, 0)},
+func (g *placementGate) open() { g.once.Do(func() { close(g.gate) }) }
+
+// serveGated gates every shard of srv and serves it over HTTP. The
+// cleanup opens the gates before it closes the server, so a test that
+// fails while placements are parked cannot hang in httptest's Close.
+func serveGated(t *testing.T, srv *Server) (*httptest.Server, []*placementGate) {
+	t.Helper()
+	gates := make([]*placementGate, len(srv.shards))
+	for i, sh := range srv.shards {
+		g := &placementGate{entered: make(chan struct{}, 1024), gate: make(chan struct{})}
+		sh.beforePlace = func(geo.Point) error {
+			g.entered <- struct{}{}
+			<-g.gate
+			return nil
+		}
+		gates[i] = g
 	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		for _, g := range gates {
+			g.open()
+		}
+	})
+	return ts, gates
 }
-
-func (p *blockingPlacer) Place(dest geo.Point) (core.Decision, error) {
-	p.entered <- struct{}{}
-	<-p.gate
-	return core.Decision{Station: p.station[0], Walk: dest.Dist(p.station[0])}, nil
-}
-
-func (p *blockingPlacer) Stations() []geo.Point { return p.station }
-func (p *blockingPlacer) Name() string          { return "blocking" }
 
 // TestShedLoadUnderSaturation saturates a MaxInFlight=2 server with a
-// blocked placer: exactly 2 requests may be in flight, every other
+// gated shard: exactly 2 requests may be in flight, every other
 // request must shed with 429 + Retry-After, scrapes during the storm
 // must not block on the held decision lock, and afterwards
 // accepted + shed == sent with exact counter reconciliation.
 func TestShedLoadUnderSaturation(t *testing.T) {
-	placer := newBlockingPlacer()
-	srv, err := newSingle(placer, WithMaxInFlight(2))
+	srv, err := newSingle(newWALPlacer(t), WithMaxInFlight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts, gates := serveGated(t, srv)
 
 	const sent = 20
 	var oks, sheds, others atomic.Int64
@@ -375,7 +386,7 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(placer.gate) // release the two admitted requests
+	gates[0].open() // release the two admitted requests
 	wg.Wait()
 
 	if oks.Load() != 2 || sheds.Load() != sent-2 || others.Load() != 0 {
@@ -489,17 +500,28 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 	}
 }
 
+// waitQueueDepth polls /metrics until the admission queue holds want
+// requests, failing the test after its own 5 s deadline.
+func waitQueueDepth(t *testing.T, url string, want int, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for counterValue(scrape(t, url)["esharing_place_queue_depth"], nil) != float64(want) {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestQueuedRequestHonorsCancellation cancels a request parked in the
 // admission queue: it must return promptly, free its queue slot for the
 // next request, and be counted under kind="canceled".
 func TestQueuedRequestHonorsCancellation(t *testing.T) {
-	placer := newBlockingPlacer()
-	srv, err := newSingle(placer, WithMaxInFlight(2))
+	srv, err := newSingle(newWALPlacer(t), WithMaxInFlight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts, gates := serveGated(t, srv)
 
 	post := func(ctx context.Context, x int) (int, error) {
 		body := fmt.Sprintf(`{"dest":{"x":%d,"y":1}}`, x)
@@ -519,14 +541,14 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 	}
 
 	results := make(chan int, 2)
-	go func() { // r1: holds the decision lock inside Place
+	go func() { // r1: holds the decision lock inside the gate
 		code, err := post(context.Background(), 1)
 		if err != nil {
 			t.Error(err)
 		}
 		results <- code
 	}()
-	<-placer.entered // r1 is inside Place
+	<-gates[0].entered // r1 holds the decision lock
 
 	ctx, cancel := context.WithCancel(context.Background())
 	r2err := make(chan error, 1)
@@ -534,22 +556,13 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 		_, err := post(ctx, 2)
 		r2err <- err
 	}()
-	// Wait until r2 occupies the second queue slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		families := scrape(t, ts.URL)
-		if counterValue(families["esharing_place_queue_depth"], nil) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second request never reached the queue")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitQueueDepth(t, ts.URL, 2, "second request never reached the queue")
 	cancel()
 	if err := <-r2err; err == nil {
 		t.Error("canceled queued request should surface an error to its client")
 	}
+	// The client sees its error before the server frees the slot.
+	waitQueueDepth(t, ts.URL, 1, "canceled request never freed its queue slot")
 
 	// The freed slot must admit a third request instead of shedding it.
 	r3 := make(chan int, 1)
@@ -560,17 +573,8 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 		}
 		r3 <- code
 	}()
-	for {
-		families := scrape(t, ts.URL)
-		if counterValue(families["esharing_place_queue_depth"], nil) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("third request never reached the queue")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(placer.gate)
+	waitQueueDepth(t, ts.URL, 2, "third request never reached the queue")
+	gates[0].open()
 	if code := <-results; code != http.StatusOK {
 		t.Errorf("first request status %d", code)
 	}
@@ -590,23 +594,15 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 
 // --- failed-placement visibility ---------------------------------------
 
-// failingPlacer rejects every placement.
-type failingPlacer struct{}
-
-func (failingPlacer) Place(geo.Point) (core.Decision, error) {
-	return core.Decision{}, errors.New("no capacity")
-}
-func (failingPlacer) Stations() []geo.Point { return nil }
-func (failingPlacer) Name() string          { return "failing" }
-
 // TestFailedPlacementsAreCounted is the regression test for silent 422s:
-// a failing placer must show up in /v1/stats errors and in the
+// a failing placement must show up in /v1/stats errors and in the
 // esharing_request_errors_total family, not report a healthy system.
 func TestFailedPlacementsAreCounted(t *testing.T) {
-	srv, err := newSingle(failingPlacer{})
+	srv, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.shards[0].beforePlace = func(geo.Point) error { return errors.New("no capacity") }
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client, err := NewClient(ts.URL, ts.Client())
@@ -616,7 +612,7 @@ func TestFailedPlacementsAreCounted(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := client.Place(ctx, geo.Pt(1, 2)); err == nil {
-			t.Fatal("failing placer should error")
+			t.Fatal("failing placement should error")
 		}
 	}
 	stats, err := client.Stats(ctx)

@@ -39,6 +39,10 @@ import (
 // cannot accumulate unbounded goroutines.
 const DefaultMaxInFlight = 256
 
+// errClosed refuses placements after Server.Close: the decision log is
+// closed, so an acknowledged decision could no longer be made durable.
+var errClosed = errors.New("server closed: placements are no longer accepted")
+
 // PlaceRequest is the body of POST /v1/requests.
 type PlaceRequest struct {
 	// Dest is the rider's destination in planar metres.
@@ -150,7 +154,7 @@ func sameStationArrays(a, b []*readSnapshot) bool {
 // Server wraps one or more online placers (one per geo-shard) behind an
 // HTTP API.
 type Server struct {
-	name string // placer.Name(), shared by all shards, cached for reads
+	name string // shard 0's placer.Name(), cached for reads
 
 	// shards are the independent decision loops; immutable after
 	// NewSharded.
@@ -211,26 +215,14 @@ func WithShardPrecision(p int) Option {
 
 // NewSharded builds a geo-sharded Server: one independent decision loop
 // per placer, with placement requests routed by destination cell and
-// read endpoints merging the per-shard state. All placers must run the
-// same algorithm; a one-element slice is a single-shard server.
+// read endpoints merging the per-shard state. Every placer must be a
+// core.DurablePlacer (the server runs *core.ESharing); a one-element
+// slice is a single-shard server.
 func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	if len(placers) == 0 {
 		return nil, errors.New("server: no placers")
 	}
-	for i, p := range placers {
-		if p == nil {
-			return nil, fmt.Errorf("server: nil placer (shard %d)", i)
-		}
-	}
-	name := placers[0].Name()
-	for i, p := range placers[1:] {
-		if p.Name() != name {
-			return nil, fmt.Errorf("server: shard %d runs %q but shard 0 runs %q; all shards must run the same algorithm",
-				i+1, p.Name(), name)
-		}
-	}
 	s := &Server{
-		name:           name,
 		shardPrecision: geo.DefaultShardPrecision,
 		maxInFlight:    DefaultMaxInFlight,
 		mux:            http.NewServeMux(),
@@ -244,8 +236,13 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	}
 	s.shards = make([]*shard, len(placers))
 	for i, p := range placers {
-		s.shards[i] = newShard(i, p, perShard)
+		dp, ok := p.(core.DurablePlacer)
+		if !ok {
+			return nil, fmt.Errorf("server: shard %d placer %T is not a core.DurablePlacer", i, p)
+		}
+		s.shards[i] = newShard(i, dp, perShard)
 	}
+	s.name = placers[0].Name()
 	if s.walDir != "" {
 		// Recover every shard before the first snapshot publication so
 		// the read endpoints never expose pre-recovery state. A
@@ -259,7 +256,7 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 			if err := sh.openWAL(dir, s.walOpts); err != nil {
 				for _, prev := range s.shards[:i] {
 					//esharing:allow walerr -- best-effort cleanup after a failed startup; the open error is what propagates
-					_ = prev.closeWAL()
+					_ = prev.shutdown()
 				}
 				return nil, err
 			}
@@ -360,12 +357,15 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-sh.queue }()
 
 	decision, acquired, err := sh.placeLocked(r.Context(), req.Dest)
-	if !acquired {
+	switch {
+	case !acquired:
 		writeJSON(w, statusClientClosedRequest,
 			errorBody{Error: "request canceled while queued for placement"})
 		return
-	}
-	if err != nil {
+	case errors.Is(err, errClosed):
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 		return
 	}
@@ -379,9 +379,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 // placeLocked serialises one placement on the shard: it waits for the
 // decision lock — abandoning the wait, with acquired=false, if the
-// client gives up first — applies the placement, updates the serving
-// counters, logs the decision durably, and then refreshes the read
-// snapshot.
+// client gives up first — refuses with errClosed once Server.Close has
+// run, applies the placement, updates the serving counters, logs the
+// decision durably, and then refreshes the read snapshot.
 // The lock is released by defer, so a panicking placer cannot leak it;
 // the release still precedes the caller's response write.
 //
@@ -394,6 +394,14 @@ func (sh *shard) placeLocked(ctx context.Context, dest geo.Point) (decision core
 		return core.Decision{}, false, nil
 	}
 	defer func() { <-sh.decision }()
+	if sh.closed {
+		return core.Decision{}, true, errClosed
+	}
+	if sh.beforePlace != nil {
+		if err := sh.beforePlace(dest); err != nil {
+			return core.Decision{}, true, err
+		}
+	}
 	decision, err = sh.placer.Place(dest)
 	if err != nil {
 		return core.Decision{}, true, err

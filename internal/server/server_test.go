@@ -21,13 +21,11 @@ func newSingle(placer core.OnlinePlacer, opts ...Option) (*Server, error) {
 	return NewSharded([]core.OnlinePlacer{placer}, opts...)
 }
 
+// newTestServer serves newWALPlacer's engine, whose landmarks are
+// (500, 500) and (1500, 1500), over HTTP.
 func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
-	placer, err := core.NewMeyerson(5000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newSingle(placer)
+	srv, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,30 +51,27 @@ func TestPlaceAndStations(t *testing.T) {
 	_, client := newTestServer(t)
 	ctx := context.Background()
 
-	first, err := client.Place(ctx, geo.Pt(100, 100))
+	first, err := client.Place(ctx, geo.Pt(500, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Opened || first.WalkMeters != 0 {
-		t.Errorf("first placement should open: %+v", first)
+	if first.Opened || first.Station != geo.Pt(500, 500) || first.StationIndex != 0 || first.WalkMeters != 0 {
+		t.Errorf("a request on a landmark should assign to it: %+v", first)
 	}
 
-	second, err := client.Place(ctx, geo.Pt(101, 100))
+	second, err := client.Place(ctx, geo.Pt(1501, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Opened {
-		t.Errorf("1 m from a station should assign, not open: %+v", second)
-	}
-	if second.WalkMeters != 1 {
-		t.Errorf("walk=%v, want 1", second.WalkMeters)
+	if second.Opened || second.StationIndex != 1 || second.WalkMeters != 1 {
+		t.Errorf("1 m from a landmark should assign to it: %+v", second)
 	}
 
 	stations, err := client.Stations(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stations) != 1 || stations[0] != geo.Pt(100, 100) {
+	if len(stations) != 2 || stations[0] != geo.Pt(500, 500) || stations[1] != geo.Pt(1500, 1500) {
 		t.Errorf("stations=%v", stations)
 	}
 }
@@ -96,11 +91,11 @@ func TestStats(t *testing.T) {
 	if got.Requests != 5 {
 		t.Errorf("requests=%d, want 5", got.Requests)
 	}
-	if got.Algorithm != "meyerson" {
+	if got.Algorithm != "e-sharing" {
 		t.Errorf("algorithm=%q", got.Algorithm)
 	}
-	if got.Opened < 1 || int(got.Opened) != got.Stations {
-		t.Errorf("opened=%d stations=%d", got.Opened, got.Stations)
+	if got.Stations != 2+int(got.Opened) {
+		t.Errorf("opened=%d stations=%d, want 2 landmarks + opened", got.Opened, got.Stations)
 	}
 }
 

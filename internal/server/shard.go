@@ -20,19 +20,24 @@ import (
 // same shape with N = 1.
 type shard struct {
 	index int
-	name  string // placer.Name(), cached for error messages and replay
 
 	// placer is the shard's serialised decision engine; every call on
 	// it must happen under the shard's decision channel-lock.
 	// guarded by decision
-	placer core.OnlinePlacer
-	// The placer's optional capabilities, resolved once by newShard so
-	// publishing, replay and WAL snapshots never re-assert them; each is
-	// nil when the placer lacks it.
+	placer core.DurablePlacer
+	// sim is the placer as *core.ESharing, the similarity figure's
+	// source, resolved once by newShard. It stays optional because a
+	// decorator can hide the concrete type (perfbench's tracedPlacer
+	// does); such a shard publishes no similarity figure.
 	// guarded by decision
-	sim *core.ESharing // the similarity figure's source
+	sim *core.ESharing
+	// beforePlace, when non-nil, runs under the decision lock before
+	// every Place; a non-nil error fails the placement. It is a test
+	// hook: production shards leave it nil.
+	beforePlace func(dest geo.Point) error
+	// closed is set by Server.Close; a closed shard refuses placements.
 	// guarded by decision
-	durable core.DurablePlacer
+	closed bool
 
 	// decision is a capacity-1 channel used as the placement lock
 	// (send = acquire, receive = release): unlike a sync.Mutex, a
@@ -55,11 +60,14 @@ type shard struct {
 	shed     atomic.Int64  // 429s from this shard's admission gate
 
 	// wal, when non-nil, is the shard's durable decision log (see
-	// wal.go): set once during construction, appended to and
-	// snapshotted only under the decision lock. Lock-free paths may
-	// nil-check the pointer and read its (internally atomic) Metrics.
+	// wal.go): set by openWAL before serving, appended to, snapshotted
+	// and closed only under the decision lock.
 	// guarded by decision
-	wal            *wal.Log
+	wal *wal.Log
+	// walStats is the same log for the lock-free metrics path, which
+	// reads only its atomic Metrics. It is set once before serving and
+	// never cleared, so a scrape cannot race Close.
+	walStats       *wal.Log
 	walFailures    atomic.Int64 // append/snapshot failures (degraded)
 	walFailed      atomic.Bool  // latched by the first failure
 	walReplayNanos atomic.Int64 // startup replay duration
@@ -69,17 +77,14 @@ type shard struct {
 	snap atomic.Pointer[readSnapshot]
 }
 
-// newShard builds shard index around placer p, resolving p's optional
-// capabilities once.
-func newShard(index int, p core.OnlinePlacer, maxInFlight int) *shard {
+// newShard builds shard index around placer p, resolving its
+// similarity source once.
+func newShard(index int, p core.DurablePlacer, maxInFlight int) *shard {
 	sim, _ := p.(*core.ESharing)
-	durable, _ := p.(core.DurablePlacer)
 	return &shard{
 		index:       index,
-		name:        p.Name(),
 		placer:      p,
 		sim:         sim,
-		durable:     durable,
 		decision:    make(chan struct{}, 1),
 		queue:       make(chan struct{}, maxInFlight),
 		maxInFlight: maxInFlight,

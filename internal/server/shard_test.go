@@ -71,15 +71,8 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(nil); err == nil {
 		t.Error("empty placer list accepted")
 	}
-	meyerson, err := core.NewMeyerson(5000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSharded([]core.OnlinePlacer{meyerson, nil}); err == nil {
+	if _, err := NewSharded([]core.OnlinePlacer{newWALPlacer(t), nil}); err == nil {
 		t.Error("nil shard placer accepted")
-	}
-	if _, err := NewSharded([]core.OnlinePlacer{meyerson, newBlockingPlacer()}); err == nil {
-		t.Error("mixed-algorithm shards accepted")
 	}
 }
 
@@ -158,11 +151,7 @@ func TestShardRoutingBoundariesDeterministic(t *testing.T) {
 	const shards, precision = 4, 7
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
-		p, err := core.NewMeyerson(5000, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		placers[i] = p
+		placers[i] = newWALPlacer(t)
 	}
 	srv, err := NewSharded(placers, WithShardPrecision(precision))
 	if err != nil {
@@ -209,19 +198,16 @@ func TestMultiShardStormReconciles(t *testing.T) {
 
 func stormReconciles(t *testing.T, shards int) {
 	const precision = 7
-	blockers := make([]*blockingPlacer, shards)
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
-		blockers[i] = newBlockingPlacer()
-		placers[i] = blockers[i]
+		placers[i] = newWALPlacer(t)
 	}
 	// MaxInFlight == shards: each shard admits exactly one request.
 	srv, err := NewSharded(placers, WithMaxInFlight(shards), WithShardPrecision(precision))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts, gates := serveGated(t, srv)
 	dests := shardDests(t, precision, shards)
 	post := func(dest geo.Point) (*http.Response, error) {
 		body, err := json.Marshal(PlaceRequest{Dest: dest})
@@ -231,8 +217,8 @@ func stormReconciles(t *testing.T, shards int) {
 		return http.Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(string(body)))
 	}
 
-	// Phase 1: park one request inside every shard's placer, so every
-	// admission slot is held.
+	// Phase 1: park one request inside every shard's decision lock, so
+	// every admission slot is held.
 	var holders sync.WaitGroup
 	holderStatus := make([]int32, shards)
 	for i := 0; i < shards; i++ {
@@ -247,7 +233,7 @@ func stormReconciles(t *testing.T, shards int) {
 			defer func() { _ = resp.Body.Close() }()
 			atomic.StoreInt32(&holderStatus[i], int32(resp.StatusCode))
 		}(i)
-		<-blockers[i].entered
+		<-gates[i].entered
 	}
 
 	// Deterministic shedding: with every slot held, each extra request
@@ -282,9 +268,9 @@ func stormReconciles(t *testing.T, shards int) {
 		t.Errorf("queue depth = %g, want %d (one held request per shard)", got, shards)
 	}
 
-	// Phase 2: release the placers; the held requests must complete.
-	for _, b := range blockers {
-		close(b.gate)
+	// Phase 2: open the gates; the held requests must complete.
+	for _, g := range gates {
+		g.open()
 	}
 	holders.Wait()
 	for i, st := range holderStatus {
@@ -391,12 +377,12 @@ func stormReconciles(t *testing.T, shards int) {
 		if ss.Shard != i || ss.Requests != srv.shards[i].requests.Load() || ss.Shed != srv.shards[i].shed.Load() {
 			t.Errorf("stats shard %d entry %+v does not match counters", i, ss)
 		}
-		if ss.LastSimilarity != nil {
-			t.Errorf("shard %d: blocking placer reports a similarity figure", i)
+		if ss.LastSimilarity == nil {
+			t.Errorf("shard %d reports no similarity figure", i)
 		}
 	}
-	if st.LastSimilarity != nil {
-		t.Error("aggregate similarity present without an ESharing placer")
+	if st.LastSimilarity == nil {
+		t.Error("aggregate similarity absent")
 	}
 
 	// The same books in /metrics: aggregates, shard-labelled series and
@@ -440,18 +426,23 @@ func stormReconciles(t *testing.T, shards int) {
 // own station lists.
 func TestShardedStationsMergeDeterministic(t *testing.T) {
 	const shards, precision = 3, 7
+	dests := shardDests(t, precision, shards)
+	// Opening cost 1, no deviation penalty and no KS test: a destination
+	// 1 m or more from its nearest station opens a new one.
+	cfg := core.DefaultESharingConfig()
+	cfg.TestEvery = 0
+	cfg.InitialPenalty = core.NoPenalty
 	placers := make([]core.OnlinePlacer, shards)
 	for i := range placers {
-		// Opening cost 1: every distinct destination opens a station, so
-		// each shard grows a recognisable, ordered station list.
-		p, err := core.NewMeyerson(1, uint64(i+1))
+		// Each shard gets its own recognisable, ordered landmark list,
+		// 100 m off its destination so that a placement there opens.
+		landmarks := make([]geo.Point, i+2)
+		for k := range landmarks {
+			landmarks[k] = geo.Pt(dests[i].X+100, dests[i].Y+float64(k)*500)
+		}
+		p, err := core.NewESharing(landmarks, 1, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for k := 0; k < i+2; k++ {
-			if _, err := p.Place(geo.Pt(float64(i)*10_000, float64(k)*500)); err != nil {
-				t.Fatal(err)
-			}
 		}
 		placers[i] = p
 	}
@@ -486,7 +477,6 @@ func TestShardedStationsMergeDeterministic(t *testing.T) {
 	// A placement that opens a station on one shard must appear in that
 	// shard's segment of the merge, and the body must track the placers
 	// exactly.
-	dests := shardDests(t, precision, shards)
 	placeOK(t, srv, dests[1])
 	_, after := do(t, srv, http.MethodGet, "/v1/stations", "")
 	if after != wantBody() {
@@ -657,11 +647,8 @@ func TestStatsZeroSimilarityExplicit(t *testing.T) {
 		t.Errorf("LastSimilarity = %v, want explicit 0", st.LastSimilarity)
 	}
 
-	meyerson, err := core.NewMeyerson(5000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := newSingle(meyerson)
+	// A decorator that hides *core.ESharing hides the figure with it.
+	plain, err := newSingle(&callOrderPlacer{ESharing: newWALPlacer(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,8 @@ import (
 // WithWAL attaches a durable decision log rooted at dir. syncEvery
 // batches fsyncs (1 = sync every decision, 0 = let the OS decide);
 // snapshotEvery checkpoints and truncates the log after that many
-// records (0 disables the cadence). The placers must implement
-// core.DurablePlacer. A single-shard server keeps its log at dir
-// itself, the on-disk layout every single-shard log has had;
+// records (0 disables the cadence). A single-shard server keeps its
+// log at dir itself, the on-disk layout every single-shard log has had;
 // multi-shard servers give each shard dir/shard-<index>.
 func WithWAL(dir string, syncEvery int, snapshotEvery uint64) Option {
 	return func(s *Server) {
@@ -45,11 +44,8 @@ func WithWAL(dir string, syncEvery int, snapshotEvery uint64) Option {
 func (sh *shard) openWAL(dir string, opts wal.Options) error {
 	sh.decision <- struct{}{}
 	defer func() { <-sh.decision }()
-	if sh.durable == nil {
-		return fmt.Errorf("server: placer %q does not support durable logging", sh.name)
-	}
-	opts.ConfigDigest = sh.durable.ConfigDigest()
-	opts.Name = sh.name
+	opts.ConfigDigest = sh.placer.ConfigDigest()
+	opts.Name = sh.placer.Name()
 	log, rec, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
@@ -65,6 +61,7 @@ func (sh *shard) openWAL(dir string, opts wal.Options) error {
 	sh.walReplayed.Store(int64(len(rec.Tail)))
 	sh.walRestored.Store(rec.Snapshot != nil)
 	sh.wal = log
+	sh.walStats = log
 	return nil
 }
 
@@ -75,7 +72,7 @@ func (sh *shard) openWAL(dir string, opts wal.Options) error {
 //esharing:deterministic
 func (sh *shard) replayRecovered(rec *wal.Recovered) error {
 	if snap := rec.Snapshot; snap != nil {
-		if err := sh.durable.UnmarshalState(snap.PlacerState); err != nil {
+		if err := sh.placer.UnmarshalState(snap.PlacerState); err != nil {
 			return fmt.Errorf("server: restore wal snapshot: %w", err)
 		}
 		if got := core.StationDigest(sh.placer.Stations()); got != snap.StationsDigest {
@@ -143,7 +140,7 @@ func (sh *shard) logDecision(dest geo.Point, d core.Decision) {
 // writeWALSnapshot checkpoints the placer and serving counters and
 // truncates the shard's log; caller holds decision.
 func (sh *shard) writeWALSnapshot() error {
-	state, err := sh.durable.MarshalState()
+	state, err := sh.placer.MarshalState()
 	if err != nil {
 		return fmt.Errorf("server: snapshot placer state: %w", err)
 	}
@@ -160,18 +157,18 @@ func (sh *shard) writeWALSnapshot() error {
 	return sh.wal.WriteSnapshot(snap)
 }
 
-// closeWAL flushes and closes the shard's decision log (a no-op
-// without one). The decision lock is held across the close so no
-// placement can race the final sync.
-func (sh *shard) closeWAL() error {
+// shutdown marks the shard closed, so it refuses every later
+// placement, then flushes and closes its decision log (if any; closing
+// it again is a no-op). The decision lock is held throughout, so no
+// placement can race the final sync or be acknowledged after it.
+func (sh *shard) shutdown() error {
 	sh.decision <- struct{}{}
 	defer func() { <-sh.decision }()
+	sh.closed = true
 	if sh.wal == nil {
 		return nil
 	}
-	err := sh.wal.Close()
-	sh.wal = nil
-	return err
+	return sh.wal.Close()
 }
 
 // WALRecovery reports what startup recovery did, summed across shards:
@@ -189,12 +186,14 @@ func (s *Server) WALRecovery() (replayed int64, restored int) {
 	return replayed, restored
 }
 
-// Close flushes and closes every shard's decision log (a no-op without
-// durability), returning the first error.
+// Close stops the server acknowledging placements — every later
+// POST /v1/requests answers 503 — and flushes and closes every shard's
+// decision log, returning the first error. The read endpoints keep
+// serving the final state.
 func (s *Server) Close() error {
 	var first error
 	for _, sh := range s.shards {
-		if err := sh.closeWAL(); err != nil && first == nil {
+		if err := sh.shutdown(); err != nil && first == nil {
 			first = err
 		}
 	}

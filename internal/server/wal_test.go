@@ -9,7 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -256,7 +260,10 @@ func TestWALConfigMismatchRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := core.NewMeyerson(5000, 1)
+	// The same engine on one landmark instead of two.
+	cfg := core.DefaultESharingConfig()
+	cfg.TestEvery = 0
+	other, err := core.NewESharing([]geo.Point{geo.Pt(500, 500)}, 3000, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +302,18 @@ func TestWALReplayDivergenceRefuses(t *testing.T) {
 	}
 }
 
-// TestWALNonDurablePlacerRefused: WithWAL demands a DurablePlacer.
+// TestWALNonDurablePlacerRefused: the server demands a
+// core.DurablePlacer. The baselines are in-process comparators without
+// state codecs, so one is refused even before a log is opened.
 func TestWALNonDurablePlacerRefused(t *testing.T) {
 	placer, err := core.NewMeyerson(5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newSingle(nonDurablePlacer{placer}, WithWAL(t.TempDir(), 1, 0)); err == nil {
+	if _, err := newSingle(placer, WithWAL(t.TempDir(), 1, 0)); err == nil {
 		t.Fatal("non-durable placer accepted")
 	}
 }
-
-// nonDurablePlacer hides the durability methods of a real placer by
-// narrowing it to the bare OnlinePlacer interface.
-type nonDurablePlacer struct{ core.OnlinePlacer }
 
 // TestWALFailureDegradesHealth: when an append fails, the request
 // still succeeds (the decision is already applied) but the server
@@ -488,4 +493,100 @@ func TestWALLogsBeforePublish(t *testing.T) {
 		t.Fatalf("opening placement not logged: calls %v", p.calls)
 	}
 	t.Fatal("no placement opened a station")
+}
+
+// TestCloseRefusesPlacements: once Close has flushed and closed the
+// decision logs, a placement could no longer be made durable, so it is
+// refused with 503, and counted, instead of being acknowledged. The
+// reopened log then holds exactly the acknowledged decisions.
+func TestCloseRefusesPlacements(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placeOK(t, srv, geo.Pt(100, 100))
+	before := capture(t, srv)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := do(t, srv, http.MethodPost, "/v1/requests", placeBody(t, geo.Pt(200, 200))); code != http.StatusServiceUnavailable {
+		t.Fatalf("placement after Close: status %d, want 503: %s", code, body)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	after := capture(t, srv)
+	if after.stats.Requests != 1 || after.stats.Errors != 1 {
+		t.Errorf("after Close: requests %d, errors %d; want 1 and 1", after.stats.Requests, after.stats.Errors)
+	}
+	if got := counterValue(scrapeMetrics(t, srv)["esharing_request_errors_total"],
+		map[string]string{"endpoint": "place", "kind": "server_error"}); got != 1 {
+		t.Errorf("place server_error counter = %g, want 1", got)
+	}
+
+	restored, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if replayed, _ := restored.WALRecovery(); replayed != 1 {
+		t.Errorf("reopened log replayed %d records, want the 1 acknowledged", replayed)
+	}
+	sameServingState(t, capture(t, restored), before)
+}
+
+// TestMetricsScrapeDuringClose: /metrics reads every shard's log
+// counters without the decision lock, so scrapes running while Close
+// closes the logs must not race it (run with -race), and after Close
+// the log families still report what was logged.
+func TestMetricsScrapeDuringClose(t *testing.T) {
+	srv, err := NewSharded([]core.OnlinePlacer{newWALPlacer(t), newWALPlacer(t)},
+		WithShardPrecision(7), WithWAL(t.TempDir(), 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const placed = 6
+	for _, d := range walDests(placed) {
+		placeOK(t, srv, d)
+	}
+	var scrapes atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("scrape: status %d", rec.Code)
+					return
+				}
+				scrapes.Add(1)
+			}
+		}()
+	}
+	// Close while the scrapers run, then let them scrape past it.
+	waitScrapes := func(n int64) {
+		for deadline := time.Now().Add(5 * time.Second); scrapes.Load() < n && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	waitScrapes(4)
+	if err := srv.Close(); err != nil {
+		t.Error(err)
+	}
+	waitScrapes(scrapes.Load() + 4)
+	close(done)
+	wg.Wait()
+	if got := famValue(scrapeMetrics(t, srv), "esharing_wal_appended_records_total"); got != placed {
+		t.Errorf("appended records after Close = %g, want %d", got, placed)
+	}
 }
