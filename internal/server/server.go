@@ -256,7 +256,7 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 			if err := sh.openWAL(dir, s.walOpts); err != nil {
 				for _, prev := range s.shards[:i] {
 					//esharing:allow walerr -- best-effort cleanup after a failed startup; the open error is what propagates
-					_ = prev.shutdown()
+					_ = prev.closeWAL()
 				}
 				return nil, err
 			}
@@ -394,7 +394,7 @@ func (sh *shard) placeLocked(ctx context.Context, dest geo.Point) (decision core
 		return core.Decision{}, false, nil
 	}
 	defer func() { <-sh.decision }()
-	if sh.closed {
+	if sh.closed.Load() {
 		return core.Decision{}, true, errClosed
 	}
 	if sh.beforePlace != nil {
@@ -495,8 +495,19 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleHealth answers 503 once Close has run or any shard's log has
+// latched a failure, and 200 otherwise.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	for _, sh := range s.shards {
+		if sh.closed.Load() {
+			// Close has run: every placement now answers 503, so the
+			// instance must leave the rotation.
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+				"status": "closed",
+				"reason": errClosed.Error(),
+			})
+			return
+		}
 		if sh.walFailed.Load() {
 			// A WAL append or snapshot failed on some shard: decisions
 			// since then are not durable, so the instance must be

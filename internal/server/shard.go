@@ -35,9 +35,9 @@ type shard struct {
 	// every Place; a non-nil error fails the placement. It is a test
 	// hook: production shards leave it nil.
 	beforePlace func(dest geo.Point) error
-	// closed is set by Server.Close; a closed shard refuses placements.
-	// guarded by decision
-	closed bool
+	// closed is set by Server.Close under the decision lock; a closed
+	// shard refuses placements, and /healthz reads it lock-free.
+	closed atomic.Bool
 
 	// decision is a capacity-1 channel used as the placement lock
 	// (send = acquire, receive = release): unlike a sync.Mutex, a

@@ -157,14 +157,14 @@ func (sh *shard) writeWALSnapshot() error {
 	return sh.wal.WriteSnapshot(snap)
 }
 
-// shutdown marks the shard closed, so it refuses every later
+// closeWAL marks the shard closed, so it refuses every later
 // placement, then flushes and closes its decision log (if any; closing
 // it again is a no-op). The decision lock is held throughout, so no
 // placement can race the final sync or be acknowledged after it.
-func (sh *shard) shutdown() error {
+func (sh *shard) closeWAL() error {
 	sh.decision <- struct{}{}
 	defer func() { <-sh.decision }()
-	sh.closed = true
+	sh.closed.Store(true)
 	if sh.wal == nil {
 		return nil
 	}
@@ -188,12 +188,12 @@ func (s *Server) WALRecovery() (replayed int64, restored int) {
 
 // Close stops the server acknowledging placements — every later
 // POST /v1/requests answers 503 — and flushes and closes every shard's
-// decision log, returning the first error. The read endpoints keep
-// serving the final state.
+// decision log, returning the first error. /healthz then answers 503
+// "closed"; the other read endpoints keep serving the final state.
 func (s *Server) Close() error {
 	var first error
 	for _, sh := range s.shards {
-		if err := sh.shutdown(); err != nil && first == nil {
+		if err := sh.closeWAL(); err != nil && first == nil {
 			first = err
 		}
 	}

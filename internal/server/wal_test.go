@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -304,14 +305,17 @@ func TestWALReplayDivergenceRefuses(t *testing.T) {
 
 // TestWALNonDurablePlacerRefused: the server demands a
 // core.DurablePlacer. The baselines are in-process comparators without
-// state codecs, so one is refused even before a log is opened.
+// state codecs, so one is refused with a log configured and without.
 func TestWALNonDurablePlacerRefused(t *testing.T) {
 	placer, err := core.NewMeyerson(5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := newSingle(placer); err == nil {
+		t.Error("non-durable placer accepted without a log")
+	}
 	if _, err := newSingle(placer, WithWAL(t.TempDir(), 1, 0)); err == nil {
-		t.Fatal("non-durable placer accepted")
+		t.Error("non-durable placer accepted with a log")
 	}
 }
 
@@ -497,8 +501,8 @@ func TestWALLogsBeforePublish(t *testing.T) {
 
 // TestCloseRefusesPlacements: once Close has flushed and closed the
 // decision logs, a placement could no longer be made durable, so it is
-// refused with 503, and counted, instead of being acknowledged. The
-// reopened log then holds exactly the acknowledged decisions.
+// refused with 503, and counted, instead of being acknowledged, and
+// /healthz reports the server closed. The reopened log then holds exactly the acknowledged decisions.
 func TestCloseRefusesPlacements(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
@@ -523,6 +527,10 @@ func TestCloseRefusesPlacements(t *testing.T) {
 	if got := counterValue(scrapeMetrics(t, srv)["esharing_request_errors_total"],
 		map[string]string{"endpoint": "place", "kind": "server_error"}); got != 1 {
 		t.Errorf("place server_error counter = %g, want 1", got)
+	}
+	if code, body := do(t, srv, http.MethodGet, "/healthz", ""); code != http.StatusServiceUnavailable ||
+		!strings.Contains(body, `"closed"`) {
+		t.Errorf("/healthz after Close: status %d, want 503 closed: %s", code, body)
 	}
 
 	restored, err := newSingle(newWALPlacer(t), WithWAL(dir, 1, 0))
