@@ -5,18 +5,17 @@
 // invariants (see DESIGN.md, "Static analysis & invariants" and
 // "Determinism analysis").
 //
-// It runs three ways:
+// It runs two ways:
 //
-//	esharing-lint ./...                         # standalone, loads packages itself
 //	go vet -vettool=$(which esharing-lint) ./... # as a vet tool
 //	esharing-lint -waivers [root]                # audit the //esharing:allow budget
 //
 // The vettool mode speaks cmd/go's unit-checking protocol (the same one
 // golang.org/x/tools/go/analysis/unitchecker implements): it answers
 // -flags with a JSON flag description, then receives one *.cfg file per
-// package describing sources and pre-built export data for every
-// dependency. Both modes exit 0 when the tree is clean and non-zero
-// with file:line:col diagnostics otherwise.
+// package, test variants included, describing sources and pre-built
+// export data for every dependency. It exits 0 when the tree is clean
+// and non-zero with file:line:col diagnostics otherwise.
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 
 	"repro/internal/analysis/lintkit"
@@ -59,11 +57,8 @@ func run(args []string) int {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return unitCheck(args[0])
 	}
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	return standalone(patterns)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which esharing-lint) [packages]\n       esharing-lint -waivers [root]")
+	return 2
 }
 
 // vetConfig mirrors cmd/go's per-package vet configuration (the fields
@@ -139,37 +134,6 @@ func unitCheck(cfgPath string) int {
 	return report(analyze(pkg))
 }
 
-// standalone enumerates packages with `go list` and type-checks them
-// from source, so the tool works without a driving go vet.
-func standalone(patterns []string) int {
-	listed, err := goList(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "esharing-lint: %v\n", err)
-		return 1
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	exit := 0
-	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
-			continue
-		}
-		filenames := make([]string, len(lp.GoFiles))
-		for i, name := range lp.GoFiles {
-			filenames[i] = lp.Dir + string(os.PathSeparator) + name
-		}
-		pkg, err := load.Files(fset, lp.ImportPath, filenames, imp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "esharing-lint: %v\n", err)
-			return 1
-		}
-		if code := report(analyze(pkg)); code > exit {
-			exit = code
-		}
-	}
-	return exit
-}
-
 func analyze(pkg *load.Package) ([]lintkit.Diagnostic, *token.FileSet) {
 	diags, err := lintkit.Run(pkg.Fset, pkg.Files, pkg.Path, pkg.Types, pkg.Info, registry.All())
 	if err != nil {
@@ -187,32 +151,4 @@ func report(diags []lintkit.Diagnostic, fset *token.FileSet) int {
 		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	return 2
-}
-
-// listedPackage is the subset of `go list -json` output the standalone
-// mode needs.
-type listedPackage struct {
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-}
-
-func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,GoFiles"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %w", strings.Join(patterns, " "), err)
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for dec.More() {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("decode go list output: %w", err)
-		}
-		pkgs = append(pkgs, lp)
-	}
-	return pkgs, nil
 }

@@ -74,6 +74,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards %d: want at least 1 shard", *shards)
+	}
+	if *historyDays < 1 {
+		return fmt.Errorf("-history-days %d: want at least 1 day", *historyDays)
+	}
 
 	history, err := loadHistory(*tripsCSV, *historyDays, *seed)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -647,4 +648,28 @@ func TestBuildPlacersPartitionAlloc(t *testing.T) {
 	checkParts(got, oracle)
 	// Many shards, most of them empty: the parts must not change.
 	checkParts(partitionByShard(history, prec, 300), appendPartition(rows, prec, 300))
+}
+
+// TestRunRejectsShardsBelowOne: a shard count below 1 is refused at
+// start-up with an error that names the flag. The unusable -addr makes
+// a run that accepted the flag fail at listen rather than serve.
+func TestRunRejectsShardsBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		err := run([]string{"-addr", "127.0.0.1:-1", "-history-days", "1", "-shards", n})
+		if err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("-shards %s: got %v, want an error naming -shards", n, err)
+		}
+	}
+}
+
+// TestRunRejectsHistoryDaysBelowOne: a synthetic history shorter than a
+// day is refused at start-up with an error that names the flag (the
+// generator would otherwise substitute its default length).
+func TestRunRejectsHistoryDaysBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		err := run([]string{"-addr", "127.0.0.1:-1", "-history-days", n})
+		if err == nil || !strings.Contains(err.Error(), "-history-days") {
+			t.Errorf("-history-days %s: got %v, want an error naming -history-days", n, err)
+		}
+	}
 }

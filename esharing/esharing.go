@@ -145,8 +145,6 @@ type System struct {
 	cfg    Config
 	placer *core.ESharing
 	fleet  *energy.Fleet
-	plan   *PlanSummary
-	hist   []geo.Point // historical destinations from the last PlanOffline
 }
 
 // New validates cfg and returns an unplanned system.
@@ -182,8 +180,7 @@ func (s *System) PlanOffline(history []Point) (PlanSummary, error) {
 	if len(history) == 0 {
 		return PlanSummary{}, ErrNoHistory
 	}
-	pts := toGeoSlice(history)
-	places := geo.FoldPoints(pts)
+	places := geo.FoldPoints(toGeoSlice(history))
 	demands, err := core.AggregateHistory(places, s.cfg.GridCellMeters)
 	if err != nil {
 		return PlanSummary{}, fmt.Errorf("aggregate demand: %w", err)
@@ -215,14 +212,11 @@ func (s *System) PlanOffline(history []Point) (PlanSummary, error) {
 		return PlanSummary{}, fmt.Errorf("online placer: %w", err)
 	}
 	s.placer = placer
-	s.hist = pts
-	plan := PlanSummary{
+	return PlanSummary{
 		Stations:    fromGeoSlice(landmarks),
 		WalkingCost: cost.Walking,
 		OpeningCost: cost.Opening,
-	}
-	s.plan = &plan
-	return plan, nil
+	}, nil
 }
 
 // Decision is the response to one live trip request.
@@ -254,16 +248,6 @@ func (s *System) Stations() []Point {
 		return nil
 	}
 	return fromGeoSlice(s.placer.Stations())
-}
-
-// Plan returns the last offline plan, or nil before PlanOffline.
-func (s *System) Plan() *PlanSummary {
-	if s.plan == nil {
-		return nil
-	}
-	cp := *s.plan
-	cp.Stations = append([]Point(nil), s.plan.Stations...)
-	return &cp
 }
 
 // Similarity returns the live-vs-historical similarity percentage from
@@ -301,9 +285,6 @@ func (s *System) Bikes() []BikeStatus {
 	}
 	return out
 }
-
-// LowBikes returns the IDs of bikes below the charging threshold.
-func (s *System) LowBikes() []int64 { return s.fleet.LowBikes() }
 
 // ChargingReport summarises one tier-two service round.
 type ChargingReport struct {

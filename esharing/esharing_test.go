@@ -4,13 +4,15 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/energy"
 )
 
 // clusteredHistory builds three POI clusters of historical destinations.
 func clusteredHistory(seed uint64, perCluster int) []Point {
 	centers := []Point{Pt(300, 300), Pt(1500, 400), Pt(900, 1300)}
-	// Tiny deterministic LCG keeps the public test free of internal
-	// imports.
+	// A tiny deterministic LCG keeps the fixture independent of the
+	// system's own RNG.
 	state := seed*6364136223846793005 + 1442695040888963407
 	next := func() float64 {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -70,8 +72,8 @@ func TestRequestBeforePlan(t *testing.T) {
 	if _, err := sys.ChargingRound(); !errors.Is(err, ErrNotPlanned) {
 		t.Errorf("charging before plan: %v", err)
 	}
-	if sys.Stations() != nil || sys.Plan() != nil {
-		t.Error("unplanned system should expose no stations/plan")
+	if sys.Stations() != nil {
+		t.Error("unplanned system should expose no stations")
 	}
 	if sys.Similarity() != 100 {
 		t.Error("unplanned similarity should be 100")
@@ -142,12 +144,15 @@ func TestRequestStreamAccumulatesStations(t *testing.T) {
 }
 
 func TestPlanSnapshotIsolation(t *testing.T) {
-	sys, _ := plannedSystem(t)
-	p1 := sys.Plan()
-	p1.Stations[0] = Pt(-1, -1)
-	p2 := sys.Plan()
-	if p2.Stations[0] == Pt(-1, -1) {
-		t.Error("Plan() exposes internal state")
+	sys, plan := plannedSystem(t)
+	want := sys.Stations()[0]
+	plan.Stations[0] = Pt(-1, -1)
+	if got := sys.Stations()[0]; got != want {
+		t.Errorf("PlanOffline's summary aliases the placer: station 0 is %v, want %v", got, want)
+	}
+	sys.Stations()[0] = Pt(-1, -1)
+	if got := sys.Stations()[0]; got != want {
+		t.Errorf("Stations() exposes internal state: station 0 is %v, want %v", got, want)
 	}
 }
 
@@ -171,6 +176,18 @@ func TestFleetLifecycle(t *testing.T) {
 	}
 }
 
+// lowBikes counts the fleet's bikes below the charging threshold.
+func lowBikes(sys *System) int {
+	threshold := energy.DefaultModel().LowThreshold
+	n := 0
+	for _, b := range sys.Bikes() {
+		if b.Level < threshold {
+			n++
+		}
+	}
+	return n
+}
+
 func TestChargingRoundEndToEnd(t *testing.T) {
 	sys, plan := plannedSystem(t)
 	// Scatter bikes at stations, a third of them low.
@@ -187,7 +204,7 @@ func TestChargingRoundEndToEnd(t *testing.T) {
 			id++
 		}
 	}
-	lowBefore := len(sys.LowBikes())
+	lowBefore := lowBikes(sys)
 	if lowBefore == 0 {
 		t.Fatal("fixture has no low bikes")
 	}
@@ -201,7 +218,7 @@ func TestChargingRoundEndToEnd(t *testing.T) {
 	if rep.ChargedBikes == 0 {
 		t.Error("no bikes charged")
 	}
-	if got := len(sys.LowBikes()); got != lowBefore-rep.ChargedBikes {
+	if got := lowBikes(sys); got != lowBefore-rep.ChargedBikes {
 		t.Errorf("fleet low after: %d, want %d", got, lowBefore-rep.ChargedBikes)
 	}
 	if rep.TotalCost() <= 0 {

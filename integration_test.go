@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/energy"
 	"repro/internal/geo"
-	"repro/internal/rebalance"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -21,7 +19,7 @@ import (
 
 // TestEndToEndPipeline drives the complete system across package
 // boundaries: synthetic dataset -> CSV round trip -> offline planning ->
-// HTTP serving of live requests -> charging round -> rebalancing.
+// HTTP serving of live requests -> charging round.
 func TestEndToEndPipeline(t *testing.T) {
 	// 1. Generate a week of trips and round-trip them through the CSV
 	// codec, as a real deployment ingesting the Mobike dump would.
@@ -137,31 +135,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if report.ChargedBikes == 0 {
 		t.Error("charging round did nothing")
-	}
-
-	// 6. Rebalance the fleet inventory toward demand-proportional
-	// targets.
-	counts := fleet.GroupByStation(stations, math.Inf(1), false)
-	rbStations := make([]rebalance.Station, len(stations))
-	weights := make([]float64, len(stations))
-	for i, loc := range stations {
-		rbStations[i] = rebalance.Station{Loc: loc, Bikes: len(counts[i])}
-		weights[i] = 1 + float64(i%3) // synthetic demand weights
-	}
-	targeted, err := rebalance.ProportionalTargets(rbStations, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan2, err := rebalance.Solve(targeted, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := rebalance.Apply(targeted, plan2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebalance.TotalImbalance(after) > rebalance.TotalImbalance(targeted) {
-		t.Error("rebalancing increased imbalance")
 	}
 }
 

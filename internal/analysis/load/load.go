@@ -1,9 +1,9 @@
 // Package load parses and type-checks Go packages for the esharing-lint
-// suite using only the standard library: go/parser for syntax and a
-// go/importer "source" importer for dependency types. It backs the
-// standalone lint driver and the analysistest harness; the vettool mode
-// in cmd/esharing-lint type-checks against compiler export data
-// instead, because `go vet` hands it pre-built dependency archives.
+// suite using only the standard library. Files does the work for both
+// callers: the vettool mode in cmd/esharing-lint passes it an importer
+// over the compiler export data `go vet` hands over, and Dir, which
+// backs the analysistest harness, passes a go/importer "source"
+// importer that type-checks dependencies from source.
 package load
 
 import (

@@ -77,9 +77,6 @@ func NewFleet(model Model) (*Fleet, error) {
 	return &Fleet{model: model, bikes: map[int64]*Bike{}}, nil
 }
 
-// Model returns the fleet's energy model.
-func (f *Fleet) Model() Model { return f.model }
-
 // Add registers a bike; duplicate IDs are rejected.
 func (f *Fleet) Add(b Bike) error {
 	if b.ID <= 0 {
@@ -135,32 +132,11 @@ func (f *Fleet) Charge(id int64) error {
 	return nil
 }
 
-// Teleport relocates a bike without energy cost (operator truck moves).
-func (f *Fleet) Teleport(id int64, dest geo.Point) error {
-	b, ok := f.bikes[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownBike, id)
-	}
-	b.Loc = dest
-	return nil
-}
-
 // Bikes returns a stable-order snapshot of the fleet.
 func (f *Fleet) Bikes() []Bike {
 	out := make([]Bike, 0, len(f.order))
 	for _, id := range f.order {
 		out = append(out, *f.bikes[id])
-	}
-	return out
-}
-
-// LowBikes returns the IDs of bikes below the threshold, in stable order.
-func (f *Fleet) LowBikes() []int64 {
-	var out []int64
-	for _, id := range f.order {
-		if f.bikes[id].Low(f.model) {
-			out = append(out, id)
-		}
 	}
 	return out
 }

@@ -111,15 +111,12 @@ func TestUnknownBike(t *testing.T) {
 	if err := f.Charge(99); !errors.Is(err, ErrUnknownBike) {
 		t.Errorf("Charge: %v", err)
 	}
-	if err := f.Teleport(99, geo.Pt(0, 0)); !errors.Is(err, ErrUnknownBike) {
-		t.Errorf("Teleport: %v", err)
-	}
 	if f.CanRide(99, geo.Pt(0, 0)) {
 		t.Error("CanRide unknown bike should be false")
 	}
 }
 
-func TestChargeAndTeleport(t *testing.T) {
+func TestCharge(t *testing.T) {
 	f, err := NewFleet(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +131,6 @@ func TestChargeAndTeleport(t *testing.T) {
 	if b.Level != 1 {
 		t.Errorf("level=%v after charge", b.Level)
 	}
-	if err := f.Teleport(1, geo.Pt(500, 500)); err != nil {
-		t.Fatal(err)
-	}
-	b = f.Bikes()[0]
-	if b.Loc != geo.Pt(500, 500) || b.Level != 1 {
-		t.Error("teleport should move without draining")
-	}
 }
 
 func TestLowBikes(t *testing.T) {
@@ -154,9 +144,9 @@ func TestLowBikes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	low := f.LowBikes()
+	low := f.GroupByStation([]geo.Point{geo.Pt(0, 0)}, math.Inf(1), true)[0]
 	if len(low) != 2 || low[0] != 1 || low[1] != 3 {
-		t.Errorf("LowBikes=%v, want [1 3] (0.2 is not low)", low)
+		t.Errorf("low bikes=%v, want [1 3] (0.2 is not low)", low)
 	}
 }
 
@@ -202,14 +192,17 @@ func TestSeedLevels(t *testing.T) {
 	if err := f.SeedLevels(rng, 0.15); err != nil {
 		t.Fatal(err)
 	}
-	low := len(f.LowBikes())
-	if low < 120 || low > 180 {
-		t.Errorf("low bikes=%d, want ~150", low)
-	}
+	low := 0
 	for _, b := range f.Bikes() {
 		if b.Level < 0 || b.Level > 1 {
 			t.Fatalf("bike %d level %v out of range", b.ID, b.Level)
 		}
+		if b.Low(DefaultModel()) {
+			low++
+		}
+	}
+	if low < 120 || low > 180 {
+		t.Errorf("low bikes=%d, want ~150", low)
 	}
 	if err := f.SeedLevels(rng, 1.5); err == nil {
 		t.Error("fraction > 1 should error")

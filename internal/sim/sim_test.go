@@ -150,14 +150,26 @@ func TestChargingRoundIncentivesAggregateAndSave(t *testing.T) {
 	}
 }
 
+// lowBikes counts the fleet's bikes below the default model's charging
+// threshold, the model every fixture here builds its fleet with.
+func lowBikes(fleet *energy.Fleet) int {
+	n := 0
+	for _, b := range fleet.Bikes() {
+		if b.Low(energy.DefaultModel()) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestChargingRoundChargesFleet(t *testing.T) {
 	stations, fleet := chargingFixture(t, 3)
-	lowBefore := len(fleet.LowBikes())
+	lowBefore := lowBikes(fleet)
 	rep, err := RunChargingRound(stations, fleet, DefaultChargingConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lowAfter := len(fleet.LowBikes())
+	lowAfter := lowBikes(fleet)
 	if lowAfter != lowBefore-rep.ChargedBikes {
 		t.Errorf("fleet low count %d -> %d but report charged %d",
 			lowBefore, lowAfter, rep.ChargedBikes)
