@@ -80,6 +80,15 @@ func run(args []string) error {
 	if *historyDays < 1 {
 		return fmt.Errorf("-history-days %d: want at least 1 day", *historyDays)
 	}
+	if *maxInflight < 1 {
+		return fmt.Errorf("-max-inflight %d: want at least 1 request", *maxInflight)
+	}
+	if *shardPrecision < 1 || *shardPrecision > 12 {
+		return fmt.Errorf("-shard-precision %d: want a precision in [1, 12]", *shardPrecision)
+	}
+	if *walSync < 0 {
+		return fmt.Errorf("-wal-sync %d: want 0 (no explicit fsync) or more appends per fsync", *walSync)
+	}
 
 	history, err := loadHistory(*tripsCSV, *historyDays, *seed)
 	if err != nil {
@@ -169,21 +178,35 @@ func run(args []string) error {
 
 // loadHistory returns the planar end points of the historical trips as
 // a multiset of places — the only piece of a trip the offline plan and
-// the placers consume. A CSV goes through dataset.ReadEndPoints: one
-// streamed pass, never materialised as []dataset.Trip, folded into
-// places as it is read and projected around the data's own geohash
-// bounding box (hard-coding Beijing would project any other city's
-// trips hundreds of kilometres from the planar origin, far outside the
-// tangent-plane regime). Peak memory is the scanner's
+// the placers consume. The synthetic history is generated a day at a
+// time: each day's trips, in a buffer the generator reuses, are reduced
+// to their end points, and the end points are folded once, so the
+// history is never held as trips. A CSV goes through
+// dataset.ReadEndPoints: one streamed pass, never materialised as
+// []dataset.Trip, folded into places as it is read and projected around
+// the data's own geohash bounding box (hard-coding Beijing would project
+// any other city's trips hundreds of kilometres from the planar origin,
+// far outside the tangent-plane regime). Peak memory is the scanner's
 // O(ChunkSize × Workers) plus O(distinct end cells) per worker; the row
 // count does not enter it.
 func loadHistory(csvPath string, days int, seed uint64) (geo.Multiset, error) {
 	if csvPath == "" {
-		trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
+		var ends []geo.Point
+		err := dataset.GenerateStream(dataset.Config{Days: days, Seed: seed}, func(_ int, day []dataset.Trip) error {
+			if ends == nil {
+				// The default calendar opens on a weekday, and weekend
+				// days are lighter, so this rarely falls short.
+				ends = make([]geo.Point, 0, len(day)*days)
+			}
+			for _, t := range day {
+				ends = append(ends, t.End)
+			}
+			return nil
+		})
 		if err != nil {
 			return geo.Multiset{}, err
 		}
-		return geo.FoldPoints(dataset.EndPoints(trips)), nil
+		return geo.FoldPoints(ends), nil
 	}
 	f, err := os.Open(csvPath)
 	if err != nil {

@@ -13,10 +13,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/parallel"
+	"repro/internal/server"
 )
 
 func testHistory(t *testing.T) []dataset.Trip {
@@ -336,7 +339,8 @@ func loadAllocated(t *testing.T, path string) (geo.Multiset, uint64) {
 	return h, after.TotalAlloc - before.TotalAlloc
 }
 
-// setScanWorkers pins the scanner's worker count for one test.
+// setScanWorkers pins the default worker count, the scanner's and the
+// offline solve's, for one test.
 func setScanWorkers(t *testing.T, workers int) {
 	prev := parallel.Default()
 	parallel.SetDefault(workers)
@@ -354,9 +358,9 @@ func setScanWorkers(t *testing.T, workers int) {
 // doubles past 3/4 full, so with every generation it allocates under
 // max(24 KiB, 128 B per cell it holds). It holds at most the chunk's
 // distinct start or end cells, which here come from the same cells as
-// the end places. The scanner holds one ChunkSize header
-// buffer and, per worker, a ChunkSize read buffer; it builds no batch of
-// parsed rows. The row-by-row loader this replaced presized a RawTrip
+// the end places. The scanner holds a ChunkSize read buffer per worker,
+// worker 0's being the one the header was read into; it builds no batch
+// of parsed rows. The row-by-row loader this replaced presized a RawTrip
 // batch of ChunkSize/32 slots per worker and allocated 12.6 MiB here,
 // three times the bound. Keeping a point per row instead costs 16 B per
 // row and breaks the bound; materialising every dataset.Trip costs
@@ -378,7 +382,7 @@ func TestLoadHistoryMemoryBound(t *testing.T) {
 	if ends.Total() != rows {
 		t.Fatalf("loaded %d destinations, want %d", ends.Total(), rows)
 	}
-	perPass := chunkSize + workers*chunkSize
+	perPass := workers * chunkSize
 	tables := workers * 2 * cellTable(ends.Len())
 	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
 	t.Logf("%d rows at %d places: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
@@ -430,6 +434,119 @@ func TestLoadHistoryHeapFlatInRows(t *testing.T) {
 	if bigAlloc > smallAlloc+growth {
 		t.Fatalf("%d more rows on the same %d places allocated %d B more, want at most %d B",
 			3*rows, places, int64(bigAlloc)-int64(smallAlloc), growth)
+	}
+}
+
+// TestStartupHistoryMatchesGenerate: the synthetic history folded a day
+// at a time is bit for bit the fold of every generated trip's end point,
+// so a config digest, and with it every decision log, is unchanged by
+// streaming.
+func TestStartupHistoryMatchesGenerate(t *testing.T) {
+	for _, days := range []int{1, 7, 14} {
+		for _, seed := range []uint64{1, 2, 42} {
+			got, err := loadHistory("", days, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trips, err := dataset.Generate(dataset.Config{Days: days, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := geo.FoldPoints(dataset.EndPoints(trips))
+			if got.Len() != want.Len() || got.Total() != want.Total() {
+				t.Fatalf("days %d seed %d: %d places of %d trips, want %d of %d",
+					days, seed, got.Len(), got.Total(), want.Len(), want.Total())
+			}
+			for i, w := range want.Points() {
+				g := got.Points()[i]
+				if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
+					got.Counts()[i] != want.Counts()[i] {
+					t.Fatalf("days %d seed %d place %d: %v ×%d, want %v ×%d",
+						days, seed, i, g, got.Counts()[i], w, want.Counts()[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStartupMemoryBound states the allocation bound of the server's
+// default start-up, from the synthetic 7-day history to a 2-shard
+// server with a decision log, and checks it. Each term:
+//
+//   - Per trip, 36 B: its end point, 16 B, in a slice presized from the
+//     first day's trips times the days (under 1.25 times the total, as
+//     a weekday opens the default calendar and weekends are lighter),
+//     and the generator's two 7-byte geohash strings, 8 B each.
+//   - Per place, 48 B: the fold's copy of the points and their counts
+//     (16 + 8 B), and the shard split's exactly sized parts (16 + 8 B).
+//   - Per demand cell of each shard's plan, 1 KiB: the offline solve,
+//     pinned to 2 workers, allocates in proportion to its candidates,
+//     ~740 B a cell here.
+//   - One day of trips, which the generator reuses between days: 2,125
+//     slots (the weekday mean of 2,000 plus 1/16) of dataset.Trip,
+//     counted twice to allow one growth on a busy day.
+//   - Slack for the fleet's positions, the day's sort, the placers, the
+//     server and the log's files.
+//
+// The start-up that held the week as one []dataset.Trip, and drew
+// every POI weight vector into a fresh slice, allocated 8.6 MiB for the
+// history alone, over three times this bound.
+func TestStartupMemoryBound(t *testing.T) {
+	const (
+		days     = 7
+		seed     = 1
+		shards   = 2
+		prec     = 7
+		perTrip  = 36
+		perPlace = 48
+		perCell  = 1 << 10
+		dayTrips = 2000 * 17 / 16
+		slack    = 256 << 10
+	)
+	setScanWorkers(t, 2)
+	day := 2 * dayTrips * int(unsafe.Sizeof(dataset.Trip{}))
+	dir := t.TempDir()
+	var before, loaded, built, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	history, err := loadHistory("", days, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&loaded)
+	placers, err := buildPlacers(history, 10000, seed, shards, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&built)
+	srv, err := server.NewSharded(placers, server.WithShardPrecision(prec), server.WithWAL(dir, 1, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cells := 0
+	for s, part := range partitionByShard(history, prec, shards) {
+		if part.Len() == 0 {
+			t.Fatalf("shard %d planned from the whole history: the bound counts each place once", s)
+		}
+		demands, err := core.AggregateHistory(part, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells += len(demands)
+	}
+	bound := uint64(perTrip*history.Total() + perPlace*history.Len() + perCell*cells + day + slack)
+	got := after.TotalAlloc - before.TotalAlloc
+	mib := func(b uint64) float64 { return float64(b) / (1 << 20) }
+	t.Logf("%d trips at %d places, %d demand cells: load %.2f MiB, placers %.2f MiB, server %.2f MiB; total %.2f MiB, bound %.2f MiB",
+		history.Total(), history.Len(), cells, mib(loaded.TotalAlloc-before.TotalAlloc),
+		mib(built.TotalAlloc-loaded.TotalAlloc), mib(after.TotalAlloc-built.TotalAlloc), mib(got), mib(bound))
+	if got > bound {
+		t.Fatalf("start-up allocated %d B for %d trips at %d places, bound %d B", got, history.Total(), history.Len(), bound)
 	}
 }
 
@@ -591,10 +708,9 @@ func TestBuildPlacersPartitionAlloc(t *testing.T) {
 		copies = 5
 		shards = 4
 		prec   = 6
-		// Per place: its 24 B point and count appended into a part
-		// that grows by doubling, which allocates under four times the
-		// final length in all, plus size-class rounding.
-		perPlace = 112
+		// Per place: its 16 B point and 8 B count, in parts sized
+		// exactly by a first pass and allocated once.
+		perPlace = 24
 		slack    = 64 << 10
 	)
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -658,6 +774,39 @@ func TestRunRejectsShardsBelowOne(t *testing.T) {
 		err := run([]string{"-addr", "127.0.0.1:-1", "-history-days", "1", "-shards", n})
 		if err == nil || !strings.Contains(err.Error(), "-shards") {
 			t.Errorf("-shards %s: got %v, want an error naming -shards", n, err)
+		}
+	}
+}
+
+// TestRunRejectsOutOfRangeFlags: a flag value the server would
+// otherwise run as something else is refused at start-up, before the
+// history loads, with an error that names the flag. -wal-sync -1 would
+// run without fsync, -max-inflight below 1 would keep the default
+// budget, and a -shard-precision outside [1, 12] would be clamped.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-wal-sync", "-1"},
+		{"-max-inflight", "0"},
+		{"-max-inflight", "-3"},
+		{"-shard-precision", "0"},
+		{"-shard-precision", "13"},
+		{"-shard-precision", "20"},
+	} {
+		err := run([]string{"-addr", "127.0.0.1:-1", "-history-days", "1", tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value) {
+			t.Errorf("%s %s: got %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+	}
+	// The range's ends are accepted: the run gets as far as listen.
+	for _, tc := range []struct{ flag, value string }{
+		{"-wal-sync", "0"},
+		{"-max-inflight", "1"},
+		{"-shard-precision", "1"},
+		{"-shard-precision", "12"},
+	} {
+		err := run([]string{"-addr", "127.0.0.1:-1", "-history-days", "1", tc.flag, tc.value})
+		if err == nil || strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s %s: got %v, want the listen error", tc.flag, tc.value, err)
 		}
 	}
 }

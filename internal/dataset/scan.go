@@ -160,11 +160,15 @@ func ingestCSV(r io.Reader, opts ScanOptions, emit func(batch []rawTrip) error) 
 // verbatim. opts must already carry its defaults.
 func scanChunks(r io.Reader, opts ScanOptions, work func(slot int, chunk []byte, base int), merge func(slot int) error) error {
 	s := &scanState{r: r, chunkSize: opts.ChunkSize}
-	if err := s.readHeader(); err != nil {
+	header, err := s.readHeader()
+	if err != nil {
 		return err
 	}
 	workers := opts.Workers
 	bufs := make([][]byte, workers)
+	// The header's buffer, which still holds the first rows as the
+	// leftover, is worker 0's first chunk buffer.
+	bufs[0] = header
 	chunks := make([][]byte, workers)
 	bases := make([]int, workers)
 	for {
@@ -211,9 +215,12 @@ type scanState struct {
 }
 
 // readHeader consumes leading blank lines and the header record,
-// validating it against csvHeader exactly as encoding/csv would.
-func (s *scanState) readHeader() error {
-	buf := make([]byte, 0, s.chunkSize)
+// validating it against csvHeader exactly as encoding/csv would. It
+// returns its read buffer, emptied, for reuse as a chunk buffer; the
+// leftover it leaves lies inside that buffer.
+func (s *scanState) readHeader() ([]byte, error) {
+	whole := make([]byte, 0, s.chunkSize)
+	buf := whole
 	for {
 		for !s.done && len(buf) < cap(buf) {
 			n, err := s.r.Read(buf[len(buf):cap(buf)])
@@ -223,7 +230,7 @@ func (s *scanState) readHeader() error {
 				break
 			}
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for {
@@ -240,19 +247,19 @@ func (s *scanState) readHeader() error {
 				continue // blank line before the header, as csv skips
 			}
 			if err := validateHeader(rec); err != nil {
-				return err
+				return nil, err
 			}
 			s.leftover = buf
-			return nil
+			return whole[:0], nil
 		}
 		if s.done {
-			return fmt.Errorf("read header: %w", io.EOF)
+			return nil, fmt.Errorf("read header: %w", io.EOF)
 		}
 		// Consuming blank lines above may have shrunk the slice's spare
 		// capacity to zero, so grow relative to the chunk size too.
-		grown := make([]byte, len(buf), max(s.chunkSize, cap(buf)*2))
-		copy(grown, buf)
-		buf = grown
+		whole = make([]byte, len(buf), max(s.chunkSize, cap(buf)*2))
+		copy(whole, buf)
+		buf = whole
 	}
 }
 
@@ -300,8 +307,9 @@ func (s *scanState) nextChunk(bufp *[]byte) ([]byte, error) {
 	if cap(buf) < s.chunkSize {
 		buf = make([]byte, 0, s.chunkSize)
 	}
-	// The leftover may alive in another worker's buffer (or, at one
-	// worker, later in this very buffer — append copies front-ward,
+	// The leftover may live in another worker's buffer (or later in
+	// this very buffer: at one worker, and for worker 0's first chunk,
+	// which reuses the header's buffer — append copies front-ward,
 	// which is overlap-safe).
 	buf = append(buf, s.leftover...)
 	s.leftover = nil

@@ -19,8 +19,8 @@ import (
 // ReadEndPoints and AggregateHistory without ever materialising a
 // []Trip or a point per row. Everything allocated must fit
 // TestLoadHistoryMemoryBound's formula: one scanner term for the single
-// pass (one ChunkSize header buffer plus a ChunkSize read buffer per
-// worker), a bounded number of bytes per distinct end cell for each
+// pass (a ChunkSize read buffer per worker, worker 0's reused from the
+// header), a bounded number of bytes per distinct end cell for each
 // worker's fold into places and for their merge, each worker's start
 // and end cell tables (under max(24 KiB, 128 B per cell) each; the
 // fixture's starts and ends share its 1,600 cells), and slack for the
@@ -85,7 +85,7 @@ func TestIngestBoundedMemory(t *testing.T) {
 		slack     = 4 << 20 // the demand grid and file state
 	)
 	workers := parallel.Default()
-	perPass := chunkSize + workers*chunkSize
+	perPass := workers * chunkSize
 	tables := workers * 2 * max(24<<10, 128*ends.Len())
 	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc

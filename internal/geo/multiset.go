@@ -102,11 +102,30 @@ func (m Multiset) Points() []Point { return m.pts }
 func (m Multiset) Counts() []int { return m.counts }
 
 // Split partitions m by part, which maps every point to an index in
-// [0, n): part i holds the points mapped to i with their counts. Each
-// part is a canonical Multiset, so it equals the fold of the
-// occurrences that route to it.
+// [0, n) and must map a point the same way each time it is called:
+// part i holds the points mapped to i with their counts. Each part is a
+// canonical Multiset, so it equals the fold of the occurrences that
+// route to it. A first pass sizes the parts, so the split allocates
+// m.Len() points and counts once, shared by the parts; an empty part is
+// the zero Multiset.
 func (m Multiset) Split(n int, part func(Point) int) []Multiset {
+	ends := make([]int, n)
+	for _, p := range m.pts {
+		ends[part(p)]++
+	}
+	for i := 1; i < n; i++ {
+		ends[i] += ends[i-1]
+	}
+	pts := make([]Point, len(m.pts))
+	counts := make([]int, len(m.pts))
 	parts := make([]Multiset, n)
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			parts[i] = Multiset{pts: pts[start:start:end], counts: counts[start:start:end]}
+		}
+		start = end
+	}
 	for i, p := range m.pts {
 		s := &parts[part(p)]
 		s.pts = append(s.pts, p)

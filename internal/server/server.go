@@ -193,12 +193,10 @@ type Option func(*Server)
 // WithMaxInFlight bounds how many placement requests may hold or queue
 // for the decision locks at once, divided evenly across shards (at
 // least 1 per shard); requests beyond a shard's share are shed with 429
-// Too Many Requests. Values < 1 keep DefaultMaxInFlight.
+// Too Many Requests. NewSharded refuses n < 1.
 func WithMaxInFlight(n int) Option {
 	return func(s *Server) {
-		if n >= 1 {
-			s.maxInFlight = n
-		}
+		s.maxInFlight = n
 	}
 }
 
@@ -229,6 +227,9 @@ func NewSharded(placers []core.OnlinePlacer, opts ...Option) (*Server, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.maxInFlight < 1 {
+		return nil, fmt.Errorf("server: max in-flight %d: want at least 1", s.maxInFlight)
 	}
 	perShard := s.maxInFlight / len(placers)
 	if perShard < 1 {

@@ -74,6 +74,14 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded([]core.OnlinePlacer{newWALPlacer(t), nil}); err == nil {
 		t.Error("nil shard placer accepted")
 	}
+	for _, n := range []int{0, -3} {
+		if _, err := newSingle(newWALPlacer(t), WithMaxInFlight(n)); err == nil {
+			t.Errorf("max in-flight %d accepted", n)
+		}
+	}
+	if _, err := newSingle(newWALPlacer(t), WithWAL(t.TempDir(), -1, 0)); err == nil {
+		t.Error("negative WAL sync cadence accepted")
+	}
 }
 
 // TestSingleShardBitIdenticalToPlacer: a one-shard server serves the

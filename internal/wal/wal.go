@@ -46,6 +46,7 @@ type Options struct {
 	// SyncEvery batches fsyncs: the file is synced after every
 	// SyncEvery appended records. 1 syncs every append; 0 never syncs
 	// explicitly (the OS decides), trading durability for throughput.
+	// Open refuses a negative value.
 	SyncEvery int
 	// SnapshotEvery makes SnapshotDue report true after that many
 	// records since the last snapshot (0 disables the cadence; the
@@ -124,6 +125,9 @@ type Metrics struct {
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if opts.Name == "" {
 		return nil, nil, fmt.Errorf("wal: options must name the placer")
+	}
+	if opts.SyncEvery < 0 {
+		return nil, nil, fmt.Errorf("wal: sync every %d appends: want 0 or more", opts.SyncEvery)
 	}
 	if err := mkdirDurable(dir); err != nil {
 		return nil, nil, err

@@ -441,6 +441,20 @@ func TestSyncBatching(t *testing.T) {
 	}
 }
 
+// TestNegativeSyncRefused: a negative cadence would never sync, as 0
+// does, so Open refuses it rather than silently dropping fsync.
+func TestNegativeSyncRefused(t *testing.T) {
+	opts := testOpts()
+	opts.SyncEvery = -1
+	l, _, err := Open(t.TempDir(), opts)
+	if err == nil {
+		if err := l.Close(); err != nil {
+			t.Error(err)
+		}
+		t.Fatal("Open accepted SyncEvery = -1")
+	}
+}
+
 func TestSnapshotDueCadence(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts()
