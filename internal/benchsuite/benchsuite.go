@@ -94,8 +94,8 @@ var sections = slices.Concat(
 // A fixtureGroup owns the inputs its sections share. One group holds
 // its inputs at a time: the sections of a group run back to back, so
 // each input is built once, and no section's GC pacing depends on the
-// inputs of the sections measured before it (ingest/readcsv allocates
-// ~53 MB per op and measured ~30% faster with every earlier input live).
+// inputs of the sections measured before it (a section that allocated
+// ~53 MB per op once measured ~30% faster with every earlier input live).
 type fixtureGroup struct{ drop []func() }
 
 // heldGroup is the group whose inputs are built. Benchmarks run one at a
@@ -324,43 +324,31 @@ var ingestCSV = lazy(new(fixtureGroup), func(*testing.B) ([]byte, error) {
 	return buf.Bytes(), nil
 })
 
-// ingestSections read the same in-memory CSV two ways: ReadCSV (the
-// scanner materialising every []Trip, the price of holding a whole
-// history) and the server's start-up path from CSV to demand grid.
-// Both defer to parallel.Default, so `compare -parallelism 1` pins them
-// to one worker. The encoding/csv baseline is the test oracle that
-// BenchmarkReadCSV in internal/dataset times.
+// ingestSections time the server's start-up path from CSV to demand
+// grid on the in-memory CSV. It defers to parallel.Default, so `compare
+// -parallelism 1` pins it to one worker. BenchmarkReadCSV in
+// internal/dataset times the materialising encoding/csv reader on the
+// same CSV.
 func ingestSections() []Section {
-	section := func(name string, pass func(data []byte) error) Section {
-		return Section{Name: fmt.Sprintf("ingest/%s/rows=%d", name, ingestRows), Bench: func(b *testing.B) {
-			data := ingestCSV(b)
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if err := pass(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(ingestRows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		}}
-	}
-	return []Section{
-		section("readcsv", func(data []byte) error {
-			_, err := dataset.ReadCSV(bytes.NewReader(data), nil)
-			return err
-		}),
-		section("demand", func(data []byte) error {
+	return []Section{{Name: fmt.Sprintf("ingest/demand/rows=%d", ingestRows), Bench: func(b *testing.B) {
+		data := ingestCSV(b)
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
 			ends, err := dataset.ReadEndPoints(bytes.NewReader(data))
 			if err != nil {
-				return err
+				b.Fatal(err)
 			}
 			if ends.Total() != ingestRows {
-				return fmt.Errorf("read %d end points, want %d", ends.Total(), ingestRows)
+				b.Fatalf("read %d end points, want %d", ends.Total(), ingestRows)
 			}
 			demands, err := core.AggregateHistory(ends, 100)
-			if err == nil && len(demands) == 0 {
-				err = fmt.Errorf("empty demand grid")
+			if err != nil {
+				b.Fatal(err)
 			}
-			return err
-		}),
-	}
+			if len(demands) == 0 {
+				b.Fatal("empty demand grid")
+			}
+		}
+		b.ReportMetric(ingestRows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	}}}
 }

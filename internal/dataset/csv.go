@@ -1,11 +1,13 @@
 package dataset
 
 import (
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"time"
 	"unicode"
 	"unicode/utf8"
 
@@ -157,43 +159,86 @@ func csvFieldNeedsQuotes(s string) bool {
 	return unicode.IsSpace(r)
 }
 
-// ReadCSV parses trips in the Mobike schema through the streaming
-// scanner (scan.go), projecting geohash centres into the plane of
-// projector. A nil projector leaves planar coordinates zero and does not
-// decode geohashes. The trips are bit-identical to an encoding/csv
-// reader's, at any worker count: the differential tests and FuzzScanCSV
-// pin ReadCSV to that reference reader.
+// ReadCSV parses trips in the Mobike schema row by row through
+// encoding/csv, projecting geohash centres into the plane of projector.
+// A nil projector leaves planar coordinates zero and does not decode
+// geohashes. It holds every trip in memory; the server reads a CSV only
+// through ReadEndPoints, whose quoted-record fallback shares parseTrip,
+// and the differential tests pin that fold to this reader.
 func ReadCSV(r io.Reader, projector *geo.Projector) ([]Trip, error) {
-	return readCSV(r, projector, ScanOptions{})
-}
-
-// readCSV is ReadCSV with explicit chunk and worker settings.
-func readCSV(r io.Reader, projector *geo.Projector, opts ScanOptions) ([]Trip, error) {
-	opts.decodeGeohashes = projector != nil
-	opts.allowEmptyGeohash = false
-	var trips []Trip
-	err := ingestCSV(r, opts, func(batch []rawTrip) error {
-		for i := range batch {
-			rt := &batch[i]
-			t := Trip{
-				OrderID:      rt.OrderID,
-				UserID:       rt.UserID,
-				BikeID:       rt.BikeID,
-				BikeType:     rt.BikeType,
-				StartTime:    rt.StartTime,
-				StartGeohash: string(rt.StartGeohash),
-				EndGeohash:   string(rt.EndGeohash),
-			}
-			if projector != nil {
-				t.Start = projector.ToPlane(rt.StartLL)
-				t.End = projector.ToPlane(rt.EndLL)
-			}
-			trips = append(trips, t)
-		}
-		return nil
-	})
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = len(csvHeader)
+	cr.ReuseRecord = true
+	header, err := cr.Read()
 	if err != nil {
+		return nil, fmt.Errorf("read header: %w", err)
+	}
+	if err := checkHeader(header); err != nil {
 		return nil, err
 	}
-	return trips, nil
+	var trips []Trip
+	for {
+		rec, err := cr.Read()
+		if errors.Is(err, io.EOF) {
+			return trips, nil
+		}
+		if err != nil {
+			// csv.ParseError already carries the 1-based file line.
+			return nil, fmt.Errorf("read: %w", err)
+		}
+		t, err := parseTrip(rec, projector)
+		if err != nil {
+			// The file line the record starts on, as csv counts it.
+			line, _ := cr.FieldPos(0)
+			return nil, &RowError{Line: line, Err: err}
+		}
+		trips = append(trips, t)
+	}
+}
+
+// checkHeader checks a parsed header record against csvHeader.
+func checkHeader(fields []string) error {
+	for i, want := range csvHeader {
+		if fields[i] != want {
+			return fmt.Errorf("%w: column %d is %q, want %q", ErrBadHeader, i, fields[i], want)
+		}
+	}
+	return nil
+}
+
+// parseTrip parses one record of the Mobike schema. A nil projector
+// leaves the geohashes undecoded and the planar coordinates zero.
+func parseTrip(rec []string, projector *geo.Projector) (Trip, error) {
+	var t Trip
+	var err error
+	if t.OrderID, err = strconv.ParseInt(rec[0], 10, 64); err != nil {
+		return Trip{}, fmt.Errorf("orderid: %w", err)
+	}
+	if t.UserID, err = strconv.ParseInt(rec[1], 10, 64); err != nil {
+		return Trip{}, fmt.Errorf("userid: %w", err)
+	}
+	if t.BikeID, err = strconv.ParseInt(rec[2], 10, 64); err != nil {
+		return Trip{}, fmt.Errorf("bikeid: %w", err)
+	}
+	if t.BikeType, err = strconv.Atoi(rec[3]); err != nil {
+		return Trip{}, fmt.Errorf("biketype: %w", err)
+	}
+	if t.StartTime, err = time.Parse(csvTimeLayout, rec[4]); err != nil {
+		return Trip{}, fmt.Errorf("starttime: %w", err)
+	}
+	t.StartGeohash = rec[5]
+	t.EndGeohash = rec[6]
+	if projector != nil {
+		start, _, _, err := geo.DecodeGeohash(t.StartGeohash)
+		if err != nil {
+			return Trip{}, fmt.Errorf("start geohash: %w", err)
+		}
+		end, _, _, err := geo.DecodeGeohash(t.EndGeohash)
+		if err != nil {
+			return Trip{}, fmt.Errorf("end geohash: %w", err)
+		}
+		t.Start = projector.ToPlane(start)
+		t.End = projector.ToPlane(end)
+	}
+	return t, nil
 }

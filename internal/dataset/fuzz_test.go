@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/csv"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -36,10 +38,10 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzScanCSV is the differential target for the streaming scanner: for
-// any input, chunk size and worker count, ReadCSV and the sequential
-// encoding/csv oracle must either both error or produce bit-identical
-// trips, with and without a projector.
+// FuzzScanCSV drives the chunked record cutter against encoding/csv:
+// for any input, chunk size and worker count, readEndPoints must agree
+// with both oracles of checkReadEndPoints. Its seeds stress quoting,
+// CRLF and chunk boundaries; FuzzReadEndPoints's stress the fold.
 func FuzzScanCSV(f *testing.F) {
 	header := strings.Join(csvHeader, ",")
 	f.Add(header+"\n1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn\n", uint16(7), uint8(2))
@@ -50,41 +52,17 @@ func FuzzScanCSV(f *testing.F) {
 	f.Add("not,a,header\n", uint16(11), uint8(2))
 	f.Add("", uint16(1), uint8(1))
 	f.Add("\"\r\n\x00\"", uint16(2), uint8(2))
-	projector := geo.NewProjector(geo.LatLng{Lat: 39.9, Lng: 116.4})
+	// A CR before EOF, in a quoted header and in a blank one.
+	f.Add("\"\r\r", uint16(14), uint8(4))
+	f.Add("\r\r", uint16(1), uint8(2))
 	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8) {
-		opts := ScanOptions{
-			ChunkSize: 1 + int(chunk%512),
-			Workers:   1 + int(workers%8),
-		}
-		for _, proj := range []*geo.Projector{nil, projector} {
-			want, wantErr := readCSVReference(strings.NewReader(input), proj)
-			got, gotErr := readCSV(strings.NewReader(input), proj, opts)
-			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("chunk=%d workers=%d: oracle err=%v, streaming err=%v",
-					opts.ChunkSize, opts.Workers, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("chunk=%d workers=%d: %d trips, want %d",
-					opts.ChunkSize, opts.Workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("chunk=%d workers=%d: trip %d = %+v, want %+v",
-						opts.ChunkSize, opts.Workers, i, got[i], want[i])
-				}
-			}
-		}
+		checkReadEndPoints(t, input, ScanOptions{ChunkSize: 1 + int(chunk%512), Workers: 1 + int(workers%8)})
 	})
 }
 
 // FuzzReadEndPoints is the differential target for the per-chunk place
-// fold: for any input, chunk size and worker count, readEndPoints and
-// the row-by-row reference loader must fail with the same error text,
-// line included, or return Float64bits-identical places with the same
-// counts.
+// fold: for any input, chunk size and worker count, readEndPoints must
+// agree with both oracles of checkReadEndPoints.
 func FuzzReadEndPoints(f *testing.F) {
 	header := strings.Join(csvHeader, ",")
 	row := func(id, start, end string) string {
@@ -107,25 +85,65 @@ func FuzzReadEndPoints(f *testing.F) {
 	f.Add(header+"\n"+valid+row("2", "WX4G0BM", "wx4g0bn"), uint16(512), uint8(1))
 	f.Add(header+"\n", uint16(1), uint8(1))
 	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8) {
-		opts := ScanOptions{
-			ChunkSize: 1 + int(chunk%512),
-			Workers:   1 + int(workers%8),
-		}
-		want, wantErr := readEndPointsReference(strings.NewReader(input), opts)
-		got, gotErr := readEndPoints(strings.NewReader(input), opts)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("chunk=%d workers=%d: error %v, reference %v", opts.ChunkSize, opts.Workers, gotErr, wantErr)
-		}
-		if msg := diffMultisets(got, want); msg != "" {
-			t.Fatalf("chunk=%d workers=%d: %s", opts.ChunkSize, opts.Workers, msg)
-		}
+		checkReadEndPoints(t, input, ScanOptions{ChunkSize: 1 + int(chunk%512), Workers: 1 + int(workers%8)})
 	})
+}
+
+// checkReadEndPoints reads input with readEndPoints at opts and checks
+// the result against two oracles:
+//   - the row-by-row fold, readEndPointsReference: the same error text,
+//     line included, or Float64bits-identical places with the same
+//     counts;
+//   - encoding/csv, through ReadCSV: when ReadCSV fails, readEndPoints
+//     fails too, and a *csv.ParseError readEndPoints reports is
+//     ReadCSV's, at the same lines and column; when ReadCSV,
+//     GeohashCenter and ProjectTrips all succeed, readEndPoints returns
+//     the fold of their EndPoints bit for bit.
+func checkReadEndPoints(t *testing.T, input string, opts ScanOptions) {
+	t.Helper()
+	got, gotErr := readEndPoints(strings.NewReader(input), opts)
+	want, wantErr := readEndPointsReference(strings.NewReader(input))
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("chunk=%d workers=%d: error %v, row-by-row fold %v\ninput: %q", opts.ChunkSize, opts.Workers, gotErr, wantErr, input)
+	}
+	if msg := diffMultisets(got, want); msg != "" {
+		t.Fatalf("chunk=%d workers=%d: against the row-by-row fold: %s\ninput: %q", opts.ChunkSize, opts.Workers, msg, input)
+	}
+
+	trips, csvErr := ReadCSV(strings.NewReader(input), nil)
+	if csvErr != nil && gotErr == nil {
+		t.Fatalf("chunk=%d workers=%d: encoding/csv rejects the input (%v), readEndPoints accepts it\ninput: %q",
+			opts.ChunkSize, opts.Workers, csvErr, input)
+	}
+	if gotPE := (*csv.ParseError)(nil); errors.As(gotErr, &gotPE) {
+		csvPE := (*csv.ParseError)(nil)
+		if !errors.As(csvErr, &csvPE) || *csvPE != *gotPE {
+			t.Fatalf("chunk=%d workers=%d: error %v, encoding/csv %v\ninput: %q", opts.ChunkSize, opts.Workers, gotErr, csvErr, input)
+		}
+	}
+	if csvErr != nil {
+		return
+	}
+	center, err := GeohashCenter(trips)
+	if err != nil {
+		return
+	}
+	if err := ProjectTrips(trips, geo.NewProjector(center)); err != nil {
+		return
+	}
+	if gotErr != nil {
+		t.Fatalf("chunk=%d workers=%d: error %v, but encoding/csv and ProjectTrips accept the input\ninput: %q",
+			opts.ChunkSize, opts.Workers, gotErr, input)
+	}
+	if msg := diffMultisets(got, geo.FoldPoints(EndPoints(trips))); msg != "" {
+		t.Fatalf("chunk=%d workers=%d: against encoding/csv: %s\ninput: %q", opts.ChunkSize, opts.Workers, msg, input)
+	}
 }
 
 // FuzzParseFast is the differential target for the one-pass record
 // parse: on any single record, parseFast and the field-split parse must
-// fail with the same error text, or return the same ids, time and
-// geohash fields.
+// fail with the same error text, or return the same ids and geohash
+// fields.
 func FuzzParseFast(f *testing.F) {
 	for _, rec := range []string{
 		"1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
@@ -144,6 +162,8 @@ func FuzzParseFast(f *testing.F) {
 		"1,2,3,1,2017-05-10 08:30:00,wx4g0bm",
 		"1,,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn",
 		"1,2,3,1,",
+		"1,2,3,1,2017-05-10  8:30:00,wx4g0bm,wx4g0bn",
+		"1,2,3,1,2017-05-10 08:30:00.25,wx4g0bm,wx4g0bn",
 	} {
 		f.Add(rec)
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"strconv"
 	"time"
 
 	"repro/internal/geo"
@@ -21,30 +20,28 @@ import (
 // reflective time.Parse per row, and materialises the whole []Trip. At
 // the reference workload's scale (the Wuhan Mobike study ingests
 // 100,342,626 GPS points) that is two orders of magnitude past feasible.
-// This file is the only CSV reader (an encoding/csv one survives only
-// as the test oracle in csv_reference_test.go):
+// This file is the server's one CSV reader, the place fold behind
+// ReadEndPoints and ScanSummarize; ReadCSV (csv.go) is the row-by-row
+// encoding/csv reader it is tested against:
 //
 //   - scanChunks reads fixed-size chunks, aligns each chunk on a record
 //     boundary (the last '\n' outside a quoted field), and hands chunks
 //     to workers in parallel through internal/parallel. Records without
 //     quotes — the entire Mobike schema in practice — are parsed in
 //     place from byte slices with no per-field allocations; records
-//     containing quotes fall back to a per-record encoding/csv parse, so
-//     quoting semantics are inherited rather than re-implemented.
-//   - Two kinds of work run on the chunks. ingestCSV parses each into a
-//     batch of rawTrips (ReadCSV's path). The place fold behind
-//     ReadEndPoints and ScanSummarize validates every field the same
-//     way but builds nothing from the ids and the time: each worker
-//     folds its chunk into a bounding box and a few hundred places,
-//     decoding each geohash cell once per chunk, and the coordinator
-//     merges those, not rows.
+//     containing quotes fall back to a per-record encoding/csv parse and
+//     ReadCSV's parseTrip, so quoting semantics and errors are
+//     inherited rather than re-implemented.
+//   - Each worker validates every field of its chunk but builds nothing
+//     from the ids and the time: it folds the chunk into a bounding box
+//     and a few hundred places, decoding each geohash cell once per
+//     chunk, and the coordinator merges those, not rows.
 //   - Chunk index = task index and the merge runs in chunk order, so
-//     output is bit-identical to the sequential encoding/csv oracle at
-//     any worker count (FuzzScanCSV, FuzzReadEndPoints and the
-//     differential tests enforce this).
-//   - Peak memory is O(ChunkSize × Workers) regardless of file size: the
-//     coordinator owns one buffer per worker and batches are only valid
-//     for the duration of the emit callback.
+//     output is bit-identical to the row-by-row fold at any worker count
+//     (FuzzScanCSV, FuzzReadEndPoints and the differential tests enforce
+//     this, and check the fold against ReadCSV too).
+//   - Peak memory is O(ChunkSize × Workers) plus the places, regardless
+//     of file size: the coordinator owns one buffer per worker.
 //
 // The chunk/newline-alignment invariant: a chunk may only end at a byte
 // position where the CSV reader's quote state is "outside quotes". We
@@ -65,15 +62,6 @@ type ScanOptions struct {
 	// Workers bounds the parallel parse fan-out (default
 	// parallel.Default()). Output is bit-identical for every value.
 	Workers int
-
-	// decodeGeohashes decodes the start/end geohash fields into LatLng
-	// centres during the parallel parse. ReadCSV sets it when it
-	// projects; the place fold's quoted-record fallback always does.
-	decodeGeohashes bool
-	// allowEmptyGeohash, with decodeGeohashes, skips empty geohash
-	// fields (Has*LL stays false) instead of failing — GeohashCenter
-	// semantics rather than ProjectTrips semantics.
-	allowEmptyGeohash bool
 }
 
 func (o ScanOptions) withDefaults() ScanOptions {
@@ -84,32 +72,6 @@ func (o ScanOptions) withDefaults() ScanOptions {
 		o.Workers = parallel.Default()
 	}
 	return o
-}
-
-// rawTrip is one parsed Mobike record. The geohash byte slices point into
-// the scanner's chunk buffer and are only valid during the emit callback;
-// copy (or string()) them to retain.
-type rawTrip struct {
-	// Line is the 1-based file line the record starts on (the header is
-	// line 1), the line a RowError about this record would carry.
-	Line int
-
-	OrderID   int64
-	UserID    int64
-	BikeID    int64
-	BikeType  int
-	StartTime time.Time
-
-	StartGeohash []byte
-	EndGeohash   []byte
-
-	// Decoded geohash cell centres, when the consumer asked for them
-	// (ReadCSV with a projector, the place fold's quoted records).
-	// Has*LL is false only for an empty field under allowEmptyGeohash.
-	StartLL    geo.LatLng
-	EndLL      geo.LatLng
-	HasStartLL bool
-	HasEndLL   bool
 }
 
 // RowError reports a malformed CSV record with its 1-based file line
@@ -129,27 +91,6 @@ var (
 	errIntRange   = errors.New("integer out of range")
 	errFieldCount = errors.New("wrong number of fields")
 )
-
-// ingestCSV streams the Mobike schema through emit in batches, in file
-// order, after validating the header. Batches (and the geohash slices
-// inside them) are only valid for the duration of the callback. An emit
-// error aborts the scan and is returned verbatim.
-func ingestCSV(r io.Reader, opts ScanOptions, emit func(batch []rawTrip) error) error {
-	opts = opts.withDefaults()
-	parses := make([]chunkParse, opts.Workers)
-	return scanChunks(r, opts,
-		func(slot int, chunk []byte, base int) { parseChunk(chunk, base, &opts, &parses[slot]) },
-		func(slot int) error {
-			p := &parses[slot]
-			if p.err != nil {
-				return p.err
-			}
-			if len(p.trips) == 0 {
-				return nil
-			}
-			return emit(p.trips)
-		})
-}
 
 // scanChunks is the serial chunking coordinator every scan runs on. It
 // validates the header, then cuts up to opts.Workers record-aligned
@@ -238,15 +179,16 @@ func (s *scanState) readHeader() ([]byte, error) {
 			if !ok {
 				break
 			}
+			line := s.lines + 1
 			s.lines += bytes.Count(buf[:n], nlBytes)
 			buf = buf[n:]
-			if len(rec) > 0 && rec[len(rec)-1] == '\r' {
-				rec = rec[:len(rec)-1]
+			if bytes.IndexByte(rec, '"') < 0 {
+				rec = bytes.TrimSuffix(rec, []byte{'\r'}) // as recordCutter strips
 			}
 			if len(rec) == 0 {
 				continue // blank line before the header, as csv skips
 			}
-			if err := validateHeader(rec); err != nil {
+			if err := validateHeader(rec, line); err != nil {
 				return nil, err
 			}
 			s.leftover = buf
@@ -263,21 +205,16 @@ func (s *scanState) readHeader() ([]byte, error) {
 	}
 }
 
-func validateHeader(rec []byte) error {
+// validateHeader checks the header record rec, which starts on file line
+// line.
+func validateHeader(rec []byte, line int) error {
 	if bytes.IndexByte(rec, '"') >= 0 {
 		// Quoted header fields are legal CSV; let encoding/csv unquote.
-		cr := csv.NewReader(bytes.NewReader(rec))
-		cr.FieldsPerRecord = len(csvHeader)
-		fields, err := cr.Read()
+		fields, err := readRecord(rec, line)
 		if err != nil {
 			return fmt.Errorf("read header: %w", err)
 		}
-		for i, want := range csvHeader {
-			if fields[i] != want {
-				return fmt.Errorf("%w: column %d is %q, want %q", ErrBadHeader, i, fields[i], want)
-			}
-		}
-		return nil
+		return checkHeader(fields)
 	}
 	for i, want := range csvHeader {
 		var field []byte
@@ -411,10 +348,10 @@ type recordCutter struct {
 	line  int // file line of the next record
 }
 
-// next returns the next non-blank record, its trailing CR stripped, with
-// the 1-based file line it starts on and whether it contains a quote
-// (and so takes the encoding/csv fallback). ok is false at the end of
-// the chunk.
+// next returns the next non-blank record, with the 1-based file line it
+// starts on and whether it contains a quote (and so takes the
+// encoding/csv fallback). An unquoted record's trailing CR is stripped.
+// ok is false at the end of the chunk.
 func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 	for c.pos < len(c.chunk) {
 		rest := c.chunk[c.pos:]
@@ -436,7 +373,9 @@ func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 			c.line++
 		}
 		c.pos += n
-		if len(rec) > 0 && rec[len(rec)-1] == '\r' {
+		// A quoted record keeps its CR for encoding/csv to drop, as it
+		// would in the file, so that its error columns are the file's.
+		if !quoted && len(rec) > 0 && rec[len(rec)-1] == '\r' {
 			rec = rec[:len(rec)-1]
 		}
 		if len(rec) == 0 {
@@ -451,76 +390,26 @@ func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 	return nil, 0, false, false
 }
 
-// chunkParse is one worker's reusable parse output.
-type chunkParse struct {
-	trips []rawTrip
-	err   *RowError
-}
-
-// parseChunk parses every record in a record-aligned chunk that follows
-// base newlines of the file. It runs inside parallel.For: it only
-// touches its own chunk and output slot. Records parse directly into
-// their output slot (every rawTrip field is written on success) so the
-// hot loop never zeroes or copies a struct.
-func parseChunk(chunk []byte, base int, opts *ScanOptions, out *chunkParse) {
-	if cap(out.trips) == 0 && len(chunk) > 0 {
-		// Reserve for the shortest plausible Mobike record up front:
-		// growing by doubling would repeatedly allocate and zero
-		// multi-megabyte pointer-ful slices on the first chunks.
-		out.trips = make([]rawTrip, 0, len(chunk)/32+1)
-	}
-	out.trips = out.trips[:0]
-	out.err = nil
-	cut := recordCutter{chunk: chunk, line: base + 1}
-	for {
-		rec, line, quoted, ok := cut.next()
-		if !ok {
-			return
-		}
-		if len(out.trips) < cap(out.trips) {
-			out.trips = out.trips[:len(out.trips)+1]
-		} else {
-			out.trips = append(out.trips, rawTrip{})
-		}
-		rt := &out.trips[len(out.trips)-1]
-		rt.Line = line
-		var err error
-		if quoted {
-			err = parseRecordSlow(rec, opts, rt)
-		} else {
-			err = parseRecordFast(rec, opts, rt)
-		}
-		if err != nil {
-			out.trips = out.trips[:len(out.trips)-1]
-			out.err = &RowError{Line: line, Err: err}
-			return
-		}
-	}
-}
-
-// fastRecord is the integer and time fields of a record containing no
-// quotes, validated and decoded. Both the rawTrip parse and the place
-// fold go through parseFast, so they accept and reject the same records
-// with the same errors.
+// fastRecord is the integer fields of a record containing no quotes,
+// validated and decoded.
 type fastRecord struct {
-	ids   [4]int64 // orderid, userid, bikeid, biketype
-	start wallClock
+	ids [4]int64 // orderid, userid, bikeid, biketype
 }
 
 // maxFastDigits is the longest id run parseFast accepts: 18 decimal
 // digits stay below 10^18 < 2^63, so the run cannot overflow int64.
 const maxFastDigits = 18
 
-// parseFast decodes the integers and the timestamp of rec into fr and
-// returns the two geohash fields. No allocations on success. fr holds
-// no pointers and the fields come back in registers, so the per-row
-// stores need no write barrier. It walks the record once, accepting the
-// shape every Mobike row has: four runs of 1–18 unsigned digits, each
-// ended by a comma, an 18- or 19-byte timestamp that checkMobikeTime
-// accepts, and two comma-free geohash fields. Every other record goes to
-// parseFieldSplit, which accepts signs and longer integers and words
-// each error; on the records both accept they agree field for field
-// (FuzzParseFast).
+// parseFast decodes the integers of rec into fr, validates the
+// timestamp, and returns the two geohash fields. No allocations on
+// success. fr holds no pointers and the fields come back in registers,
+// so the per-row stores need no write barrier. It walks the record once,
+// accepting the shape every Mobike row has: four runs of 1–18 unsigned
+// digits, each ended by a comma, an 18- or 19-byte timestamp that
+// checkMobikeTime accepts, and two comma-free geohash fields. Every
+// other record goes to parseFieldSplit, which accepts signs and longer
+// integers and words each error; on the records both accept they agree
+// field for field (FuzzParseFast).
 func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
 	i := 0
 	for k := range fr.ids {
@@ -551,7 +440,7 @@ func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err
 	default:
 		return parseFieldSplit(rec, fr)
 	}
-	if fr.start, err = checkMobikeTime(rest[:t]); err != nil {
+	if checkMobikeTime(rest[:t]) != nil {
 		return parseFieldSplit(rec, fr)
 	}
 	rest = rest[t+1:]
@@ -584,90 +473,60 @@ func parseFieldSplit(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byt
 			return nil, nil, fmt.Errorf("%s: %w", csvHeader[i], err)
 		}
 	}
-	if fr.start, err = checkMobikeTime(f[4]); err != nil {
+	if err = checkMobikeTime(f[4]); err != nil {
 		return nil, nil, fmt.Errorf("starttime: %w", err)
 	}
 	return f[5], f[6], nil
 }
 
-// parseRecordFast parses a record containing no quotes into rt. No
-// allocations on success. Every rawTrip field is assigned, so a dirty
-// reused slot is fully overwritten.
-func parseRecordFast(rec []byte, opts *ScanOptions, rt *rawTrip) error {
-	var fr fastRecord
-	start, end, err := parseFast(rec, &fr)
+// parseRecordSlow parses a record containing quotes, which starts on
+// file line line, through encoding/csv and parseTrip: ReadCSV's own
+// parse, so quoted records and ReadCSV accept the same fields with the
+// same errors. It returns the two geohash fields.
+func parseRecordSlow(rec []byte, line int) (startGeohash, endGeohash []byte, err error) {
+	fields, err := readRecord(rec, line)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	rt.OrderID, rt.UserID, rt.BikeID, rt.BikeType = fr.ids[0], fr.ids[1], fr.ids[2], int(fr.ids[3])
-	rt.StartTime = fr.start.time()
-	rt.StartGeohash, rt.EndGeohash = start, end
-	return decodeGeohashFields(opts, rt)
+	t, err := parseTrip(fields, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []byte(t.StartGeohash), []byte(t.EndGeohash), nil
 }
 
-// parseRecordSlow parses a record containing quotes through encoding/csv,
-// inheriting its exact quoting semantics and errors.
-func parseRecordSlow(rec []byte, opts *ScanOptions, rt *rawTrip) error {
+// readRecord parses one record, which starts on file line line, through
+// encoding/csv. A *csv.ParseError is re-based from the one-record
+// reader's lines onto the file's, so it reads as ReadCSV's would.
+func readRecord(rec []byte, line int) ([]string, error) {
 	cr := csv.NewReader(bytes.NewReader(rec))
 	cr.FieldsPerRecord = len(csvHeader)
 	fields, err := cr.Read()
-	if err != nil {
-		return err
+	var pe *csv.ParseError
+	if errors.As(err, &pe) {
+		pe.StartLine += line - 1
+		pe.Line += line - 1
 	}
-	if rt.OrderID, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
-		return fmt.Errorf("orderid: %w", err)
-	}
-	if rt.UserID, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-		return fmt.Errorf("userid: %w", err)
-	}
-	if rt.BikeID, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-		return fmt.Errorf("bikeid: %w", err)
-	}
-	if rt.BikeType, err = strconv.Atoi(fields[3]); err != nil {
-		return fmt.Errorf("biketype: %w", err)
-	}
-	if rt.StartTime, err = time.Parse(csvTimeLayout, fields[4]); err != nil {
-		return fmt.Errorf("starttime: %w", err)
-	}
-	rt.StartGeohash = []byte(fields[5])
-	rt.EndGeohash = []byte(fields[6])
-	return decodeGeohashFields(opts, rt)
-}
-
-func decodeGeohashFields(opts *ScanOptions, rt *rawTrip) error {
-	// Reset first: the rawTrip may be a dirty reused slot, and the
-	// skip-decode paths below must not leak a previous record's values.
-	rt.StartLL, rt.EndLL = geo.LatLng{}, geo.LatLng{}
-	rt.HasStartLL, rt.HasEndLL = false, false
-	if !opts.decodeGeohashes {
-		return nil
-	}
-	start, end, err := decodeGeohashPair(rt.StartGeohash, rt.EndGeohash, opts.allowEmptyGeohash)
-	if err != nil {
-		return err
-	}
-	rt.StartLL, rt.HasStartLL = start.ll, start.ok
-	rt.EndLL, rt.HasEndLL = end.ll, end.ok
-	return nil
+	return fields, err
 }
 
 // cellCentre is a decoded geohash field: its cell centre, or ok false
-// for an empty field that was allowed.
+// for an empty field.
 type cellCentre struct {
 	ll geo.LatLng
 	ok bool
 }
 
-// decodeGeohashPair decodes a record's start and end geohash fields.
-// With allowEmpty an empty field is skipped rather than failed.
-func decodeGeohashPair(start, end []byte, allowEmpty bool) (s, e cellCentre, err error) {
-	if len(start) > 0 || !allowEmpty {
+// decodeGeohashPair decodes a record's start and end geohash fields. An
+// empty field is skipped rather than failed.
+func decodeGeohashPair(start, end []byte) (s, e cellCentre, err error) {
+	if len(start) > 0 {
 		if s.ll, _, _, err = geo.DecodeGeohashBytes(start); err != nil {
 			return s, e, fmt.Errorf("start geohash: %w", err)
 		}
 		s.ok = true
 	}
-	if len(end) > 0 || !allowEmpty {
+	if len(end) > 0 {
 		if e.ll, _, _, err = geo.DecodeGeohashBytes(end); err != nil {
 			return s, e, fmt.Errorf("end geohash: %w", err)
 		}
@@ -715,38 +574,35 @@ func parseInt64(b []byte) (int64, error) {
 
 var errBadTime = errors.New("invalid timestamp")
 
-// wallClock is a validated csvTimeLayout timestamp, not yet a time.Time.
-// Its fields are as narrow as the layout allows (four digits of year,
-// two of the rest), so each row stores 8 bytes of it into a fastRecord
-// rather than 48.
-type wallClock struct {
-	year                          uint16
-	month, day, hour, minute, sec uint8
+// checkMobikeTime validates a timestamp against csvTimeLayout
+// ("2006-01-02 15:04:05"), accepting exactly what time.Parse accepts.
+// The shape of every Mobike row is checked from bytes; anything else,
+// such as a run of spaces where the layout has one or a fractional
+// second, goes to time.Parse itself.
+func checkMobikeTime(b []byte) error {
+	if !isMobikeTime(b) {
+		if _, err := time.Parse(csvTimeLayout, string(b)); err != nil {
+			return errBadTime
+		}
+	}
+	return nil
 }
 
-// time is the wall-clock UTC instant, bit-identical to time.Parse's.
-func (c wallClock) time() time.Time {
-	return time.Date(int(c.year), time.Month(c.month), int(c.day), int(c.hour), int(c.minute), int(c.sec), 0, time.UTC)
-}
-
-// checkMobikeTime validates csvTimeLayout ("2006-01-02 15:04:05") from
-// bytes, accepting the same inputs time.Parse does for that layout: the
-// hour may be one or two digits ("15" is a non-padded verb), everything
-// else is fixed-width, and month/day/hour/minute/second are
-// range-checked. It is the only timestamp validator: the rawTrip parse
-// converts its result with time, the place fold discards it.
-func checkMobikeTime(b []byte) (wallClock, error) {
+// isMobikeTime reports whether b is a csvTimeLayout timestamp with one
+// space and fixed-width fields but for a one- or two-digit hour ("15" is
+// a non-padded verb), with month, day, hour, minute and second in range.
+func isMobikeTime(b []byte) bool {
 	if len(b) < 18 || len(b) > 19 {
-		return wallClock{}, errBadTime
+		return false
 	}
 	if b[4] != '-' || b[7] != '-' || b[10] != ' ' {
-		return wallClock{}, errBadTime
+		return false
 	}
 	year, ok := atoiFixed(b[0:4])
 	month, ok2 := atoiFixed(b[5:7])
 	day, ok3 := atoiFixed(b[8:10])
 	if !ok || !ok2 || !ok3 {
-		return wallClock{}, errBadTime
+		return false
 	}
 	var hour, rest int
 	switch {
@@ -757,21 +613,18 @@ func checkMobikeTime(b []byte) (wallClock, error) {
 		hour = int(b[11] - '0')
 		rest = 12
 	default:
-		return wallClock{}, errBadTime
+		return false
 	}
 	if rest+6 != len(b) || b[rest] != ':' || b[rest+3] != ':' {
-		return wallClock{}, errBadTime
+		return false
 	}
 	minute, ok := atoiFixed(b[rest+1 : rest+3])
 	sec, ok2 := atoiFixed(b[rest+4 : rest+6])
 	if !ok || !ok2 {
-		return wallClock{}, errBadTime
+		return false
 	}
-	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
-		hour > 23 || minute > 59 || sec > 59 {
-		return wallClock{}, errBadTime
-	}
-	return wallClock{uint16(year), uint8(month), uint8(day), uint8(hour), uint8(minute), uint8(sec)}, nil
+	return month >= 1 && month <= 12 && day >= 1 && day <= daysIn(month, year) &&
+		hour <= 23 && minute <= 59 && sec <= 59
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -1003,9 +856,8 @@ type placeFold struct {
 }
 
 // foldChunk folds every record in a record-aligned chunk that follows
-// base newlines of the file. A record is validated exactly as
-// parseChunk parses it, so the fold fails on the same row with the same
-// error, but nothing is built from the ids and the time. It runs inside
+// base newlines of the file. Every field of a record is validated, but
+// nothing is built from the ids and the time. It runs inside
 // parallel.For: it only touches its own chunk and fold.
 func (f *placeFold) foldChunk(chunk []byte, base int) {
 	f.sum = emptySummary
@@ -1023,11 +875,11 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 		var start, end cellCentre
 		var err error
 		if quoted {
-			// The encoding/csv fallback parses into a rawTrip, decoding
-			// and skipping empty geohashes as the fast path does.
-			var rt rawTrip
-			if err = parseRecordSlow(rec, &ScanOptions{decodeGeohashes: true, allowEmptyGeohash: true}, &rt); err == nil {
-				start, end = cellCentre{rt.StartLL, rt.HasStartLL}, cellCentre{rt.EndLL, rt.HasEndLL}
+			// The encoding/csv fallback, which decodes and skips empty
+			// geohashes as the fast path does.
+			var startGeohash, endGeohash []byte
+			if startGeohash, endGeohash, err = parseRecordSlow(rec, line); err == nil {
+				start, end, err = decodeGeohashPair(startGeohash, endGeohash)
 			}
 		} else {
 			var fr fastRecord
@@ -1039,7 +891,7 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 					f.foldCells(startKey, startGeohash, endKey, endGeohash)
 					continue
 				}
-				start, end, err = decodeGeohashPair(startGeohash, endGeohash, true)
+				start, end, err = decodeGeohashPair(startGeohash, endGeohash)
 			}
 		}
 		if err != nil {

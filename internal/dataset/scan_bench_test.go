@@ -35,64 +35,17 @@ func benchCSV(b *testing.B) ([]byte, int) {
 	return benchCSVData, benchCSVRows
 }
 
-// BenchmarkReadCSV times the encoding/csv test oracle, the materialising
-// baseline the streaming scanner is measured against (EXPERIMENTS.md's
-// ingest throughput table). The scanner-backed ReadCSV is the
-// ingest/readcsv section of internal/benchsuite, on the same CSV.
+// BenchmarkReadCSV times ReadCSV, the row-by-row encoding/csv reader
+// that materialises every trip, against which the place fold is measured
+// (EXPERIMENTS.md's ingest throughput table).
 func BenchmarkReadCSV(b *testing.B) {
 	data, _ := benchCSV(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := readCSVReference(bytes.NewReader(data), nil); err != nil {
+		if _, err := ReadCSV(bytes.NewReader(data), nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIngestCSVDecode is the bare batch scan at one worker with
-// geohash decoding, the configuration ReadCSV runs with a projector.
-func BenchmarkIngestCSVDecode(b *testing.B) {
-	data, rows := benchCSV(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	opts := ScanOptions{Workers: 1, decodeGeohashes: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int
-		err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
-			n += len(batch)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != rows {
-			b.Fatalf("scanned %d rows, want %d", n, rows)
-		}
-	}
-}
-
-// BenchmarkIngestCSVParallel runs the deterministic parallel parse at 4
-// workers; output is bit-identical to one worker by construction.
-func BenchmarkIngestCSVParallel(b *testing.B) {
-	data, rows := benchCSV(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	opts := ScanOptions{Workers: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int
-		err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
-			n += len(batch)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != rows {
-			b.Fatalf("scanned %d rows, want %d", n, rows)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,78 +15,20 @@ import (
 	"repro/internal/geo"
 )
 
-// The differential matrix: every input is parsed by the sequential
-// encoding/csv oracle and by the streaming scanner at several worker counts and chunk sizes
-// (including sizes small enough to force chunk boundaries mid-record and
-// mid-quoted-field), with and without a projector. Both codecs must
-// agree: same error-or-not, and bit-identical trips on success.
+// The differential matrix: every input is read by readEndPoints at
+// several worker counts and chunk sizes (including sizes small enough to
+// force chunk boundaries mid-record and mid-quoted-field), and each read
+// is checked against the row-by-row fold and against encoding/csv by
+// checkReadEndPoints.
 
 var diffWorkers = []int{1, 2, 4, 7}
 var diffChunks = []int{3, 7, 53, 1 << 12, 1 << 20}
 
-// referenceLines is the 1-based file line each record of a valid input
-// starts on, as encoding/csv's FieldPos reports it.
-func referenceLines(t *testing.T, input string) []int {
-	t.Helper()
-	cr := csv.NewReader(strings.NewReader(input))
-	cr.FieldsPerRecord = len(csvHeader)
-	var lines []int
-	for {
-		if _, err := cr.Read(); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			t.Fatalf("reference read of a valid input: %v", err)
-		}
-		line, _ := cr.FieldPos(0)
-		lines = append(lines, line)
-	}
-	return lines[1:] // the header
-}
-
 func diffCodecs(t *testing.T, input string) {
 	t.Helper()
-	projectors := []*geo.Projector{nil, geo.NewProjector(geo.LatLng{Lat: 39.9, Lng: 116.4})}
-	for pi, projector := range projectors {
-		want, wantErr := readCSVReference(strings.NewReader(input), projector)
-		for _, workers := range diffWorkers {
-			for _, chunk := range diffChunks {
-				opts := ScanOptions{ChunkSize: chunk, Workers: workers}
-				got, gotErr := readCSV(strings.NewReader(input), projector, opts)
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("projector=%d workers=%d chunk=%d: oracle err=%v, streaming err=%v\ninput: %q",
-						pi, workers, chunk, wantErr, gotErr, input)
-				}
-				if wantErr != nil {
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("projector=%d workers=%d chunk=%d: %d trips, want %d\ninput: %q",
-						pi, workers, chunk, len(got), len(want), input)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("projector=%d workers=%d chunk=%d: trip %d = %+v, want %+v",
-							pi, workers, chunk, i, got[i], want[i])
-					}
-				}
-				if pi > 0 {
-					continue
-				}
-				// rawTrip.Line is the line a RowError for the row would carry.
-				wantLines := referenceLines(t, input)
-				var gotLines []int
-				if err := ingestCSV(strings.NewReader(input), opts, func(batch []rawTrip) error {
-					for i := range batch {
-						gotLines = append(gotLines, batch[i].Line)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(gotLines) != fmt.Sprint(wantLines) {
-					t.Fatalf("workers=%d chunk=%d: row lines %v, want %v\ninput: %q", workers, chunk, gotLines, wantLines, input)
-				}
-			}
+	for _, workers := range diffWorkers {
+		for _, chunk := range diffChunks {
+			checkReadEndPoints(t, input, ScanOptions{ChunkSize: chunk, Workers: workers})
 		}
 	}
 }
@@ -126,6 +69,8 @@ func TestStreamingMatchesReadCSVEdgeCases(t *testing.T) {
 		"bad time short":          hdr + "\n1,2,3,1,2017-05-10 08:30,wx4g0bm,wx4g0bn\n",
 		"bad time trailing":       hdr + "\n1,2,3,1,2017-05-10 08:30:00x,wx4g0bm,wx4g0bn\n",
 		"leap day ok":             hdr + "\n1,2,3,1,2016-02-29 23:59:59,wx4g0bm,wx4g0bn\n",
+		"two spaces before time":  hdr + "\n1,2,3,1,2017-05-10  8:30:00,wx4g0bm,wx4g0bn\n",
+		"fractional second":       hdr + "\n1,2,3,1,2017-05-10 08:30:00.25,wx4g0bm,wx4g0bn\n",
 		"bad geohash":             hdr + "\n1,2,3,1,2017-05-10 08:30:00,IIII,wx4g0bn\n",
 		"empty geohash":           hdr + "\n1,2,3,1,2017-05-10 08:30:00,,wx4g0bn\n",
 		"bare quote":              hdr + "\n1,2,3,1,2017-05-10 08:30:00,wx\"4,wx4g0bn\n",
@@ -162,9 +107,11 @@ func TestStreamingMatchesReadCSVGenerated(t *testing.T) {
 	diffCodecs(t, sb.String())
 }
 
-// TestReadCSVErrorLineNumbers is the satellite regression test: both
-// codecs must report the 1-based file line of a broken record, with the
-// header on line 1, even after blank lines and multi-line quoted rows.
+// TestReadCSVErrorLineNumbers: ReadCSV and readEndPoints must report the
+// 1-based file line of a broken record, with the header on line 1, even
+// after blank lines. A multi-line quoted row is always broken for
+// readEndPoints, whose geohashes hold no newline, so it fails at its
+// own line.
 func TestReadCSVErrorLineNumbers(t *testing.T) {
 	hdr := strings.Join(csvHeader, ",")
 	cases := []struct {
@@ -175,29 +122,71 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 		{"first data row", hdr + "\nbad,row\n", 2},
 		{"after good row", hdr + "\n" + goodRow + "1,2,x,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn\n", 3},
 		{"after blank lines", hdr + "\n\n\n" + goodRow + "\nbad,row\n", 6},
-		{"after multiline quoted", hdr + "\n1,2,3,1,2017-05-10 08:30:00,\"wx\n4\",wx4g0bn\nbad,row\n", 4},
+		{"multiline quoted", hdr + "\n" + goodRow + "1,2,3,1,2017-05-10 08:30:00,\"wx\n4\",wx4g0bn\nbad,row\n", 3},
 		{"bad time row", hdr + "\n" + goodRow + goodRow + "1,2,3,1,2017-05-99 08:30:00,wx4g0bm,wx4g0bn\n", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readCSVReference(strings.NewReader(tc.input), nil)
+			_, err := ReadCSV(strings.NewReader(tc.input), geo.NewProjector(geo.LatLng{Lat: 39.9, Lng: 116.4}))
 			if err == nil {
-				t.Fatalf("oracle accepted %q", tc.input)
+				t.Fatalf("ReadCSV accepted %q", tc.input)
 			}
 			if want := fmt.Sprintf("line %d", tc.line); !strings.Contains(err.Error(), want) {
-				t.Fatalf("oracle error %q does not name %q", err, want)
+				t.Fatalf("ReadCSV error %q does not name %q", err, want)
 			}
-			_, err = readCSV(strings.NewReader(tc.input), nil, ScanOptions{ChunkSize: 16, Workers: 3})
+			_, err = readEndPoints(strings.NewReader(tc.input), ScanOptions{ChunkSize: 16, Workers: 3})
 			if err == nil {
-				t.Fatalf("streaming accepted %q", tc.input)
+				t.Fatalf("readEndPoints accepted %q", tc.input)
 			}
 			var rowErr *RowError
 			if errors.As(err, &rowErr) {
 				if rowErr.Line != tc.line {
-					t.Fatalf("streaming reported line %d, want %d (err %v)", rowErr.Line, tc.line, err)
+					t.Fatalf("readEndPoints reported line %d, want %d (err %v)", rowErr.Line, tc.line, err)
 				}
 			} else if want := fmt.Sprintf("line %d", tc.line); !strings.Contains(err.Error(), want) {
-				t.Fatalf("streaming error %q does not name %q", err, want)
+				t.Fatalf("readEndPoints error %q does not name %q", err, want)
+			}
+		})
+	}
+}
+
+// TestQuotedRowErrorLines: a malformed quoted record is parsed on its
+// own by encoding/csv, and the csv.ParseError it yields must carry the
+// file's lines, as ReadCSV's reader over the whole file reports them, at
+// every chunk size and worker count.
+func TestQuotedRowErrorLines(t *testing.T) {
+	prefix := strings.Join(csvHeader, ",") + "\n" + strings.Repeat(goodRow, 5)
+	cases := []struct {
+		name                    string
+		row                     string
+		startLine, line, column int
+	}{
+		{"junk after quote", `1,2,3,1,2017-05-10 08:30:00,"wx4g0bm"x,wx4g0bn` + "\n", 7, 7, 37},
+		{"breaks on its second line", `1,2,3,1,2017-05-10 08:30:00,"wx` + "\n" + `4"x,wx4g0bn` + "\n", 7, 8, 2},
+		{"wrong field count", `1,2,3,"1",2017-05-10 08:30:00,wx4g0bm` + "\n", 7, 7, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			input := prefix + tc.row + goodRow
+			want := csv.ParseError{StartLine: tc.startLine, Line: tc.line, Column: tc.column}
+			check := func(reader string, err error) {
+				t.Helper()
+				var pe *csv.ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s: error %v is not a *csv.ParseError", reader, err)
+				}
+				if pe.StartLine != want.StartLine || pe.Line != want.Line || pe.Column != want.Column {
+					t.Fatalf("%s: %v at start line %d, line %d, column %d; want %d, %d, %d",
+						reader, err, pe.StartLine, pe.Line, pe.Column, want.StartLine, want.Line, want.Column)
+				}
+			}
+			_, err := ReadCSV(strings.NewReader(input), nil)
+			check("ReadCSV", err)
+			for _, workers := range []int{1, 3} {
+				for _, chunk := range []int{7, 64, 1 << 20} {
+					_, err := readEndPoints(strings.NewReader(input), ScanOptions{ChunkSize: chunk, Workers: workers})
+					check(fmt.Sprintf("readEndPoints chunk=%d workers=%d", chunk, workers), err)
+				}
 			}
 		})
 	}
@@ -219,7 +208,7 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 	}
 	input := sb.String()
 
-	raw, err := readCSVReference(strings.NewReader(input), nil)
+	raw, err := ReadCSV(strings.NewReader(input), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +245,7 @@ func TestScanSummaryMatchesMaterialized(t *testing.T) {
 			if msg := diffMultisets(got, ends); msg != "" {
 				t.Fatalf("workers=%d chunk=%d: %s", workers, chunk, msg)
 			}
-			ref, err := readEndPointsReference(strings.NewReader(input), opts)
+			ref, err := readEndPointsReference(strings.NewReader(input))
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: reference: %v", workers, chunk, err)
 			}
@@ -330,7 +319,7 @@ func TestReadEndPointsManyCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := readEndPointsReference(strings.NewReader(input), opts)
+			want, err := readEndPointsReference(strings.NewReader(input))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +371,15 @@ func TestCSVWriterMatchesEncodingCSV(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("writer output diverged:\ngot:  %q\nwant: %q", got.Bytes(), want.Bytes())
 	}
-	// And the quoted output must round-trip through both readers.
+	// The quoted output reads back as the trips written, and
+	// readEndPoints agrees with both oracles on it.
+	back, err := ReadCSV(bytes.NewReader(got.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, trips) {
+		t.Fatalf("round trip:\ngot:  %+v\nwant: %+v", back, trips)
+	}
 	diffCodecs(t, got.String())
 }
 
@@ -412,38 +409,6 @@ func TestCSVWriterAllocBudget(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("WriteTrips allocated %.1f times for %d trips, want <= 1", allocs, len(trips))
-	}
-}
-
-// TestIngestCSVAllocBudget: the scanner's allocation count must be O(1)
-// in the row count — buffers, not per-row garbage. 2000 rows through
-// encoding/csv cost >4000 allocations; the budget here is 120 total.
-func TestIngestCSVAllocBudget(t *testing.T) {
-	trips, err := Generate(Config{Days: 1, Seed: 13, TripsWeekday: 2000, TripsWeekend: 1200, Bikes: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteCSV(&sb, trips); err != nil {
-		t.Fatal(err)
-	}
-	data := []byte(sb.String())
-	opts := ScanOptions{Workers: 1, decodeGeohashes: true}
-	rows := 0
-	allocs := testing.AllocsPerRun(3, func() {
-		rows = 0
-		if err := ingestCSV(bytes.NewReader(data), opts, func(batch []rawTrip) error {
-			rows += len(batch)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if rows != len(trips) {
-		t.Fatalf("scanned %d rows, want %d", rows, len(trips))
-	}
-	if allocs > 120 {
-		t.Fatalf("ingestCSV allocated %.0f times for %d rows — not O(1)", allocs, rows)
 	}
 }
 
@@ -515,26 +480,14 @@ func TestGenerateStreamEmitError(t *testing.T) {
 	}
 }
 
-// TestIngestCSVEmitError: an emit error aborts the scan and surfaces
-// verbatim.
-func TestIngestCSVEmitError(t *testing.T) {
-	hdr := strings.Join(csvHeader, ",")
-	input := hdr + "\n" + strings.Repeat(goodRow, 50)
-	sentinel := errors.New("stop ingest")
-	err := ingestCSV(strings.NewReader(input), ScanOptions{ChunkSize: 64, Workers: 2},
-		func([]rawTrip) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-}
-
-// TestIngestCSVReaderError: mid-stream I/O failures surface.
+// TestIngestCSVReaderError: a mid-stream I/O failure surfaces from
+// readEndPoints.
 func TestIngestCSVReaderError(t *testing.T) {
 	hdr := strings.Join(csvHeader, ",")
 	input := hdr + "\n" + strings.Repeat(goodRow, 50)
 	boom := errors.New("disk on fire")
 	r := io.MultiReader(strings.NewReader(input), errReader{boom})
-	err := ingestCSV(r, ScanOptions{ChunkSize: 128, Workers: 2}, func([]rawTrip) error { return nil })
+	_, err := readEndPoints(r, ScanOptions{ChunkSize: 128, Workers: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped reader error", err)
 	}
@@ -550,20 +503,12 @@ func TestScanRecordLargerThanChunk(t *testing.T) {
 	hdr := strings.Join(csvHeader, ",")
 	long := "1,2,3,1,2017-05-10 08:30:00,wx4g0bm," + strings.Repeat("w", 4096) + "\n"
 	input := hdr + "\n" + long + goodRow
-	want, err := readCSVReference(strings.NewReader(input), nil)
+	got, err := readEndPoints(strings.NewReader(input), ScanOptions{ChunkSize: 32, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readCSV(strings.NewReader(input), nil, ScanOptions{ChunkSize: 32, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if got.Total() != 2 {
+		t.Fatalf("%d end points, want 2", got.Total())
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d trips, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trip %d diverged", i)
-		}
-	}
+	checkReadEndPoints(t, input, ScanOptions{ChunkSize: 32, Workers: 4})
 }
