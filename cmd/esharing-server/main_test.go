@@ -163,11 +163,23 @@ func TestLoadHistoryErrors(t *testing.T) {
 		name    string
 		content string // "" leaves the file missing
 		want    error
-		text    string // exact error text, when set
+		text    string // exact error text, when set; a *dataset.RowError when it names a line
 	}{
 		{name: "missing file", want: fs.ErrNotExist},
 		{name: "all empty geohashes", content: hdr + row(1, "", "") + row(2, "", ""), want: dataset.ErrNoGeohashes},
 		{name: "bad header", content: "orderid,userid\n1,2\n", want: dataset.ErrBadHeader},
+		{
+			name:    "header extra column",
+			content: strings.TrimSuffix(hdr, "\n") + ",extra\n" + valid(1),
+			want:    dataset.ErrBadHeader,
+			text:    "dataset: unexpected CSV header: 8 columns, want 7",
+		},
+		{
+			name:    "header missing column",
+			content: strings.TrimSuffix(hdr, ",geohashed_end_loc\n") + "\n" + valid(1),
+			want:    dataset.ErrBadHeader,
+			text:    "dataset: unexpected CSV header: 6 columns, want 7",
+		},
 		{
 			name:    "empty end then invalid geohash",
 			content: hdr + valid(1) + row(2, "wx4g0bm", "") + valid(3) + valid(4) + row(5, "wx4g0bm", "wx4I0bn"),
@@ -183,7 +195,7 @@ func TestLoadHistoryErrors(t *testing.T) {
 		{
 			name:    "empty geohash then bad orderid",
 			content: hdr + valid(1) + row(2, "wx4g0bm", "") + valid(3) + "x4,2,3,1,2017-05-10 08:00:00,wx4g0bm,wx4g0bn\n",
-			text:    `line 5: orderid: invalid integer`,
+			text:    `line 5: orderid: strconv.ParseInt: parsing "x4": invalid syntax`,
 		},
 		{
 			name:    "first empty geohash wins",
@@ -209,8 +221,8 @@ func TestLoadHistoryErrors(t *testing.T) {
 			}
 			if tc.text != "" {
 				var rowErr *dataset.RowError
-				if !errors.As(err, &rowErr) {
-					t.Fatalf("loadHistory error %v is not a *dataset.RowError", err)
+				if errors.As(err, &rowErr) != strings.HasPrefix(tc.text, "line ") {
+					t.Fatalf("loadHistory error %v: *dataset.RowError is %v", err, rowErr != nil)
 				}
 				if err.Error() != tc.text {
 					t.Fatalf("loadHistory error %q, want %q", err, tc.text)

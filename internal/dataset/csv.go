@@ -163,11 +163,12 @@ func csvFieldNeedsQuotes(s string) bool {
 // encoding/csv, projecting geohash centres into the plane of projector.
 // A nil projector leaves planar coordinates zero and does not decode
 // geohashes. It holds every trip in memory; the server reads a CSV only
-// through ReadEndPoints, whose quoted-record fallback shares parseTrip,
-// and the differential tests pin that fold to this reader.
+// through ReadEndPoints, which parses every record that is not a plain
+// Mobike row with parseTrip, and the differential tests pin that fold to
+// this reader.
 func ReadCSV(r io.Reader, projector *geo.Projector) ([]Trip, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
+	cr.FieldsPerRecord = -1 // any header width: checkHeader refuses a wrong one
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
@@ -176,6 +177,7 @@ func ReadCSV(r io.Reader, projector *geo.Projector) ([]Trip, error) {
 	if err := checkHeader(header); err != nil {
 		return nil, err
 	}
+	cr.FieldsPerRecord = len(csvHeader)
 	var trips []Trip
 	for {
 		rec, err := cr.Read()
@@ -198,6 +200,9 @@ func ReadCSV(r io.Reader, projector *geo.Projector) ([]Trip, error) {
 
 // checkHeader checks a parsed header record against csvHeader.
 func checkHeader(fields []string) error {
+	if len(fields) != len(csvHeader) {
+		return fmt.Errorf("%w: %d columns, want %d", ErrBadHeader, len(fields), len(csvHeader))
+	}
 	for i, want := range csvHeader {
 		if fields[i] != want {
 			return fmt.Errorf("%w: column %d is %q, want %q", ErrBadHeader, i, fields[i], want)

@@ -269,6 +269,8 @@ func TestReadCSVErrors(t *testing.T) {
 		wantHdr bool
 	}{
 		{"wrong header", "a,b,c,d,e,f,g\n", true},
+		{"header extra column", strings.Join(csvHeader, ",") + ",extra\n", true},
+		{"header missing column", strings.Join(csvHeader[:6], ",") + "\n", true},
 		{"bad orderid", strings.Join(csvHeader, ",") + "\nxx,1,1,1,2017-05-10 00:00:00,wx4g0bm,wx4g0bm\n", false},
 		{"bad time", strings.Join(csvHeader, ",") + "\n1,1,1,1,not-a-time,wx4g0bm,wx4g0bm\n", false},
 		{"bad geohash", strings.Join(csvHeader, ",") + "\n1,1,1,1,2017-05-10 00:00:00,IIIIIII,wx4g0bm\n", false},

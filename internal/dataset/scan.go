@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
@@ -26,12 +25,12 @@ import (
 //
 //   - scanChunks reads fixed-size chunks, aligns each chunk on a record
 //     boundary (the last '\n' outside a quoted field), and hands chunks
-//     to workers in parallel through internal/parallel. Records without
-//     quotes — the entire Mobike schema in practice — are parsed in
-//     place from byte slices with no per-field allocations; records
-//     containing quotes fall back to a per-record encoding/csv parse and
-//     ReadCSV's parseTrip, so quoting semantics and errors are
-//     inherited rather than re-implemented.
+//     to workers in parallel through internal/parallel. A record of the
+//     shape every Mobike row has is checked in place from byte slices
+//     with no allocation; every other record, quoted or not, is parsed
+//     by a per-record encoding/csv read and ReadCSV's parseTrip, so
+//     quoting semantics and errors are inherited rather than
+//     re-implemented.
 //   - Each worker validates every field of its chunk but builds nothing
 //     from the ids and the time: it folds the chunk into a bounding box
 //     and a few hundred places, decoding each geohash cell once per
@@ -48,7 +47,7 @@ import (
 // track quote parity (toggling on every '"'); on RFC 4180-clean input
 // parity equals the reader's quote state, and on malformed input every
 // record that would make them disagree contains a quote and therefore
-// takes the encoding/csv fallback, which reports the same error the
+// takes the encoding/csv parse, which reports the same error the
 // sequential reader would.
 
 // ScanOptions configures the streaming scanner. The zero value selects a
@@ -85,12 +84,6 @@ type RowError struct {
 func (e *RowError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
 
 func (e *RowError) Unwrap() error { return e.Err }
-
-var (
-	errBadInt     = errors.New("invalid integer")
-	errIntRange   = errors.New("integer out of range")
-	errFieldCount = errors.New("wrong number of fields")
-)
 
 // scanChunks is the serial chunking coordinator every scan runs on. It
 // validates the header, then cuts up to opts.Workers record-aligned
@@ -182,10 +175,7 @@ func (s *scanState) readHeader() ([]byte, error) {
 			line := s.lines + 1
 			s.lines += bytes.Count(buf[:n], nlBytes)
 			buf = buf[n:]
-			if bytes.IndexByte(rec, '"') < 0 {
-				rec = bytes.TrimSuffix(rec, []byte{'\r'}) // as recordCutter strips
-			}
-			if len(rec) == 0 {
+			if blankRecord(rec) {
 				continue // blank line before the header, as csv skips
 			}
 			if err := validateHeader(rec, line); err != nil {
@@ -206,31 +196,14 @@ func (s *scanState) readHeader() ([]byte, error) {
 }
 
 // validateHeader checks the header record rec, which starts on file line
-// line.
+// line, as ReadCSV does: an encoding/csv read of any width, then
+// checkHeader.
 func validateHeader(rec []byte, line int) error {
-	if bytes.IndexByte(rec, '"') >= 0 {
-		// Quoted header fields are legal CSV; let encoding/csv unquote.
-		fields, err := readRecord(rec, line)
-		if err != nil {
-			return fmt.Errorf("read header: %w", err)
-		}
-		return checkHeader(fields)
+	fields, err := readRecord(rec, line, -1)
+	if err != nil {
+		return fmt.Errorf("read header: %w", err)
 	}
-	for i, want := range csvHeader {
-		var field []byte
-		if c := bytes.IndexByte(rec, ','); c >= 0 {
-			field, rec = rec[:c], rec[c+1:]
-		} else {
-			field, rec = rec, nil
-		}
-		if string(field) != want {
-			return fmt.Errorf("%w: column %d is %q, want %q", ErrBadHeader, i, field, want)
-		}
-	}
-	if rec != nil {
-		return fmt.Errorf("read header: %w", errFieldCount)
-	}
-	return nil
+	return checkHeader(fields)
 }
 
 // nextChunk returns the next record-aligned chunk, or nil at end of
@@ -339,9 +312,8 @@ func cutRecord(b []byte, final bool) (rec []byte, n int, ok bool) {
 }
 
 // recordCutter walks the records of a record-aligned chunk. It is the
-// one record splitter of the parse and the place fold: the quote
-// fallback, CRLF, blank lines and file line numbers are handled here
-// and nowhere else.
+// one record splitter of the place fold: quoted records, CRLF, blank
+// lines and file line numbers are handled here and nowhere else.
 type recordCutter struct {
 	chunk []byte
 	pos   int
@@ -350,8 +322,9 @@ type recordCutter struct {
 
 // next returns the next non-blank record, with the 1-based file line it
 // starts on and whether it contains a quote (and so takes the
-// encoding/csv fallback). An unquoted record's trailing CR is stripped.
-// ok is false at the end of the chunk.
+// encoding/csv parse). A record keeps the CR of a CRLF line end, which
+// encoding/csv drops as it would in the file, so its error columns are
+// the file's. ok is false at the end of the chunk.
 func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 	for c.pos < len(c.chunk) {
 		rest := c.chunk[c.pos:]
@@ -373,12 +346,7 @@ func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 			c.line++
 		}
 		c.pos += n
-		// A quoted record keeps its CR for encoding/csv to drop, as it
-		// would in the file, so that its error columns are the file's.
-		if !quoted && len(rec) > 0 && rec[len(rec)-1] == '\r' {
-			rec = rec[:len(rec)-1]
-		}
-		if len(rec) == 0 {
+		if blankRecord(rec) {
 			continue // blank line, as csv skips
 		}
 		if quoted {
@@ -390,46 +358,42 @@ func (c *recordCutter) next() (rec []byte, line int, quoted, ok bool) {
 	return nil, 0, false, false
 }
 
-// fastRecord is the integer fields of a record containing no quotes,
-// validated and decoded.
-type fastRecord struct {
-	ids [4]int64 // orderid, userid, bikeid, biketype
+// blankRecord reports whether a record cut from its line end is blank:
+// empty, or the CR of a CRLF line end, which encoding/csv drops.
+func blankRecord(rec []byte) bool {
+	return len(rec) == 0 || len(rec) == 1 && rec[0] == '\r'
 }
 
 // maxFastDigits is the longest id run parseFast accepts: 18 decimal
-// digits stay below 10^18 < 2^63, so the run cannot overflow int64.
+// digits stay below 10^18 < 2^63, so parseTrip's strconv.ParseInt (and,
+// with a 64-bit int, its strconv.Atoi) accepts the run.
 const maxFastDigits = 18
 
-// parseFast decodes the integers of rec into fr, validates the
-// timestamp, and returns the two geohash fields. No allocations on
-// success. fr holds no pointers and the fields come back in registers,
-// so the per-row stores need no write barrier. It walks the record once,
-// accepting the shape every Mobike row has: four runs of 1–18 unsigned
-// digits, each ended by a comma, an 18- or 19-byte timestamp that
-// checkMobikeTime accepts, and two comma-free geohash fields. Every
-// other record goes to parseFieldSplit, which accepts signs and longer
-// integers and words each error; on the records both accept they agree
-// field for field (FuzzParseFast).
-func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
+// parseFast returns the two geohash fields of rec, a record containing no
+// quote and no newline, when rec, without the CR of a CRLF line end, has
+// the shape every Mobike row has: four runs of 1–18 unsigned digits, each ended by a
+// comma, an 18- or 19-byte timestamp that isMobikeTime accepts, and two
+// comma-free geohash fields. It only checks that shape, allocates
+// nothing and words no error: ok is false for every other record, which
+// then takes parseRecordSlow. Every record it accepts, parseRecordSlow
+// accepts with the same geohash fields (FuzzParseFast).
+func parseFast(rec []byte) (startGeohash, endGeohash []byte, ok bool) {
+	if n := len(rec); n > 0 && rec[n-1] == '\r' {
+		rec = rec[:n-1] // as encoding/csv drops it
+	}
 	i := 0
-	for k := range fr.ids {
-		var n uint64
+	for range 4 {
 		j, end := i, min(len(rec), i+maxFastDigits+1)
-		for ; j < end; j++ {
-			d := rec[j] - '0'
-			if d > 9 {
-				break
-			}
-			n = n*10 + uint64(d)
+		for j < end && isDigit(rec[j]) {
+			j++
 		}
 		if j == i || j-i > maxFastDigits || j == len(rec) || rec[j] != ',' {
-			return parseFieldSplit(rec, fr)
+			return nil, nil, false
 		}
-		fr.ids[k] = int64(n)
 		i = j + 1
 	}
 	// The timestamp ends at the comma 18 or 19 bytes on; a comma inside
-	// either width fails checkMobikeTime, so the width is the field's.
+	// either width fails isMobikeTime, so the width is the field's.
 	rest := rec[i:]
 	var t int
 	switch {
@@ -438,53 +402,25 @@ func parseFast(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err
 	case len(rest) > 19 && rest[19] == ',':
 		t = 19
 	default:
-		return parseFieldSplit(rec, fr)
+		return nil, nil, false
 	}
-	if checkMobikeTime(rest[:t]) != nil {
-		return parseFieldSplit(rec, fr)
+	if !isMobikeTime(rest[:t]) {
+		return nil, nil, false
 	}
 	rest = rest[t+1:]
 	c := bytes.IndexByte(rest, ',')
 	if c < 0 || bytes.IndexByte(rest[c+1:], ',') >= 0 {
-		return parseFieldSplit(rec, fr)
+		return nil, nil, false
 	}
-	return rest[:c], rest[c+1:], nil
+	return rest[:c], rest[c+1:], true
 }
 
-// parseFieldSplit is parseFast for any record containing no quotes: it
-// splits rec into its seven fields, then decodes the integers (with an
-// optional sign, any length that fits int64) and the timestamp, and
-// words every error. It is parseFast's fallback and its oracle.
-func parseFieldSplit(rec []byte, fr *fastRecord) (startGeohash, endGeohash []byte, err error) {
-	var f [7][]byte
-	for i := range 6 {
-		c := bytes.IndexByte(rec, ',')
-		if c < 0 {
-			return nil, nil, errFieldCount
-		}
-		f[i], rec = rec[:c], rec[c+1:]
-	}
-	if bytes.IndexByte(rec, ',') >= 0 {
-		return nil, nil, errFieldCount
-	}
-	f[6] = rec
-	for i := range fr.ids {
-		if fr.ids[i], err = parseInt64(f[i]); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", csvHeader[i], err)
-		}
-	}
-	if err = checkMobikeTime(f[4]); err != nil {
-		return nil, nil, fmt.Errorf("starttime: %w", err)
-	}
-	return f[5], f[6], nil
-}
-
-// parseRecordSlow parses a record containing quotes, which starts on
-// file line line, through encoding/csv and parseTrip: ReadCSV's own
-// parse, so quoted records and ReadCSV accept the same fields with the
-// same errors. It returns the two geohash fields.
+// parseRecordSlow parses a record, which starts on file line line,
+// through encoding/csv and parseTrip: ReadCSV's own parse, so every
+// record parseFast declines, quoted or not, is accepted and rejected
+// with ReadCSV's words. It returns the two geohash fields.
 func parseRecordSlow(rec []byte, line int) (startGeohash, endGeohash []byte, err error) {
-	fields, err := readRecord(rec, line)
+	fields, err := readRecord(rec, line, len(csvHeader))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -496,11 +432,12 @@ func parseRecordSlow(rec []byte, line int) (startGeohash, endGeohash []byte, err
 }
 
 // readRecord parses one record, which starts on file line line, through
-// encoding/csv. A *csv.ParseError is re-based from the one-record
-// reader's lines onto the file's, so it reads as ReadCSV's would.
-func readRecord(rec []byte, line int) ([]string, error) {
+// encoding/csv, requiring width fields (any number when width < 0). A
+// *csv.ParseError is re-based from the one-record reader's lines onto
+// the file's, so it reads as ReadCSV's would.
+func readRecord(rec []byte, line, width int) ([]string, error) {
 	cr := csv.NewReader(bytes.NewReader(rec))
-	cr.FieldsPerRecord = len(csvHeader)
+	cr.FieldsPerRecord = width
 	fields, err := cr.Read()
 	var pe *csv.ParseError
 	if errors.As(err, &pe) {
@@ -535,62 +472,10 @@ func decodeGeohashPair(start, end []byte) (s, e cellCentre, err error) {
 	return s, e, nil
 }
 
-// parseInt64 is strconv.ParseInt(string(b), 10, 64) without the string.
-func parseInt64(b []byte) (int64, error) {
-	i := 0
-	neg := false
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		neg = b[0] == '-'
-		i = 1
-	}
-	if i == len(b) {
-		return 0, errBadInt
-	}
-	var n uint64
-	for ; i < len(b); i++ {
-		d := b[i] - '0'
-		if d > 9 {
-			return 0, errBadInt
-		}
-		if n > (math.MaxUint64-uint64(d))/10 {
-			return 0, errIntRange
-		}
-		n = n*10 + uint64(d)
-	}
-	if neg {
-		if n > 1<<63 {
-			return 0, errIntRange
-		}
-		if n == 1<<63 {
-			return math.MinInt64, nil
-		}
-		return -int64(n), nil
-	}
-	if n > math.MaxInt64 {
-		return 0, errIntRange
-	}
-	return int64(n), nil
-}
-
-var errBadTime = errors.New("invalid timestamp")
-
-// checkMobikeTime validates a timestamp against csvTimeLayout
-// ("2006-01-02 15:04:05"), accepting exactly what time.Parse accepts.
-// The shape of every Mobike row is checked from bytes; anything else,
-// such as a run of spaces where the layout has one or a fractional
-// second, goes to time.Parse itself.
-func checkMobikeTime(b []byte) error {
-	if !isMobikeTime(b) {
-		if _, err := time.Parse(csvTimeLayout, string(b)); err != nil {
-			return errBadTime
-		}
-	}
-	return nil
-}
-
-// isMobikeTime reports whether b is a csvTimeLayout timestamp with one
-// space and fixed-width fields but for a one- or two-digit hour ("15" is
-// a non-padded verb), with month, day, hour, minute and second in range.
+// isMobikeTime reports whether b is a csvTimeLayout ("2006-01-02
+// 15:04:05") timestamp with one space and fixed-width fields but for a
+// one- or two-digit hour ("15" is a non-padded verb), with month, day,
+// hour, minute and second in range: a timestamp time.Parse accepts.
 func isMobikeTime(b []byte) bool {
 	if len(b) < 18 || len(b) > 19 {
 		return false
@@ -872,27 +757,24 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 		if !ok {
 			return
 		}
-		var start, end cellCentre
+		var startGeohash, endGeohash []byte
+		fast := false
+		if !quoted {
+			startGeohash, endGeohash, fast = parseFast(rec)
+		}
 		var err error
-		if quoted {
-			// The encoding/csv fallback, which decodes and skips empty
-			// geohashes as the fast path does.
-			var startGeohash, endGeohash []byte
-			if startGeohash, endGeohash, err = parseRecordSlow(rec, line); err == nil {
-				start, end, err = decodeGeohashPair(startGeohash, endGeohash)
+		if !fast {
+			startGeohash, endGeohash, err = parseRecordSlow(rec, line)
+		}
+		var start, end cellCentre
+		if err == nil {
+			startKey, startOK := packGeohash(startGeohash)
+			endKey, endOK := packGeohash(endGeohash)
+			if startOK && endOK {
+				f.foldCells(startKey, startGeohash, endKey, endGeohash)
+				continue
 			}
-		} else {
-			var fr fastRecord
-			var startGeohash, endGeohash []byte
-			if startGeohash, endGeohash, err = parseFast(rec, &fr); err == nil {
-				startKey, startOK := packGeohash(startGeohash)
-				endKey, endOK := packGeohash(endGeohash)
-				if startOK && endOK {
-					f.foldCells(startKey, startGeohash, endKey, endGeohash)
-					continue
-				}
-				start, end, err = decodeGeohashPair(startGeohash, endGeohash)
-			}
+			start, end, err = decodeGeohashPair(startGeohash, endGeohash)
 		}
 		if err != nil {
 			f.err = &RowError{Line: line, Err: err}

@@ -10,10 +10,10 @@ import (
 
 // readEndPointsReference is the row-by-row fold kept as the test oracle
 // for the per-chunk place fold: one unchunked walk over the records of
-// the whole input, each parsed by the field split (or, when quoted, by
-// the encoding/csv fallback) and its geohashes decoded, then folded in
-// file order into the bounding box and a map of places. No chunk, no
-// worker and no cell table is involved. FuzzReadEndPoints and the
+// the whole input, each parsed by parseRecordSlow (ReadCSV's
+// encoding/csv and parseTrip parse, never parseFast) and its geohashes
+// decoded, then folded in file order into the bounding box and a map of
+// places. No chunk, no worker and no cell table is involved. FuzzReadEndPoints and the
 // differential matrix pin readEndPoints to it: the same error text, line
 // included, and Float64bits-identical places and counts.
 func readEndPointsReference(r io.Reader) (geo.Multiset, error) {
@@ -35,16 +35,11 @@ func readEndPointsReference(r io.Reader) (geo.Multiset, error) {
 	var counts []int
 	var pending error
 	for {
-		rec, line, quoted, ok := cut.next()
+		rec, line, _, ok := cut.next()
 		if !ok {
 			break
 		}
-		var startGeohash, endGeohash []byte
-		if quoted {
-			startGeohash, endGeohash, err = parseRecordSlow(rec, line)
-		} else {
-			startGeohash, endGeohash, err = parseFieldSplit(rec, new(fastRecord))
-		}
+		startGeohash, endGeohash, err := parseRecordSlow(rec, line)
 		var start, end cellCentre
 		if err == nil {
 			start, end, err = decodeGeohashPair(startGeohash, endGeohash)

@@ -58,6 +58,12 @@ func TestStreamingMatchesReadCSVEdgeCases(t *testing.T) {
 		"quoted header":           "\"orderid\"," + strings.Join(csvHeader[1:], ",") + "\n" + goodRow,
 		"lone cr in field":        hdr + "\n1,2,3,1,2017-05-10 08:30:00,wx\r4,wx4g0bn\n",
 		"trailing cr at eof":      hdr + "\n" + strings.TrimSuffix(goodRow, "\n") + "\r",
+		"two crs":                 hdr + "\n" + strings.TrimSuffix(goodRow, "\n") + "\r\r\n",
+		"two crs declined row":    hdr + "\n+1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn\r\r\n",
+		"two crs at eof":          hdr + "\n+1,2,3,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn\r\r",
+		"two crs header":          hdr + "\r\r\n" + goodRow,
+		"cr line":                 hdr + "\n\r\n" + goodRow + "\r",
+		"two crs line":            hdr + "\n\r\r\n" + goodRow,
 		"wrong field count":       hdr + "\n1,2,3\n",
 		"too many fields":         hdr + "\n" + strings.TrimSuffix(goodRow, "\n") + ",extra\n",
 		"bad int":                 hdr + "\n1,2,x,1,2017-05-10 08:30:00,wx4g0bm,wx4g0bn\n",

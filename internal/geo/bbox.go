@@ -49,8 +49,9 @@ func (b BBox) Clamp(p Point) Point {
 	}
 }
 
-// Extend returns the smallest box containing both b and p. A zero-valued
-// BBox is treated as empty only by ExtendAll; Extend assumes b is valid.
+// Extend returns the smallest box containing both b and p. b must be a
+// valid box: the zero BBox is the box at the origin, not an empty one,
+// so start from a box around a first point, as Bound does.
 func (b BBox) Extend(p Point) BBox {
 	return BBox{
 		MinX: math.Min(b.MinX, p.X),

@@ -22,74 +22,6 @@ func sameDecode(c1 LatLng, lat1, lng1 float64, err1 error, c2 LatLng, lat2, lng2
 		math.Float64bits(lng1) == math.Float64bits(lng2)
 }
 
-// checkAgainstReference fails t unless both production entry points
-// decode h exactly as the bisection oracle does.
-func checkAgainstReference(t *testing.T, h string) {
-	t.Helper()
-	wc, wlat, wlng, werr := decodeGeohashReference(h)
-	c, lat, lng, err := DecodeGeohash(h)
-	if !sameDecode(c, lat, lng, err, wc, wlat, wlng, werr) {
-		t.Fatalf("DecodeGeohash(%q) = %v ±(%v, %v) err %v; bisection %v ±(%v, %v) err %v",
-			h, c, lat, lng, err, wc, wlat, wlng, werr)
-	}
-	c, lat, lng, err = DecodeGeohashBytes([]byte(h))
-	if !sameDecode(c, lat, lng, err, wc, wlat, wlng, werr) {
-		t.Fatalf("DecodeGeohashBytes(%q) = %v ±(%v, %v) err %v; bisection %v ±(%v, %v) err %v",
-			h, c, lat, lng, err, wc, wlat, wlng, werr)
-	}
-}
-
-// TestDecodeGeohashExhaustive pins the closed-form decoder to the
-// bisection on every geohash of one to four characters (1,082,400
-// hashes): every character value lands at every position parity, and
-// every bit pattern of the short prefixes is covered.
-func TestDecodeGeohashExhaustive(t *testing.T) {
-	buf := make([]byte, 0, 4)
-	var walk func(depth int)
-	walk = func(depth int) {
-		for i := 0; i < len(geohashAlphabet); i++ {
-			buf = append(buf, geohashAlphabet[i])
-			checkAgainstReference(t, string(buf))
-			if depth > 1 {
-				walk(depth - 1)
-			}
-			buf = buf[:len(buf)-1]
-		}
-	}
-	walk(4)
-}
-
-// TestDecodeGeohashLongMatchesReference samples random hashes at every
-// length up to two past the exactness limit, where the decoder hands
-// over to the bisection, plus invalid bytes at every position.
-func TestDecodeGeohashLongMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for n := 1; n <= maxExactGeohash+2; n++ {
-		for rep := 0; rep < 2000; rep++ {
-			b := make([]byte, n)
-			for i := range b {
-				b[i] = geohashAlphabet[rng.IntN(len(geohashAlphabet))]
-			}
-			checkAgainstReference(t, string(b))
-		}
-		// The extremes of the grid: all-zero and all-one bit strings.
-		zeros, ones := make([]byte, n), make([]byte, n)
-		for i := range zeros {
-			zeros[i], ones[i] = '0', 'z'
-		}
-		checkAgainstReference(t, string(zeros))
-		checkAgainstReference(t, string(ones))
-		for pos := 0; pos < n; pos++ {
-			for _, bad := range []byte{'a', 'i', 'l', 'o', 'A', '-', 0x00, 0xff} {
-				h := []byte(string(ones))
-				h[pos] = bad
-				checkAgainstReference(t, string(h))
-			}
-		}
-	}
-	checkAgainstReference(t, "")
-}
-
 func TestEncodeGeohashKnownValues(t *testing.T) {
 	// Reference values cross-checked against the canonical geohash
 	// implementation.

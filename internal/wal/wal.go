@@ -95,10 +95,20 @@ type Recovered struct {
 // Log is an open write-ahead log. Appends and snapshots must come from
 // a single goroutine (the server performs them under its decision
 // lock); Metrics is safe to read concurrently.
+//
+// The first failed write or sync is latched: a write may have left part
+// of a frame behind, and after a failed fsync the kernel may have
+// dropped the dirty pages, so nothing appended after either could be
+// recovered or trusted. A snapshot that cannot reopen the truncated log
+// latches too. Every later AppendDecision, Sync and WriteSnapshot
+// returns that error and writes nothing; Close still closes the file. A
+// restart recovers the records before the failure and discards the torn
+// tail.
 type Log struct {
 	dir  string
 	opts Options
 	f    *os.File
+	err  error // the first write, sync or reopen error; latched
 
 	records       uint64 // total records ever: genesis base + appends
 	sinceSync     int
@@ -313,13 +323,17 @@ func (l *Log) Metrics() Metrics {
 // AppendDecision durably logs one placement decision. The record is on
 // disk (modulo SyncEvery batching) when the call returns.
 func (l *Log) AppendDecision(d DecisionRecord) error {
+	if l.err != nil {
+		return l.err
+	}
 	payload := appendDecisionPayload(l.encBuf[:0], d)
 	l.encBuf = payload[:0]
 	frame := appendFrame(payload[len(payload):], payload)
 	n, err := l.f.Write(frame)
 	l.size.Add(int64(n))
 	if err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		l.err = fmt.Errorf("wal: append: %w", err)
+		return l.err
 	}
 	l.records++
 	l.sinceSnapshot++
@@ -333,11 +347,12 @@ func (l *Log) AppendDecision(d DecisionRecord) error {
 
 // Sync forces any batched appends to disk.
 func (l *Log) Sync() error {
-	if l.sinceSync == 0 {
-		return nil
+	if l.err != nil || l.sinceSync == 0 {
+		return l.err
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		l.err = fmt.Errorf("wal: sync: %w", err)
+		return l.err
 	}
 	l.sinceSync = 0
 	l.fsyncs.Add(1)
@@ -377,15 +392,19 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	}
 	l.fsyncs.Add(1)
 
-	// The rename replaced the file under our descriptor; reopen.
+	// The rename replaced the file under our descriptor; reopen. Until
+	// that succeeds, appends would go to the replaced file, so a failure
+	// is latched.
 	old := l.f
 	f, err := os.OpenFile(filepath.Join(l.dir, logName), os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: reopen after truncation: %w", err)
+		l.err = fmt.Errorf("wal: reopen after truncation: %w", err)
+		return l.err
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: %w", err)
+		l.err = fmt.Errorf("wal: %w", err)
+		return l.err
 	}
 	l.f = f
 	old.Close()

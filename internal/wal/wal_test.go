@@ -441,6 +441,100 @@ func TestSyncBatching(t *testing.T) {
 	}
 }
 
+// TestFailedWriteLatches: a write that fails may leave part of a frame
+// behind, and a later append that lands after it makes the log refuse to
+// open. So the log latches its first error: every later append, sync and
+// snapshot returns it and writes nothing, and a restart recovers the
+// records before the failure and discards the torn tail.
+func TestFailedWriteLatches(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, testOpts())
+	want := []DecisionRecord{testDecision(0), testDecision(1), testDecision(2)}
+	for _, d := range want {
+		if err := l.AppendDecision(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, logName)
+	rw := l.f
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro
+	if err := l.AppendDecision(testDecision(3)); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	ro.Close()
+	// What a short write leaves behind: half of the next frame.
+	frame := appendFrame(nil, appendDecisionPayload(nil, testDecision(3)))
+	if _, err := rw.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	l.f = rw
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendDecision(testDecision(4)); err == nil {
+		t.Error("append after a failed append succeeded")
+	}
+	if err := l.Sync(); err == nil {
+		t.Error("sync after a failed append succeeded")
+	}
+	if err := l.WriteSnapshot(&Snapshot{}); err == nil {
+		t.Error("snapshot after a failed append succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Errorf("the log changed after the failure (%d bytes, was %d; %v)", len(after), len(before), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a snapshot was written after the failure: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec := mustOpen(t, dir, testOpts())
+	defer l2.Close()
+	if !reflect.DeepEqual(rec.Tail, want) || rec.TornBytes == 0 {
+		t.Fatalf("recovered %d records with %d torn bytes, want %d records and a torn tail",
+			len(rec.Tail), rec.TornBytes, len(want))
+	}
+}
+
+// TestFailedSyncLatches: after a failed fsync the kernel may have
+// dropped the dirty pages, so a later sync that succeeds would not cover
+// them. The log refuses every later append and sync.
+func TestFailedSyncLatches(t *testing.T) {
+	opts := testOpts()
+	opts.SyncEvery = 0
+	l, _ := mustOpen(t, t.TempDir(), opts)
+	if err := l.AppendDecision(testDecision(0)); err != nil {
+		t.Fatal(err)
+	}
+	f := l.f
+	closed, err := os.Open(filepath.Join(l.dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	l.f = closed
+	if err := l.Sync(); err == nil {
+		t.Fatal("sync on a closed handle succeeded")
+	}
+	l.f = f
+	if err := l.AppendDecision(testDecision(1)); err == nil {
+		t.Error("append after a failed sync succeeded")
+	}
+	if err := l.Sync(); err == nil {
+		t.Error("sync after a failed sync succeeded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNegativeSyncRefused: a negative cadence would never sync, as 0
 // does, so Open refuses it rather than silently dropping fsync.
 func TestNegativeSyncRefused(t *testing.T) {
