@@ -362,47 +362,49 @@ func setScanWorkers(t *testing.T, workers int) {
 // TestLoadHistoryMemoryBound states the startup memory bound of a CSV
 // history and checks it. loadHistory may allocate one fixed scanner
 // term for its single pass, a bounded number of bytes per distinct end
-// cell for each fold into places (one per worker, reused across chunks,
-// and their merge: an index, the places, their counts and the canonical
-// sort's scratch, all grown by doubling), each worker's two cell tables,
-// and slack — nothing that grows with the row count. A cell table maps a
-// chunk's packed geohashes at 12 B a slot; it starts at 1,024 slots and
-// doubles past 3/4 full, so with every generation it allocates under
-// max(24 KiB, 128 B per cell it holds). It holds at most the chunk's
-// distinct start or end cells, which here come from the same cells as
-// the end places. The scanner holds a ChunkSize read buffer per worker,
-// worker 0's being the one the header was read into; it builds no batch
-// of parsed rows. The row-by-row loader this replaced presized a RawTrip
-// batch of ChunkSize/32 slots per worker and allocated 12.6 MiB here,
-// three times the bound. Keeping a point per row instead costs 16 B per
-// row and breaks the bound; materialising every dataset.Trip costs
-// ~780 B per row, and a second pass over the file a second scanner
-// term.
+// cell for each fold into places (one per ring slot, reused across
+// chunks, and their merge: an index, the places, their counts and the
+// canonical sort's scratch, all grown by doubling), each slot's two cell
+// tables, and slack — nothing that grows with the row count. A cell
+// table maps a chunk's packed geohashes at 12 B a slot; it starts at
+// 1,024 slots and doubles past 3/4 full. Its last generation of S > 1,024
+// slots was made once 3S/8 cells were in, and all its generations
+// together hold under 2S slots, so it allocates under max(12 KiB, 64 B
+// per cell it holds). It holds at most
+// the chunk's distinct start or end cells, which here come from the same
+// cells as the end places. The scanner's ring holds a ChunkSize buffer
+// per slot, Workers+1 of them, slot 0's being the one the header was
+// read into; it builds no batch of parsed rows. The row-by-row loader
+// this replaced presized a RawTrip batch of ChunkSize/32 slots per
+// worker and allocated 12.6 MiB on a 5-day fixture. Keeping a point per row instead costs 16 B per row and
+// breaks the bound; materialising every dataset.Trip costs ~780 B per
+// row, and a second pass over the file a second scanner term.
 func TestLoadHistoryMemoryBound(t *testing.T) {
 	const (
-		chunkSize = 1 << 20 // the ScanOptions default
+		chunkSize = 512 << 10 // the ScanOptions default
 		workers   = 2
-		perPlace  = 256     // per fold: index, places, counts and sort scratch
-		slack     = 1 << 20 // file state
+		slots     = workers + 1 // the scanner's ring
+		perPlace  = 256         // per fold: index, places, counts and sort scratch
+		slack     = 1 << 20     // file state
 	)
-	cellTable := func(cells int) int { return max(24<<10, 128*cells) }
+	cellTable := func(cells int) int { return max(12<<10, 64*cells) }
 	setScanWorkers(t, workers)
 	path, rows := writeCityCSV(t, dataset.Config{
-		Days: 5, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
+		Days: 7, TripsWeekday: 20000, TripsWeekend: 20000, Bikes: 500, Seed: 21,
 	})
 	ends, got := loadAllocated(t, path)
 	if ends.Total() != rows {
 		t.Fatalf("loaded %d destinations, want %d", ends.Total(), rows)
 	}
-	perPass := workers * chunkSize
-	tables := workers * 2 * cellTable(ends.Len())
-	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
+	perPass := slots * chunkSize
+	tables := slots * 2 * cellTable(ends.Len())
+	bound := uint64(perPlace*ends.Len()*(slots+1) + tables + perPass + slack)
 	t.Logf("%d rows at %d places: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))
 	if got > bound {
 		t.Fatalf("loadHistory allocated %d B for %d rows at %d places, bound %d B", got, rows, ends.Len(), bound)
 	}
-	if 16*rows <= perPlace*ends.Len()*(workers+1)+tables+slack {
+	if 16*rows <= perPlace*ends.Len()*(slots+1)+tables+slack {
 		t.Fatalf("fixture too small: a point per row (%d B) would fit the bound's slack", 16*rows)
 	}
 }

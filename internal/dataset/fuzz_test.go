@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -62,7 +63,9 @@ func FuzzScanCSV(f *testing.F) {
 
 // FuzzReadEndPoints is the differential target for the per-chunk place
 // fold: for any input, chunk size and worker count, readEndPoints must
-// agree with both oracles of checkReadEndPoints.
+// agree with both oracles of checkReadEndPoints. Read through a reader
+// that fails after failAt bytes of input, it must return one error at
+// every worker count from 1 to 8.
 func FuzzReadEndPoints(f *testing.F) {
 	header := strings.Join(csvHeader, ",")
 	row := func(id, start, end string) string {
@@ -70,22 +73,39 @@ func FuzzReadEndPoints(f *testing.F) {
 	}
 	valid := row("1", "wx4g0bm", "wx4g0bn")
 	// An empty geohash in the first chunk, a bad orderid in a later one.
-	f.Add(header+"\n"+row("1", "wx4g0bm", "")+strings.Repeat(valid, 3)+row("x4", "wx4g0bm", "wx4g0bn"), uint16(60), uint8(2))
+	f.Add(header+"\n"+row("1", "wx4g0bm", "")+strings.Repeat(valid, 3)+row("x4", "wx4g0bm", "wx4g0bn"), uint16(60), uint8(2), uint16(200))
 	// An empty start, then an empty end, then an invalid geohash.
-	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+row("3", "wx4g0bm", "")+row("4", "wx4g0bm", "wx4I0bn"), uint16(47), uint8(3))
+	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+row("3", "wx4g0bm", "")+row("4", "wx4g0bm", "wx4I0bn"), uint16(47), uint8(3), uint16(150))
 	// Empty geohashes in two chunks: the first in the file is reported.
-	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+strings.Repeat(valid, 3)+row("3", "wx4g0bm", ""), uint16(47), uint8(2))
-	f.Add(header+"\n"+row("1", "\"wx4g0bm\"", "wx4g0bn")+valid, uint16(20), uint8(2))
-	f.Add(header+"\n"+valid+"1,2,3,1,2017-02-30 08:30:00,wx4g0bm,wx4g0bn\n", uint16(33), uint8(1))
-	f.Add(header+"\r\n\r\n"+strings.ReplaceAll(valid, "\n", "\r\n")+"\n\n"+row("2", "wx4g0bp", "wx4g0bq"), uint16(9), uint8(4))
-	f.Add(header+"\n"+row("1", "", "")+row("2", "", ""), uint16(512), uint8(1))
+	f.Add(header+"\n"+valid+row("2", "", "wx4g0bn")+strings.Repeat(valid, 3)+row("3", "wx4g0bm", ""), uint16(47), uint8(2), uint16(260))
+	f.Add(header+"\n"+row("1", "\"wx4g0bm\"", "wx4g0bn")+valid, uint16(20), uint8(2), uint16(70))
+	f.Add(header+"\n"+valid+"1,2,3,1,2017-02-30 08:30:00,wx4g0bm,wx4g0bn\n", uint16(33), uint8(1), uint16(90))
+	f.Add(header+"\r\n\r\n"+strings.ReplaceAll(valid, "\n", "\r\n")+"\n\n"+row("2", "wx4g0bp", "wx4g0bq"), uint16(9), uint8(4), uint16(120))
+	f.Add(header+"\n"+row("1", "", "")+row("2", "", ""), uint16(512), uint8(1), uint16(40))
 	// One end cell reached packed, then from rows whose other geohash
 	// does not pack (13 characters, then empty), then packed again.
-	f.Add(header+"\n"+valid+row("2", "wx4g0bmwx4g0b", "wx4g0bn")+row("3", "", "wx4g0bn")+valid, uint16(512), uint8(1))
-	f.Add(header+"\n"+valid+row("2", "WX4G0BM", "wx4g0bn"), uint16(512), uint8(1))
-	f.Add(header+"\n", uint16(1), uint8(1))
-	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8) {
-		checkReadEndPoints(t, input, ScanOptions{ChunkSize: 1 + int(chunk%512), Workers: 1 + int(workers%8)})
+	f.Add(header+"\n"+valid+row("2", "wx4g0bmwx4g0b", "wx4g0bn")+row("3", "", "wx4g0bn")+valid, uint16(512), uint8(1), uint16(300))
+	f.Add(header+"\n"+valid+row("2", "WX4G0BM", "wx4g0bn"), uint16(512), uint8(1), uint16(110))
+	f.Add(header+"\n", uint16(1), uint8(1), uint16(50))
+	// A bad orderid, then a read error two rows on.
+	f.Add(header+"\n"+row("x4", "wx4g0bm", "wx4g0bn")+valid+valid, uint16(47), uint8(1), uint16(212))
+	f.Fuzz(func(t *testing.T, input string, chunk uint16, workers uint8, failAt uint16) {
+		opts := ScanOptions{ChunkSize: 1 + int(chunk%512), Workers: 1 + int(workers%8)}
+		checkReadEndPoints(t, input, opts)
+		prefix := input[:int(failAt)%(len(input)+1)]
+		boom := errors.New("read failed")
+		var want error
+		for opts.Workers = 1; opts.Workers <= 8; opts.Workers++ {
+			_, err := readEndPoints(io.MultiReader(strings.NewReader(prefix), errReader{boom}), opts)
+			if err == nil {
+				t.Fatalf("chunk=%d workers=%d: no error from a failing reader\nprefix: %q", opts.ChunkSize, opts.Workers, prefix)
+			}
+			if opts.Workers == 1 {
+				want = err
+			} else if err.Error() != want.Error() {
+				t.Fatalf("chunk=%d workers=%d: error %v, at one worker %v\nprefix: %q", opts.ChunkSize, opts.Workers, err, want, prefix)
+			}
+		}
 	})
 }
 
@@ -154,7 +174,7 @@ func checkReadEndPoints(t *testing.T, input string, opts ScanOptions) {
 }
 
 // FuzzParseFast is the differential target for the shape check: every
-// record parseFast accepts, parseRecordSlow (ReadCSV's parse) accepts
+// record parseFast accepts, slowParser.parse (ReadCSV's parse) accepts
 // with the same geohash fields. Its domain is the records recordCutter
 // hands parseFast: no quote and no newline.
 func FuzzParseFast(f *testing.F) {
@@ -189,12 +209,12 @@ func FuzzParseFast(f *testing.F) {
 		if !ok {
 			return
 		}
-		wantStart, wantEnd, err := parseRecordSlow([]byte(rec), 2)
+		wantStart, wantEnd, err := new(slowParser).parse([]byte(rec), 2)
 		if err != nil {
-			t.Fatalf("%q: parseFast accepts, parseRecordSlow fails: %v", rec, err)
+			t.Fatalf("%q: parseFast accepts, slowParser.parse fails: %v", rec, err)
 		}
 		if string(start) != string(wantStart) || string(end) != string(wantEnd) {
-			t.Fatalf("%q: parseFast %q %q, parseRecordSlow %q %q", rec, start, end, wantStart, wantEnd)
+			t.Fatalf("%q: parseFast %q %q, slowParser.parse %q %q", rec, start, end, wantStart, wantEnd)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
@@ -23,24 +24,29 @@ import (
 // ReadEndPoints and ScanSummarize; ReadCSV (csv.go) is the row-by-row
 // encoding/csv reader it is tested against:
 //
-//   - scanChunks reads fixed-size chunks, aligns each chunk on a record
-//     boundary (the last '\n' outside a quoted field), and hands chunks
-//     to workers in parallel through internal/parallel. A record of the
-//     shape every Mobike row has is checked in place from byte slices
-//     with no allocation; every other record, quoted or not, is parsed
-//     by a per-record encoding/csv read and ReadCSV's parseTrip, so
-//     quoting semantics and errors are inherited rather than
-//     re-implemented.
+//   - scanChunks is a pipeline. One goroutine reads 512 KiB chunks,
+//     aligns each on a record boundary (the last '\n' outside a quoted
+//     field) and hands it to a fixed set of worker goroutines, then
+//     reads the next while they fold. A record of the shape every Mobike
+//     row has is checked in place from byte slices with no allocation;
+//     every other record, quoted or not, is parsed by the fold's own
+//     encoding/csv reader, fed one record at a time, and ReadCSV's
+//     parseTrip, so quoting semantics and errors are inherited rather
+//     than re-implemented.
 //   - Each worker validates every field of its chunk but builds nothing
 //     from the ids and the time: it folds the chunk into a bounding box
 //     and a few hundred places, decoding each geohash cell once per
-//     chunk, and the coordinator merges those, not rows.
-//   - Chunk index = task index and the merge runs in chunk order, so
-//     output is bit-identical to the row-by-row fold at any worker count
-//     (FuzzScanCSV, FuzzReadEndPoints and the differential tests enforce
-//     this, and check the fold against ReadCSV too).
-//   - Peak memory is O(ChunkSize × Workers) plus the places, regardless
-//     of file size: the coordinator owns one buffer per worker.
+//     chunk, and the reading goroutine merges those, not rows.
+//   - Chunks live in a ring of Workers+1 slots, each with its buffer and
+//     its fold. A slot's chunk is merged just before the slot is
+//     reused, so merges run in file order and output is bit-identical
+//     to the row-by-row fold at any worker count (FuzzScanCSV,
+//     FuzzReadEndPoints and the differential tests enforce this, and
+//     check the fold against ReadCSV too). So is the error: a chunk's
+//     bounds depend on the input and the chunk size alone, and a read
+//     error waits for the chunks cut before it.
+//   - Peak memory is (Workers+1) × ChunkSize plus the places, regardless
+//     of file size.
 //
 // The chunk/newline-alignment invariant: a chunk may only end at a byte
 // position where the CSV reader's quote state is "outside quotes". We
@@ -51,27 +57,33 @@ import (
 // sequential reader would.
 
 // ScanOptions configures the streaming scanner. The zero value selects a
-// 1 MiB chunk and the process-default worker count.
+// 512 KiB chunk and the process-default worker count.
 type ScanOptions struct {
-	// ChunkSize is the read-buffer size in bytes (default 1 MiB). A
-	// record longer than the chunk grows the buffer transparently. Tiny
-	// values are legal and exercised by tests to force chunk boundaries
-	// mid-record and mid-quoted-field.
+	// ChunkSize is the read size of a chunk in bytes (default 512 KiB);
+	// the scanner holds one chunk buffer per ring slot, Workers+1 of
+	// them. A record longer than the chunk grows its buffer
+	// transparently. Tiny values are legal and exercised by tests to
+	// force chunk boundaries mid-record and mid-quoted-field.
 	ChunkSize int
-	// Workers bounds the parallel parse fan-out (default
-	// parallel.Default()). Output is bit-identical for every value.
+	// Workers is the number of goroutines folding chunks beside the
+	// one that reads them (default parallel.Default()). Output and
+	// errors are bit-identical for every value.
 	Workers int
 }
 
 func (o ScanOptions) withDefaults() ScanOptions {
 	if o.ChunkSize <= 0 {
-		o.ChunkSize = 1 << 20
+		o.ChunkSize = 512 << 10
 	}
 	if o.Workers <= 0 {
 		o.Workers = parallel.Default()
 	}
 	return o
 }
+
+// slots is the size of the scanner's ring: a chunk for each worker and
+// the one being cut.
+func (o ScanOptions) slots() int { return o.Workers + 1 }
 
 // RowError reports a malformed CSV record with its 1-based file line
 // number (the header is line 1), matching the convention of
@@ -85,56 +97,92 @@ func (e *RowError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.
 
 func (e *RowError) Unwrap() error { return e.Err }
 
-// scanChunks is the serial chunking coordinator every scan runs on. It
-// validates the header, then cuts up to opts.Workers record-aligned
-// chunks at a time, runs work on each in parallel (chunk index = slot),
-// and then calls merge on the slots in chunk order. work(slot, chunk,
-// base) receives a chunk that follows base newlines of the file and may
-// touch only its own slot; a merge error ends the scan and is returned
-// verbatim. opts must already carry its defaults.
+// scanChunks is the chunking coordinator every scan runs on. It
+// validates the header, then streams the file through a ring of
+// opts.Workers+1 slots: it cuts record-aligned chunks into the slots in
+// turn and hands each to one of opts.Workers goroutines, which runs
+// work(slot, chunk, base) on it, so the next chunk is read while the
+// workers fold. Before it reuses a slot it waits for that slot's chunk
+// and calls merge(slot) on it, so merges run in file order on the
+// calling goroutine. work receives a chunk that follows base newlines of
+// the file and may touch only its own slot. A merge error ends the scan
+// and is returned verbatim; a read error is returned once every chunk
+// cut before it has merged, so a malformed row ahead of it wins, at any
+// worker count. scanChunks returns only after its goroutines have
+// exited. opts must already carry its defaults.
 func scanChunks(r io.Reader, opts ScanOptions, work func(slot int, chunk []byte, base int), merge func(slot int) error) error {
 	s := &scanState{r: r, chunkSize: opts.ChunkSize}
 	header, err := s.readHeader()
 	if err != nil {
 		return err
 	}
-	workers := opts.Workers
-	bufs := make([][]byte, workers)
+	slots := opts.slots()
+	bufs := make([][]byte, slots)
 	// The header's buffer, which still holds the first rows as the
-	// leftover, is worker 0's first chunk buffer.
+	// leftover, is slot 0's first chunk buffer.
 	bufs[0] = header
-	chunks := make([][]byte, workers)
-	bases := make([]int, workers)
-	for {
-		// Fill up to `workers` record-aligned chunks, tracking the
-		// newline count preceding each so rows and errors carry file
-		// lines.
-		n := 0
-		for w := 0; w < workers; w++ {
-			chunk, err := s.nextChunk(&bufs[w])
-			if err != nil {
-				return err
+	done := make([]chan struct{}, slots)
+	for i := range done {
+		done[i] = make(chan struct{}, 1) // one chunk per slot in flight
+	}
+	type task struct {
+		slot  int
+		chunk []byte
+		base  int
+	}
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	wg.Add(opts.Workers)
+	for range opts.Workers {
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				work(t.slot, t.chunk, t.base)
+				done[t.slot] <- struct{}{}
 			}
-			if chunk == nil {
+		}()
+	}
+	// Chunk i lives in slot i % slots; chunks [merged, sent) are in
+	// flight.
+	sent, merged := 0, 0
+	var mergeErr, readErr error
+	for {
+		slot := sent % slots
+		if sent-merged == slots {
+			<-done[slot]
+			merged++
+			if mergeErr = merge(slot); mergeErr != nil {
 				break
 			}
-			chunks[n] = chunk
-			bases[n] = s.lines
-			s.lines += bytes.Count(chunk, nlBytes)
-			n++
 		}
-		if n == 0 {
-			return nil
+		chunk, err := s.nextChunk(&bufs[slot])
+		if err != nil {
+			readErr = err
+			break
 		}
-		// Deterministic parallel work: chunk index = task index.
-		parallel.For(workers, n, func(_, i int) { work(i, chunks[i], bases[i]) })
-		// In-order merge.
-		for i := 0; i < n; i++ {
-			if err := merge(i); err != nil {
-				return err
-			}
+		if chunk == nil {
+			break
+		}
+		base := s.lines
+		s.lines += bytes.Count(chunk, nlBytes)
+		tasks <- task{slot, chunk, base}
+		sent++
+	}
+	close(tasks)
+	// Drain the chunks still in flight in file order, merging them
+	// unless a merge has already failed.
+	for ; merged < sent; merged++ {
+		slot := merged % slots
+		<-done[slot]
+		if mergeErr == nil {
+			mergeErr = merge(slot)
 		}
 	}
+	wg.Wait()
+	if mergeErr != nil {
+		return mergeErr
+	}
+	return readErr
 }
 
 var nlBytes = []byte{'\n'}
@@ -199,7 +247,8 @@ func (s *scanState) readHeader() ([]byte, error) {
 // line, as ReadCSV does: an encoding/csv read of any width, then
 // checkHeader.
 func validateHeader(rec []byte, line int) error {
-	fields, err := readRecord(rec, line, -1)
+	var p slowParser
+	fields, err := p.record(rec, line, -1)
 	if err != nil {
 		return fmt.Errorf("read header: %w", err)
 	}
@@ -208,7 +257,11 @@ func validateHeader(rec []byte, line int) error {
 
 // nextChunk returns the next record-aligned chunk, or nil at end of
 // input. The chunk lives in *bufp, which is reused (and grown when a
-// single record exceeds it) across calls.
+// single record exceeds the chunk size) across calls. A chunk is cut
+// from the first max(ChunkSize, leftover) bytes, doubled until they hold
+// a record end: its bounds depend on the input and the chunk size
+// alone, never on which buffer it lands in, so a read error cuts the
+// same chunks at every worker count.
 func (s *scanState) nextChunk(bufp *[]byte) ([]byte, error) {
 	if s.done && len(s.leftover) == 0 {
 		return nil, nil
@@ -217,15 +270,22 @@ func (s *scanState) nextChunk(bufp *[]byte) ([]byte, error) {
 	if cap(buf) < s.chunkSize {
 		buf = make([]byte, 0, s.chunkSize)
 	}
-	// The leftover may live in another worker's buffer (or later in
-	// this very buffer: at one worker, and for worker 0's first chunk,
-	// which reuses the header's buffer — append copies front-ward,
-	// which is overlap-safe).
+	// The leftover lives in the previous chunk's buffer, past the end of
+	// the chunk a worker may be folding, or for slot 0's first chunk
+	// later in this very buffer, the header's: append copies front-ward,
+	// which is overlap-safe.
 	buf = append(buf, s.leftover...)
 	s.leftover = nil
-	for {
-		for !s.done && len(buf) < cap(buf) {
-			n, err := s.r.Read(buf[len(buf):cap(buf)])
+	for size := max(s.chunkSize, len(buf)); ; size *= 2 {
+		if cap(buf) < size {
+			// No record boundary in the bytes read so far: the record
+			// is longer than the chunk.
+			grown := make([]byte, len(buf), size)
+			copy(grown, buf)
+			buf = grown
+		}
+		for !s.done && len(buf) < size {
+			n, err := s.r.Read(buf[len(buf):size])
 			buf = buf[:len(buf)+n]
 			if err == io.EOF {
 				s.done = true
@@ -236,25 +296,18 @@ func (s *scanState) nextChunk(bufp *[]byte) ([]byte, error) {
 				return nil, err
 			}
 		}
+		*bufp = buf
 		if len(buf) == 0 {
-			*bufp = buf
 			return nil, nil
 		}
 		if b := lastRecordEnd(buf); b >= 0 {
 			s.leftover = buf[b+1:]
-			*bufp = buf
 			return buf[:b+1], nil
 		}
 		if s.done {
 			// Final record with no trailing newline.
-			*bufp = buf
 			return buf, nil
 		}
-		// No record boundary in a full buffer: the record is longer
-		// than the chunk; grow and keep reading.
-		grown := make([]byte, len(buf), cap(buf)*2)
-		copy(grown, buf)
-		buf = grown
 	}
 }
 
@@ -375,7 +428,7 @@ const maxFastDigits = 18
 // comma, an 18- or 19-byte timestamp that isMobikeTime accepts, and two
 // comma-free geohash fields. It only checks that shape, allocates
 // nothing and words no error: ok is false for every other record, which
-// then takes parseRecordSlow. Every record it accepts, parseRecordSlow
+// then takes slowParser.parse. Every record it accepts, slowParser.parse
 // accepts with the same geohash fields (FuzzParseFast).
 func parseFast(rec []byte) (startGeohash, endGeohash []byte, ok bool) {
 	if n := len(rec); n > 0 && rec[n-1] == '\r' {
@@ -415,12 +468,23 @@ func parseFast(rec []byte) (startGeohash, endGeohash []byte, ok bool) {
 	return rest[:c], rest[c+1:], true
 }
 
-// parseRecordSlow parses a record, which starts on file line line,
-// through encoding/csv and parseTrip: ReadCSV's own parse, so every
-// record parseFast declines, quoted or not, is accepted and rejected
-// with ReadCSV's words. It returns the two geohash fields.
-func parseRecordSlow(rec []byte, line int) (startGeohash, endGeohash []byte, err error) {
-	fields, err := readRecord(rec, line, len(csvHeader))
+// slowParser parses the records parseFast declines through one
+// encoding/csv reader, reused from record to record: ReadCSV's own
+// parse, so every such record, quoted or not, is accepted and rejected
+// with ReadCSV's words. Each place fold owns one; its zero value is
+// ready to use.
+type slowParser struct {
+	cr *csv.Reader // nil until the first record, and after an error
+	// feed holds one record at a time and ends it with io.EOF, which
+	// encoding/csv takes as the end of the record and does not latch.
+	feed  bytes.Reader
+	lines int // lines cr has read: its line numbers run from record to record
+}
+
+// parse parses a record, which starts on file line line, through
+// record and parseTrip, and returns its two geohash fields.
+func (p *slowParser) parse(rec []byte, line int) (startGeohash, endGeohash []byte, err error) {
+	fields, err := p.record(rec, line, len(csvHeader))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -431,20 +495,35 @@ func parseRecordSlow(rec []byte, line int) (startGeohash, endGeohash []byte, err
 	return []byte(t.StartGeohash), []byte(t.EndGeohash), nil
 }
 
-// readRecord parses one record, which starts on file line line, through
-// encoding/csv, requiring width fields (any number when width < 0). A
-// *csv.ParseError is re-based from the one-record reader's lines onto
-// the file's, so it reads as ReadCSV's would.
-func readRecord(rec []byte, line, width int) ([]string, error) {
-	cr := csv.NewReader(bytes.NewReader(rec))
-	cr.FieldsPerRecord = width
-	fields, err := cr.Read()
-	var pe *csv.ParseError
-	if errors.As(err, &pe) {
-		pe.StartLine += line - 1
-		pe.Line += line - 1
+// record reads rec, one record that starts on file line line, through
+// the reader, requiring width fields (any number when width < 0). Fed
+// alone and ended by io.EOF, a record parses as a fresh reader over its
+// bytes would parse it; a *csv.ParseError is re-based from the reader's
+// running line count onto the file's, so it reads as ReadCSV's would.
+// After an error the reader may hold the rest of the record, so the
+// next record gets a new one.
+func (p *slowParser) record(rec []byte, line, width int) ([]string, error) {
+	if p.cr == nil {
+		p.cr = csv.NewReader(&p.feed)
+		p.cr.ReuseRecord = true
+		p.lines = 0
 	}
-	return fields, err
+	p.cr.FieldsPerRecord = width
+	p.feed.Reset(rec)
+	fields, err := p.cr.Read()
+	if err != nil {
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			pe.StartLine += line - 1 - p.lines
+			pe.Line += line - 1 - p.lines
+		}
+		p.cr = nil
+		return nil, err
+	}
+	// Every newline of an accepted record ends one of its lines, and
+	// its last line ends at the feed's io.EOF.
+	p.lines += 1 + bytes.Count(rec, nlBytes)
+	return fields, nil
 }
 
 // cellCentre is a decoded geohash field: its cell centre, or ok false
@@ -662,8 +741,8 @@ func packGeohash(h []byte) (key uint64, ok bool) {
 }
 
 // cellTableSlots is a cell table's starting size: 12 KiB, room for 768
-// cells before it doubles, where a 1 MiB chunk of the city CSV holds
-// about 470.
+// cells before it doubles, where a 512 KiB chunk of the city CSV holds
+// about 340 end cells and as many start cells.
 const cellTableSlots = 1 << 10
 
 // cellTable is an open-addressing map, linearly probed, from packed
@@ -728,22 +807,24 @@ func (t *cellTable) grow() {
 // summary, the distinct end cell centres of the rows with both
 // geohashes, the first row with an empty geohash, held as pending, and
 // the first malformed row, where a chunk's fold stops. One placeFold per
-// worker folds a chunk and is reused across rounds; one more holds the
-// merge of the chunks in chunk order. starts and ends are the chunk's
-// cell tables: the packed start cells already in the box, and the packed
-// end cells with their positions in places.
+// ring slot folds that slot's chunks, reused from chunk to chunk; one
+// more holds the merge of the chunks in chunk order. starts and ends are
+// the chunk's cell tables: the packed start cells already in the box,
+// and the packed end cells with their positions in places. slow parses
+// the records parseFast declines.
 type placeFold struct {
 	sum          ScanSummary
 	places       places
 	starts, ends cellTable
 	pending      *RowError
 	err          *RowError
+	slow         slowParser
 }
 
 // foldChunk folds every record in a record-aligned chunk that follows
 // base newlines of the file. Every field of a record is validated, but
-// nothing is built from the ids and the time. It runs inside
-// parallel.For: it only touches its own chunk and fold.
+// nothing is built from the ids and the time. It runs on a scan worker:
+// it only touches its own chunk and fold.
 func (f *placeFold) foldChunk(chunk []byte, base int) {
 	f.sum = emptySummary
 	clear(f.places.index)
@@ -764,7 +845,7 @@ func (f *placeFold) foldChunk(chunk []byte, base int) {
 		}
 		var err error
 		if !fast {
-			startGeohash, endGeohash, err = parseRecordSlow(rec, line)
+			startGeohash, endGeohash, err = f.slow.parse(rec, line)
 		}
 		var start, end cellCentre
 		if err == nil {
@@ -844,10 +925,10 @@ func (f *placeFold) merge(c *placeFold) error {
 }
 
 // foldCSV streams a Mobike CSV through per-chunk place folds on the
-// workers and returns their merge.
+// workers, one fold per ring slot, and returns their merge.
 func foldCSV(r io.Reader, opts ScanOptions) (*placeFold, error) {
 	opts = opts.withDefaults()
-	chunks := make([]placeFold, opts.Workers)
+	chunks := make([]placeFold, opts.slots())
 	total := &placeFold{sum: emptySummary}
 	err := scanChunks(r, opts,
 		func(slot int, chunk []byte, base int) { chunks[slot].foldChunk(chunk, base) },
@@ -859,12 +940,13 @@ func foldCSV(r io.Reader, opts ScanOptions) (*placeFold, error) {
 // CSV as a multiset of places, projected around the centre of the data's
 // own start+end geohash bounding box — exactly the fold of EndPoints
 // after GeohashCenter and ProjectTrips, without materialising a []Trip.
-// The file is read once. Each worker folds its chunks into a bounding
-// box and the distinct end cell centres with their counts; the
-// coordinator merges those in chunk order, and only the distinct
-// centres are projected once the scan has given the projection centre.
-// Peak memory is the scanner's O(ChunkSize × Workers) plus O(distinct
-// end cells) per worker, whatever the row count.
+// The file is read once, by a goroutine that cuts the next chunk while
+// the workers fold. Each worker folds its chunks into a bounding box and
+// the distinct end cell centres with their counts; those are merged in
+// chunk order, and only the distinct centres are projected once the
+// scan has given the projection centre. Peak memory is the scanner's
+// (Workers+1) × ChunkSize plus O(distinct end cells) per ring slot,
+// whatever the row count.
 //
 // A malformed row or an invalid geohash fails the read at its row. An
 // empty geohash fails it too, but ranks below both: the first one is

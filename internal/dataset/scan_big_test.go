@@ -19,12 +19,12 @@ import (
 // ReadEndPoints and AggregateHistory without ever materialising a
 // []Trip or a point per row. Everything allocated must fit
 // TestLoadHistoryMemoryBound's formula: one scanner term for the single
-// pass (a ChunkSize read buffer per worker, worker 0's reused from the
-// header), a bounded number of bytes per distinct end cell for each
-// worker's fold into places and for their merge, each worker's start
-// and end cell tables (under max(24 KiB, 128 B per cell) each; the
-// fixture's starts and ends share its 1,600 cells), and slack for the
-// demand grid. The row count defaults to 2M so plain
+// pass (a ChunkSize buffer per ring slot, Workers+1 of them, slot 0's
+// reused from the header), a bounded number of bytes per distinct end
+// cell for each slot's fold into places and for their merge, each
+// slot's start and end cell tables (under max(12 KiB, 64 B per cell)
+// each; the fixture's starts and ends share its 1,600 cells), and slack
+// for the demand grid. The row count defaults to 2M so plain
 // `go test ./...` stays fast; set ESHARING_INGEST_ROWS=10000000 for the
 // 10M-row run.
 func TestIngestBoundedMemory(t *testing.T) {
@@ -80,14 +80,14 @@ func TestIngestBoundedMemory(t *testing.T) {
 	}
 
 	const (
-		chunkSize = 1 << 20 // the ScanOptions default
-		perPlace  = 256     // per fold: index, places, counts and sort scratch
-		slack     = 4 << 20 // the demand grid and file state
+		chunkSize = 512 << 10 // the ScanOptions default
+		perPlace  = 256       // per fold: index, places, counts and sort scratch
+		slack     = 4 << 20   // the demand grid and file state
 	)
-	workers := parallel.Default()
-	perPass := workers * chunkSize
-	tables := workers * 2 * max(24<<10, 128*ends.Len())
-	bound := uint64(perPlace*ends.Len()*(workers+1) + tables + perPass + slack)
+	slots := ScanOptions{Workers: parallel.Default()}.slots()
+	perPass := slots * chunkSize
+	tables := slots * 2 * max(12<<10, 64*ends.Len())
+	bound := uint64(perPlace*ends.Len()*(slots+1) + tables + perPass + slack)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("rows=%d places=%d demandCells=%d: allocated %.1f MiB (%.1f B/row), bound %.1f MiB",
 		rows, ends.Len(), len(demands), float64(got)/(1<<20), float64(got)/float64(rows), float64(bound)/(1<<20))

@@ -10,10 +10,11 @@ import (
 
 // readEndPointsReference is the row-by-row fold kept as the test oracle
 // for the per-chunk place fold: one unchunked walk over the records of
-// the whole input, each parsed by parseRecordSlow (ReadCSV's
-// encoding/csv and parseTrip parse, never parseFast) and its geohashes
-// decoded, then folded in file order into the bounding box and a map of
-// places. No chunk, no worker and no cell table is involved. FuzzReadEndPoints and the
+// the whole input, each parsed by a fresh slowParser (ReadCSV's
+// encoding/csv and parseTrip parse, never parseFast, and no reader
+// carried from record to record) and its geohashes decoded, then folded
+// in file order into the bounding box and a map of places. No chunk, no
+// worker and no cell table is involved. FuzzReadEndPoints and the
 // differential matrix pin readEndPoints to it: the same error text, line
 // included, and Float64bits-identical places and counts.
 func readEndPointsReference(r io.Reader) (geo.Multiset, error) {
@@ -39,7 +40,7 @@ func readEndPointsReference(r io.Reader) (geo.Multiset, error) {
 		if !ok {
 			break
 		}
-		startGeohash, endGeohash, err := parseRecordSlow(rec, line)
+		startGeohash, endGeohash, err := new(slowParser).parse(rec, line)
 		var start, end cellCentre
 		if err == nil {
 			start, end, err = decodeGeohashPair(startGeohash, endGeohash)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -156,12 +157,14 @@ func TestReadCSVErrorLineNumbers(t *testing.T) {
 	}
 }
 
-// TestQuotedRowErrorLines: a malformed quoted record is parsed on its
-// own by encoding/csv, and the csv.ParseError it yields must carry the
-// file's lines, as ReadCSV's reader over the whole file reports them, at
-// every chunk size and worker count.
+// TestQuotedRowErrorLines: a malformed quoted record is parsed by the
+// fold's encoding/csv reader, which has read the quoted rows before it,
+// and the csv.ParseError it yields must carry the file's lines, as
+// ReadCSV's reader over the whole file reports them, at every chunk size
+// and worker count.
 func TestQuotedRowErrorLines(t *testing.T) {
-	prefix := strings.Join(csvHeader, ",") + "\n" + strings.Repeat(goodRow, 5)
+	quotedRow := `1,2,3,1,2017-05-10 08:30:00,"wx4g0bm",wx4g0bn` + "\n"
+	prefix := strings.Join(csvHeader, ",") + "\n" + goodRow + quotedRow + goodRow + quotedRow + quotedRow
 	cases := []struct {
 		name                    string
 		row                     string
@@ -487,21 +490,75 @@ func TestGenerateStreamEmitError(t *testing.T) {
 }
 
 // TestIngestCSVReaderError: a mid-stream I/O failure surfaces from
-// readEndPoints.
+// readEndPoints, unless a malformed row was cut into a chunk before it:
+// that row is the file's first error, at every worker count.
 func TestIngestCSVReaderError(t *testing.T) {
-	hdr := strings.Join(csvHeader, ",")
-	input := hdr + "\n" + strings.Repeat(goodRow, 50)
+	hdr := strings.Join(csvHeader, ",") + "\n"
 	boom := errors.New("disk on fire")
-	r := io.MultiReader(strings.NewReader(input), errReader{boom})
-	_, err := readEndPoints(r, ScanOptions{ChunkSize: 128, Workers: 2})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped reader error", err)
+	cases := []struct {
+		name, input, want string
+	}{
+		{"good rows", hdr + strings.Repeat(goodRow, 50), boom.Error()},
+		{"malformed row first", hdr + "x" + goodRow[1:] + goodRow + goodRow, "line 2: orderid: "},
+	}
+	for _, tc := range cases {
+		for _, chunk := range []int{48, 64, 100, 128} {
+			for _, workers := range []int{1, 2, 4} {
+				r := io.MultiReader(strings.NewReader(tc.input), errReader{boom})
+				_, err := readEndPoints(r, ScanOptions{ChunkSize: chunk, Workers: workers})
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) || tc.want == boom.Error() && !errors.Is(err, boom) {
+					t.Errorf("%s, chunk=%d workers=%d: err = %v, want %q", tc.name, chunk, workers, err, tc.want)
+				}
+			}
+		}
 	}
 }
 
 type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestMalformedRowStopsScan: a malformed row in the first chunk of a
+// long input ends the scan once that chunk merges. readEndPoints reports
+// the row, reads at most one chunk per ring slot and one more past the
+// header, and returns only after its workers have exited.
+func TestMalformedRowStopsScan(t *testing.T) {
+	const chunk = 1 << 10
+	hdr := strings.Join(csvHeader, ",") + "\n"
+	input := hdr + "x" + goodRow[1:] + strings.Repeat(goodRow, 100*chunk/len(goodRow))
+	baseline := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4} {
+		opts := ScanOptions{ChunkSize: chunk, Workers: workers}
+		r := &countingReader{r: strings.NewReader(input)}
+		_, err := readEndPoints(r, opts)
+		var rowErr *RowError
+		if !errors.As(err, &rowErr) || rowErr.Line != 2 {
+			t.Fatalf("workers=%d: err = %v, want line 2's error", workers, err)
+		}
+		if limit := len(hdr) + (opts.slots()+1)*chunk; r.n > limit {
+			t.Errorf("workers=%d: read %d bytes of %d, want at most %d", workers, r.n, len(input), limit)
+		}
+	}
+	// A worker may still be on its way out after signalling the scan.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the scans, %d before", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+}
 
 // TestScanRecordLargerThanChunk: a record longer than the chunk grows
 // the buffer transparently rather than failing or splitting.
