@@ -17,7 +17,7 @@
 // A -trips-csv history of any size is streamed in one bounded-memory
 // pass and kept only as a multiset of projected destination places, each
 // with its trip count, never as trips or rows; with several shards each
-// shard plans from the places that route to it.
+// shard plans from the places that route to it, the shards side by side.
 //
 // Usage:
 //
@@ -45,6 +45,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
+	"repro/internal/parallel"
 	"repro/internal/server"
 )
 
@@ -230,6 +231,12 @@ func loadHistory(csvPath string, days int, seed uint64) (geo.Multiset, error) {
 // valid; it simply starts with out-of-region landmarks it will never be
 // asked about). Seeds are staggered by shard index so the shards'
 // online RNG streams are independent.
+//
+// The shards' plans share nothing, so they are built concurrently over
+// parallel.Default() workers, each into its own slot: a shard's placer
+// is a function of its part, the opening cost and its seed alone, and
+// comes out bit-identical at any worker count. The first error in shard
+// order is returned.
 func buildPlacers(history geo.Multiset, opening float64, seed uint64, shards, precision int) ([]core.OnlinePlacer, error) {
 	if shards <= 1 {
 		p, err := buildPlacer(history, opening, seed)
@@ -240,16 +247,23 @@ func buildPlacers(history geo.Multiset, opening float64, seed uint64, shards, pr
 	}
 	parts := partitionByShard(history, precision, shards)
 	placers := make([]core.OnlinePlacer, shards)
-	for i := range placers {
+	errs := make([]error, shards)
+	parallel.For(parallel.Default(), shards, func(_, i int) {
 		part := parts[i]
 		if part.Len() == 0 {
 			part = history
 		}
 		p, err := buildPlacer(part, opening, seed+uint64(i))
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+			return
 		}
 		placers[i] = p
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return placers, nil
 }

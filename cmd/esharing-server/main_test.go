@@ -323,6 +323,7 @@ func writeCityCSV(t *testing.T, cfg dataset.Config) (string, int) {
 	rows := 0
 	if err := dataset.GenerateStream(cfg, func(_ int, trips []dataset.Trip) error {
 		rows += len(trips)
+		dataset.FillGeohashes(cfg, trips)
 		return cw.WriteTrips(trips)
 	}); err != nil {
 		t.Fatal(err)
@@ -487,10 +488,10 @@ func TestStartupHistoryMatchesGenerate(t *testing.T) {
 // default start-up, from the synthetic 7-day history to a 2-shard
 // server with a decision log, and checks it. Each term:
 //
-//   - Per trip, 36 B: its end point, 16 B, in a slice presized from the
+//   - Per trip, 20 B: its end point, 16 B, in a slice presized from the
 //     first day's trips times the days (under 1.25 times the total, as
-//     a weekday opens the default calendar and weekends are lighter),
-//     and the generator's two 7-byte geohash strings, 8 B each.
+//     a weekday opens the default calendar and weekends are lighter).
+//     The generator makes no geohash strings for a streamed history.
 //   - Per place, 48 B: the fold's copy of the points and their counts
 //     (16 + 8 B), and the shard split's exactly sized parts (16 + 8 B).
 //   - Per demand cell of each shard's plan, 1 KiB: the offline solve,
@@ -502,20 +503,25 @@ func TestStartupHistoryMatchesGenerate(t *testing.T) {
 //   - Slack for the fleet's positions, the day's sort, the placers, the
 //     server and the log's files.
 //
-// The start-up that held the week as one []dataset.Trip, and drew
-// every POI weight vector into a fresh slice, allocated 8.6 MiB for the
-// history alone, over three times this bound.
+// The history's load also makes at most loadMallocs allocations: its
+// scratch is sized up front, so their number does not grow with the
+// trips. The start-up that held the week as one []dataset.Trip, and
+// drew every POI weight vector into a fresh slice, allocated 8.6 MiB
+// for the history alone, over three times this bound; the generator
+// that encoded two geohash strings per trip made over 25,000
+// allocations.
 func TestStartupMemoryBound(t *testing.T) {
 	const (
-		days     = 7
-		seed     = 1
-		shards   = 2
-		prec     = 7
-		perTrip  = 36
-		perPlace = 48
-		perCell  = 1 << 10
-		dayTrips = 2000 * 17 / 16
-		slack    = 256 << 10
+		days        = 7
+		seed        = 1
+		shards      = 2
+		prec        = 7
+		perTrip     = 20
+		loadMallocs = 64
+		perPlace    = 48
+		perCell     = 1 << 10
+		dayTrips    = 2000 * 17 / 16
+		slack       = 256 << 10
 	)
 	setScanWorkers(t, 2)
 	day := 2 * dayTrips * int(unsafe.Sizeof(dataset.Trip{}))
@@ -556,11 +562,14 @@ func TestStartupMemoryBound(t *testing.T) {
 	bound := uint64(perTrip*history.Total() + perPlace*history.Len() + perCell*cells + day + slack)
 	got := after.TotalAlloc - before.TotalAlloc
 	mib := func(b uint64) float64 { return float64(b) / (1 << 20) }
-	t.Logf("%d trips at %d places, %d demand cells: load %.2f MiB, placers %.2f MiB, server %.2f MiB; total %.2f MiB, bound %.2f MiB",
-		history.Total(), history.Len(), cells, mib(loaded.TotalAlloc-before.TotalAlloc),
+	t.Logf("%d trips at %d places, %d demand cells: load %.2f MiB in %d allocations, placers %.2f MiB, server %.2f MiB; total %.2f MiB, bound %.2f MiB",
+		history.Total(), history.Len(), cells, mib(loaded.TotalAlloc-before.TotalAlloc), loaded.Mallocs-before.Mallocs,
 		mib(built.TotalAlloc-loaded.TotalAlloc), mib(after.TotalAlloc-built.TotalAlloc), mib(got), mib(bound))
 	if got > bound {
 		t.Fatalf("start-up allocated %d B for %d trips at %d places, bound %d B", got, history.Total(), history.Len(), bound)
+	}
+	if n := loaded.Mallocs - before.Mallocs; n > loadMallocs {
+		t.Fatalf("history load made %d allocations for %d trips, bound %d", n, history.Total(), loadMallocs)
 	}
 }
 
@@ -649,53 +658,85 @@ func TestPlanLandmarksDegenerateHistories(t *testing.T) {
 	}
 }
 
+// sequentialPlacers is buildPlacers as a plain loop over the shards,
+// one buildPlacer after another: the reference its fan-out must
+// reproduce bit for bit.
+func sequentialPlacers(t *testing.T, history geo.Multiset, seed uint64, shards, precision int) []*core.ESharing {
+	t.Helper()
+	parts := []geo.Multiset{history}
+	if shards > 1 {
+		parts = partitionByShard(history, precision, shards)
+	}
+	placers := make([]*core.ESharing, shards)
+	for i, part := range parts {
+		if part.Len() == 0 {
+			part = history
+		}
+		p, err := buildPlacer(part, 10000, seed+uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		placers[i] = p
+	}
+	return placers
+}
+
 // TestBuildPlacersSharded covers the shard partitioning of the offline
-// plan: one placer per shard, history split by destination cell, the
-// single-shard passthrough, and the empty-partition fallback (synthetic
-// city-scale history fits inside one precision-4 cell, so most shards
-// plan from the full history).
+// plan and its fan-out: one placer per shard, each bit-identical — its
+// landmarks, station digest and config digest — to the one a sequential
+// buildPlacer loop makes, at every worker count. The precision-4 case
+// is the empty-partition fallback: the synthetic city fits inside one
+// ~49 km cell, so three of four shards plan from the full history.
 func TestBuildPlacersSharded(t *testing.T) {
 	history := testEnds(t)
-
-	one, err := buildPlacers(history, 10000, 1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 {
-		t.Fatalf("1-shard build returned %d placers", len(one))
-	}
-
-	// Precision 4 (~49 km cells): the whole synthetic city shares a cell,
-	// so at least one partition is empty and must fall back to the full
-	// history — every shard still gets a valid placer with landmarks.
-	coarse, err := buildPlacers(history, 10000, 1, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coarse) != 4 {
-		t.Fatalf("4-shard build returned %d placers", len(coarse))
-	}
-	for i, p := range coarse {
-		if len(p.Stations()) == 0 {
-			t.Errorf("shard %d planned no landmarks", i)
+	for _, tc := range []struct{ shards, precision, fallbacks int }{
+		{1, 7, 0}, {2, 7, 0}, {4, 7, 0}, {7, 7, 0}, {4, 4, 3},
+	} {
+		empty := 0
+		if tc.shards > 1 {
+			for _, part := range partitionByShard(history, tc.precision, tc.shards) {
+				if part.Len() == 0 {
+					empty++
+				}
+			}
 		}
-	}
-
-	// Precision 12 splits the city across cells: every trip must land in
-	// exactly one shard's partition, mirroring geo.ShardOf.
-	fine, err := buildPlacers(history, 10000, 1, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fine) != 2 {
-		t.Fatalf("2-shard build returned %d placers", len(fine))
-	}
-	var want [2]int
-	for _, end := range history.Points() {
-		want[geo.ShardOf(end, 12, 2)]++
-	}
-	if want[0] == 0 || want[1] == 0 {
-		t.Fatalf("precision-12 partition degenerate: %v", want)
+		if empty != tc.fallbacks {
+			t.Fatalf("%d shards at precision %d: %d empty partitions, want %d", tc.shards, tc.precision, empty, tc.fallbacks)
+		}
+		want := sequentialPlacers(t, history, 1, tc.shards, tc.precision)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("shards=%d/precision=%d/workers=%d", tc.shards, tc.precision, workers), func(t *testing.T) {
+				setScanWorkers(t, workers)
+				got, err := buildPlacers(history, 10000, 1, tc.shards, tc.precision)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != tc.shards {
+					t.Fatalf("built %d placers, want %d", len(got), tc.shards)
+				}
+				for i, p := range got {
+					g, w := p.(*core.ESharing), want[i]
+					if g.ConfigDigest() != w.ConfigDigest() {
+						t.Errorf("shard %d: config digest %x, sequential %x", i, g.ConfigDigest(), w.ConfigDigest())
+					}
+					gs, ws := g.Stations(), w.Stations()
+					if len(ws) == 0 {
+						t.Fatalf("shard %d planned no landmarks", i)
+					}
+					if core.StationDigest(gs) != core.StationDigest(ws) {
+						t.Errorf("shard %d: station digest %x, sequential %x", i, core.StationDigest(gs), core.StationDigest(ws))
+					}
+					if len(gs) != len(ws) {
+						t.Fatalf("shard %d: %d landmarks, sequential %d", i, len(gs), len(ws))
+					}
+					for j := range ws {
+						if math.Float64bits(gs[j].X) != math.Float64bits(ws[j].X) || math.Float64bits(gs[j].Y) != math.Float64bits(ws[j].Y) {
+							t.Fatalf("shard %d landmark %d: %v, sequential %v", i, j, gs[j], ws[j])
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

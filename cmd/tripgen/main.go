@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,20 +55,37 @@ func run(args []string, stdout io.Writer) error {
 		}
 		cfg.Surges = []dataset.Surge{surge}
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = f.Close() }()
-		w = f
+	if *out == "" {
+		_, err := writeCSV(stdout, cfg)
+		return err
 	}
-	// Stream one day at a time so peak memory is a single day of trips
-	// regardless of -days; the emitted bytes are identical to
-	// Generate + WriteCSV because days are generated and sorted in order.
-	// The header is written on the first emit so a config error still
-	// produces no output at all.
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	total, err := writeFile(f, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d trips to %s\n", total, *out)
+	return nil
+}
+
+// writeFile writes cfg's CSV to w and closes it. A write-back failure
+// can surface only at Close; dropping it would leave a short CSV behind
+// a zero exit status, so it is joined with any earlier error.
+func writeFile(w io.WriteCloser, cfg dataset.Config) (int, error) {
+	total, err := writeCSV(w, cfg)
+	return total, errors.Join(err, w.Close())
+}
+
+// writeCSV streams cfg's trips to w one day at a time, so peak memory is
+// a single day of trips regardless of -days; the bytes are identical to
+// Generate + WriteCSV because days are generated and sorted in order,
+// and each day's geohashes are filled as Generate fills them. The header
+// is written on the first emit so a config error still produces no
+// output at all.
+func writeCSV(w io.Writer, cfg dataset.Config) (int, error) {
 	cw := dataset.NewCSVWriter(w)
 	var total int
 	wroteHeader := false
@@ -79,23 +97,21 @@ func run(args []string, stdout io.Writer) error {
 			wroteHeader = true
 		}
 		total += len(trips)
+		dataset.FillGeohashes(cfg, trips)
 		return cw.WriteTrips(trips)
 	})
 	if err != nil {
-		return fmt.Errorf("generate: %w", err)
+		return 0, fmt.Errorf("generate: %w", err)
 	}
 	if !wroteHeader {
 		if err := cw.WriteHeader(); err != nil {
-			return fmt.Errorf("write csv: %w", err)
+			return 0, fmt.Errorf("write csv: %w", err)
 		}
 	}
 	if err := cw.Flush(); err != nil {
-		return fmt.Errorf("write csv: %w", err)
+		return 0, fmt.Errorf("write csv: %w", err)
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d trips to %s\n", total, *out)
-	}
-	return nil
+	return total, nil
 }
 
 func parseSurge(spec string) (dataset.Surge, error) {

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,6 +60,24 @@ func TestRunMatchesMaterializedWriter(t *testing.T) {
 	}
 }
 
+// TestRunPinsCSVBytes pins tripgen's output to a SHA-256 recorded when
+// the generator still encoded geohashes on every trip, so moving that
+// encoding to the writer, or any other change to the generator or the
+// CSV writer, cannot alter a generated file unnoticed. The comparison
+// against Generate + WriteCSV above cannot see such a change, because
+// both of its paths change together.
+func TestRunPinsCSVBytes(t *testing.T) {
+	const want = "521f7b5265367feaf632afee02a06bc2673cb3c585ba0e721ca9b8be7e6ac797"
+	var buf bytes.Buffer
+	if err := run([]string{"-days", "14", "-seed", "3", "-surge", "5:19:300"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("tripgen -days 14 -seed 3 -surge 5:19:300 wrote %d bytes with SHA-256 %s, want %s", buf.Len(), got, want)
+	}
+}
+
 func TestRunWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trips.csv")
 	var buf bytes.Buffer
@@ -66,6 +88,32 @@ func TestRunWritesFile(t *testing.T) {
 		t.Error("stdout should be empty when -o is set")
 	}
 }
+
+// failingCloser accepts every write and fails its Close, as a file
+// whose write-back fails does.
+type failingCloser struct{ io.Writer }
+
+var errWriteBack = errors.New("write-back failed")
+
+func (failingCloser) Close() error { return errWriteBack }
+
+// TestWriteFileReportsCloseError: an error that surfaces only at Close
+// is returned, joined with an earlier write error when there is one.
+func TestWriteFileReportsCloseError(t *testing.T) {
+	cfg := dataset.Config{Days: 1, TripsWeekday: 50, Bikes: 10, Seed: 1}
+	if _, err := writeFile(failingCloser{io.Discard}, cfg); !errors.Is(err, errWriteBack) {
+		t.Fatalf("writeFile with a failing Close returned %v, want %v", err, errWriteBack)
+	}
+	errFull := errors.New("disk full")
+	_, err := writeFile(failingCloser{failingWriter{errFull}}, cfg)
+	if !errors.Is(err, errWriteBack) || !errors.Is(err, errFull) {
+		t.Fatalf("writeFile with a failing write and Close returned %v, want both errors", err)
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
 
 func TestRunWithSurge(t *testing.T) {
 	var buf bytes.Buffer

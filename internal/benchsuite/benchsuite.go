@@ -306,10 +306,10 @@ var ingestCSV = lazy(new(fixtureGroup), func(*testing.B) ([]byte, error) {
 	if err := cw.WriteHeader(); err != nil {
 		return nil, err
 	}
-	err := dataset.GenerateStream(dataset.Config{
-		Days: 5, TripsWeekday: 16000, TripsWeekend: 12000, Bikes: 400, Seed: 11,
-	}, func(_ int, trips []dataset.Trip) error {
+	cfg := dataset.Config{Days: 5, TripsWeekday: 16000, TripsWeekend: 12000, Bikes: 400, Seed: 11}
+	err := dataset.GenerateStream(cfg, func(_ int, trips []dataset.Trip) error {
 		rows += len(trips)
+		dataset.FillGeohashes(cfg, trips)
 		return cw.WriteTrips(trips)
 	})
 	if err != nil {

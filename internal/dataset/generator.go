@@ -93,10 +93,16 @@ type Config struct {
 	Surges []Surge
 }
 
-func (c *Config) applyDefaults() {
+// origin is the projection origin: Origin, or Beijing when unset.
+func (c *Config) origin() geo.LatLng {
 	if c.Origin == (geo.LatLng{}) {
-		c.Origin = geo.LatLng{Lat: 39.9042, Lng: 116.4074} // Beijing
+		return geo.LatLng{Lat: 39.9042, Lng: 116.4074} // Beijing
 	}
+	return c.Origin
+}
+
+func (c *Config) applyDefaults() {
+	c.Origin = c.origin()
 	if c.Box == (geo.BBox{}) {
 		c.Box = geo.Square(geo.Pt(0, 0), 3000)
 	}
@@ -294,7 +300,8 @@ func originKindWeight(kind POIKind, weekend bool, hour int) float64 {
 	return 0.5
 }
 
-// Generate produces a sorted, schema-complete synthetic trip log.
+// Generate produces a sorted, schema-complete synthetic trip log, its
+// geohashes filled by FillGeohashes.
 func Generate(cfg Config) ([]Trip, error) {
 	var trips []Trip
 	err := GenerateStream(cfg, func(_ int, day []Trip) error {
@@ -304,24 +311,28 @@ func Generate(cfg Config) ([]Trip, error) {
 	if err != nil {
 		return nil, err
 	}
+	FillGeohashes(cfg, trips)
 	return trips, nil
 }
 
-// GenerateStream produces exactly the trips Generate would, one day at a
-// time in order, so multi-GB fixtures can be written without holding the
-// whole log: peak memory is one day of trips. The emitted slice is
-// reused between days; copy to retain. Each call owns its scratch, so
-// concurrent calls share nothing. Byte-identity with Generate holds
-// because days are time-disjoint and (StartTime, OrderID) is a total
-// order, so sorting each day independently and concatenating equals the
-// global sort.
+// GenerateStream produces Generate's trips, one day at a time in order,
+// so multi-GB fixtures can be written without holding the whole log:
+// peak memory is one day of trips. Streamed trips carry no geohash
+// strings: StartGeohash and EndGeohash are empty, and every other field
+// is Generate's. A caller that writes them as a Mobike CSV calls
+// FillGeohashes on each day first; one that needs only the planar
+// points allocates nothing per trip. The emitted slice is reused
+// between days; copy to retain. Each call owns its scratch, so
+// concurrent calls share nothing. Identity with Generate holds because
+// days are time-disjoint and (StartTime, OrderID) is a total order, so
+// sorting each day independently and concatenating equals the global
+// sort.
 func GenerateStream(cfg Config, emit func(day int, trips []Trip) error) error {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	rng := stats.NewRNGStream(cfg.Seed, stats.StreamDataset)
-	projector := geo.NewProjector(cfg.Origin)
 
 	// Fleet state: bikes start scattered uniformly.
 	bikePos := make([]geo.Point, cfg.Bikes)
@@ -362,7 +373,7 @@ func GenerateStream(cfg Config, emit func(day int, trips []Trip) error) error {
 			expected := float64(dailyTrips) * profile[hour] / profileSum
 			n := stats.Poisson(rng, expected)
 			for i := 0; i < n; i++ {
-				t := genTrip(rng, cfg, projector, bikePos, weights, date, hour, weekend, transition, orderID)
+				t := genTrip(rng, cfg, bikePos, weights, date, hour, weekend, transition, orderID)
 				trips = append(trips, t)
 				orderID++
 			}
@@ -374,10 +385,9 @@ func GenerateStream(cfg Config, emit func(day int, trips []Trip) error) error {
 			}
 			for i := 0; i < s.Trips; i++ {
 				hour := s.HourStart + rng.IntN(s.HourEnd-s.HourStart+1)
-				t := genTrip(rng, cfg, projector, bikePos, weights, date, hour, weekend, transition, orderID)
+				t := genTrip(rng, cfg, bikePos, weights, date, hour, weekend, transition, orderID)
 				// Override the destination with the surge cluster.
 				t.End = surgeDist.Sample(rng)
-				t.EndGeohash = mustGeohash(projector, t.End)
 				trips = append(trips, t)
 				orderID++
 			}
@@ -398,7 +408,6 @@ func GenerateStream(cfg Config, emit func(day int, trips []Trip) error) error {
 func genTrip(
 	rng *rand.Rand,
 	cfg Config,
-	projector *geo.Projector,
 	bikePos []geo.Point,
 	weights []float64,
 	date time.Time,
@@ -417,15 +426,13 @@ func genTrip(
 	ts := date.Add(time.Duration(hour)*time.Hour +
 		time.Duration(rng.IntN(3600))*time.Second)
 	return Trip{
-		OrderID:      orderID,
-		UserID:       int64(1 + rng.IntN(100000)),
-		BikeID:       int64(bikeID + 1),
-		BikeType:     1 + rng.IntN(2),
-		StartTime:    ts,
-		Start:        start,
-		End:          end,
-		StartGeohash: mustGeohash(projector, start),
-		EndGeohash:   mustGeohash(projector, end),
+		OrderID:   orderID,
+		UserID:    int64(1 + rng.IntN(100000)),
+		BikeID:    int64(bikeID + 1),
+		BikeType:  1 + rng.IntN(2),
+		StartTime: ts,
+		Start:     start,
+		End:       end,
 	}
 }
 
@@ -464,6 +471,19 @@ func pickBike(rng *rand.Rand, bikePos []geo.Point, start geo.Point) int {
 		}
 	}
 	return best
+}
+
+// FillGeohashes sets each trip's StartGeohash and EndGeohash to the
+// precision-7 geohash of its Start and End, projected about cfg's
+// origin as the generator projected them. It is how GenerateStream's
+// trips get the geohash fields a Mobike CSV writes, and it writes
+// exactly what Generate's trips carry.
+func FillGeohashes(cfg Config, trips []Trip) {
+	projector := geo.NewProjector(cfg.origin())
+	for i := range trips {
+		trips[i].StartGeohash = mustGeohash(projector, trips[i].Start)
+		trips[i].EndGeohash = mustGeohash(projector, trips[i].End)
+	}
 }
 
 func mustGeohash(projector *geo.Projector, p geo.Point) string {

@@ -18,10 +18,10 @@ func benchCSV(b *testing.B) ([]byte, int) {
 		if err := cw.WriteHeader(); err != nil {
 			b.Fatal(err)
 		}
-		err := GenerateStream(Config{
-			Days: 5, TripsWeekday: 16000, TripsWeekend: 12000, Bikes: 400, Seed: 11,
-		}, func(_ int, trips []Trip) error {
+		cfg := Config{Days: 5, TripsWeekday: 16000, TripsWeekend: 12000, Bikes: 400, Seed: 11}
+		err := GenerateStream(cfg, func(_ int, trips []Trip) error {
 			benchCSVRows += len(trips)
+			FillGeohashes(cfg, trips)
 			return cw.WriteTrips(trips)
 		})
 		if err != nil {

@@ -422,7 +422,8 @@ func TestCSVWriterAllocBudget(t *testing.T) {
 }
 
 // TestGenerateStreamMatchesGenerate: the per-day streaming generator
-// must emit exactly Generate's trips, already globally sorted.
+// must emit Generate's trips with empty geohashes, already globally
+// sorted; FillGeohashes on each day then gives exactly Generate's trips.
 func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	cfg := Config{
 		Days: 4, Seed: 7, TripsWeekday: 250, TripsWeekend: 150, Bikes: 60,
@@ -439,6 +440,12 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 			t.Fatalf("day %d emitted out of order (want %d)", day, days)
 		}
 		days++
+		for i, tr := range trips {
+			if tr.StartGeohash != "" || tr.EndGeohash != "" {
+				t.Fatalf("day %d trip %d streamed with geohashes %q, %q", day, i, tr.StartGeohash, tr.EndGeohash)
+			}
+		}
+		FillGeohashes(cfg, trips)
 		got = append(got, trips...)
 		return nil
 	})
