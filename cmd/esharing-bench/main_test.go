@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func TestRunFig4(t *testing.T) {
@@ -16,6 +20,52 @@ func TestRunFig4(t *testing.T) {
 	if !strings.Contains(out, "Fig. 4") || !strings.Contains(out, "meyerson") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
+}
+
+// wallLines matches the lines of a run's output that carry wall time or
+// the worker count: the [parallelism N] header and every
+// [... completed in ...] line.
+var wallLines = regexp.MustCompile(`(?m)^\[(parallelism [0-9]+|.* completed in .*)\]\n`)
+
+// TestQuickAllGolden pins every experiment's quick-configuration output,
+// at the default parallelism and fully sequential, to the committed
+// golden file, apart from the lines wallLines drops. Re-pin it from the
+// repository root, after a change that moves a table on purpose, with
+//
+//	go run ./cmd/esharing-bench -quick all | grep -Ev '^\[(parallelism [0-9]+|.* completed in .*)\]$' > cmd/esharing-bench/testdata/quick_all.golden
+func TestQuickAllGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { parallel.SetDefault(0) })
+	for _, args := range [][]string{{"-quick", "all"}, {"-parallelism", "1", "-quick", "all"}} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := wallLines.ReplaceAllString(buf.String(), ""); got != string(want) {
+			t.Errorf("%s: output differs from testdata/quick_all.golden:\n%s", strings.Join(args, " "), firstDiff(got, string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got %q\nwant %q", i+1, gl, wl)
+		}
+	}
+	return "no line differs"
 }
 
 func TestRunJSON(t *testing.T) {

@@ -1,7 +1,6 @@
-// Prediction: the forecast engine in isolation — train every model on
-// two weeks of synthetic hourly demand and compare walk-forward RMSE,
-// mirroring Table II plus the extended baselines (seasonal naive and
-// Holt-Winters).
+// Prediction: the forecast engine in isolation — train Table II's three
+// models (Moving Average, ARIMA and the LSTM) on two weeks of synthetic
+// hourly demand and compare their walk-forward RMSE.
 package main
 
 import (
@@ -34,12 +33,6 @@ func run() error {
 
 	models := []forecast.Forecaster{}
 	if m, err := forecast.NewMovingAverage(3); err == nil {
-		models = append(models, m)
-	}
-	if m, err := forecast.NewSeasonalNaive(24); err == nil {
-		models = append(models, m)
-	}
-	if m, err := forecast.NewHoltWinters(24); err == nil {
 		models = append(models, m)
 	}
 	if m, err := forecast.NewARIMA(8, 0, 0); err == nil {

@@ -3,6 +3,9 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -73,33 +76,51 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("only %d landmark stations", len(plan.Stations))
 	}
 
-	// 4. Serve the planner over HTTP and stream the live days through the
-	// typed client.
+	// 4. Serve the planner over HTTP and stream the live days through it.
 	handler, err := server.NewSharded([]core.OnlinePlacer{newCorePlacer(t, history)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
-	client, err := server.NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	var walkSum float64
-	for _, tr := range live[:400] {
-		resp, err := client.Place(ctx, tr.End)
+	// call sends one JSON request and decodes the 200 response into out.
+	call := func(method, path string, in, out any) {
+		t.Helper()
+		var body io.Reader
+		if in != nil {
+			payload, err := json.Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = bytes.NewReader(payload)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, ts.URL+path, body)
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var walkSum float64
+	for _, tr := range live[:400] {
+		var resp server.PlaceResponse
+		call(http.MethodPost, "/v1/requests", server.PlaceRequest{Dest: tr.End}, &resp)
 		walkSum += resp.WalkMeters
 	}
-	statsResp, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var statsResp server.StatsResponse
+	call(http.MethodGet, "/v1/stats", nil, &statsResp)
 	if statsResp.Requests != 400 {
 		t.Fatalf("server saw %d requests, want 400", statsResp.Requests)
 	}
@@ -109,12 +130,9 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 5. Tier 2: build a fleet at the server's stations and run a
 	// charging round.
-	stations := make([]geo.Point, 0)
-	srvStations, err := client.Stations(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stations = append(stations, srvStations...)
+	var srvStations server.StationsResponse
+	call(http.MethodGet, "/v1/stations", nil, &srvStations)
+	stations := srvStations.Stations
 	fleet, err := energy.NewFleet(energy.DefaultModel())
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@
 // the geometry and cost arithmetic packages (geo, core, incentive).
 // Distances, costs and regrets there are sums of projected coordinates
 // and square roots; exact equality on such values is almost always a
-// latent bug that epsilon helpers (geo.AlmostEqual and friends) should
-// replace. The rare comparisons that are exact by construction —
-// sentinel zeros, tie-breaks on values copied from the same source —
-// are waived explicitly with //esharing:allow floateq so the intent is
-// on the record.
+// latent bug that a tolerance comparison should replace. The rare
+// comparisons that are exact by construction — sentinel zeros,
+// tie-breaks on values copied from the same source — are waived
+// explicitly with //esharing:allow floateq so the intent is on the
+// record.
 package floateq
 
 import (
@@ -28,7 +28,7 @@ var scopedPkgs = []string{
 var Analyzer = &lintkit.Analyzer{
 	Name: "floateq",
 	Doc: "forbid ==/!= on floating-point operands in geo, core and incentive; " +
-		"use epsilon helpers, or waive exact-by-construction comparisons with //esharing:allow floateq",
+		"use a tolerance, or waive exact-by-construction comparisons with //esharing:allow floateq",
 	Run: run,
 }
 
@@ -49,7 +49,7 @@ func run(pass *lintkit.Pass) error {
 				return true
 			}
 			pass.Reportf(bin.OpPos,
-				"floating-point %s comparison; use an epsilon helper (geo.AlmostEqual) or waive with //esharing:allow floateq",
+				"floating-point %s comparison; use a tolerance or waive with //esharing:allow floateq",
 				bin.Op)
 			return true
 		})

@@ -284,9 +284,6 @@ func (e *ESharing) Stations() []geo.Point {
 // Name implements OnlinePlacer.
 func (e *ESharing) Name() string { return "e-sharing" }
 
-// Penalty returns the active penalty function.
-func (e *ESharing) Penalty() Penalty { return e.penalty }
-
 // LastSimilarity returns the similarity percentage from the most recent
 // KS test (100 before any test has run).
 func (e *ESharing) LastSimilarity() float64 { return e.lastSim }

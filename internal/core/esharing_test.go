@@ -199,9 +199,9 @@ func TestESharingKSTestSwitchesPenalty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Penalty().Type == PenaltyTypeII {
+	if e.penalty.Type == PenaltyTypeII {
 		t.Errorf("penalty stayed %v despite divergent traffic (similarity %.1f%%)",
-			e.Penalty().Type, e.LastSimilarity())
+			e.penalty.Type, e.LastSimilarity())
 	}
 	if e.LastSimilarity() > 80 {
 		t.Errorf("similarity %.1f%%, want < 80%% for disjoint distributions", e.LastSimilarity())
@@ -223,7 +223,7 @@ func TestESharingKSTestKeepsPenaltyWhenSimilar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.Penalty().Type; got == PenaltyTypeI {
+	if got := e.penalty.Type; got == PenaltyTypeI {
 		t.Errorf("penalty fell to %v for same-distribution traffic (similarity %.1f%%)",
 			got, e.LastSimilarity())
 	}

@@ -107,9 +107,6 @@ func (p *PolyPenalty) Eval(c float64) float64 {
 	return v
 }
 
-// Scale returns the largest fitted distance (Eval is 0 beyond it).
-func (p *PolyPenalty) Scale() float64 { return p.scale }
-
 // SetCustomPenalty pins an arbitrary penalty function g(c) on the placer
 // — the hook for PolyPenalty and other experimental shapes. While a
 // custom penalty is set, KS-driven switching is suspended; pass nil to

@@ -49,10 +49,10 @@ func TestPolyPenaltyBasicShape(t *testing.T) {
 	if got := p.Eval(-5); got != p.Eval(0) {
 		t.Errorf("negative c should clamp to 0")
 	}
-	if got := p.Eval(p.Scale() + 1); got != 0 {
+	if got := p.Eval(p.scale + 1); got != 0 {
 		t.Errorf("beyond scale g=%v, want 0", got)
 	}
-	for c := 0.0; c < p.Scale(); c += p.Scale() / 50 {
+	for c := 0.0; c < p.scale; c += p.scale / 50 {
 		v := p.Eval(c)
 		if v < 0 || v > 1 {
 			t.Fatalf("g(%v)=%v outside [0,1]", c, v)
@@ -126,7 +126,7 @@ func TestESharingCustomPenalty(t *testing.T) {
 	}
 	// Restoring nil returns to the built-in penalty.
 	e.SetCustomPenalty(nil)
-	if e.Penalty().Type != PenaltyTypeII {
+	if e.penalty.Type != PenaltyTypeII {
 		t.Error("built-in penalty lost")
 	}
 }
@@ -145,8 +145,8 @@ func TestESharingCustomPenaltySuspendsKSSwitch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Penalty().Type != PenaltyTypeII {
-		t.Errorf("KS switching ran despite custom penalty: %v", e.Penalty().Type)
+	if e.penalty.Type != PenaltyTypeII {
+		t.Errorf("KS switching ran despite custom penalty: %v", e.penalty.Type)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestPolyPenaltyDrivesPlacement(t *testing.T) {
 	e := newTestESharing(t, []geo.Point{landmark}, nil, cfg)
 	e.SetCustomPenalty(poly.Eval)
 	// Far requests (beyond the fitted scale) must never open.
-	far := poly.Scale() * 2
+	far := poly.scale * 2
 	for i := 0; i < 50; i++ {
 		d, err := e.Place(geo.Pt(far, 0))
 		if err != nil {

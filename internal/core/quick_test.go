@@ -202,7 +202,7 @@ func TestQuickPolyPenaltyRange(t *testing.T) {
 			// Degenerate samples (e.g. all zero) are allowed to fail.
 			return true
 		}
-		for c := 0.0; c <= p.Scale()*1.2; c += p.Scale() / 23 {
+		for c := 0.0; c <= p.scale*1.2; c += p.scale / 23 {
 			v := p.Eval(c)
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false

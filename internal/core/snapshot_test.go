@@ -112,7 +112,7 @@ func TestStateRoundTripPreservesESharingFigures(t *testing.T) {
 	if got, want := fresh.OnlineOpens(), orig.OnlineOpens(); got != want {
 		t.Errorf("online opens %d, want %d", got, want)
 	}
-	if got, want := fresh.Penalty(), orig.Penalty(); got != want {
+	if got, want := fresh.penalty, orig.penalty; got != want {
 		t.Errorf("penalty %+v, want %+v", got, want)
 	}
 }

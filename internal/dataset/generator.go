@@ -25,26 +25,6 @@ const (
 	Recreation
 )
 
-// String implements fmt.Stringer.
-func (k POIKind) String() string {
-	switch k {
-	case Office:
-		return "office"
-	case Residential:
-		return "residential"
-	case Subway:
-		return "subway"
-	case University:
-		return "university"
-	case Park:
-		return "park"
-	case Recreation:
-		return "recreation"
-	default:
-		return "unknown"
-	}
-}
-
 // POI is a point of interest with a Gaussian catchment of the given sigma.
 type POI struct {
 	Name  string

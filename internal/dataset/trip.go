@@ -6,7 +6,6 @@
 package dataset
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/geo"
@@ -26,19 +25,6 @@ type Trip struct {
 
 	Start geo.Point `json:"start"`
 	End   geo.Point `json:"end"`
-}
-
-// Validate performs basic schema checks.
-func (t Trip) Validate() error {
-	switch {
-	case t.OrderID <= 0:
-		return fmt.Errorf("dataset: trip order id %d invalid", t.OrderID)
-	case t.StartTime.IsZero():
-		return fmt.Errorf("dataset: trip %d has zero start time", t.OrderID)
-	case !t.Start.IsFinite() || !t.End.IsFinite():
-		return fmt.Errorf("dataset: trip %d has non-finite coordinates", t.OrderID)
-	}
-	return nil
 }
 
 // EndPoints extracts the destination of every trip — the arrival stream

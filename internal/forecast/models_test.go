@@ -317,6 +317,41 @@ func TestLSTMBeatsMovingAverageOnCycle(t *testing.T) {
 	}
 }
 
+func TestLSTMBeatsSeasonalNaiveOnNoisyCycle(t *testing.T) {
+	// With noise, the seasonal-naive baseline (the value one period, 24 h,
+	// back) copies yesterday's noise; the LSTM should smooth it. This is
+	// the strongest baseline comparison in the suite.
+	const period = 24
+	series := syntheticSeries(period*14, 31, 8)
+	train, test, err := SplitTrainTest(series, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumSq float64
+	for i, v := range test {
+		d := series[len(train)+i-period] - v
+		sumSq += d * d
+	}
+	naiveRMSE := math.Sqrt(sumSq / float64(len(test)))
+	lstm, err := NewLSTM(LSTMConfig{
+		Hidden: 16, Layers: 1, Lookback: 24, Epochs: 30,
+		LearningRate: 0.01, ClipNorm: 1, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lstm.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	lstmRMSE, err := WalkForwardRMSE(lstm, train, test, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lstmRMSE >= naiveRMSE {
+		t.Errorf("LSTM RMSE %.2f should beat seasonal naive %.2f", lstmRMSE, naiveRMSE)
+	}
+}
+
 func TestLSTMForecastValidation(t *testing.T) {
 	l, err := NewLSTM(LSTMConfig{
 		Hidden: 4, Layers: 1, Lookback: 6, Epochs: 1,

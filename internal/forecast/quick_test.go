@@ -98,33 +98,3 @@ func TestQuickWindowsAlignment(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickSeasonalNaivePeriodicity(t *testing.T) {
-	property := func(raw []int16, periodRaw uint8) bool {
-		series := cleanSeries(raw, 4)
-		if series == nil {
-			return true
-		}
-		period := int(periodRaw)%len(series) + 1
-		s, err := NewSeasonalNaive(period)
-		if err != nil {
-			return false
-		}
-		if err := s.Fit(series); err != nil {
-			return false
-		}
-		preds, err := s.Forecast(series, 2*period)
-		if err != nil {
-			return false
-		}
-		for k := 0; k < period; k++ {
-			if preds[k] != preds[k+period] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}

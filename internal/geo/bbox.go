@@ -31,11 +31,6 @@ func (b BBox) Width() float64 { return b.MaxX - b.MinX }
 // Height returns the Y extent of the box.
 func (b BBox) Height() float64 { return b.MaxY - b.MinY }
 
-// Center returns the box centroid.
-func (b BBox) Center() Point {
-	return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2}
-}
-
 // Contains reports whether p lies inside the box (inclusive of edges).
 func (b BBox) Contains(p Point) bool {
 	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY

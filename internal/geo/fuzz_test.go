@@ -57,7 +57,7 @@ func FuzzGridCellOf(f *testing.F) {
 	f.Add(-1.0, 5000.0)
 	f.Fuzz(func(t *testing.T, x, y float64) {
 		cell := grid.ClampedCellOf(Pt(x, y))
-		if cell.Col < 0 || cell.Col >= grid.Cols() || cell.Row < 0 || cell.Row >= grid.Rows() {
+		if cell.Col < 0 || cell.Col >= grid.Cols() || cell.Row < 0 || cell.Row >= grid.rows {
 			t.Fatalf("clamped cell out of range: %+v", cell)
 		}
 		idx := grid.Index(cell)

@@ -22,9 +22,6 @@ type Cell struct {
 	Row int `json:"row"`
 }
 
-// String implements fmt.Stringer.
-func (c Cell) String() string { return fmt.Sprintf("cell(%d,%d)", c.Col, c.Row) }
-
 // Grid divides a bounding box into uniform square cells. The paper divides
 // the metropolitan area into 100x100 m grids whose centroids are the
 // candidate parking locations (Section III-A).
@@ -58,9 +55,6 @@ func NewGrid(box BBox, cellSize float64) (*Grid, error) {
 
 // Cols returns the number of columns.
 func (g *Grid) Cols() int { return g.cols }
-
-// Rows returns the number of rows.
-func (g *Grid) Rows() int { return g.rows }
 
 // NumCells returns Cols*Rows.
 func (g *Grid) NumCells() int { return g.cols * g.rows }

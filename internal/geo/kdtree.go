@@ -97,18 +97,9 @@ func (t *KDTree) Len() int { return len(t.pts) }
 // At returns the i-th indexed point.
 func (t *KDTree) At(i int) Point { return t.pts[i] }
 
-// Nearest returns the index and distance of the point closest to q, or
-// (-1, +Inf) for an empty tree. Ties resolve to the lowest index,
-// matching geo.Nearest.
-func (t *KDTree) Nearest(q Point) (int, float64) {
-	best, bestD2 := t.nearest2(q)
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return best, math.Sqrt(bestD2)
-}
-
-// nearest2 is Nearest in squared-distance form, letting callers combine
+// nearest2 returns the index and squared distance of the point closest
+// to q, or (-1, +Inf) for an empty tree. Ties resolve to the lowest
+// index, matching geo.Nearest. The squared form lets callers combine
 // tree results with linear candidates without losing exactness to an
 // intermediate square root.
 func (t *KDTree) nearest2(q Point) (int, float64) {

@@ -22,9 +22,9 @@ func TestKDTreeEmpty(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len=%d", tr.Len())
 	}
-	idx, d := tr.Nearest(Pt(1, 1))
-	if idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("empty nearest: %d, %v", idx, d)
+	idx, d2 := tr.nearest2(Pt(1, 1))
+	if idx != -1 || !math.IsInf(d2, 1) {
+		t.Errorf("empty nearest: %d, %v", idx, d2)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestKDTreeMatchesLinearNearest(t *testing.T) {
 	queries := randomPts(4, 500)
 	for _, q := range queries {
 		gi, gd := Nearest(q, pts)
-		ti, td := tr.Nearest(q)
-		if gi != ti || math.Abs(gd-td) > 1e-9 {
+		ti, td2 := tr.nearest2(q)
+		if td := math.Sqrt(td2); gi != ti || math.Abs(gd-td) > 1e-9 {
 			t.Fatalf("query %v: linear (%d, %v) vs tree (%d, %v)", q, gi, gd, ti, td)
 		}
 	}
@@ -44,11 +44,11 @@ func TestKDTreeMatchesLinearNearest(t *testing.T) {
 func TestKDTreeDuplicatePointsTieToLowestIndex(t *testing.T) {
 	pts := []Point{Pt(10, 10), Pt(5, 5), Pt(10, 10), Pt(5, 5)}
 	tr := BuildKDTree(pts)
-	idx, d := tr.Nearest(Pt(10, 10))
-	if idx != 0 || d != 0 {
-		t.Errorf("got (%d, %v), want (0, 0)", idx, d)
+	idx, d2 := tr.nearest2(Pt(10, 10))
+	if idx != 0 || d2 != 0 {
+		t.Errorf("got (%d, %v), want (0, 0)", idx, d2)
 	}
-	idx, _ = tr.Nearest(Pt(5.4, 5))
+	idx, _ = tr.nearest2(Pt(5.4, 5))
 	if idx != 1 {
 		t.Errorf("got %d, want 1", idx)
 	}
@@ -327,7 +327,7 @@ func BenchmarkKDTreeNearest10k(b *testing.B) {
 	q := randomPts(12, 1)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Nearest(q)
+		tr.nearest2(q)
 	}
 }
 

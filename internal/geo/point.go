@@ -23,15 +23,6 @@ type Point struct {
 // Pt is shorthand for constructing a Point.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Add returns p + q componentwise.
-func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
-
-// Sub returns p - q componentwise.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{X: p.X * s, Y: p.Y * s} }
-
 // Dist returns the Euclidean distance between p and q in metres. This is the
 // paper's walking-distance metric d_ij (Definition 1).
 //
@@ -62,20 +53,6 @@ func (p Point) IsFinite() bool {
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
-
-// Centroid returns the arithmetic mean of pts. It returns the zero Point for
-// an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return c.Scale(1 / float64(len(pts)))
-}
 
 // Nearest returns the index of the point in pts closest to p and its
 // distance. It returns (-1, +Inf) for an empty slice.

@@ -9,26 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestPointArithmetic(t *testing.T) {
-	tests := []struct {
-		name string
-		got  Point
-		want Point
-	}{
-		{"add", Pt(1, 2).Add(Pt(3, 4)), Pt(4, 6)},
-		{"sub", Pt(1, 2).Sub(Pt(3, 4)), Pt(-2, -2)},
-		{"scale", Pt(1, 2).Scale(2.5), Pt(2.5, 5)},
-		{"scale zero", Pt(1, 2).Scale(0), Pt(0, 0)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if tt.got != tt.want {
-				t.Errorf("got %v, want %v", tt.got, tt.want)
-			}
-		})
-	}
-}
-
 func TestDist(t *testing.T) {
 	tests := []struct {
 		name string
@@ -81,26 +61,6 @@ func TestDistProperties(t *testing.T) {
 		if a.Dist(c) > a.Dist(b)+b.Dist(c)+1e-9 {
 			t.Fatalf("triangle inequality violated: %v %v %v", a, b, c)
 		}
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	tests := []struct {
-		name string
-		pts  []Point
-		want Point
-	}{
-		{"empty", nil, Pt(0, 0)},
-		{"single", []Point{Pt(3, 7)}, Pt(3, 7)},
-		{"square corners", []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}, Pt(1, 1)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := Centroid(tt.pts)
-			if !almostEqual(got.X, tt.want.X, 1e-12) || !almostEqual(got.Y, tt.want.Y, 1e-12) {
-				t.Errorf("got %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 

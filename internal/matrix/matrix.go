@@ -40,23 +40,11 @@ func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 // Set assigns element (r, c).
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Zero resets all elements to 0 in place.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// SameShape reports whether m and n have identical dimensions.
-func (m *Matrix) SameShape(n *Matrix) bool {
-	return m.Rows == n.Rows && m.Cols == n.Cols
 }
 
 // shapeCheck panics on mismatched shapes; the forecaster constructs all
@@ -65,21 +53,6 @@ func (m *Matrix) SameShape(n *Matrix) bool {
 func shapeCheck(cond bool, format string, args ...any) {
 	if !cond {
 		panic("matrix: " + fmt.Sprintf(format, args...))
-	}
-}
-
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Apply sets dst = f(a) elementwise; dst may alias a.
-func Apply(dst, a *Matrix, f func(float64) float64) {
-	shapeCheck(dst.SameShape(a), "apply shape mismatch")
-	for i := range dst.Data {
-		dst.Data[i] = f(a.Data[i])
 	}
 }
 

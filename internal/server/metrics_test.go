@@ -243,21 +243,18 @@ func counterValue(f *family, want map[string]string) float64 {
 // --- exposition test ----------------------------------------------------
 
 func TestMetricsExpositionFormat(t *testing.T) {
-	ts, client := newTestServer(t)
-	ctx := context.Background()
+	srv := newTestServer(t)
 	for i := 0; i < 4; i++ {
-		if _, err := client.Place(ctx, geo.Pt(float64(i*700), 0)); err != nil {
+		if _, err := place(t, srv, geo.Pt(float64(i*700), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Produce one decode error so the error family has a sample.
-	resp, err := http.Post(ts.URL+"/v1/requests", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := do(t, srv, http.MethodPost, "/v1/requests", "{"); code != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d", code)
 	}
-	_ = resp.Body.Close()
 
-	families := scrape(t, ts.URL)
+	families := scrapeMetrics(t, srv)
 	for _, name := range []string{
 		"esharing_requests_total", "esharing_stations_opened_total",
 		"esharing_walk_meters_total", "esharing_stations",
@@ -410,14 +407,7 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 	checkHistogram(t, families["esharing_request_duration_seconds"])
 
 	// Exact reconciliation is also visible in /v1/stats.
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := statsOf(t, srv)
 	if stats.Requests+stats.Shed != sent {
 		t.Errorf("accepted %d + shed %d != sent %d", stats.Requests, stats.Shed, sent)
 	}
@@ -475,10 +465,7 @@ func TestShedLoadUnderSaturation(t *testing.T) {
 			t.Errorf("errors{endpoint=%q,kind=%q} = %g, want %g", want.endpoint, want.kind, got, want.value)
 		}
 	}
-	stats, err = client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats = statsOf(t, srv)
 	if kindSum := counterValue(errFam, nil); kindSum != float64(stats.Errors) {
 		t.Errorf("sum of kind counters = %g, stats errors = %d; the two books must agree", kindSum, stats.Errors)
 	}
@@ -603,29 +590,19 @@ func TestFailedPlacementsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.shards[0].beforePlace = func(geo.Point) error { return errors.New("no capacity") }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := client.Place(ctx, geo.Pt(1, 2)); err == nil {
-			t.Fatal("failing placement should error")
+		if code, _ := do(t, srv, http.MethodPost, "/v1/requests", placeBody(t, geo.Pt(1, 2))); code != http.StatusUnprocessableEntity {
+			t.Fatalf("failing placement: status %d, want 422", code)
 		}
 	}
-	stats, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := statsOf(t, srv)
 	if stats.Errors != 3 {
 		t.Errorf("stats errors = %d, want 3", stats.Errors)
 	}
 	if stats.Requests != 0 {
 		t.Errorf("stats requests = %d, want 0 (placements all failed)", stats.Requests)
 	}
-	families := scrape(t, ts.URL)
+	families := scrapeMetrics(t, srv)
 	if got := counterValue(families["esharing_request_errors_total"],
 		map[string]string{"endpoint": "place", "kind": "unprocessable"}); got != 3 {
 		t.Errorf("unprocessable errors = %g, want 3", got)
@@ -634,17 +611,12 @@ func TestFailedPlacementsAreCounted(t *testing.T) {
 
 // TestOversizedBodyRejected covers the http.MaxBytesReader cap.
 func TestOversizedBodyRejected(t *testing.T) {
-	ts, _ := newTestServer(t)
+	srv := newTestServer(t)
 	big := strings.Repeat(" ", maxBodyBytes+1024) + `{"dest":{"x":1,"y":2}}`
-	resp, err := http.Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := do(t, srv, http.MethodPost, "/v1/requests", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", code)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("status %d, want 413", resp.StatusCode)
-	}
-	families := scrape(t, ts.URL)
+	families := scrapeMetrics(t, srv)
 	if got := counterValue(families["esharing_request_errors_total"],
 		map[string]string{"endpoint": "place", "kind": "too_large"}); got != 1 {
 		t.Errorf("too_large errors = %g, want 1", got)

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,36 +20,69 @@ func newSingle(placer core.OnlinePlacer, opts ...Option) (*Server, error) {
 }
 
 // newTestServer serves newWALPlacer's engine, whose landmarks are
-// (500, 500) and (1500, 1500), over HTTP.
-func newTestServer(t *testing.T) (*httptest.Server, *Client) {
+// (500, 500) and (1500, 1500).
+func newTestServer(t *testing.T) *Server {
 	t.Helper()
 	srv, err := newSingle(newWALPlacer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
+	return srv
+}
+
+// call serves one request through srv with do and decodes a 200
+// response into out. It returns its failure instead of ending the test,
+// so storm goroutines can use it too.
+func call(t *testing.T, srv *Server, method, target, body string, out any) error {
+	t.Helper()
+	code, resp := do(t, srv, method, target, body)
+	if code != http.StatusOK {
+		return fmt.Errorf("%s %s: status %d: %s", method, target, code, strings.TrimSpace(resp))
+	}
+	return json.Unmarshal([]byte(resp), out)
+}
+
+// place asks srv to place dest and decodes the decision.
+func place(t *testing.T, srv *Server, dest geo.Point) (PlaceResponse, error) {
+	t.Helper()
+	var out PlaceResponse
+	body, err := json.Marshal(PlaceRequest{Dest: dest})
+	if err == nil {
+		err = call(t, srv, http.MethodPost, "/v1/requests", string(body), &out)
+	}
+	return out, err
+}
+
+// statsOf reads srv's /v1/stats.
+func statsOf(t *testing.T, srv *Server) StatsResponse {
+	t.Helper()
+	var out StatsResponse
+	if err := call(t, srv, http.MethodGet, "/v1/stats", "", &out); err != nil {
 		t.Fatal(err)
 	}
-	return ts, client
+	return out
+}
+
+// stationsOf reads srv's /v1/stations.
+func stationsOf(t *testing.T, srv *Server) []geo.Point {
+	t.Helper()
+	var out StationsResponse
+	if err := call(t, srv, http.MethodGet, "/v1/stations", "", &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Stations
 }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := newSingle(nil); err == nil {
 		t.Error("nil placer should error")
 	}
-	if _, err := NewClient("", nil); err == nil {
-		t.Error("empty base URL should error")
-	}
 }
 
 func TestPlaceAndStations(t *testing.T) {
-	_, client := newTestServer(t)
-	ctx := context.Background()
+	srv := newTestServer(t)
 
-	first, err := client.Place(ctx, geo.Pt(500, 500))
+	first, err := place(t, srv, geo.Pt(500, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +90,7 @@ func TestPlaceAndStations(t *testing.T) {
 		t.Errorf("a request on a landmark should assign to it: %+v", first)
 	}
 
-	second, err := client.Place(ctx, geo.Pt(1501, 1500))
+	second, err := place(t, srv, geo.Pt(1501, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,27 +98,20 @@ func TestPlaceAndStations(t *testing.T) {
 		t.Errorf("1 m from a landmark should assign to it: %+v", second)
 	}
 
-	stations, err := client.Stations(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stations := stationsOf(t, srv)
 	if len(stations) != 2 || stations[0] != geo.Pt(500, 500) || stations[1] != geo.Pt(1500, 1500) {
 		t.Errorf("stations=%v", stations)
 	}
 }
 
 func TestStats(t *testing.T) {
-	_, client := newTestServer(t)
-	ctx := context.Background()
+	srv := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		if _, err := client.Place(ctx, geo.Pt(float64(i), 0)); err != nil {
+		if _, err := place(t, srv, geo.Pt(float64(i), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := statsOf(t, srv)
 	if got.Requests != 5 {
 		t.Errorf("requests=%d, want 5", got.Requests)
 	}
@@ -113,22 +137,12 @@ func TestStatsExposesESharingSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if _, err := client.Place(ctx, geo.Pt(float64(i*40), 500)); err != nil {
+		if _, err := place(t, srv, geo.Pt(float64(i*40), 500)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := statsOf(t, srv)
 	if got.LastSimilarity == nil {
 		t.Error("E-sharing stats should expose the last similarity")
 	} else if *got.LastSimilarity == 0 {
@@ -137,14 +151,14 @@ func TestStatsExposesESharingSimilarity(t *testing.T) {
 }
 
 func TestHealth(t *testing.T) {
-	_, client := newTestServer(t)
-	if err := client.Health(context.Background()); err != nil {
+	var body map[string]string
+	if err := call(t, newTestServer(t), http.MethodGet, "/healthz", "", &body); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPlaceBadRequests(t *testing.T) {
-	ts, _ := newTestServer(t)
+	srv := newTestServer(t)
 	tests := []struct {
 		name string
 		body string
@@ -156,50 +170,30 @@ func TestPlaceBadRequests(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(tt.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = resp.Body.Close() }()
-			if resp.StatusCode != tt.want {
-				t.Errorf("status=%d, want %d", resp.StatusCode, tt.want)
+			if code, _ := do(t, srv, http.MethodPost, "/v1/requests", tt.body); code != tt.want {
+				t.Errorf("status=%d, want %d", code, tt.want)
 			}
 		})
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET on POST route: status=%d", resp.StatusCode)
+	if code, _ := do(t, newTestServer(t), http.MethodGet, "/v1/requests", ""); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET on POST route: status=%d", code)
 	}
 }
 
 func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
 	// The server holds no tier-2 fleet, so the fleet routes must stay
 	// unmatched rather than answer with an empty fleet.
-	ts, _ := newTestServer(t)
+	srv := newTestServer(t)
 	for _, route := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/bikes"},
 		{http.MethodPost, "/v1/rides"},
 		{http.MethodPost, "/v1/charging-round"},
 	} {
-		req, err := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s: status=%d, want 404", route.method, route.path, resp.StatusCode)
+		if code, _ := do(t, srv, route.method, route.path, "{}"); code != http.StatusNotFound {
+			t.Errorf("%s %s: status=%d, want 404", route.method, route.path, code)
 		}
 	}
 }
@@ -207,9 +201,7 @@ func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
 func TestConcurrentPlacements(t *testing.T) {
 	// The server must serialise placer access; hammer it concurrently and
 	// verify the counters add up (run with -race in CI).
-	ts, client := newTestServer(t)
-	_ = ts
-	ctx := context.Background()
+	srv := newTestServer(t)
 	const goroutines = 8
 	const perG = 25
 	var wg sync.WaitGroup
@@ -219,7 +211,7 @@ func TestConcurrentPlacements(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if _, err := client.Place(ctx, geo.Pt(float64(g*100+i), float64(i))); err != nil {
+				if _, err := place(t, srv, geo.Pt(float64(g*100+i), float64(i))); err != nil {
 					errs <- err
 					return
 				}
@@ -231,11 +223,7 @@ func TestConcurrentPlacements(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	got, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Requests != goroutines*perG {
+	if got := statsOf(t, srv); got.Requests != goroutines*perG {
 		t.Errorf("requests=%d, want %d", got.Requests, goroutines*perG)
 	}
 }
@@ -260,13 +248,6 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
 
 	const writers, perWriter, readers = 6, 40, 4
 	var openedSeen atomic.Int64
@@ -281,7 +262,7 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 			rng := stats.NewRNG(uint64(g) + 10)
 			dist := stats.UniformDist{Box: geo.Square(geo.Pt(0, 0), 2000)}
 			for i := 0; i < perWriter; i++ {
-				resp, err := client.Place(ctx, dist.Sample(rng))
+				resp, err := place(t, srv, dist.Sample(rng))
 				if err != nil {
 					errs <- err
 					return
@@ -303,29 +284,23 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := client.Stats(ctx); err != nil {
+				if err := call(t, srv, http.MethodGet, "/v1/stats", "", &StatsResponse{}); err != nil {
 					errs <- err
 					return
 				}
-				stations, err := client.Stations(ctx)
-				if err != nil {
+				var stations StationsResponse
+				if err := call(t, srv, http.MethodGet, "/v1/stations", "", &stations); err != nil {
 					errs <- err
 					return
 				}
-				if len(stations) < len(landmarks) {
-					errs <- fmt.Errorf("snapshot lost landmarks: %d stations", len(stations))
+				if len(stations.Stations) < len(landmarks) {
+					errs <- fmt.Errorf("snapshot lost landmarks: %d stations", len(stations.Stations))
 					return
 				}
-				resp, err := http.Get(ts.URL + "/metrics")
-				if err != nil {
-					errs <- err
+				if code, _ := do(t, srv, http.MethodGet, "/metrics", ""); code != http.StatusOK {
+					errs <- fmt.Errorf("metrics: status %d", code)
 					return
 				}
-				if _, err := io.ReadAll(resp.Body); err != nil {
-					errs <- err
-					return
-				}
-				_ = resp.Body.Close()
 			}
 		}()
 	}
@@ -337,10 +312,7 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := statsOf(t, srv)
 	if got.Requests != writers*perWriter {
 		t.Errorf("requests=%d, want %d", got.Requests, writers*perWriter)
 	}
@@ -350,56 +322,27 @@ func TestConcurrentMixedLoadConsistency(t *testing.T) {
 	if want := len(landmarks) + int(openedSeen.Load()); got.Stations != want {
 		t.Errorf("stations=%d, want %d (landmarks + opened)", got.Stations, want)
 	}
-	stations, err := client.Stations(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stations) != got.Stations {
+	if stations := stationsOf(t, srv); len(stations) != got.Stations {
 		t.Errorf("/v1/stations has %d entries, stats says %d", len(stations), got.Stations)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, body := do(t, srv, http.MethodGet, "/metrics", "")
 	want := fmt.Sprintf("esharing_requests_total %d\n", writers*perWriter)
-	if !strings.Contains(string(body), want) {
+	if !strings.Contains(body, want) {
 		t.Errorf("metrics missing %q", want)
 	}
 }
 
-func TestClientAgainstDeadServer(t *testing.T) {
-	client, err := NewClient("http://127.0.0.1:1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Place(context.Background(), geo.Pt(0, 0)); err == nil {
-		t.Error("dead server should error")
-	}
-}
-
 func TestMetricsEndpoint(t *testing.T) {
-	ts, client := newTestServer(t)
-	ctx := context.Background()
+	srv := newTestServer(t)
 	for i := 0; i < 3; i++ {
-		if _, err := client.Place(ctx, geo.Pt(float64(i*500), 0)); err != nil {
+		if _, err := place(t, srv, geo.Pt(float64(i*500), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	code, text := do(t, srv, http.MethodGet, "/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
 	if !strings.Contains(text, "esharing_requests_total 3") {
 		t.Errorf("missing request counter:\n%s", text)
 	}

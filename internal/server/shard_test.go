@@ -367,11 +367,7 @@ func stormReconciles(t *testing.T, shards int) {
 
 	// Fleet-wide reconciliation in /v1/stats, including the per-shard
 	// breakdown.
-	_, statsBody := do(t, srv, http.MethodGet, "/v1/stats", "")
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
-		t.Fatal(err)
-	}
+	st := statsOf(t, srv)
 	if st.Requests != totalOK || st.Shed != totalShed {
 		t.Errorf("stats requests=%d shed=%d, want %d/%d", st.Requests, st.Shed, totalOK, totalShed)
 	}

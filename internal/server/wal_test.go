@@ -55,36 +55,17 @@ type capturedState struct {
 
 func capture(t *testing.T, srv *Server) capturedState {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stations", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stations: %d", rec.Code)
+	code, body := do(t, srv, http.MethodGet, "/v1/stations", "")
+	if code != http.StatusOK {
+		t.Fatalf("stations: %d", code)
 	}
-	body := rec.Body.String()
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stats: %d", rec.Code)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	return capturedState{stationsBody: body, stats: st}
+	return capturedState{stationsBody: body, stats: statsOf(t, srv)}
 }
 
 func placeOK(t *testing.T, srv *Server, dest geo.Point) {
 	t.Helper()
-	body, err := json.Marshal(PlaceRequest{Dest: dest})
-	if err != nil {
+	if _, err := place(t, srv, dest); err != nil {
 		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("place %v: %d %s", dest, rec.Code, rec.Body.String())
 	}
 }
 
@@ -364,6 +345,9 @@ func scrapeMetrics(t *testing.T, srv *Server) map[string]*family {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+		t.Fatalf("metrics content type %q", ct)
 	}
 	return parseExposition(t, rec.Body.String())
 }

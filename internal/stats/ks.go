@@ -195,20 +195,6 @@ const (
 	LessSimilar
 )
 
-// String implements fmt.Stringer.
-func (b SimilarityBand) String() string {
-	switch b {
-	case VerySimilar:
-		return "very-similar"
-	case SimilarBand:
-		return "similar"
-	case LessSimilar:
-		return "less-similar"
-	default:
-		return "unknown"
-	}
-}
-
 // ClassifySimilarity maps a similarity percentage to its band.
 func ClassifySimilarity(pct float64) SimilarityBand {
 	switch {

@@ -164,9 +164,3 @@ func TestClassifySimilarity(t *testing.T) {
 		}
 	}
 }
-
-func TestSimilarityBandString(t *testing.T) {
-	if VerySimilar.String() != "very-similar" || SimilarityBand(0).String() != "unknown" {
-		t.Error("SimilarityBand.String mismatch")
-	}
-}
